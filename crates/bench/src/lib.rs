@@ -15,7 +15,6 @@
 //! | `fig5` | Fig. 5 — dropout sweep |
 //! | `fig6` | Fig. 6 — fixed β sweep vs KL annealing |
 //! | `serve_bench` | not in the paper: `vsan-serve` engine throughput vs a sequential loop |
-//! | `infer_bench` | not in the paper: graph-free fast path vs graph path (`results/BENCH_infer.json`) |
 //! | `retrieval_bench` | not in the paper: clustered MIPS vs exact oracle at N ∈ {12k, 100k, 1M} (`results/BENCH_retrieval.json`) |
 //!
 //! Every binary accepts `--scale smoke|repro|paper` (default `repro`),
@@ -23,7 +22,6 @@
 //! beauty|ml1m|both`. Criterion micro-benches for the §IV-F complexity
 //! claims live in `benches/`.
 
-pub mod infer_bench;
 pub mod retrieval_bench;
 pub mod serve_bench;
 pub mod train_bench;

@@ -1,4 +1,4 @@
-//! Graph-free inference fast path (DESIGN.md §10).
+//! Graph-free inference (DESIGN.md §10): one pass, one oracle.
 //!
 //! The autograd [`Graph`](vsan_autograd::Graph) exists to record a tape
 //! for the backward pass; at serve time that is pure overhead — every op
@@ -13,24 +13,38 @@
 //! - [`Workspace`] owns every intermediate buffer, sized once from the
 //!   config and reused across batches (a serve worker holds one for its
 //!   whole life — steady-state batches allocate only the output rows);
-//! - the kernels ([`causal_attention_into`], `matmul_into_parallel`,
+//! - the kernels ([`causal_attention_rows_into`], `matmul_into_parallel`,
 //!   `layer_norm_rows_into`) fold every output element in the exact
-//!   per-row order the graph ops use, so fast-path logits are
-//!   **bit-identical** to the graph path — the determinism invariant the
-//!   serve cache, the chaos suite, and `tests/golden_logits.rs` rest on.
+//!   per-row order the graph ops use, so the logits are **bit-identical**
+//!   to the graph path — the determinism invariant the serve cache, the
+//!   chaos suite, and `tests/golden_logits.rs` rest on.
 //!
-//! `VSAN_DISABLE_FAST_PATH=1` routes [`crate::Vsan::score_items_batch`]
-//! back through the graph, keeping the old path alive as a differential-
-//! testing oracle (`scripts/verify.sh` runs the suite both ways).
+//! There is one implementation: `InferencePlan::run` over one `block`.
+//! A block's K/V window is a read-only *prefix* of already-valid rows
+//! followed by a *tail* of rows projected now, and only the last *keep*
+//! tail rows of the last block are queried. Each entry point is a
+//! `(prefix, tail, keep)` triple per sample, not a code path:
+//!
+//! | entry point | triple | K/V tail lands in |
+//! |---|---|---|
+//! | `execute_hidden` / `execute` | `(start, n-start, 1)`; earlier blocks keep all | workspace scratch |
+//! | `prepare_session` | `(start, m-start, 0)`; earlier blocks keep all | the `SessionState` |
+//! | `append_session` | `(m, 1, 1)` | workspace scratch; the state is only read |
+//!
+//! (`n` is the window width, `m = n-1`, `start` the leading padding slots
+//! the all-padding state already covers — for a batch, the padding its
+//! longest history leaves.)
+//!
+//! The only other forward is the oracle: the autograd graph
+//! (`Vsan::score_items_batch_graph`), which `VSAN_DISABLE_FAST_PATH=1`
+//! also routes [`crate::Vsan::try_score_items_batch`] through
+//! (`scripts/verify.sh` runs the suite both ways).
 
 use std::cell::RefCell;
 
 use vsan_data::sequence::pad_left;
 use vsan_nn::{Linear, ParamId, ParamStore, SelfAttentionBlock};
-use vsan_tensor::ops::attention::{
-    causal_attention_append_into, causal_attention_into, causal_attention_last_row_into,
-    causal_attention_resume_into,
-};
+use vsan_tensor::ops::attention::causal_attention_rows_into;
 use vsan_tensor::ops::norm::{layer_norm_rows_into, LN_EPS};
 use vsan_tensor::parallel::matmul_into_parallel;
 
@@ -91,6 +105,17 @@ impl BlockPlan {
     }
 }
 
+/// Where one block's key/value window lives — the one decision every
+/// entry point makes (DESIGN.md §10): a read-only **prefix** of rows that
+/// are already valid, then the **tail** rows this pass projects, cached
+/// in place when the caller keeps them and left in workspace scratch
+/// otherwise.
+struct KvWindow<'a> {
+    k_prefix: &'a [f32],
+    v_prefix: &'a [f32],
+    tail: Option<(&'a mut [f32], &'a mut [f32])>,
+}
+
 /// The eval forward, compiled to a flat parameter-id schedule.
 ///
 /// Built once per model (ids stay valid across checkpoint restores —
@@ -149,9 +174,10 @@ impl InferencePlan {
         &self,
         store: &ParamStore,
         fold_ins: &[&[u32]],
+        pad: &SessionState,
         ws: &mut Workspace,
     ) -> Result<Vec<Vec<f32>>, String> {
-        let b = self.execute_hidden(store, fold_ins, ws)?;
+        let b = self.execute_hidden(store, fold_ins, pad, ws)?;
         if b == 0 {
             return Ok(Vec::new());
         }
@@ -160,16 +186,23 @@ impl InferencePlan {
     }
 
     /// The forward up to (and including) each history's final hidden row:
-    /// embedding gather → inference blocks → μ → generative blocks,
-    /// leaving one `(d,)` row per history in `ws.last[..b·d]`. Returns
-    /// the batch size. This is the shared prefix of the dense projection
+    /// the pass `(start, n − start, 1)` per history, leaving one `(d,)`
+    /// row each in [`Workspace::last_rows`]. Returns the batch size. This
+    /// is the shared prefix of the dense projection
     /// ([`Self::project_logits`]) and the clustered retrieval path, which
     /// scores the same rows against a centroid index instead of the full
     /// vocabulary.
+    ///
+    /// `start` is the leading padding every history of the batch shares.
+    /// Those rows attend only to other padding rows, so their K/V are read
+    /// from `pad` — this model's all-padding state, the donor of
+    /// [`Self::prepare_session`] — instead of recomputed: a short history
+    /// costs its own length, not the window's.
     pub(crate) fn execute_hidden(
         &self,
         store: &ParamStore,
         fold_ins: &[&[u32]],
+        pad: &SessionState,
         ws: &mut Workspace,
     ) -> Result<usize, String> {
         let b = fold_ins.len();
@@ -177,295 +210,212 @@ impl InferencePlan {
             return Ok(0);
         }
         let (n, d) = (self.n, self.d);
-        let rows = b * n;
-        ws.ensure(rows, d, n, b, self.vocab);
-
-        // Embedding layer (Eq. 4): item row + position row per slot.
-        ws.idx.clear();
-        for fold_in in fold_ins {
-            ws.idx.extend(pad_left(fold_in, n).iter().map(|&i| i as usize));
+        let total = self.infer_blocks.len() + self.gene_blocks.len();
+        if !pad.prepared || pad.m != n.saturating_sub(1) || pad.blocks.len() != total {
+            return Err("pad state is not prepared for this model".into());
         }
+        let longest = fold_ins.iter().map(|f| f.len()).max().unwrap_or(0);
+        let start = (n - longest.min(n)).min(pad.m);
+        let tail = n - start;
+        ws.ensure(b * tail, d, n, b * self.vocab);
+        for (fold_in, rows) in fold_ins.iter().zip(ws.h.chunks_exact_mut(tail * d)) {
+            self.embed(store, &pad_left(fold_in, n)[start..], start, rows)?;
+        }
+        let windows = pad.blocks.iter().map(|kv| KvWindow {
+            k_prefix: &kv.k[..start * d],
+            v_prefix: &kv.v[..start * d],
+            tail: None,
+        });
+        self.run(store, b, tail, 1, windows, ws);
+        Ok(b)
+    }
+
+    /// Project the `b` hidden rows a pass left in [`Workspace::last_rows`]
+    /// to full-vocabulary logits (Eq. 19) in `ws.logits[..b·vocab]`.
+    pub(crate) fn project_logits(&self, store: &ParamStore, b: usize, ws: &mut Workspace) {
+        let (d, vocab) = (self.d, self.vocab);
+        let (last, logits) = (&ws.h[..b * d], &mut ws.logits[..b * vocab]);
+        match self.prediction {
+            Some((w, bias)) => self.linear(store, last, w, Some(bias), logits),
+            // Tied mode: score against the item-embedding table, exactly
+            // the graph's `matmul_a_bt(last, table)`.
+            None => vsan_tensor::ops::matmul_a_bt_into(
+                last,
+                store.get(self.item_table).data(),
+                logits,
+                b,
+                d,
+                vocab,
+            ),
+        }
+    }
+
+    /// Embedding layer (Eq. 4): row `r` of `dst` = the item row of
+    /// `window[r]` + the position row of slot `first_slot + r`.
+    fn embed(
+        &self,
+        store: &ParamStore,
+        window: &[u32],
+        first_slot: usize,
+        dst: &mut [f32],
+    ) -> Result<(), String> {
+        let d = self.d;
         let table = store.get(self.item_table).data();
-        let pos = store.get(self.pos_table).data();
-        for (r, &item) in ws.idx.iter().enumerate() {
+        let pos = &store.get(self.pos_table).data()[first_slot * d..];
+        let rows = dst.chunks_exact_mut(d).zip(pos.chunks_exact(d));
+        for (&item, (h_row, p_row)) in window.iter().zip(rows) {
+            let item = item as usize;
             if item >= self.vocab {
                 return Err(format!("item id {item} out of vocabulary ({})", self.vocab));
             }
-            let h_row = &mut ws.h[r * d..(r + 1) * d];
             h_row.copy_from_slice(&table[item * d..(item + 1) * d]);
-            let p_row = &pos[(r % n) * d..(r % n + 1) * d];
             for (hv, &pv) in h_row.iter_mut().zip(p_row) {
                 *hv += pv;
             }
         }
+        Ok(())
+    }
 
-        // Only the *terminal* stage's last row per sample feeds the
-        // prediction readout: every earlier stage must run at all
-        // positions (its rows become the next stage's keys/values), but
-        // the final stage's non-last rows feed nothing — causality lets
-        // the fast path skip them entirely, bit-exactly (each row is an
-        // independent per-row fold in every kernel involved).
-        let trim_gene = !self.gene_blocks.is_empty();
-        let trim_mu = !trim_gene && self.mu.is_some();
-        let trim_infer = !trim_gene && !trim_mu && !self.infer_blocks.is_empty();
-
-        // Inference self-attention layer (Eqs. 5–11), dropout off.
-        let full_infer = self.infer_blocks.len() - usize::from(trim_infer);
-        for block in &self.infer_blocks[..full_infer] {
-            self.run_block(store, block, rows, b, ws);
+    /// `dst = x · store[w] (+ bias)` over the flat `(rows, d)` input — the
+    /// graph's `Linear::forward` without the tape, batched over every row
+    /// in one `matmul_into_parallel`.
+    fn linear(&self, store: &ParamStore, x: &[f32], w: ParamId, bias: Option<ParamId>, dst: &mut [f32]) {
+        let rows = x.len() / self.d;
+        if rows == 0 {
+            return;
         }
-        for block in &self.infer_blocks[full_infer..] {
-            self.run_block_tail(store, block, b, ws);
-        }
-
-        // Latent variable layer at eval: z = μ_λ, no sampling (§IV-E).
-        if let Some((w, bias)) = self.mu {
-            if trim_mu {
-                // Terminal stage: project only each sample's last row.
-                for s in 0..b {
-                    let src = (s * n + n - 1) * d;
-                    ws.last_in[s * d..(s + 1) * d].copy_from_slice(&ws.h[src..src + d]);
+        dst.fill(0.0);
+        matmul_into_parallel(x, store.get(w).data(), dst, rows, self.d, dst.len() / rows, self.threads);
+        if let Some(bias) = bias {
+            let bias = store.get(bias).data();
+            for row in dst.chunks_exact_mut(bias.len()) {
+                for (xv, &bv) in row.iter_mut().zip(bias) {
+                    *xv += bv;
                 }
-                let dst = &mut ws.last[..b * d];
-                dst.fill(0.0);
-                matmul_into_parallel(&ws.last_in[..b * d], store.get(w).data(), dst, b, d, d, self.threads);
-                add_bias_rows(dst, store.get(bias).data(), b);
-            } else {
-                self.linear_into_tmp(store, w, Some(bias), rows, d, ws);
-                std::mem::swap(&mut ws.h, &mut ws.q);
-            }
-        }
-
-        // Generative self-attention layer (Eqs. 15–17).
-        let full_gene = self.gene_blocks.len() - usize::from(trim_gene);
-        for block in &self.gene_blocks[..full_gene] {
-            self.run_block(store, block, rows, b, ws);
-        }
-        for block in &self.gene_blocks[full_gene..] {
-            self.run_block_tail(store, block, b, ws);
-        }
-
-        // Last-position rows (Eq. 18). A trimmed terminal stage already
-        // left them in `ws.last`.
-        if !(trim_gene || trim_mu || trim_infer) {
-            for s in 0..b {
-                let src = (s * n + n - 1) * d;
-                ws.last[s * d..(s + 1) * d].copy_from_slice(&ws.h[src..src + d]);
-            }
-        }
-        Ok(b)
-    }
-
-    /// Project the `b` hidden rows left in `ws.last` by
-    /// [`Self::execute_hidden`] to full-vocabulary logits (Eq. 19) in
-    /// `ws.logits[..b·vocab]`.
-    pub(crate) fn project_logits(&self, store: &ParamStore, b: usize, ws: &mut Workspace) {
-        let d = self.d;
-        let table = store.get(self.item_table).data();
-        match self.prediction {
-            Some((w, bias)) => {
-                ws.logits[..b * self.vocab].fill(0.0);
-                matmul_into_parallel(
-                    &ws.last[..b * d],
-                    store.get(w).data(),
-                    &mut ws.logits[..b * self.vocab],
-                    b,
-                    d,
-                    self.vocab,
-                    self.threads,
-                );
-                add_bias_rows(&mut ws.logits[..b * self.vocab], store.get(bias).data(), b);
-            }
-            None => {
-                // Tied mode: score against the item-embedding table,
-                // exactly the graph's `matmul_a_bt(last, table)`.
-                vsan_tensor::ops::matmul_a_bt_into(
-                    &ws.last[..b * d],
-                    table,
-                    &mut ws.logits[..b * self.vocab],
-                    b,
-                    d,
-                    self.vocab,
-                );
             }
         }
     }
 
-    /// `ws.q[..rows*out] = h · store[w] (+ bias)`, zero-filled first.
-    fn linear_into_tmp(
+    /// Residual + LayerNorm (Eqs. 7, 9): `x = LN(sub + x)`, clobbering
+    /// the sublayer output `sub`.
+    fn residual_norm(
         &self,
         store: &ParamStore,
-        w: ParamId,
-        bias: Option<ParamId>,
-        rows: usize,
-        out_dim: usize,
+        sub: &mut [f32],
+        gamma: ParamId,
+        beta: ParamId,
+        x: &mut [f32],
+    ) {
+        for (sv, &xv) in sub.iter_mut().zip(x.iter()) {
+            *sv += xv;
+        }
+        let (gamma, beta) = (store.get(gamma).data(), store.get(beta).data());
+        layer_norm_rows_into(sub, gamma, beta, LN_EPS, x.len() / self.d, self.d, x);
+    }
+
+    /// The one pass behind every entry point: everything after the
+    /// embedding, over the `b · tail` rows in `ws.h` (`tail` consecutive
+    /// window slots per sample). Each block takes its K/V window from
+    /// `windows`; every block but the last in inference → generative
+    /// order keeps all `tail` rows — they are the next block's keys and
+    /// values — and the last keeps only `keep`, because its other rows
+    /// feed nothing (DESIGN.md §10). `z = μ_λ` (§IV-E, no sampling) sits
+    /// between the stacks and is row-local, so it runs on whatever rows
+    /// are still live. Leaves the `b · keep` final rows packed at the
+    /// front of `ws.h`.
+    fn run<'a>(
+        &self,
+        store: &ParamStore,
+        b: usize,
+        tail: usize,
+        keep: usize,
+        mut windows: impl Iterator<Item = KvWindow<'a>>,
         ws: &mut Workspace,
     ) {
-        let d = self.d;
-        let dst = &mut ws.q[..rows * out_dim];
-        dst.fill(0.0);
-        matmul_into_parallel(
-            &ws.h[..rows * d],
-            store.get(w).data(),
-            dst,
-            rows,
-            d,
-            out_dim,
-            self.threads,
-        );
-        if let Some(bias) = bias {
-            add_bias_rows(dst, store.get(bias).data(), rows);
+        let last = self.infer_blocks.len() + self.gene_blocks.len();
+        let mut done = 0;
+        let mut stack = |blocks: &[BlockPlan], mut live: usize, ws: &mut Workspace| {
+            for plan in blocks {
+                done += 1;
+                live = if done == last { keep } else { tail };
+                let kv = windows.next().expect("one K/V window per block");
+                self.block(store, plan, (b, tail, live), kv, ws);
+            }
+            live
+        };
+        // Inference self-attention layer (Eqs. 5–11), dropout off.
+        let mut live = stack(&self.infer_blocks, tail, ws);
+        if self.gene_blocks.is_empty() {
+            // Nothing downstream reads the other rows. The last inference
+            // block already dropped them; this only moves data for a
+            // model with no block at all.
+            compact_rows(&mut ws.h, b, live, keep, self.d);
+            live = keep;
         }
+        // Latent variable layer at eval: z = μ_λ, no sampling (§IV-E).
+        if let Some((w, bias)) = self.mu {
+            let len = b * live * self.d;
+            self.linear(store, &ws.h[..len], w, Some(bias), &mut ws.q[..len]);
+            std::mem::swap(&mut ws.h, &mut ws.q);
+        }
+        // Generative self-attention layer (Eqs. 15–17).
+        stack(&self.gene_blocks, live, ws);
     }
 
     /// One self-attention block over `ws.h` in place, mirroring
     /// [`SelfAttentionBlock::forward`] op for op (eval mode: the dropout
-    /// between attention and residual is the identity).
-    fn run_block(&self, store: &ParamStore, block: &BlockPlan, rows: usize, b: usize, ws: &mut Workspace) {
-        let (n, d) = (self.n, self.d);
-        let threads = self.threads;
-        // q/k/v projections over the whole flattened batch (no bias).
-        for (dst, w) in [(&mut ws.q, block.wq), (&mut ws.k, block.wk), (&mut ws.v, block.wv)] {
-            let dst = &mut dst[..rows * d];
-            dst.fill(0.0);
-            matmul_into_parallel(&ws.h[..rows * d], store.get(w).data(), dst, rows, d, d, threads);
+    /// between attention and residual is the identity) for the rows the
+    /// `(b, tail, keep)` shape asks for: K/V are projected for all
+    /// `b · tail` input rows, then only each sample's last `keep` rows are
+    /// packed to the front, queried against `prefix + tail` keys, and
+    /// carried through residual+LN and the FFN. Every kernel involved
+    /// folds each row independently, so a kept row's bits do not depend
+    /// on which other rows were kept.
+    fn block(
+        &self,
+        store: &ParamStore,
+        plan: &BlockPlan,
+        (b, tail, keep): (usize, usize, usize),
+        kv: KvWindow<'_>,
+        ws: &mut Workspace,
+    ) {
+        let d = self.d;
+        let Workspace { h, q, k, v, tmp, score, .. } = ws;
+        let x_all = &h[..b * tail * d];
+        let (k_tail, v_tail) = match kv.tail {
+            Some(cached) => cached,
+            None => (&mut k[..x_all.len()], &mut v[..x_all.len()]),
+        };
+        self.linear(store, x_all, plan.wk, None, k_tail);
+        self.linear(store, x_all, plan.wv, None, v_tail);
+        compact_rows(h, b, tail, keep, d);
+        let kept = b * keep * d;
+        if kept == 0 {
+            return;
         }
+        let (x, q, tmp) = (&mut h[..kept], &mut q[..kept], &mut tmp[..kept]);
+        self.linear(store, x, plan.wq, None, q);
         let scale = 1.0 / (d as f32).sqrt();
-        // Per-sample fused causal attention into `tmp`.
-        for s in 0..b {
-            let span = s * n * d..(s + 1) * n * d;
-            causal_attention_into(
-                &ws.q[span.clone()],
-                &ws.k[span.clone()],
-                &ws.v[span.clone()],
-                n,
-                d,
-                scale,
-                &mut ws.score,
-                &mut ws.tmp[span],
-            );
+        let samples = q.chunks_exact(keep * d).zip(tmp.chunks_exact_mut(keep * d));
+        let tails = k_tail.chunks_exact(tail * d).zip(v_tail.chunks_exact(tail * d));
+        for ((q_s, out_s), (k_s, v_s)) in samples.zip(tails) {
+            causal_attention_rows_into(q_s, kv.k_prefix, k_s, kv.v_prefix, v_s, d, scale, score, out_s);
         }
-        // Residual + LayerNorm (Eq. 7): h = LN1(attn + x).
-        for (tv, &hv) in ws.tmp[..rows * d].iter_mut().zip(&ws.h[..rows * d]) {
-            *tv += hv;
-        }
-        layer_norm_rows_into(
-            &ws.tmp[..rows * d],
-            store.get(block.ln1_gamma).data(),
-            store.get(block.ln1_beta).data(),
-            LN_EPS,
-            rows,
-            d,
-            &mut ws.h[..rows * d],
-        );
+        self.residual_norm(store, tmp, plan.ln1_gamma, plan.ln1_beta, x);
         // Point-wise FFN + residual + LayerNorm (Eqs. 8–9), if enabled.
-        if let Some(ffn) = &block.ffn {
-            self.linear_into_tmp(store, ffn.w1, Some(ffn.b1), rows, d, ws);
-            for v in ws.q[..rows * d].iter_mut() {
-                *v = v.max(0.0);
+        if let Some(ffn) = &plan.ffn {
+            self.linear(store, x, ffn.w1, Some(ffn.b1), q);
+            for a in q.iter_mut() {
+                *a = a.max(0.0);
             }
-            let f = &mut ws.k[..rows * d];
-            f.fill(0.0);
-            matmul_into_parallel(&ws.q[..rows * d], store.get(ffn.w2).data(), f, rows, d, d, threads);
-            add_bias_rows(f, store.get(ffn.b2).data(), rows);
-            for (fv, &hv) in f.iter_mut().zip(&ws.h[..rows * d]) {
-                *fv += hv;
-            }
-            layer_norm_rows_into(
-                &ws.k[..rows * d],
-                store.get(ffn.ln2_gamma).data(),
-                store.get(ffn.ln2_beta).data(),
-                LN_EPS,
-                rows,
-                d,
-                &mut ws.h[..rows * d],
-            );
+            self.linear(store, q, ffn.w2, Some(ffn.b2), tmp);
+            self.residual_norm(store, tmp, ffn.ln2_gamma, ffn.ln2_beta, x);
         }
     }
 
-    /// The terminal block, computing only each sample's last row of
-    /// output (into `ws.last`): keys and values are still projected at
-    /// every position — the last query attends to all of them — but the
-    /// query projection, attention, residual+LN and FFN run on `b` rows
-    /// instead of `b·n`. Bit-exact per the row-independence argument on
-    /// [`causal_attention_last_row_into`].
-    fn run_block_tail(&self, store: &ParamStore, block: &BlockPlan, b: usize, ws: &mut Workspace) {
-        let (n, d) = (self.n, self.d);
-        let rows = b * n;
-        let threads = self.threads;
-        for (dst, w) in [(&mut ws.k, block.wk), (&mut ws.v, block.wv)] {
-            let dst = &mut dst[..rows * d];
-            dst.fill(0.0);
-            matmul_into_parallel(&ws.h[..rows * d], store.get(w).data(), dst, rows, d, d, threads);
-        }
-        // Each sample's last input row doubles as the residual source.
-        for s in 0..b {
-            let src = (s * n + n - 1) * d;
-            ws.last_in[s * d..(s + 1) * d].copy_from_slice(&ws.h[src..src + d]);
-        }
-        let q_last = &mut ws.q[..b * d];
-        q_last.fill(0.0);
-        matmul_into_parallel(&ws.last_in[..b * d], store.get(block.wq).data(), q_last, b, d, d, threads);
-        let scale = 1.0 / (d as f32).sqrt();
-        for s in 0..b {
-            let span = s * n * d..(s + 1) * n * d;
-            causal_attention_last_row_into(
-                &ws.q[s * d..(s + 1) * d],
-                &ws.k[span.clone()],
-                &ws.v[span],
-                n,
-                d,
-                scale,
-                &mut ws.score,
-                &mut ws.tmp[s * d..(s + 1) * d],
-            );
-        }
-        // Residual + LayerNorm (Eq. 7) over the `b` last rows.
-        for (tv, &hv) in ws.tmp[..b * d].iter_mut().zip(&ws.last_in[..b * d]) {
-            *tv += hv;
-        }
-        layer_norm_rows_into(
-            &ws.tmp[..b * d],
-            store.get(block.ln1_gamma).data(),
-            store.get(block.ln1_beta).data(),
-            LN_EPS,
-            b,
-            d,
-            &mut ws.last[..b * d],
-        );
-        // Point-wise FFN + residual + LayerNorm (Eqs. 8–9), if enabled.
-        if let Some(ffn) = &block.ffn {
-            let h1 = &mut ws.q[..b * d];
-            h1.fill(0.0);
-            matmul_into_parallel(&ws.last[..b * d], store.get(ffn.w1).data(), h1, b, d, d, threads);
-            add_bias_rows(h1, store.get(ffn.b1).data(), b);
-            for v in h1.iter_mut() {
-                *v = v.max(0.0);
-            }
-            let f = &mut ws.tmp[..b * d];
-            f.fill(0.0);
-            matmul_into_parallel(&ws.q[..b * d], store.get(ffn.w2).data(), f, b, d, d, threads);
-            add_bias_rows(f, store.get(ffn.b2).data(), b);
-            for (fv, &hv) in f.iter_mut().zip(&ws.last[..b * d]) {
-                *fv += hv;
-            }
-            layer_norm_rows_into(
-                &ws.tmp[..b * d],
-                store.get(ffn.ln2_gamma).data(),
-                store.get(ffn.ln2_beta).data(),
-                LN_EPS,
-                b,
-                d,
-                &mut ws.last[..b * d],
-            );
-        }
-    }
-}
-
-impl InferencePlan {
-    /// Prepare `state` for incremental appends onto `history`
-    /// (DESIGN.md §11): run the forward over the `(n-1)`-slot window
-    /// `pad_left(history, n-1)` and cache every block's K/V projections.
+    /// Prepare `state` for incremental appends onto `history`: the pass
+    /// `(start, m − start, 0)` over the `(n-1)`-slot window
+    /// `pad_left(history, n-1)`, caching every block's K/V projections.
     ///
     /// Because histories are **left-padded** to the fixed window and
     /// position embeddings are slot-absolute, appending an item re-aligns
@@ -478,14 +428,14 @@ impl InferencePlan {
     ///
     /// `donor` (normally the all-padding state from preparing an empty
     /// history) lets the leading `pads` all-padding rows be copied
-    /// instead of recomputed: those rows attend only to other padding
-    /// rows, so they are bit-identical across windows. With a donor, the
-    /// per-prepare cost is `O(min(len, n-1))` rows instead of `O(n)`.
+    /// instead of recomputed (`start = pads`, else 0): those rows attend
+    /// only to other padding rows, so they are bit-identical across
+    /// windows. With a donor, the per-prepare cost is `O(min(len, n-1))`
+    /// rows instead of `O(n)`.
     ///
-    /// The terminal block in combined (inference → generative) order only
-    /// gets its K/V cached — its attention/FFN output feeds nothing that
-    /// [`InferencePlan::append_session`] cannot recompute for the one new
-    /// row, mirroring the terminal-stage trimming in `execute`.
+    /// `keep = 0`: the last block only gets its K/V cached — its output
+    /// feeds nothing that [`InferencePlan::append_session`] does not
+    /// recompute for the one new row.
     pub(crate) fn prepare_session(
         &self,
         store: &ParamStore,
@@ -522,136 +472,31 @@ impl InferencePlan {
             }
         }
 
-        let rows = m - start;
-        if rows > 0 {
-            ws.ensure(rows, d, n, 1, self.vocab);
-            let table = store.get(self.item_table).data();
-            let pos = store.get(self.pos_table).data();
-            for (local, &it) in window[start..].iter().enumerate() {
-                let item = it as usize;
-                if item >= self.vocab {
-                    return Err(format!("item id {item} out of vocabulary ({})", self.vocab));
-                }
-                let r = start + local;
-                let h_row = &mut ws.h[local * d..(local + 1) * d];
-                h_row.copy_from_slice(&table[item * d..(item + 1) * d]);
-                for (hv, &pv) in h_row.iter_mut().zip(&pos[r * d..(r + 1) * d]) {
-                    *hv += pv;
-                }
-            }
-            let mut bi = 0;
-            for block in &self.infer_blocks {
-                self.prepare_block(store, block, &mut state.blocks[bi], m, start, bi + 1 == total, ws);
-                bi += 1;
-            }
-            // z = μ_λ between the stacks, exactly where `execute` applies
-            // it when the generative stack consumes the latent rows. With
-            // no generative blocks μ only touches the terminal row, which
-            // `append_session` handles itself.
-            if !self.gene_blocks.is_empty() {
-                if let Some((w, bias)) = self.mu {
-                    self.linear_into_tmp(store, w, Some(bias), rows, d, ws);
-                    std::mem::swap(&mut ws.h, &mut ws.q);
-                }
-            }
-            for block in &self.gene_blocks {
-                self.prepare_block(store, block, &mut state.blocks[bi], m, start, bi + 1 == total, ws);
-                bi += 1;
-            }
+        let tail = m - start;
+        if tail > 0 {
+            ws.ensure(tail, d, n, self.vocab);
+            self.embed(store, &window[start..], start, &mut ws.h[..tail * d])?;
+            let windows = state.blocks.iter_mut().map(|kv| {
+                let (k_prefix, k_tail) = kv.k.split_at_mut(start * d);
+                let (v_prefix, v_tail) = kv.v.split_at_mut(start * d);
+                KvWindow { k_prefix, v_prefix, tail: Some((k_tail, v_tail)) }
+            });
+            self.run(store, 1, tail, 0, windows, ws);
         }
         state.prepared = true;
         Ok(())
     }
 
-    /// One block of [`InferencePlan::prepare_session`]: project K/V for
-    /// the `m - start` real rows into the cached buffers (padding rows
-    /// `0..start` were donor-copied), then — unless this is the terminal
-    /// block — run attention over the full cached window plus the
-    /// residual/LN/FFN sublayers on the real rows only, advancing `ws.h`.
-    #[allow(clippy::too_many_arguments)]
-    fn prepare_block(
-        &self,
-        store: &ParamStore,
-        block: &BlockPlan,
-        kv: &mut LayerKv,
-        m: usize,
-        start: usize,
-        is_terminal: bool,
-        ws: &mut Workspace,
-    ) {
-        let d = self.d;
-        let threads = self.threads;
-        let rows = m - start;
-        for (dst, w) in [(&mut kv.k, block.wk), (&mut kv.v, block.wv)] {
-            let dst = &mut dst[start * d..m * d];
-            dst.fill(0.0);
-            matmul_into_parallel(&ws.h[..rows * d], store.get(w).data(), dst, rows, d, d, threads);
-        }
-        if is_terminal {
-            return;
-        }
-        let q = &mut ws.q[..rows * d];
-        q.fill(0.0);
-        matmul_into_parallel(&ws.h[..rows * d], store.get(block.wq).data(), q, rows, d, d, threads);
-        let scale = 1.0 / (d as f32).sqrt();
-        causal_attention_resume_into(
-            &ws.q[..rows * d],
-            &kv.k,
-            &kv.v,
-            m,
-            d,
-            start,
-            scale,
-            &mut ws.score,
-            &mut ws.tmp[..rows * d],
-        );
-        for (tv, &hv) in ws.tmp[..rows * d].iter_mut().zip(&ws.h[..rows * d]) {
-            *tv += hv;
-        }
-        layer_norm_rows_into(
-            &ws.tmp[..rows * d],
-            store.get(block.ln1_gamma).data(),
-            store.get(block.ln1_beta).data(),
-            LN_EPS,
-            rows,
-            d,
-            &mut ws.h[..rows * d],
-        );
-        if let Some(ffn) = &block.ffn {
-            self.linear_into_tmp(store, ffn.w1, Some(ffn.b1), rows, d, ws);
-            for v in ws.q[..rows * d].iter_mut() {
-                *v = v.max(0.0);
-            }
-            let f = &mut ws.k[..rows * d];
-            f.fill(0.0);
-            matmul_into_parallel(&ws.q[..rows * d], store.get(ffn.w2).data(), f, rows, d, d, threads);
-            add_bias_rows(f, store.get(ffn.b2).data(), rows);
-            for (fv, &hv) in f.iter_mut().zip(&ws.h[..rows * d]) {
-                *fv += hv;
-            }
-            layer_norm_rows_into(
-                &ws.k[..rows * d],
-                store.get(ffn.ln2_gamma).data(),
-                store.get(ffn.ln2_beta).data(),
-                LN_EPS,
-                rows,
-                d,
-                &mut ws.h[..rows * d],
-            );
-        }
-    }
-
-    /// Fold one new event into a prepared session: the appended item
-    /// lands in slot `n-1` of the full window, so one embedding row, one
-    /// q/k/v projection row per block, one-new-row attention against the
-    /// cached K/V ([`causal_attention_append_into`]) and the row-local
-    /// μ/prediction tail reproduce `execute` on `pad_left(history ++
-    /// [item], n)` **bit-for-bit** — the differential oracle in
-    /// `tests/session_incremental.rs` and `scripts/verify.sh` holds this.
+    /// Fold one new event into a prepared session: the pass `(m, 1, 1)`.
+    /// The appended item lands in slot `n-1` of the full window, so one
+    /// embedding row and one q/k/v row per block against the cached
+    /// prefix reproduce `execute` on `pad_left(history ++ [item], n)`
+    /// **bit-for-bit** — `tests/session_incremental.rs` holds this to the
+    /// graph oracle.
     ///
     /// The state is borrowed immutably: folding the new row *into* the
-    /// cache would shift slot alignment (see [`prepare_session`]); the
-    /// caller re-prepares instead, which the session runtime overlaps
+    /// cache would shift slot alignment (see [`Self::prepare_session`]);
+    /// the caller re-prepares instead, which the session runtime overlaps
     /// with returning the logits.
     pub(crate) fn append_session(
         &self,
@@ -666,133 +511,22 @@ impl InferencePlan {
         if !state.prepared || state.m != m || state.blocks.len() != total {
             return Err("session state is not prepared for this model".into());
         }
-        let item_idx = item as usize;
-        if item_idx >= self.vocab {
-            return Err(format!("item id {item_idx} out of vocabulary ({})", self.vocab));
-        }
-        ws.ensure(n, d, n, 1, self.vocab);
-        {
-            let table = store.get(self.item_table).data();
-            let pos = store.get(self.pos_table).data();
-            let h_row = &mut ws.last_in[..d];
-            h_row.copy_from_slice(&table[item_idx * d..(item_idx + 1) * d]);
-            for (hv, &pv) in h_row.iter_mut().zip(&pos[m * d..(m + 1) * d]) {
-                *hv += pv;
-            }
-        }
-        let mut bi = 0;
-        for block in &self.infer_blocks {
-            self.append_block(store, block, &state.blocks[bi], ws);
-            bi += 1;
-        }
-        // Latent variable layer at eval: z = μ_λ on the one new row —
-        // row-local, so it matches both the trimmed and full-μ branches
-        // of `execute`.
-        if let Some((w, bias)) = self.mu {
-            let dst = &mut ws.q[..d];
-            dst.fill(0.0);
-            matmul_into_parallel(&ws.last_in[..d], store.get(w).data(), dst, 1, d, d, self.threads);
-            add_bias_rows(dst, store.get(bias).data(), 1);
-            ws.last_in[..d].copy_from_slice(&ws.q[..d]);
-        }
-        for block in &self.gene_blocks {
-            self.append_block(store, block, &state.blocks[bi], ws);
-            bi += 1;
-        }
-        ws.last[..d].copy_from_slice(&ws.last_in[..d]);
-        match self.prediction {
-            Some((w, bias)) => {
-                ws.logits[..self.vocab].fill(0.0);
-                matmul_into_parallel(
-                    &ws.last[..d],
-                    store.get(w).data(),
-                    &mut ws.logits[..self.vocab],
-                    1,
-                    d,
-                    self.vocab,
-                    self.threads,
-                );
-                add_bias_rows(&mut ws.logits[..self.vocab], store.get(bias).data(), 1);
-            }
-            None => {
-                vsan_tensor::ops::matmul_a_bt_into(
-                    &ws.last[..d],
-                    store.get(self.item_table).data(),
-                    &mut ws.logits[..self.vocab],
-                    1,
-                    d,
-                    self.vocab,
-                );
-            }
-        }
+        ws.ensure(1, d, n, self.vocab);
+        self.embed(store, &[item], m, &mut ws.h[..d])?;
+        let windows =
+            state.blocks.iter().map(|kv| KvWindow { k_prefix: &kv.k, v_prefix: &kv.v, tail: None });
+        self.run(store, 1, 1, 1, windows, ws);
+        self.project_logits(store, 1, ws);
         Ok(ws.logits[..self.vocab].to_vec())
     }
+}
 
-    /// One block of [`InferencePlan::append_session`]: the new row's
-    /// q/k/v projections, one-new-row attention over `m` cached prefix
-    /// rows plus the fresh K/V row, then residual/LN/FFN on that single
-    /// row. Input arrives in `ws.last_in[..d]` and the block's output is
-    /// left there for the next block.
-    fn append_block(&self, store: &ParamStore, block: &BlockPlan, kv: &LayerKv, ws: &mut Workspace) {
-        let d = self.d;
-        let m = kv.k.len() / d;
-        let threads = self.threads;
-        for (dst, w) in [(&mut ws.q, block.wq), (&mut ws.k, block.wk), (&mut ws.v, block.wv)] {
-            let dst = &mut dst[..d];
-            dst.fill(0.0);
-            matmul_into_parallel(&ws.last_in[..d], store.get(w).data(), dst, 1, d, d, threads);
-        }
-        let scale = 1.0 / (d as f32).sqrt();
-        causal_attention_append_into(
-            &ws.q[..d],
-            &kv.k,
-            &ws.k[..d],
-            &kv.v,
-            &ws.v[..d],
-            m,
-            d,
-            scale,
-            &mut ws.score,
-            &mut ws.tmp[..d],
-        );
-        for (tv, &hv) in ws.tmp[..d].iter_mut().zip(&ws.last_in[..d]) {
-            *tv += hv;
-        }
-        layer_norm_rows_into(
-            &ws.tmp[..d],
-            store.get(block.ln1_gamma).data(),
-            store.get(block.ln1_beta).data(),
-            LN_EPS,
-            1,
-            d,
-            &mut ws.last[..d],
-        );
-        if let Some(ffn) = &block.ffn {
-            let h1 = &mut ws.q[..d];
-            h1.fill(0.0);
-            matmul_into_parallel(&ws.last[..d], store.get(ffn.w1).data(), h1, 1, d, d, threads);
-            add_bias_rows(h1, store.get(ffn.b1).data(), 1);
-            for v in h1.iter_mut() {
-                *v = v.max(0.0);
-            }
-            let f = &mut ws.tmp[..d];
-            f.fill(0.0);
-            matmul_into_parallel(&ws.q[..d], store.get(ffn.w2).data(), f, 1, d, d, threads);
-            add_bias_rows(f, store.get(ffn.b2).data(), 1);
-            for (fv, &hv) in f.iter_mut().zip(&ws.last[..d]) {
-                *fv += hv;
-            }
-            layer_norm_rows_into(
-                &ws.tmp[..d],
-                store.get(ffn.ln2_gamma).data(),
-                store.get(ffn.ln2_beta).data(),
-                LN_EPS,
-                1,
-                d,
-                &mut ws.last_in[..d],
-            );
-        } else {
-            ws.last_in[..d].copy_from_slice(&ws.last[..d]);
+/// Keep the last `keep` of every sample's `per` rows, packed to the front
+/// of `buf` in sample order (a no-op when every row is kept).
+fn compact_rows(buf: &mut [f32], b: usize, per: usize, keep: usize, d: usize) {
+    if keep < per {
+        for s in 0..b {
+            buf.copy_within(((s + 1) * per - keep) * d..(s + 1) * per * d, s * keep * d);
         }
     }
 }
@@ -869,19 +603,7 @@ impl SessionState {
     }
 }
 
-/// Broadcast-add a `(cols,)` bias to every row of a flat `(rows, cols)`
-/// buffer — the graph's `add_row_broadcast` without the allocation.
-fn add_bias_rows(x: &mut [f32], bias: &[f32], rows: usize) {
-    let c = bias.len();
-    debug_assert_eq!(x.len(), rows * c);
-    for row in x.chunks_mut(c) {
-        for (xv, &bv) in row.iter_mut().zip(bias) {
-            *xv += bv;
-        }
-    }
-}
-
-/// Reusable buffer arena for [`InferencePlan::execute`].
+/// Reusable buffer arena for [`InferencePlan`] passes.
 ///
 /// All buffers grow to the high-water mark of the batches they serve and
 /// are then reused as-is: a serve worker that processes same-shaped
@@ -889,23 +611,17 @@ fn add_bias_rows(x: &mut [f32], bias: &[f32], rows: usize) {
 /// one thread — the serve worker pool holds one per worker.
 #[derive(Debug, Default)]
 pub struct Workspace {
-    /// Padded item indices, `(b·n,)`.
-    idx: Vec<usize>,
-    /// Current activations, `(b·n, d)`.
+    /// Current activations, `(rows, d)`; a pass leaves its final kept
+    /// rows packed at the front.
     h: Vec<f32>,
-    /// Projection / FFN scratch, `(b·n, d)` each.
+    /// Projection / FFN scratch, `(rows, d)` each.
     q: Vec<f32>,
     k: Vec<f32>,
     v: Vec<f32>,
-    /// Attention-output / residual scratch, `(b·n, d)`.
+    /// Attention-output / residual scratch, `(rows, d)`.
     tmp: Vec<f32>,
     /// One attention score row, `(n,)`.
     score: Vec<f32>,
-    /// Last-position activations, `(b, d)`.
-    last: Vec<f32>,
-    /// The terminal stage's gathered input rows, `(b, d)` (also the
-    /// residual source for the trimmed block).
-    last_in: Vec<f32>,
     /// Output logits, `(b, vocab)`.
     logits: Vec<f32>,
 }
@@ -920,39 +636,33 @@ impl Workspace {
     /// serve worker does at startup so the hot path never grows).
     pub fn for_config(cfg: &crate::VsanConfig, vocab: usize, max_batch: usize) -> Self {
         let mut ws = Self::new();
-        let rows = max_batch.max(1) * cfg.base.max_seq_len;
-        ws.ensure(rows, cfg.base.dim, cfg.base.max_seq_len, max_batch.max(1), vocab);
+        let b = max_batch.max(1);
+        ws.ensure(b * cfg.base.max_seq_len, cfg.base.dim, cfg.base.max_seq_len, b * vocab);
         ws
     }
 
-    /// Grow every buffer to the sizes this batch needs (no-op once at
-    /// the high-water mark).
-    fn ensure(&mut self, rows: usize, d: usize, n: usize, b: usize, vocab: usize) {
-        grow(&mut self.idx, rows, 0);
-        let flat = rows * d;
-        grow(&mut self.h, flat, 0.0);
+    /// Grow every buffer to the sizes this pass needs (no-op once at the
+    /// high-water mark).
+    fn ensure(&mut self, rows: usize, d: usize, n: usize, logits: usize) {
         // q also holds the μ-head output that is swapped into `h`, so it
         // must be exactly as long as `h` for the swap to be shape-safe.
-        grow(&mut self.q, flat, 0.0);
-        grow(&mut self.k, flat, 0.0);
-        grow(&mut self.v, flat, 0.0);
-        grow(&mut self.tmp, flat, 0.0);
-        grow(&mut self.score, n, 0.0);
-        grow(&mut self.last, b * d, 0.0);
-        grow(&mut self.last_in, b * d, 0.0);
-        grow(&mut self.logits, b * vocab, 0.0);
+        for buf in [&mut self.h, &mut self.q, &mut self.k, &mut self.v, &mut self.tmp] {
+            grow(buf, rows * d);
+        }
+        grow(&mut self.score, n);
+        grow(&mut self.logits, logits);
     }
 
     /// The `b` final hidden rows left by [`InferencePlan::execute_hidden`],
     /// flat `(b, d)` — read by the clustered retrieval path.
     pub(crate) fn last_rows(&self, b: usize, d: usize) -> &[f32] {
-        &self.last[..b * d]
+        &self.h[..b * d]
     }
 }
 
-fn grow<T: Clone>(buf: &mut Vec<T>, len: usize, fill: T) {
+fn grow(buf: &mut Vec<f32>, len: usize) {
     if buf.len() < len {
-        buf.resize(len, fill);
+        buf.resize(len, 0.0);
     }
 }
 

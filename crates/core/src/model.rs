@@ -10,6 +10,8 @@ use vsan_models::common::{position_indices, train_epochs};
 use vsan_models::Recommender;
 use vsan_nn::{Dropout, Embedding, Linear, ParamStore, SelfAttentionBlock};
 
+use std::sync::OnceLock;
+
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use vsan_autograd::{Graph, Result as AgResult, Var};
@@ -36,6 +38,9 @@ pub struct Vsan {
     retrieval: Retrieval,
     /// The clustered index, built by [`Self::rebuild_retrieval_index`].
     index: Option<ItemIndex>,
+    /// [`Self::pad_session_state`], computed on first use and dropped by
+    /// [`Self::params_mut`]: derived data over the parameters.
+    pad_state: OnceLock<crate::SessionState>,
     cfg: VsanConfig,
     vocab: usize,
     /// Mean training loss (CE + β·KL) per epoch.
@@ -206,6 +211,7 @@ impl Vsan {
             plan,
             retrieval: Retrieval::Exact,
             index: None,
+            pad_state: OnceLock::new(),
             cfg: cfg.clone(),
             vocab,
             train_losses: Vec::new(),
@@ -229,6 +235,7 @@ impl Vsan {
 
     /// Mutably borrow the parameter store (checkpoint restore).
     pub fn params_mut(&mut self) -> &mut ParamStore {
+        self.pad_state = OnceLock::new();
         &mut self.store
     }
 
@@ -277,8 +284,7 @@ impl Vsan {
     /// `VSAN_DISABLE_ANN=1` nor `VSAN_DISABLE_FAST_PATH=1` pins the
     /// process to the oracle). Legacy zero-fallback wrapper around
     /// [`Self::try_recommend_batch`]: an internal error degrades to
-    /// ranking all-zero logits, exactly as `score_items_batch` + rank
-    /// always did — serving code uses the `try_` variant.
+    /// ranking all-zero logits — serving code uses the `try_` variant.
     pub fn recommend_batch(&self, histories: &[&[u32]], n: usize) -> Vec<Vec<u32>> {
         use std::collections::HashSet;
         self.try_recommend_batch(histories, n).unwrap_or_else(|_| {
@@ -327,8 +333,9 @@ impl Vsan {
         use std::collections::HashSet;
         let index = self.index.as_ref().ok_or("clustered retrieval index not built")?;
         let d = self.cfg.base.dim;
+        let pad = self.pad_state();
         let hidden = infer::with_thread_workspace(|ws| -> Result<Vec<f32>, String> {
-            let b = self.plan.execute_hidden(&self.store, histories, ws)?;
+            let b = self.plan.execute_hidden(&self.store, histories, pad, ws)?;
             Ok(ws.last_rows(b, d).to_vec())
         })?;
         Ok(histories
@@ -400,7 +407,7 @@ impl Vsan {
         fold_ins: &[&[u32]],
         ws: &mut Workspace,
     ) -> Result<Vec<f32>, String> {
-        let b = self.plan.execute_hidden(&self.store, fold_ins, ws)?;
+        let b = self.plan.execute_hidden(&self.store, fold_ins, self.pad_state(), ws)?;
         Ok(ws.last_rows(b, self.cfg.base.dim).to_vec())
     }
 
@@ -427,18 +434,7 @@ impl Vsan {
     }
 
     /// Batched [`vsan_eval::Scorer::score_items`]: last-position logits
-    /// for each history, one row per history.
-    ///
-    /// Legacy zero-fallback wrapper around [`Self::try_score_items_batch`]:
-    /// an internal error comes back as all-zero rows, indistinguishable
-    /// from real scores. Serving code must use the `try_` variant and
-    /// handle the error explicitly (DESIGN.md §10).
-    pub fn score_items_batch(&self, fold_ins: &[&[u32]]) -> Vec<Vec<f32>> {
-        self.try_score_items_batch(fold_ins)
-            .unwrap_or_else(|_| vec![vec![0.0; self.vocab]; fold_ins.len()])
-    }
-
-    /// Batched last-position logits, surfacing internal errors.
+    /// for each history, one row per history, surfacing internal errors.
     ///
     /// Runs the graph-free fast path ([`crate::infer`]) against a
     /// per-thread workspace unless `VSAN_DISABLE_FAST_PATH=1` pins the
@@ -449,7 +445,8 @@ impl Vsan {
         if infer::fast_path_disabled() {
             self.score_items_batch_graph(fold_ins)
         } else {
-            infer::with_thread_workspace(|ws| self.plan.execute(&self.store, fold_ins, ws))
+            let pad = self.pad_state();
+            infer::with_thread_workspace(|ws| self.plan.execute(&self.store, fold_ins, pad, ws))
         }
     }
 
@@ -464,7 +461,7 @@ impl Vsan {
         if infer::fast_path_disabled() {
             self.score_items_batch_graph(fold_ins)
         } else {
-            self.plan.execute(&self.store, fold_ins, ws)
+            self.plan.execute(&self.store, fold_ins, self.pad_state(), ws)
         }
     }
 
@@ -475,17 +472,27 @@ impl Vsan {
         Workspace::for_config(&self.cfg, self.vocab, max_batch)
     }
 
-    /// The all-padding donor state for incremental sessions: the
-    /// prepared `(n-1)`-slot window of the *empty* history. Computed once
-    /// per runtime and shared (read-only) by every
-    /// [`Self::prepare_session_into`] call, which copies its leading
-    /// padding rows instead of recomputing them (DESIGN.md §11).
+    /// The all-padding donor state: the prepared `(n-1)`-slot window of
+    /// the *empty* history. Every pass that meets leading padding reads
+    /// those rows from it instead of recomputing them (DESIGN.md §10–§11):
+    /// [`Self::prepare_session_into`] takes it as `donor`, and full-window
+    /// scoring uses the model's own copy.
     pub fn pad_session_state(&self) -> Result<crate::SessionState, String> {
-        let mut state = crate::SessionState::new();
-        infer::with_thread_workspace(|ws| {
-            self.plan.prepare_session(&self.store, &[], None, &mut state, ws)
-        })?;
-        Ok(state)
+        Ok(self.pad_state().clone())
+    }
+
+    /// The model's own all-padding state, prepared on first use. Must be
+    /// taken *before* entering [`infer::with_thread_workspace`], which the
+    /// prepare borrows itself.
+    fn pad_state(&self) -> &crate::SessionState {
+        self.pad_state.get_or_init(|| {
+            let mut state = crate::SessionState::new();
+            infer::with_thread_workspace(|ws| {
+                self.plan.prepare_session(&self.store, &[], None, &mut state, ws)
+            })
+            .expect("the all-padding window holds only in-vocabulary item 0");
+            state
+        })
     }
 
     /// Prepare `state` so [`Self::append_session_logits`] can fold the
@@ -529,7 +536,8 @@ impl Vsan {
     /// counterpart for differential tests that exercise both paths in
     /// one process.
     pub fn score_items_batch_fast(&self, fold_ins: &[&[u32]]) -> Result<Vec<Vec<f32>>, String> {
-        infer::with_thread_workspace(|ws| self.plan.execute(&self.store, fold_ins, ws))
+        let pad = self.pad_state();
+        infer::with_thread_workspace(|ws| self.plan.execute(&self.store, fold_ins, pad, ws))
     }
 
     /// The fold-in window the model actually reads: the last
@@ -824,7 +832,7 @@ mod tests {
             vec![vec![1, 2, 3], vec![4], vec![5, 6, 7, 1, 2, 3, 4, 5, 6, 7], vec![2, 4]];
         let refs: Vec<&[u32]> = histories.iter().map(Vec::as_slice).collect();
 
-        let batched = model.score_items_batch(&refs);
+        let batched = model.try_score_items_batch(&refs).expect("batched scoring");
         assert_eq!(batched.len(), histories.len());
         for (h, row) in histories.iter().zip(&batched) {
             assert_eq!(row, &model.score_items(h), "scores must be bit-identical");
@@ -860,6 +868,9 @@ mod tests {
         let model = Vsan::train(&ds, &users, &cfg).unwrap();
         let blob = model.params().save();
         let mut restored = Vsan::init(model.vocab(), &cfg);
+        // Score before the restore: the pad state derived from the
+        // initial weights must not outlive them.
+        assert_ne!(model.score_items(&[1, 2]), restored.score_items(&[1, 2]));
         let count = restored.params_mut().load_values(blob).unwrap();
         assert_eq!(count, restored.params().len());
         assert_eq!(model.score_items(&[1, 2]), restored.score_items(&[1, 2]));

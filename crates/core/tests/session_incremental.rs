@@ -4,12 +4,13 @@
 //! [`SessionState`] must produce logits bit-identical to a full
 //! recompute of the same history.
 //!
-//! The recompute oracle is `try_score_items_batch`, which routes by
-//! `VSAN_DISABLE_FAST_PATH`: `scripts/verify.sh` runs this suite both
-//! ways, so the streaming path is held against the graph-free fast path
-//! *and* the autograd graph. The deterministic grid test additionally
-//! pins the graph oracle explicitly, independent of the env toggle.
-//! Equality is `f32::to_bits`, no tolerance.
+//! The oracle on every event is `score_items_batch_graph` — the
+//! autograd tape, the only implementation that does not share the
+//! `(prefix, tail, keep)` pass with the code under test. Each event is
+//! also held against `try_score_items_batch`, the production recompute
+//! the session runtime falls back to, which routes by
+//! `VSAN_DISABLE_FAST_PATH` (`scripts/verify.sh` runs the suite both
+//! ways). Equality is `f32::to_bits`, no tolerance.
 
 use proptest::prelude::*;
 use vsan_core::{SessionState, Vsan, VsanConfig, Workspace};
@@ -34,18 +35,12 @@ struct Session {
 }
 
 /// Drive an op stream `(user, raw item, evict-first)` through the
-/// session path and hold every event's logits against the recompute
-/// oracle(s). Mirrors what the `vsan-session` runtime does per event:
-/// cold-prepare when no state exists, append, then re-prepare for the
-/// grown history (the state caches a *window*, so each append re-aligns
-/// slots — see DESIGN.md §11).
-fn run_stream(
-    model: &Vsan,
-    pad: &SessionState,
-    ops: &[(u8, u32, u8)],
-    vocab: usize,
-    check_graph: bool,
-) {
+/// session path and hold every event's logits against the graph oracle
+/// and the production recompute. Mirrors what the `vsan-session` runtime
+/// does per event: cold-prepare when no state exists, append, then
+/// re-prepare for the grown history (the state caches a *window*, so
+/// each append re-aligns slots — see DESIGN.md §11).
+fn run_stream(model: &Vsan, pad: &SessionState, ops: &[(u8, u32, u8)], vocab: usize) {
     let mut ws = Workspace::new();
     let mut sessions: Vec<Session> =
         (0..4).map(|_| Session { history: Vec::new(), state: None }).collect();
@@ -73,36 +68,21 @@ fn run_stream(
             .expect("re-prepare");
 
         let window = model.fold_in_window(&s.history);
-        let oracle = model
-            .try_score_items_batch(&[window])
-            .expect("recompute oracle")
-            .pop()
-            .unwrap();
-        prop_assert_eq!(got.len(), oracle.len());
-        for (j, (a, b)) in got.iter().zip(&oracle).enumerate() {
-            prop_assert!(
-                a.to_bits() == b.to_bits(),
-                "logit [{}] diverged after history {:?}: append {} ({:08x}) vs recompute {} ({:08x})",
-                j,
-                s.history,
-                a,
-                a.to_bits(),
-                b,
-                b.to_bits()
-            );
-        }
-        if check_graph {
-            let graph = model
-                .score_items_batch_graph(&[window])
-                .expect("graph oracle")
-                .pop()
-                .unwrap();
-            for (j, (a, b)) in got.iter().zip(&graph).enumerate() {
+        let graph = model.score_items_batch_graph(&[window]).expect("graph oracle").pop().unwrap();
+        let recompute = model.try_score_items_batch(&[window]).expect("recompute").pop().unwrap();
+        for (name, oracle) in [("graph oracle", &graph), ("recompute", &recompute)] {
+            prop_assert_eq!(got.len(), oracle.len());
+            for (j, (a, b)) in got.iter().zip(oracle).enumerate() {
                 prop_assert!(
                     a.to_bits() == b.to_bits(),
-                    "logit [{}] diverged from the graph oracle after history {:?}",
+                    "logit [{}] diverged after history {:?}: append {} ({:08x}) vs {} {} ({:08x})",
                     j,
-                    s.history
+                    s.history,
+                    a,
+                    a.to_bits(),
+                    name,
+                    b,
+                    b.to_bits()
                 );
             }
         }
@@ -122,7 +102,7 @@ fn streaming_appends_match_recompute_across_the_config_grid() {
             let ops: Vec<(u8, u32, u8)> = (0..28)
                 .map(|i| ((i % 3) as u8, (i * 7 + 1) as u32, u8::from(i != 9 && i != 17)))
                 .collect();
-            run_stream(&model, &pad, &ops, vocab, true);
+            run_stream(&model, &pad, &ops, vocab);
         }
     }
 }
@@ -136,7 +116,7 @@ fn single_slot_window_appends_are_pure_cold_starts() {
     let model = build_model(4, 1, vocab, 1, 1, 0b0101, 3);
     let pad = model.pad_session_state().expect("pad state");
     let ops: Vec<(u8, u32, u8)> = (0..6).map(|i| (0u8, (i * 5 + 2) as u32, 1u8)).collect();
-    run_stream(&model, &pad, &ops, vocab, true);
+    run_stream(&model, &pad, &ops, vocab);
 }
 
 #[test]
@@ -154,8 +134,12 @@ fn prepare_without_donor_matches_donor_assisted_prepare() {
     model.prepare_session_into(&history, None, &mut without, &mut ws).unwrap();
     let a = model.append_session_logits(&with_donor, 9, &mut ws).unwrap();
     let b = model.append_session_logits(&without, 9, &mut ws).unwrap();
-    for (x, y) in a.iter().zip(&b) {
-        assert_eq!(x.to_bits(), y.to_bits());
+    let grown: Vec<u32> = history.iter().copied().chain([9]).collect();
+    let graph = model.score_items_batch_graph(&[&grown]).unwrap().pop().unwrap();
+    assert_eq!(a.len(), graph.len());
+    for ((x, y), g) in a.iter().zip(&b).zip(&graph) {
+        assert_eq!(x.to_bits(), g.to_bits());
+        assert_eq!(y.to_bits(), g.to_bits());
     }
     assert_eq!(with_donor.pad_slots(), 8 - 1 - history.len());
     assert_eq!(with_donor.real_slots(), history.len());
@@ -202,6 +186,6 @@ proptest! {
     ) {
         let model = build_model(dim, n, vocab, h1, h2, flags, seed);
         let pad = model.pad_session_state().expect("pad state");
-        run_stream(&model, &pad, &ops, vocab, false);
+        run_stream(&model, &pad, &ops, vocab);
     }
 }

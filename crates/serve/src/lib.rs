@@ -15,7 +15,7 @@
 //!   compute.
 //! * **Supervised worker pool** — workers run the batched
 //!   evaluation-mode forward (`z = μ_λ`, no sampling, dropout off) via
-//!   [`vsan_core::Vsan::score_items_batch`] and rank the top-k by
+//!   [`vsan_core::Vsan::try_score_items_batch`] and rank the top-k by
 //!   partial selection over raw logits (softmax is rank-monotonic, so
 //!   it is skipped entirely). A panicking worker is caught at the batch
 //!   boundary, its untouched requests are requeued, and a supervisor

@@ -1,30 +1,138 @@
-//! Fused single-pass causal attention (the inference fast path's core
+//! Fused single-pass causal attention (the inference pass's core
 //! kernel, DESIGN.md §10).
 //!
 //! The graph path computes attention as four tape ops — `Q·Kᵀ`, scale,
 //! causal-masked softmax, `·V` — materializing two `(n, n)` tensors per
-//! sample per block. This kernel produces the same output one query row
-//! at a time: the score row lives in an `n`-length scratch slice and is
-//! consumed immediately, so nothing quadratic is ever allocated.
+//! sample per block. [`causal_attention_rows_into`] produces the same
+//! output one query row at a time: the score row lives in a scratch slice
+//! and is consumed immediately, so nothing quadratic is ever allocated.
+//!
+//! One decision covers every inference caller: the key/value window is a
+//! read-only **prefix** of already-valid rows followed by a **tail** of
+//! rows projected now, and only the last **keep** tail rows are queried.
+//! Full window = (0, n, n); last row only = (0, n, 1); session prepare =
+//! (start, m − start, m − start), or keep = 0 where only K/V are cached;
+//! session append = (m, 1, 1).
 //!
 //! Bit-compatibility contract: every arithmetic step reproduces the
-//! composed ops exactly —
+//! composed ops exactly, and each query row is an independent computation
+//! (so which rows are kept never changes a kept row's bits) —
 //! - scores are single-accumulator dots over `k` in ascending order
 //!   (= [`crate::ops::matmul::matmul_a_bt_into`]'s per-element fold),
 //!   mapped through `scale * s + 0.0` (= the tape's affine/scale op);
 //! - the masked softmax is [`crate::ops::softmax::softmax_rows_masked`]'s
 //!   per-row sequence verbatim: max fold over `j ≤ i`, exp + sum in
 //!   ascending `j`, then one `1.0/sum` multiply;
-//! - the output row folds `p_j · v_j` in ascending `j`, matching
+//! - the output row folds `p_j · v_j` in ascending `j` — prefix rows then
+//!   tail rows, exactly key order over the concatenated window — matching
 //!   `matmul(attn, v)` (the masked entries it skips are exact zeros,
 //!   whose products never change an accumulator bit).
 
-/// Causal attention for one sample: `out = softmax_causal(q·kᵀ·scale)·v`
-/// over flat row-major `(n, d)` buffers.
+/// Causal attention for the last `keep` rows of a `(prefix + tail)`-row
+/// window: `out = softmax_causal(q·[k_prefix; k_tail]ᵀ·scale)·[v_prefix;
+/// v_tail]`, never materializing the concatenation.
 ///
-/// `scores` is caller-provided scratch of length ≥ `n` (reused across
-/// rows; only `scores[..=i]` is meaningful during row `i`). `out` is
-/// overwritten.
+/// All buffers are flat row-major with `d` columns; the counts are their
+/// lengths: `prefix = k_prefix.len() / d`, `tail = k_tail.len() / d`,
+/// `keep = q.len() / d ≤ tail`. Query row `r` is window row `i = prefix +
+/// tail − keep + r` and attends to keys `0..=i`. `scores` is scratch of
+/// length ≥ `prefix + tail`; `out` (`keep` rows) is overwritten, and
+/// `keep = 0` writes nothing.
+#[allow(clippy::too_many_arguments)]
+pub fn causal_attention_rows_into(
+    q: &[f32],
+    k_prefix: &[f32],
+    k_tail: &[f32],
+    v_prefix: &[f32],
+    v_tail: &[f32],
+    d: usize,
+    scale: f32,
+    scores: &mut [f32],
+    out: &mut [f32],
+) {
+    #[cfg(target_arch = "x86_64")]
+    if crate::ops::matmul::avx2_available() {
+        // SAFETY: AVX2 support was just verified at runtime.
+        unsafe {
+            return attention_rows_avx2(q, k_prefix, k_tail, v_prefix, v_tail, d, scale, scores, out);
+        };
+    }
+    attention_rows_body(q, k_prefix, k_tail, v_prefix, v_tail, d, scale, scores, out)
+}
+
+/// [`causal_attention_rows_into`]'s body compiled with AVX2 codegen — same
+/// source, vector lanes only across independent output columns, so the
+/// bits match the baseline build (see `ops::matmul`'s module header).
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+#[allow(clippy::too_many_arguments)]
+unsafe fn attention_rows_avx2(
+    q: &[f32],
+    k_prefix: &[f32],
+    k_tail: &[f32],
+    v_prefix: &[f32],
+    v_tail: &[f32],
+    d: usize,
+    scale: f32,
+    scores: &mut [f32],
+    out: &mut [f32],
+) {
+    attention_rows_body(q, k_prefix, k_tail, v_prefix, v_tail, d, scale, scores, out)
+}
+
+#[inline(always)]
+#[allow(clippy::too_many_arguments)]
+fn attention_rows_body(
+    q: &[f32],
+    k_prefix: &[f32],
+    k_tail: &[f32],
+    v_prefix: &[f32],
+    v_tail: &[f32],
+    d: usize,
+    scale: f32,
+    scores: &mut [f32],
+    out: &mut [f32],
+) {
+    let window = (k_prefix.len() + k_tail.len()) / d;
+    let keep = q.len() / d;
+    debug_assert!(keep * d <= k_tail.len());
+    debug_assert_eq!(k_prefix.len(), v_prefix.len());
+    debug_assert_eq!(k_tail.len(), v_tail.len());
+    debug_assert!(scores.len() >= window);
+    debug_assert_eq!(out.len(), q.len());
+    for (r, (q_row, o_row)) in q.chunks_exact(d).zip(out.chunks_exact_mut(d)).enumerate() {
+        // Keys 0..=i for window row i = window − keep + r; the zips below
+        // stop at the score row's length.
+        let scores = &mut scores[..=window - keep + r];
+        for (s, k_row) in scores.iter_mut().zip(k_prefix.chunks_exact(d).chain(k_tail.chunks_exact(d))) {
+            let mut acc = 0.0f32;
+            for (&qv, &kv) in q_row.iter().zip(k_row) {
+                acc += qv * kv;
+            }
+            *s = scale * acc + 0.0;
+        }
+        let max = scores.iter().fold(f32::NEG_INFINITY, |m, &x| m.max(x));
+        let mut sum = 0.0f32;
+        for s in scores.iter_mut() {
+            let e = (*s - max).exp();
+            *s = e;
+            sum += e;
+        }
+        let inv = 1.0 / sum;
+        for s in scores.iter_mut() {
+            *s *= inv;
+        }
+        o_row.fill(0.0);
+        for (&p, v_row) in scores.iter().zip(v_prefix.chunks_exact(d).chain(v_tail.chunks_exact(d))) {
+            for (ov, &vv) in o_row.iter_mut().zip(v_row) {
+                *ov += p * vv;
+            }
+        }
+    }
+}
+
+/// The full window, (prefix, tail, keep) = (0, n, n): every row of one
+/// `(n, d)` sample queried over its own keys/values.
 #[allow(clippy::too_many_arguments)]
 pub fn causal_attention_into(
     q: &[f32],
@@ -36,140 +144,12 @@ pub fn causal_attention_into(
     scores: &mut [f32],
     out: &mut [f32],
 ) {
-    #[cfg(target_arch = "x86_64")]
-    if crate::ops::matmul::avx2_available() {
-        // SAFETY: AVX2 support was just verified at runtime.
-        unsafe { return causal_attention_into_avx2(q, k, v, n, d, scale, scores, out) };
-    }
-    causal_attention_into_body(q, k, v, n, d, scale, scores, out)
+    debug_assert_eq!(q.len(), n * d);
+    causal_attention_rows_into(q, &[], k, &[], v, d, scale, scores, out)
 }
 
-/// [`causal_attention_into`]'s body compiled with AVX2 codegen — same
-/// source, vector lanes only across independent output columns, so the
-/// bits match the baseline build (see `ops::matmul`'s module header).
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-#[allow(clippy::too_many_arguments)]
-unsafe fn causal_attention_into_avx2(
-    q: &[f32],
-    k: &[f32],
-    v: &[f32],
-    n: usize,
-    d: usize,
-    scale: f32,
-    scores: &mut [f32],
-    out: &mut [f32],
-) {
-    causal_attention_into_body(q, k, v, n, d, scale, scores, out)
-}
-
-/// The last query row of [`causal_attention_into`] on its own:
-/// `out_row = softmax(q_last·kᵀ·scale)·v` over all `n` key/value rows.
-///
-/// Causality makes this the whole story for the *terminal* block of the
-/// inference stack — row `n-1`'s output feeds nothing but the prediction
-/// readout, and no earlier row's output is consumed at all — so the fast
-/// path computes just this row there (DESIGN.md §10). Bit-compatibility:
-/// this is literally the `i = n-1` iteration of the full kernel's loop,
-/// and rows are computed independently in both, so the bits match the
-/// full kernel's last row exactly.
-#[allow(clippy::too_many_arguments)]
-pub fn causal_attention_last_row_into(
-    q_row: &[f32],
-    k: &[f32],
-    v: &[f32],
-    n: usize,
-    d: usize,
-    scale: f32,
-    scores: &mut [f32],
-    out_row: &mut [f32],
-) {
-    #[cfg(target_arch = "x86_64")]
-    if crate::ops::matmul::avx2_available() {
-        // SAFETY: AVX2 support was just verified at runtime.
-        unsafe { return causal_attention_last_row_into_avx2(q_row, k, v, n, d, scale, scores, out_row) };
-    }
-    causal_attention_last_row_into_body(q_row, k, v, n, d, scale, scores, out_row)
-}
-
-/// [`causal_attention_last_row_into`]'s body compiled with AVX2 codegen
-/// (same source, same bits — see `ops::matmul`'s module header).
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-#[allow(clippy::too_many_arguments)]
-unsafe fn causal_attention_last_row_into_avx2(
-    q_row: &[f32],
-    k: &[f32],
-    v: &[f32],
-    n: usize,
-    d: usize,
-    scale: f32,
-    scores: &mut [f32],
-    out_row: &mut [f32],
-) {
-    causal_attention_last_row_into_body(q_row, k, v, n, d, scale, scores, out_row)
-}
-
-#[inline(always)]
-#[allow(clippy::too_many_arguments)]
-fn causal_attention_last_row_into_body(
-    q_row: &[f32],
-    k: &[f32],
-    v: &[f32],
-    n: usize,
-    d: usize,
-    scale: f32,
-    scores: &mut [f32],
-    out_row: &mut [f32],
-) {
-    debug_assert_eq!(q_row.len(), d);
-    debug_assert_eq!(k.len(), n * d);
-    debug_assert_eq!(v.len(), n * d);
-    debug_assert!(scores.len() >= n);
-    debug_assert_eq!(out_row.len(), d);
-    for (j, s) in scores[..n].iter_mut().enumerate() {
-        let k_row = &k[j * d..(j + 1) * d];
-        let mut acc = 0.0f32;
-        for (&qv, &kv) in q_row.iter().zip(k_row) {
-            acc += qv * kv;
-        }
-        *s = scale * acc + 0.0;
-    }
-    let max = scores[..n].iter().fold(f32::NEG_INFINITY, |m, &x| m.max(x));
-    let mut sum = 0.0f32;
-    for s in scores[..n].iter_mut() {
-        let e = (*s - max).exp();
-        *s = e;
-        sum += e;
-    }
-    let inv = 1.0 / sum;
-    for s in scores[..n].iter_mut() {
-        *s *= inv;
-    }
-    out_row.fill(0.0);
-    for (j, &p) in scores[..n].iter().enumerate() {
-        let v_row = &v[j * d..(j + 1) * d];
-        for (ov, &vv) in out_row.iter_mut().zip(v_row) {
-            *ov += p * vv;
-        }
-    }
-}
-
-/// One-new-row attention against a cached key/value prefix (the
-/// session fold-in kernel, DESIGN.md §11): `out_row =
-/// softmax([q·k_prefixᵀ, q·k_lastᵀ]·scale)·[v_prefix; v_last]` where
-/// `k_prefix`/`v_prefix` are the `m` cached rows of an incremental
-/// session state and `k_last`/`v_last` are the freshly projected row of
-/// the appended event.
-///
-/// Bit-compatibility: with `K = [k_prefix; k_last]` and `V = [v_prefix;
-/// v_last]` this is [`causal_attention_last_row_into`] over `n = m + 1`
-/// rows verbatim — scores fold ascending over the prefix rows then the
-/// new row (exactly key order `0..n`), the softmax max/exp/sum/scale
-/// sequence is identical, and the output folds `p_j · v_j` in the same
-/// ascending order. The split merely avoids materializing the
-/// concatenated buffers. `m = 0` (empty prefix: `n = 1` windows) is
-/// valid and attends to the new row alone.
+/// One new row over `m` cached rows, (prefix, tail, keep) = (m, 1, 1) —
+/// the session fold-in shape (DESIGN.md §10); `m = 0` is valid.
 #[allow(clippy::too_many_arguments)]
 pub fn causal_attention_append_into(
     q_row: &[f32],
@@ -183,101 +163,13 @@ pub fn causal_attention_append_into(
     scores: &mut [f32],
     out_row: &mut [f32],
 ) {
-    #[cfg(target_arch = "x86_64")]
-    if crate::ops::matmul::avx2_available() {
-        // SAFETY: AVX2 support was just verified at runtime.
-        unsafe {
-            return causal_attention_append_into_avx2(
-                q_row, k_prefix, k_last, v_prefix, v_last, m, d, scale, scores, out_row,
-            );
-        };
-    }
-    causal_attention_append_into_body(q_row, k_prefix, k_last, v_prefix, v_last, m, d, scale, scores, out_row)
+    debug_assert_eq!((k_prefix.len(), k_last.len()), (m * d, d));
+    causal_attention_rows_into(q_row, k_prefix, k_last, v_prefix, v_last, d, scale, scores, out_row)
 }
 
-/// [`causal_attention_append_into`]'s body compiled with AVX2 codegen
-/// (same source, same bits — see `ops::matmul`'s module header).
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-#[allow(clippy::too_many_arguments)]
-unsafe fn causal_attention_append_into_avx2(
-    q_row: &[f32],
-    k_prefix: &[f32],
-    k_last: &[f32],
-    v_prefix: &[f32],
-    v_last: &[f32],
-    m: usize,
-    d: usize,
-    scale: f32,
-    scores: &mut [f32],
-    out_row: &mut [f32],
-) {
-    causal_attention_append_into_body(q_row, k_prefix, k_last, v_prefix, v_last, m, d, scale, scores, out_row)
-}
-
-#[inline(always)]
-#[allow(clippy::too_many_arguments)]
-fn causal_attention_append_into_body(
-    q_row: &[f32],
-    k_prefix: &[f32],
-    k_last: &[f32],
-    v_prefix: &[f32],
-    v_last: &[f32],
-    m: usize,
-    d: usize,
-    scale: f32,
-    scores: &mut [f32],
-    out_row: &mut [f32],
-) {
-    let n = m + 1;
-    debug_assert_eq!(q_row.len(), d);
-    debug_assert_eq!(k_prefix.len(), m * d);
-    debug_assert_eq!(v_prefix.len(), m * d);
-    debug_assert_eq!(k_last.len(), d);
-    debug_assert_eq!(v_last.len(), d);
-    debug_assert!(scores.len() >= n);
-    debug_assert_eq!(out_row.len(), d);
-    // Scores in ascending key order: the m prefix rows, then the new row
-    // — the same `j = 0..n` fold the contiguous last-row kernel runs.
-    for (j, s) in scores[..n].iter_mut().enumerate() {
-        let k_row = if j < m { &k_prefix[j * d..(j + 1) * d] } else { k_last };
-        let mut acc = 0.0f32;
-        for (&qv, &kv) in q_row.iter().zip(k_row) {
-            acc += qv * kv;
-        }
-        *s = scale * acc + 0.0;
-    }
-    let max = scores[..n].iter().fold(f32::NEG_INFINITY, |mx, &x| mx.max(x));
-    let mut sum = 0.0f32;
-    for s in scores[..n].iter_mut() {
-        let e = (*s - max).exp();
-        *s = e;
-        sum += e;
-    }
-    let inv = 1.0 / sum;
-    for s in scores[..n].iter_mut() {
-        *s *= inv;
-    }
-    out_row.fill(0.0);
-    for (j, &p) in scores[..n].iter().enumerate() {
-        let v_row = if j < m { &v_prefix[j * d..(j + 1) * d] } else { v_last };
-        for (ov, &vv) in out_row.iter_mut().zip(v_row) {
-            *ov += p * vv;
-        }
-    }
-}
-
-/// Rows `start..m` of [`causal_attention_into`] given full `(m, d)`
-/// key/value buffers — the session *prepare* kernel: when the first
-/// `start` rows of a window are shared with a cached donor state
-/// (left-padding slots, DESIGN.md §11), only the trailing real rows'
-/// attention outputs are needed; their keys/values still span all `m`
-/// rows, causally truncated per query row.
-///
-/// `q` and `out` hold only the `m - start` trailing rows (row `i` of the
-/// window at local offset `i - start`). Bit-compatibility: each row of
-/// the full kernel is an independent per-row computation; this runs the
-/// identical per-row sequence for exactly the rows it covers.
+/// Rows `start..m` of an `(m, d)` window, (prefix, tail, keep) = (0, m,
+/// m − start) — the session prepare shape; `q`/`out` hold only the
+/// `m − start` trailing rows.
 #[allow(clippy::too_many_arguments)]
 pub fn causal_attention_resume_into(
     q: &[f32],
@@ -290,133 +182,8 @@ pub fn causal_attention_resume_into(
     scores: &mut [f32],
     out: &mut [f32],
 ) {
-    #[cfg(target_arch = "x86_64")]
-    if crate::ops::matmul::avx2_available() {
-        // SAFETY: AVX2 support was just verified at runtime.
-        unsafe { return causal_attention_resume_into_avx2(q, k, v, m, d, start, scale, scores, out) };
-    }
-    causal_attention_resume_into_body(q, k, v, m, d, start, scale, scores, out)
-}
-
-/// [`causal_attention_resume_into`]'s body compiled with AVX2 codegen
-/// (same source, same bits — see `ops::matmul`'s module header).
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-#[allow(clippy::too_many_arguments)]
-unsafe fn causal_attention_resume_into_avx2(
-    q: &[f32],
-    k: &[f32],
-    v: &[f32],
-    m: usize,
-    d: usize,
-    start: usize,
-    scale: f32,
-    scores: &mut [f32],
-    out: &mut [f32],
-) {
-    causal_attention_resume_into_body(q, k, v, m, d, start, scale, scores, out)
-}
-
-#[inline(always)]
-#[allow(clippy::too_many_arguments)]
-fn causal_attention_resume_into_body(
-    q: &[f32],
-    k: &[f32],
-    v: &[f32],
-    m: usize,
-    d: usize,
-    start: usize,
-    scale: f32,
-    scores: &mut [f32],
-    out: &mut [f32],
-) {
-    debug_assert!(start <= m);
-    let rows = m - start;
-    debug_assert_eq!(q.len(), rows * d);
-    debug_assert_eq!(k.len(), m * d);
-    debug_assert_eq!(v.len(), m * d);
-    debug_assert!(scores.len() >= m);
-    debug_assert_eq!(out.len(), rows * d);
-    for local in 0..rows {
-        let i = start + local;
-        let q_row = &q[local * d..(local + 1) * d];
-        for (j, s) in scores[..=i].iter_mut().enumerate() {
-            let k_row = &k[j * d..(j + 1) * d];
-            let mut acc = 0.0f32;
-            for (&qv, &kv) in q_row.iter().zip(k_row) {
-                acc += qv * kv;
-            }
-            *s = scale * acc + 0.0;
-        }
-        let max = scores[..=i].iter().fold(f32::NEG_INFINITY, |mx, &x| mx.max(x));
-        let mut sum = 0.0f32;
-        for s in scores[..=i].iter_mut() {
-            let e = (*s - max).exp();
-            *s = e;
-            sum += e;
-        }
-        let inv = 1.0 / sum;
-        for s in scores[..=i].iter_mut() {
-            *s *= inv;
-        }
-        let o_row = &mut out[local * d..(local + 1) * d];
-        o_row.fill(0.0);
-        for (j, &p) in scores[..=i].iter().enumerate() {
-            let v_row = &v[j * d..(j + 1) * d];
-            for (ov, &vv) in o_row.iter_mut().zip(v_row) {
-                *ov += p * vv;
-            }
-        }
-    }
-}
-
-#[inline(always)]
-#[allow(clippy::too_many_arguments)]
-fn causal_attention_into_body(
-    q: &[f32],
-    k: &[f32],
-    v: &[f32],
-    n: usize,
-    d: usize,
-    scale: f32,
-    scores: &mut [f32],
-    out: &mut [f32],
-) {
-    debug_assert_eq!(q.len(), n * d);
-    debug_assert_eq!(k.len(), n * d);
-    debug_assert_eq!(v.len(), n * d);
-    debug_assert!(scores.len() >= n);
-    debug_assert_eq!(out.len(), n * d);
-    for i in 0..n {
-        let q_row = &q[i * d..(i + 1) * d];
-        for (j, s) in scores[..=i].iter_mut().enumerate() {
-            let k_row = &k[j * d..(j + 1) * d];
-            let mut acc = 0.0f32;
-            for (&qv, &kv) in q_row.iter().zip(k_row) {
-                acc += qv * kv;
-            }
-            *s = scale * acc + 0.0;
-        }
-        let max = scores[..=i].iter().fold(f32::NEG_INFINITY, |m, &x| m.max(x));
-        let mut sum = 0.0f32;
-        for s in scores[..=i].iter_mut() {
-            let e = (*s - max).exp();
-            *s = e;
-            sum += e;
-        }
-        let inv = 1.0 / sum;
-        for s in scores[..=i].iter_mut() {
-            *s *= inv;
-        }
-        let o_row = &mut out[i * d..(i + 1) * d];
-        o_row.fill(0.0);
-        for (j, &p) in scores[..=i].iter().enumerate() {
-            let v_row = &v[j * d..(j + 1) * d];
-            for (ov, &vv) in o_row.iter_mut().zip(v_row) {
-                *ov += p * vv;
-            }
-        }
-    }
+    debug_assert_eq!((q.len(), k.len()), ((m - start) * d, m * d));
+    causal_attention_rows_into(q, &[], k, &[], v, d, scale, scores, out)
 }
 
 /// Fused causal-attention *training* forward: `out =
@@ -425,7 +192,7 @@ fn causal_attention_into_body(
 ///
 /// This is the fast training tier's replacement for the tape's four-op
 /// composition (`matmul_a_bt` → affine → `softmax_causal` → `matmul`).
-/// Unlike [`causal_attention_into`], which streams one score row through
+/// Unlike [`causal_attention_rows_into`], which streams one score row through
 /// scratch, training must keep the probabilities — they are the saved
 /// activation [`causal_attention_train_backward`] consumes — so `probs`
 /// is a persistent `(n, n)` buffer (row `i`: columns `..=i` hold the
@@ -684,113 +451,76 @@ mod tests {
         matmul(&attn, v).unwrap()
     }
 
+    /// The unified row kernel against the composed-ops reference over the
+    /// concatenated K/V, bit for bit, across the (prefix, tail, keep, d)
+    /// shapes every caller uses — and the three delegating names wherever
+    /// their shape applies.
     #[test]
-    fn fused_matches_composed_ops_bit_for_bit() {
+    fn row_kernel_matches_composed_ops_over_the_shape_matrix() {
+        const SENTINEL: f32 = -7.5;
         let mut rng = StdRng::seed_from_u64(42);
-        for (n, d) in [(1, 4), (5, 8), (16, 12), (50, 20)] {
-            let q = init::randn(&mut rng, &[n, d], 0.0, 1.0);
-            let k = init::randn(&mut rng, &[n, d], 0.0, 1.0);
-            let v = init::randn(&mut rng, &[n, d], 0.0, 1.0);
+        for (prefix, tail, keep, d) in [
+            (0, 1, 1, 4),    // the n = 1 window
+            (0, 1, 1, 1),    // d = 1
+            (0, 5, 5, 8),    // full window
+            (0, 50, 50, 20), // full window, paper-sized
+            (0, 16, 1, 12),  // terminal-block trimming
+            (0, 9, 5, 6),    // keep < tail, no prefix
+            (4, 5, 5, 6),    // session prepare behind donor rows
+            (4, 5, 2, 17),   // keep < tail behind a prefix, off the 8-lane width
+            (3, 4, 0, 6),    // K/V cached only: must write nothing
+            (16, 0, 0, 12),  // nothing projected, nothing queried
+            (0, 1, 1, 17),   // append onto an empty prefix
+            (6, 1, 1, 10),   // session append
+            (47, 1, 1, 96),  // session append, beauty-sized
+        ] {
+            let window = prefix + tail;
+            let skip = window - keep;
+            let tag = format!("(prefix={prefix}, tail={tail}, keep={keep}, d={d})");
+            let q = init::randn(&mut rng, &[window, d], 0.0, 1.0);
+            let k = init::randn(&mut rng, &[window, d], 0.0, 1.0);
+            let v = init::randn(&mut rng, &[window, d], 0.0, 1.0);
             let scale = 1.0 / (d as f32).sqrt();
             let want = composed(&q, &k, &v, scale);
-            let mut scores = vec![0.0f32; n];
-            let mut out = vec![0.0f32; n * d];
-            causal_attention_into(q.data(), k.data(), v.data(), n, d, scale, &mut scores, &mut out);
-            for (idx, (w, g)) in want.data().iter().zip(&out).enumerate() {
-                assert_eq!(
-                    w.to_bits(),
-                    g.to_bits(),
-                    "(n={n}, d={d}) element {idx}: composed {w}, fused {g}"
-                );
-            }
-        }
-    }
+            let want = &want.data()[skip * d..];
+            let q_kept = &q.data()[skip * d..];
+            let (k_prefix, k_tail) = k.data().split_at(prefix * d);
+            let (v_prefix, v_tail) = v.data().split_at(prefix * d);
+            let assert_bits = |name: &str, got: &[f32]| {
+                assert_eq!(got.len(), want.len(), "{tag} {name}");
+                for (idx, (w, g)) in want.iter().zip(got).enumerate() {
+                    assert_eq!(w.to_bits(), g.to_bits(), "{tag} {name} element {idx}: want {w}, got {g}");
+                }
+            };
 
-    #[test]
-    fn last_row_kernel_matches_full_kernel_last_row() {
-        let mut rng = StdRng::seed_from_u64(99);
-        for (n, d) in [(1, 4), (7, 10), (48, 96)] {
-            let q = init::randn(&mut rng, &[n, d], 0.0, 1.0);
-            let k = init::randn(&mut rng, &[n, d], 0.0, 1.0);
-            let v = init::randn(&mut rng, &[n, d], 0.0, 1.0);
-            let scale = 1.0 / (d as f32).sqrt();
-            let mut scores = vec![0.0f32; n];
-            let mut full = vec![0.0f32; n * d];
-            causal_attention_into(q.data(), k.data(), v.data(), n, d, scale, &mut scores, &mut full);
-            let mut row = vec![0.0f32; d];
-            causal_attention_last_row_into(
-                &q.data()[(n - 1) * d..],
-                k.data(),
-                v.data(),
-                n,
-                d,
-                scale,
-                &mut scores,
-                &mut row,
+            let mut scores = vec![SENTINEL; window];
+            let mut out = vec![f32::NAN; keep * d];
+            causal_attention_rows_into(
+                q_kept, k_prefix, k_tail, v_prefix, v_tail, d, scale, &mut scores, &mut out,
             );
-            for (c, (w, g)) in full[(n - 1) * d..].iter().zip(&row).enumerate() {
-                assert_eq!(w.to_bits(), g.to_bits(), "(n={n}, d={d}) col {c}");
+            assert_bits("rows", &out);
+            if keep == 0 {
+                assert!(scores.iter().all(|&s| s == SENTINEL), "{tag} keep = 0 touched the scratch");
             }
-        }
-    }
 
-    #[test]
-    fn append_kernel_matches_last_row_over_concatenated_kv() {
-        let mut rng = StdRng::seed_from_u64(11);
-        for (m, d) in [(0, 4), (1, 4), (6, 10), (47, 96)] {
-            let n = m + 1;
-            let q_row = init::randn(&mut rng, &[1, d], 0.0, 1.0);
-            let k = init::randn(&mut rng, &[n, d], 0.0, 1.0);
-            let v = init::randn(&mut rng, &[n, d], 0.0, 1.0);
-            let scale = 1.0 / (d as f32).sqrt();
-            let mut scores = vec![0.0f32; n];
-            let mut want = vec![0.0f32; d];
-            causal_attention_last_row_into(q_row.data(), k.data(), v.data(), n, d, scale, &mut scores, &mut want);
-            let mut got = vec![0.0f32; d];
-            causal_attention_append_into(
-                q_row.data(),
-                &k.data()[..m * d],
-                &k.data()[m * d..],
-                &v.data()[..m * d],
-                &v.data()[m * d..],
-                m,
-                d,
-                scale,
-                &mut scores,
-                &mut got,
-            );
-            for (c, (w, g)) in want.iter().zip(&got).enumerate() {
-                assert_eq!(w.to_bits(), g.to_bits(), "(m={m}, d={d}) col {c}");
-            }
-        }
-    }
-
-    #[test]
-    fn resume_kernel_matches_full_kernel_row_range() {
-        let mut rng = StdRng::seed_from_u64(23);
-        for (m, d, start) in [(1, 4, 0), (5, 8, 0), (9, 6, 4), (16, 12, 15), (16, 12, 16)] {
-            let q = init::randn(&mut rng, &[m, d], 0.0, 1.0);
-            let k = init::randn(&mut rng, &[m, d], 0.0, 1.0);
-            let v = init::randn(&mut rng, &[m, d], 0.0, 1.0);
-            let scale = 1.0 / (d as f32).sqrt();
-            let mut scores = vec![0.0f32; m];
-            let mut full = vec![0.0f32; m * d];
-            causal_attention_into(q.data(), k.data(), v.data(), m, d, scale, &mut scores, &mut full);
-            let rows = m - start;
-            let mut got = vec![0.0f32; rows * d];
+            // The contiguous-window name covers every shape: where the
+            // prefix/tail boundary falls never changes a bit.
+            out.fill(f32::NAN);
             causal_attention_resume_into(
-                &q.data()[start * d..],
-                k.data(),
-                v.data(),
-                m,
-                d,
-                start,
-                scale,
-                &mut scores,
-                &mut got,
+                q_kept, k.data(), v.data(), window, d, skip, scale, &mut scores, &mut out,
             );
-            for (idx, (w, g)) in full[start * d..].iter().zip(&got).enumerate() {
-                assert_eq!(w.to_bits(), g.to_bits(), "(m={m}, d={d}, start={start}) element {idx}");
+            assert_bits("resume", &out);
+            if keep == window {
+                out.fill(f32::NAN);
+                causal_attention_into(q.data(), k.data(), v.data(), window, d, scale, &mut scores, &mut out);
+                assert_bits("full", &out);
+            }
+            if (tail, keep) == (1, 1) {
+                out.fill(f32::NAN);
+                causal_attention_append_into(
+                    q_kept, k_prefix, k_tail, v_prefix, v_tail, prefix, d, scale, &mut scores, &mut out,
+                );
+                assert_bits("append", &out);
             }
         }
     }

@@ -1,8 +1,11 @@
 //! Numeric kernels on [`crate::Tensor`].
 //!
-//! Kernels are free functions that allocate fresh outputs; the autograd tape
-//! composes them. Submodules group by family; the most common entry points
-//! are re-exported here.
+//! Kernels are free functions in two forms: `Tensor`-returning wrappers
+//! that allocate a fresh output (what the reference autograd tape
+//! composes), and the `_into` family, which writes into caller-provided
+//! slices and allocates nothing (what the fast training tier and the
+//! inference pass call). Submodules group by family; the most common
+//! entry points are re-exported here.
 
 pub mod attention;
 pub mod elementwise;
@@ -12,8 +15,8 @@ pub mod reduce;
 pub mod softmax;
 
 pub use attention::{
-    causal_attention_append_into, causal_attention_into, causal_attention_last_row_into,
-    causal_attention_resume_into, causal_attention_train_backward, causal_attention_train_forward,
+    causal_attention_append_into, causal_attention_into, causal_attention_resume_into,
+    causal_attention_rows_into, causal_attention_train_backward, causal_attention_train_forward,
 };
 pub use elementwise::{
     add, add_into, add_into_fast, add_row_broadcast_into, add_row_broadcast_into_fast,

@@ -74,7 +74,7 @@ VSAN_THREADS_MATRIX=1,2,8 cargo test -q --offline -p vsan-core --test parallel_t
 # bit-identical to the graph oracle. The proptest suite and the golden
 # fixture run twice — once with the fast path live (default) and once
 # pinned to the graph path (VSAN_DISABLE_FAST_PATH=1), so both process-
-# level routings of score_items_batch are exercised end to end.
+# level routings of try_score_items_batch are exercised end to end.
 echo "==> fast-path differential suite (VSAN_DISABLE_FAST_PATH unset + =1)"
 cargo test -q --offline -p vsan-core --test fast_path
 cargo test -q --offline --test golden_logits
@@ -141,8 +141,9 @@ if ! awk -v a="${allocs}" 'BEGIN { exit !(a <= 0.0) }'; then
 fi
 
 # Session differential gate: the incremental append path (prepare +
-# one-row fold-in, DESIGN.md §11) must equal a full recompute for any
-# interleaving of append/cold/evict. The core differential suite, the
+# one-row fold-in, DESIGN.md §10–§11) must equal the graph oracle and a
+# full recompute for any interleaving of append/cold/evict. The core
+# differential suite (graph oracle on every case), the
 # store/runtime proptests, and the engine-level session tests all run
 # twice — incremental path live, then pinned to full recompute
 # (VSAN_DISABLE_FAST_PATH=1) so the bypass wiring itself is exercised.
@@ -153,33 +154,6 @@ cargo test -q --offline -p vsan-serve --test session
 VSAN_DISABLE_FAST_PATH=1 cargo test -q --offline -p vsan-core --test session_incremental
 VSAN_DISABLE_FAST_PATH=1 cargo test -q --offline -p vsan-session
 VSAN_DISABLE_FAST_PATH=1 cargo test -q --offline -p vsan-serve --test session
-
-# The inference benchmark report must attest bit-identity: infer_bench
-# refuses to write a report on any mismatch, so a stale or absent
-# attestation is a gate failure.
-echo "==> results/BENCH_infer.json bitwise_match attestation"
-if [ ! -f results/BENCH_infer.json ]; then
-  echo "results/BENCH_infer.json missing — run: cargo run --release -p vsan-bench --bin infer_bench" >&2
-  exit 1
-fi
-if ! grep -q '"bitwise_match": true' results/BENCH_infer.json; then
-  echo "results/BENCH_infer.json lacks \"bitwise_match\": true" >&2
-  exit 1
-fi
-
-# The committed report must also attest the incremental-session claim:
-# a warm append is at least 5x cheaper per event than a full recompute
-# at history length >= 50 (ISSUE 6 acceptance gate).
-echo "==> results/BENCH_infer.json min_session_speedup >= 5 attestation"
-speedup="$(sed -n 's/.*"min_session_speedup": \([0-9.]*\).*/\1/p' results/BENCH_infer.json | head -n1)"
-if [ -z "${speedup}" ]; then
-  echo "results/BENCH_infer.json lacks \"min_session_speedup\" — regenerate with infer_bench" >&2
-  exit 1
-fi
-if ! awk -v s="${speedup}" 'BEGIN { exit !(s >= 5.0) }'; then
-  echo "min_session_speedup ${speedup} < 5.0 — incremental append no longer pays for itself" >&2
-  exit 1
-fi
 
 # Retrieval differential gate: the clustered MIPS index must equal the
 # exact oracle bit for bit at full probe, keep recall monotone in
@@ -281,5 +255,11 @@ cargo run --release --offline -q -p vsan-bench --bin obs_smoke
 
 echo "==> cargo clippy --offline -- -D warnings"
 cargo clippy --workspace --all-targets --offline -- -D warnings
+
+# benchmark/ is its own cargo workspace, so nothing above compiles it:
+# the smoke pass builds it against the crates' public functions and runs
+# every workload at toy sizes with the schema + output checks.
+echo "==> benchmark smoke (bash benchmark/run.sh --smoke)"
+bash benchmark/run.sh --smoke
 
 echo "==> verify OK"

@@ -100,7 +100,7 @@ fn eval_logits_match_the_golden_fixture_bit_for_bit() {
     let model = trained_model();
     let histories = probe_histories();
     let windows: Vec<&[u32]> = histories.iter().map(|h| model.fold_in_window(h)).collect();
-    let rows = model.score_items_batch(&windows);
+    let rows = model.try_score_items_batch(&windows).expect("eval forward");
     let path = fixture_path();
 
     if std::env::var("VSAN_REGEN_GOLDEN").is_ok_and(|v| v == "1") {
@@ -137,7 +137,7 @@ fn eval_logits_match_the_golden_fixture_bit_for_bit() {
 
     // Both forwards — the graph path (differential oracle) and the
     // graph-free fast path — must match the fixture independently of
-    // which one `score_items_batch` dispatched to above.
+    // which one `try_score_items_batch` dispatched to above.
     let graph_rows = model.score_items_batch_graph(&windows).expect("graph path");
     let fast_rows = model.score_items_batch_fast(&windows).expect("fast path");
     for (i, (_, gold_row)) in golden.iter().enumerate() {
