@@ -144,7 +144,8 @@ fn bench_fused_attention(c: &mut Criterion) {
             });
         });
         group.bench_with_input(BenchmarkId::new("fused_single_pass", &id), &(), |bench, ()| {
-            let mut scores = vec![0.0f32; n];
+            // Scratch sized up front, as `Workspace` does: the tiled rows.
+            let mut scores = vec![0.0f32; ops::attention_scratch_len(n, n, d)];
             let mut out = vec![0.0f32; n * d];
             bench.iter(|| {
                 ops::causal_attention_into(
@@ -158,6 +159,29 @@ fn bench_fused_attention(c: &mut Criterion) {
                     &mut out,
                 );
                 out[n * d - 1]
+            });
+        });
+        group.bench_with_input(BenchmarkId::new("append_row", &id), &(), |bench, ()| {
+            // The session fold-in, (n − 1, 1, 1): one row-form row, which
+            // must not pay for a transpose.
+            let mut scores = vec![0.0f32; n];
+            let mut out = vec![0.0f32; d];
+            let p = (n - 1) * d;
+            let (q, k, v) = (q.data(), k.data(), v.data());
+            bench.iter(|| {
+                ops::causal_attention_append_into(
+                    &q[p..],
+                    &k[..p],
+                    &k[p..],
+                    &v[..p],
+                    &v[p..],
+                    n - 1,
+                    d,
+                    scale,
+                    &mut scores,
+                    &mut out,
+                );
+                out[d - 1]
             });
         });
     }

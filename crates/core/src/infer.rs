@@ -44,7 +44,7 @@ use std::cell::RefCell;
 
 use vsan_data::sequence::pad_left;
 use vsan_nn::{Linear, ParamId, ParamStore, SelfAttentionBlock};
-use vsan_tensor::ops::attention::causal_attention_rows_into;
+use vsan_tensor::ops::attention::{attention_scratch_len, causal_attention_rows_into};
 use vsan_tensor::ops::norm::{layer_norm_rows_into, LN_EPS};
 use vsan_tensor::parallel::matmul_into_parallel;
 
@@ -495,9 +495,11 @@ impl InferencePlan {
     /// graph oracle.
     ///
     /// The state is borrowed immutably: folding the new row *into* the
-    /// cache would shift slot alignment (see [`Self::prepare_session`]);
-    /// the caller re-prepares instead, which the session runtime overlaps
-    /// with returning the logits.
+    /// cache would shift slot alignment (see [`Self::prepare_session`]).
+    /// The caller re-prepares instead — the session runtime does so
+    /// synchronously, before it returns this event's logits, so a warm
+    /// event costs this pass plus one prepare (DESIGN.md §11 has the
+    /// measured split).
     pub(crate) fn append_session(
         &self,
         store: &ParamStore,
@@ -620,7 +622,8 @@ pub struct Workspace {
     v: Vec<f32>,
     /// Attention-output / residual scratch, `(rows, d)`.
     tmp: Vec<f32>,
-    /// One attention score row, `(n,)`.
+    /// Attention scratch for one sample: the transposed `(d, n)` key
+    /// window plus a block of score rows ([`attention_scratch_len`]).
     score: Vec<f32>,
     /// Output logits, `(b, vocab)`.
     logits: Vec<f32>,
@@ -649,7 +652,7 @@ impl Workspace {
         for buf in [&mut self.h, &mut self.q, &mut self.k, &mut self.v, &mut self.tmp] {
             grow(buf, rows * d);
         }
-        grow(&mut self.score, n);
+        grow(&mut self.score, attention_scratch_len(n, n, d));
         grow(&mut self.logits, logits);
     }
 
@@ -674,4 +677,45 @@ pub(crate) fn with_thread_workspace<T>(f: impl FnOnce(&mut Workspace) -> T) -> T
         static WORKSPACE: RefCell<Workspace> = RefCell::new(Workspace::new());
     }
     WORKSPACE.with(|ws| f(&mut ws.borrow_mut()))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::{Vsan, VsanConfig};
+
+    fn capacities(ws: &Workspace) -> [usize; 7] {
+        let Workspace { h, q, k, v, tmp, score, logits } = ws;
+        [h, q, k, v, tmp, score, logits].map(Vec::capacity)
+    }
+
+    /// Every pass grows the workspace to its own high-water mark and no
+    /// further: a second same-shaped pass — and any pass on a workspace
+    /// pre-sized by `for_config` — leaves each buffer's capacity as it was.
+    #[test]
+    fn same_shaped_passes_never_regrow_the_workspace() {
+        let vocab = 30;
+        let model = Vsan::init(vocab, &VsanConfig::smoke());
+        let n = model.config().base.max_seq_len;
+        let long: Vec<u32> = (0..n as u32 + 3).map(|i| i % (vocab as u32 - 1) + 1).collect();
+        let batch: [&[u32]; 2] = [&long, &long[..2]];
+        let pad = model.pad_session_state().unwrap();
+        let mut state = SessionState::new();
+        let mut passes = |ws: &mut Workspace| {
+            model.try_last_hidden_batch_with(&batch, ws).unwrap();
+            model.prepare_session_into(&long, Some(&pad), &mut state, ws).unwrap();
+            model.append_session_logits(&state, 1, ws).unwrap();
+        };
+
+        let mut grown = Workspace::new();
+        passes(&mut grown);
+        let after_first = capacities(&grown);
+        passes(&mut grown);
+        assert_eq!(capacities(&grown), after_first);
+
+        let mut presized = model.workspace(batch.len());
+        let at_startup = capacities(&presized);
+        passes(&mut presized);
+        assert_eq!(capacities(&presized), at_startup);
+    }
 }

@@ -13,6 +13,12 @@
 //!    left-padded, absolutely-positioned windows);
 //! 4. commit the snapshot and report any evictions to the caller.
 //!
+//! All four steps run synchronously on the calling worker, under the
+//! session's entry lock: step 2's logits are returned only after step 3
+//! has finished, so a warm event's latency is append *plus* prepare, and
+//! the prepare is nearly all of it (DESIGN.md §11 has the measured
+//! split).
+//!
 //! With `VSAN_DISABLE_FAST_PATH=1` the incremental path is bypassed
 //! entirely: every event is a full recompute through whatever path
 //! `Vsan::try_score_items_batch` routes to. The differential suites run

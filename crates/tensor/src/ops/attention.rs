@@ -1,11 +1,11 @@
-//! Fused single-pass causal attention (the inference pass's core
-//! kernel, DESIGN.md §10).
+//! Fused causal attention (the inference pass's core kernel, DESIGN.md
+//! §10), plus the training tier's fused forward/backward pair.
 //!
 //! The graph path computes attention as four tape ops — `Q·Kᵀ`, scale,
 //! causal-masked softmax, `·V` — materializing two `(n, n)` tensors per
 //! sample per block. [`causal_attention_rows_into`] produces the same
-//! output one query row at a time: the score row lives in a scratch slice
-//! and is consumed immediately, so nothing quadratic is ever allocated.
+//! output with at most one block of score rows alive in caller scratch,
+//! so nothing quadratic is ever allocated.
 //!
 //! One decision covers every inference caller: the key/value window is a
 //! read-only **prefix** of already-valid rows followed by a **tail** of
@@ -14,19 +14,76 @@
 //! (start, m − start, m − start), or keep = 0 where only K/V are cached;
 //! session append = (m, 1, 1).
 //!
-//! Bit-compatibility contract: every arithmetic step reproduces the
-//! composed ops exactly, and each query row is an independent computation
-//! (so which rows are kept never changes a kept row's bits) —
-//! - scores are single-accumulator dots over `k` in ascending order
-//!   (= [`crate::ops::matmul::matmul_a_bt_into`]'s per-element fold),
-//!   mapped through `scale * s + 0.0` (= the tape's affine/scale op);
-//! - the masked softmax is [`crate::ops::softmax::softmax_rows_masked`]'s
-//!   per-row sequence verbatim: max fold over `j ≤ i`, exp + sum in
-//!   ascending `j`, then one `1.0/sum` multiply;
-//! - the output row folds `p_j · v_j` in ascending `j` — prefix rows then
-//!   tail rows, exactly key order over the concatenated window — matching
-//!   `matmul(attn, v)` (the masked entries it skips are exact zeros,
-//!   whose products never change an accumulator bit).
+//! ## Which rows take which form
+//!
+//! Query rows are worked in register tiles of `MR` rows, the matmul
+//! kernels' tile height. The rows that fill tiles run the **tiled form**:
+//! the key window is transposed once into a `(d, window)` scratch, and
+//! per block of `BLOCK_ROWS` query rows the scores are `MR × NR` tiles of
+//! `Q·(Kᵀ)` with the vector lanes across *keys*, the softmax runs row by
+//! row over the block, and the output is `MR × NR` tiles of `P·V` with
+//! the lanes across value columns. The leading `keep % MR` rows fill no
+//! tile and run the **row form**: each score a scalar dot along one key
+//! row, which no lane can help with, but which needs no transposed keys.
+//! `keep < MR` — the session append, the trimmed last block — is all row
+//! form and never pays the `window · d` moves of the transpose; that is
+//! the whole selection, made from `keep` alone. (At `window = 200`, `d =
+//! 100` a row-form row costs about what the transpose does and a tiled
+//! row a quarter of that, so the forms cross where the first tile fills;
+//! DESIGN.md §10 has the measurements.)
+//!
+//! ## Bit-compatibility contract
+//!
+//! Every arithmetic step reproduces the composed ops exactly, in both
+//! forms, and each query row is an independent computation (so which rows
+//! are kept, and which form a row lands in, never changes its bits) —
+//! - a score is one accumulator that starts at `0.0` and adds `q[i][t] ·
+//!   k[j][t]` over `t` ascending (= [`crate::ops::matmul::matmul_a_bt`]'s
+//!   per-element fold). The row form walks `t` along key row `j`; the
+//!   tiled form walks `t` down `NR` columns of `Kᵀ` at once, so the lanes
+//!   hold `NR` *different* scores, each folded exactly as before — the
+//!   shared dimension is never split, FMA is never enabled, and the
+//!   transpose moves bits without computing any (the argument
+//!   [`crate::ops::matmul::matmul_a_bt_fast`] makes);
+//! - `softmax_scaled_row` is the tape's `scale · s + 0.0` affine and then
+//!   [`crate::ops::softmax::softmax_rows_masked`]'s per-row sequence
+//!   verbatim, over exactly the keys `j ≤ i`: max fold, exp + sum in
+//!   ascending `j`, one `1.0 / sum` multiply. The training forward below
+//!   runs the same helper;
+//! - an output element is one accumulator that starts at `0.0` and adds
+//!   `p[i][j] · v[j][c]` over `j` ascending — prefix rows then tail rows,
+//!   key order over the concatenated window — matching `matmul(attn, v)`
+//!   (the masked entries it skips are exact zeros, whose products never
+//!   change an accumulator bit). The rows of a register tile see
+//!   different key counts, so a tile folds the keys all its rows see and
+//!   then each row's few further ones: still ascending `j` in every
+//!   accumulator.
+//!
+//! `P·V` is range-limited per row rather than run over stored zeros (as
+//! the training forward does) because the row form's guarantee is that a
+//! masked key is never *read*: `0.0 · ∞` is NaN, so a non-finite value in
+//! a later K/V row must not be multiplied into an earlier query's output.
+//! The score tiles do compute a few above-diagonal lanes; those are
+//! stored and never read.
+
+use crate::ops::matmul::{MR, NR};
+
+/// Query rows whose score rows are live at once in the tiled body: eight
+/// register tiles share each `Kᵀ` / `V` column panel while it is hot in
+/// L1, and the `(BLOCK_ROWS, window)` score block itself stays there.
+const BLOCK_ROWS: usize = 32;
+
+/// Floats of scratch [`causal_attention_rows_into`] needs for `keep`
+/// queried rows over a `window`-row key window: one score row while no
+/// register tile fills, else the transposed key window plus one block of
+/// score rows.
+pub fn attention_scratch_len(window: usize, keep: usize, d: usize) -> usize {
+    if keep < MR {
+        window
+    } else {
+        (d + BLOCK_ROWS) * window
+    }
+}
 
 /// Causal attention for the last `keep` rows of a `(prefix + tail)`-row
 /// window: `out = softmax_causal(q·[k_prefix; k_tail]ᵀ·scale)·[v_prefix;
@@ -35,9 +92,9 @@
 /// All buffers are flat row-major with `d` columns; the counts are their
 /// lengths: `prefix = k_prefix.len() / d`, `tail = k_tail.len() / d`,
 /// `keep = q.len() / d ≤ tail`. Query row `r` is window row `i = prefix +
-/// tail − keep + r` and attends to keys `0..=i`. `scores` is scratch of
-/// length ≥ `prefix + tail`; `out` (`keep` rows) is overwritten, and
-/// `keep = 0` writes nothing.
+/// tail − keep + r` and attends to keys `0..=i`. `scratch` holds at least
+/// [`attention_scratch_len`] floats and comes back clobbered; `out`
+/// (`keep` rows) is overwritten, and `keep = 0` writes nothing.
 #[allow(clippy::too_many_arguments)]
 pub fn causal_attention_rows_into(
     q: &[f32],
@@ -47,21 +104,21 @@ pub fn causal_attention_rows_into(
     v_tail: &[f32],
     d: usize,
     scale: f32,
-    scores: &mut [f32],
+    scratch: &mut [f32],
     out: &mut [f32],
 ) {
     #[cfg(target_arch = "x86_64")]
     if crate::ops::matmul::avx2_available() {
         // SAFETY: AVX2 support was just verified at runtime.
         unsafe {
-            return attention_rows_avx2(q, k_prefix, k_tail, v_prefix, v_tail, d, scale, scores, out);
+            return attention_rows_avx2(q, k_prefix, k_tail, v_prefix, v_tail, d, scale, scratch, out);
         };
     }
-    attention_rows_body(q, k_prefix, k_tail, v_prefix, v_tail, d, scale, scores, out)
+    attention_rows_body(q, k_prefix, k_tail, v_prefix, v_tail, d, scale, scratch, out)
 }
 
 /// [`causal_attention_rows_into`]'s body compiled with AVX2 codegen — same
-/// source, vector lanes only across independent output columns, so the
+/// source, vector lanes only across independent output elements, so the
 /// bits match the baseline build (see `ops::matmul`'s module header).
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
@@ -74,10 +131,10 @@ unsafe fn attention_rows_avx2(
     v_tail: &[f32],
     d: usize,
     scale: f32,
-    scores: &mut [f32],
+    scratch: &mut [f32],
     out: &mut [f32],
 ) {
-    attention_rows_body(q, k_prefix, k_tail, v_prefix, v_tail, d, scale, scores, out)
+    attention_rows_body(q, k_prefix, k_tail, v_prefix, v_tail, d, scale, scratch, out)
 }
 
 #[inline(always)]
@@ -90,7 +147,7 @@ fn attention_rows_body(
     v_tail: &[f32],
     d: usize,
     scale: f32,
-    scores: &mut [f32],
+    scratch: &mut [f32],
     out: &mut [f32],
 ) {
     let window = (k_prefix.len() + k_tail.len()) / d;
@@ -98,36 +155,211 @@ fn attention_rows_body(
     debug_assert!(keep * d <= k_tail.len());
     debug_assert_eq!(k_prefix.len(), v_prefix.len());
     debug_assert_eq!(k_tail.len(), v_tail.len());
-    debug_assert!(scores.len() >= window);
+    debug_assert!(scratch.len() >= attention_scratch_len(window, keep, d));
     debug_assert_eq!(out.len(), q.len());
-    for (r, (q_row, o_row)) in q.chunks_exact(d).zip(out.chunks_exact_mut(d)).enumerate() {
+
+    // The leading `keep % MR` rows fill no register tile: each is one
+    // scalar-dot score row, straight off the untransposed keys.
+    let loose = keep % MR;
+    let (q_loose, q_tiled) = q.split_at(loose * d);
+    let (out_loose, out_tiled) = out.split_at_mut(loose * d);
+    for (r, (q_row, o_row)) in q_loose.chunks_exact(d).zip(out_loose.chunks_exact_mut(d)).enumerate() {
         // Keys 0..=i for window row i = window − keep + r; the zips below
         // stop at the score row's length.
-        let scores = &mut scores[..=window - keep + r];
+        let scores = &mut scratch[..=window - keep + r];
         for (s, k_row) in scores.iter_mut().zip(k_prefix.chunks_exact(d).chain(k_tail.chunks_exact(d))) {
             let mut acc = 0.0f32;
             for (&qv, &kv) in q_row.iter().zip(k_row) {
                 acc += qv * kv;
             }
-            *s = scale * acc + 0.0;
+            *s = acc;
         }
-        let max = scores.iter().fold(f32::NEG_INFINITY, |m, &x| m.max(x));
-        let mut sum = 0.0f32;
-        for s in scores.iter_mut() {
-            let e = (*s - max).exp();
-            *s = e;
-            sum += e;
-        }
-        let inv = 1.0 / sum;
-        for s in scores.iter_mut() {
-            *s *= inv;
-        }
+        softmax_scaled_row(scores, scale);
         o_row.fill(0.0);
         for (&p, v_row) in scores.iter().zip(v_prefix.chunks_exact(d).chain(v_tail.chunks_exact(d))) {
             for (ov, &vv) in o_row.iter_mut().zip(v_row) {
                 *ov += p * vv;
             }
         }
+    }
+    if q_tiled.is_empty() {
+        return;
+    }
+
+    // Kᵀ once for the whole window — `kt[t][j] = k[j][t]`, pure data
+    // movement — so a score tile's lanes run across keys.
+    let (kt, scores) = scratch.split_at_mut(d * window);
+    for (j, k_row) in k_prefix.chunks_exact(d).chain(k_tail.chunks_exact(d)).enumerate() {
+        for (t, &kv) in k_row.iter().enumerate() {
+            kt[t * window + j] = kv;
+        }
+    }
+    let blocks = q_tiled.chunks(BLOCK_ROWS * d).zip(out_tiled.chunks_mut(BLOCK_ROWS * d));
+    for (blk, (q_blk, o_blk)) in blocks.enumerate() {
+        // Window row of the block's first query row, and one past its last.
+        let first = window - keep + loose + blk * BLOCK_ROWS;
+        let end = first + q_blk.len() / d;
+        // Whole NR-wide key tiles while they fit the window (lanes past a
+        // row's diagonal are stored and never read), single keys after.
+        let keys = end.next_multiple_of(NR).min(window);
+        let j = score_tiles::<NR>(q_blk, kt, d, window, first, 0, keys, scores);
+        score_tiles::<1>(q_blk, kt, d, window, first, j, keys, scores);
+        for (r, row) in scores.chunks_exact_mut(window).take(end - first).enumerate() {
+            softmax_scaled_row(&mut row[..=first + r], scale);
+        }
+        let c = value_tiles::<NR>(scores, window, v_prefix, v_tail, d, first, 0, o_blk);
+        value_tiles::<1>(scores, window, v_prefix, v_tail, d, first, c, o_blk);
+    }
+}
+
+/// The masked-softmax row sequence, in place over exactly the scores a
+/// query row may see: the tape's `scale · s + 0.0` affine, then
+/// [`crate::ops::softmax::softmax_rows_masked`]'s max fold, exp + sum in
+/// ascending `j`, and one `1.0 / sum` multiply.
+#[inline(always)]
+fn softmax_scaled_row(row: &mut [f32], scale: f32) {
+    for s in row.iter_mut() {
+        *s = scale * *s + 0.0;
+    }
+    let max = row.iter().fold(f32::NEG_INFINITY, |m, &x| m.max(x));
+    let mut sum = 0.0f32;
+    for s in row.iter_mut() {
+        let e = (*s - max).exp();
+        *s = e;
+        sum += e;
+    }
+    let inv = 1.0 / sum;
+    for s in row.iter_mut() {
+        *s *= inv;
+    }
+}
+
+/// One `MR × C` register tile of `a · b`: `acc[r][c] += Σ_t a[r·lda + t] ·
+/// b[t·ldb + col + c]` over `t` in `0..len`, ascending — every element
+/// one scalar accumulator, lanes only across `c` (`ops::matmul`'s
+/// blocking rule).
+#[inline(always)]
+#[allow(clippy::too_many_arguments)]
+fn fold_tile<const C: usize>(
+    acc: &mut [[f32; C]; MR],
+    a: &[f32],
+    lda: usize,
+    b: &[f32],
+    ldb: usize,
+    col: usize,
+    len: usize,
+) {
+    for t in 0..len {
+        let b_vec = &b[t * ldb + col..][..C];
+        for (r, acc_row) in acc.iter_mut().enumerate() {
+            let ar = a[r * lda + t];
+            for (av, &bv) in acc_row.iter_mut().zip(b_vec) {
+                *av += ar * bv;
+            }
+        }
+    }
+}
+
+/// Raw scores of one block of query rows (`first` = the block's first
+/// window row) against key tiles `from, from + C, …` while they fit below
+/// `upto`; returns the first key not covered. A register tile whose rows
+/// all sit above a key tile skips it.
+#[inline(always)]
+#[allow(clippy::too_many_arguments)]
+fn score_tiles<const C: usize>(
+    q_blk: &[f32],
+    kt: &[f32],
+    d: usize,
+    window: usize,
+    first: usize,
+    from: usize,
+    upto: usize,
+    scores: &mut [f32],
+) -> usize {
+    let mut j = from;
+    while j + C <= upto {
+        for (tile, q_tile) in q_blk.chunks_exact(MR * d).enumerate() {
+            if j >= first + (tile + 1) * MR {
+                continue;
+            }
+            let mut acc = [[0.0f32; C]; MR];
+            fold_tile(&mut acc, q_tile, d, kt, window, j, d);
+            for (r, acc_row) in acc.iter().enumerate() {
+                scores[(tile * MR + r) * window + j..][..C].copy_from_slice(acc_row);
+            }
+        }
+        j += C;
+    }
+    j
+}
+
+/// `probs · [v_prefix; v_tail]` for one block of query rows, value
+/// columns `from, from + C, …` while they fit in `d`; returns the first
+/// column not covered. Each register tile folds the keys all its rows
+/// see — prefix rows, then tail rows — and then the `r` keys only row `r`
+/// and later see, so every output is one ascending-`j` accumulator and no
+/// masked key is ever read.
+#[inline(always)]
+#[allow(clippy::too_many_arguments)]
+fn value_tiles<const C: usize>(
+    probs: &[f32],
+    window: usize,
+    v_prefix: &[f32],
+    v_tail: &[f32],
+    d: usize,
+    first: usize,
+    from: usize,
+    o_blk: &mut [f32],
+) -> usize {
+    let prefix = v_prefix.len() / d;
+    let mut c = from;
+    while c + C <= d {
+        for (tile, o_tile) in o_blk.chunks_exact_mut(MR * d).enumerate() {
+            let p = &probs[tile * MR * window..];
+            let shared = first + tile * MR + 1;
+            let mut acc = [[0.0f32; C]; MR];
+            fold_tile(&mut acc, p, window, v_prefix, d, c, prefix);
+            fold_tile(&mut acc, &p[prefix..], window, v_tail, d, c, shared - prefix);
+            for (r, acc_row) in acc.iter_mut().enumerate() {
+                for j in shared..shared + r {
+                    let pj = p[r * window + j];
+                    let v_vec = &v_tail[(j - prefix) * d + c..][..C];
+                    for (av, &vv) in acc_row.iter_mut().zip(v_vec) {
+                        *av += pj * vv;
+                    }
+                }
+                o_tile[r * d + c..][..C].copy_from_slice(acc_row);
+            }
+        }
+        c += C;
+    }
+    c
+}
+
+/// [`causal_attention_rows_into`] under the contract of the three
+/// shape-named entry points below, which predates the tiled body:
+/// `scores` need only hold one score row (`window` floats). A pass that
+/// fills a register tile needs [`attention_scratch_len`]; when `scores`
+/// is shorter than that, the scratch is allocated here, per call —
+/// callers on a hot path size it up front and call the general form.
+#[allow(clippy::too_many_arguments)]
+fn rows_into_with_score_row(
+    q: &[f32],
+    k_prefix: &[f32],
+    k_tail: &[f32],
+    v_prefix: &[f32],
+    v_tail: &[f32],
+    d: usize,
+    scale: f32,
+    scores: &mut [f32],
+    out: &mut [f32],
+) {
+    let need = attention_scratch_len((k_prefix.len() + k_tail.len()) / d, q.len() / d, d);
+    if scores.len() >= need {
+        causal_attention_rows_into(q, k_prefix, k_tail, v_prefix, v_tail, d, scale, scores, out)
+    } else {
+        let mut scratch = vec![0.0f32; need];
+        causal_attention_rows_into(q, k_prefix, k_tail, v_prefix, v_tail, d, scale, &mut scratch, out)
     }
 }
 
@@ -145,7 +377,7 @@ pub fn causal_attention_into(
     out: &mut [f32],
 ) {
     debug_assert_eq!(q.len(), n * d);
-    causal_attention_rows_into(q, &[], k, &[], v, d, scale, scores, out)
+    rows_into_with_score_row(q, &[], k, &[], v, d, scale, scores, out)
 }
 
 /// One new row over `m` cached rows, (prefix, tail, keep) = (m, 1, 1) —
@@ -164,7 +396,7 @@ pub fn causal_attention_append_into(
     out_row: &mut [f32],
 ) {
     debug_assert_eq!((k_prefix.len(), k_last.len()), (m * d, d));
-    causal_attention_rows_into(q_row, k_prefix, k_last, v_prefix, v_last, d, scale, scores, out_row)
+    rows_into_with_score_row(q_row, k_prefix, k_last, v_prefix, v_last, d, scale, scores, out_row)
 }
 
 /// Rows `start..m` of an `(m, d)` window, (prefix, tail, keep) = (0, m,
@@ -183,7 +415,7 @@ pub fn causal_attention_resume_into(
     out: &mut [f32],
 ) {
     debug_assert_eq!((q.len(), k.len()), ((m - start) * d, m * d));
-    causal_attention_rows_into(q, &[], k, &[], v, d, scale, scores, out)
+    rows_into_with_score_row(q, &[], k, &[], v, d, scale, scores, out)
 }
 
 /// Fused causal-attention *training* forward: `out =
@@ -192,12 +424,12 @@ pub fn causal_attention_resume_into(
 ///
 /// This is the fast training tier's replacement for the tape's four-op
 /// composition (`matmul_a_bt` → affine → `softmax_causal` → `matmul`).
-/// Unlike [`causal_attention_rows_into`], which streams one score row through
-/// scratch, training must keep the probabilities — they are the saved
-/// activation [`causal_attention_train_backward`] consumes — so `probs`
-/// is a persistent `(n, n)` buffer (row `i`: columns `..=i` hold the
-/// softmax row, columns `i+1..` are written to exact `0.0`, the same
-/// layout `softmax_rows_masked` produces).
+/// Unlike [`causal_attention_rows_into`], which streams score rows through
+/// scratch a block at a time, training must keep the probabilities — they
+/// are the saved activation [`causal_attention_train_backward`] consumes —
+/// so `probs` is a persistent `(n, n)` buffer (row `i`: columns `..=i`
+/// hold the softmax row, columns `i+1..` are written to exact `0.0`, the
+/// same layout `softmax_rows_masked` produces).
 ///
 /// Bit-compatibility with the composed ops: the score matrix is the
 /// tiled [`crate::ops::matmul::matmul_into`] over a transposed key
@@ -278,20 +510,7 @@ fn causal_attention_train_forward_body(
     matmul_into_body(q, &kt, probs, n, d, n);
     for i in 0..n {
         let row = &mut probs[i * n..(i + 1) * n];
-        for s in row[..=i].iter_mut() {
-            *s = scale * *s + 0.0;
-        }
-        let max = row[..=i].iter().fold(f32::NEG_INFINITY, |m, &x| m.max(x));
-        let mut sum = 0.0f32;
-        for s in row[..=i].iter_mut() {
-            let e = (*s - max).exp();
-            *s = e;
-            sum += e;
-        }
-        let inv = 1.0 / sum;
-        for s in row[..=i].iter_mut() {
-            *s *= inv;
-        }
+        softmax_scaled_row(&mut row[..=i], scale);
         // Future positions carry exactly zero weight, matching the
         // softmax_rows_masked layout the backward pass relies on.
         row[i + 1..].fill(0.0);
@@ -451,13 +670,20 @@ mod tests {
         matmul(&attn, v).unwrap()
     }
 
-    /// The unified row kernel against the composed-ops reference over the
+    /// The row kernel against the composed-ops reference over the
     /// concatenated K/V, bit for bit, across the (prefix, tail, keep, d)
-    /// shapes every caller uses — and the three delegating names wherever
-    /// their shape applies.
+    /// shapes every caller uses and every edge of the tiled body — through
+    /// both codegen twins (the baseline body is inlined into this test,
+    /// the dispatcher reaches the AVX2 twin where the host has one), and
+    /// through the three delegating names wherever their shape applies.
     #[test]
     fn row_kernel_matches_composed_ops_over_the_shape_matrix() {
         const SENTINEL: f32 = -7.5;
+        // scripts/verify.sh exports this on AVX2 hosts: the dispatcher
+        // side of the comparison must not quietly be the baseline body.
+        if std::env::var("VSAN_REQUIRE_AVX2").is_ok_and(|v| v == "1") {
+            assert!(crate::kernel::avx2_supported(), "VSAN_REQUIRE_AVX2=1 but AVX2 dispatch is unavailable");
+        }
         let mut rng = StdRng::seed_from_u64(42);
         for (prefix, tail, keep, d) in [
             (0, 1, 1, 4),    // the n = 1 window
@@ -473,6 +699,25 @@ mod tests {
             (0, 1, 1, 17),   // append onto an empty prefix
             (6, 1, 1, 10),   // session append
             (47, 1, 1, 96),  // session append, beauty-sized
+            // The tiled body's edges: keep around one register tile and
+            // around one row block, windows off the 16-key tile, prefixes
+            // off the 4-row tile, d below / off / on the 16-column tile.
+            (0, 40, MR - 1, 17),
+            (0, 40, MR, 17),
+            (0, 40, BLOCK_ROWS - 1, 64),
+            (0, 40, BLOCK_ROWS, 64),
+            (0, 40, BLOCK_ROWS + 1, 1),
+            (1, 39, BLOCK_ROWS + 1, 17), // prefix = 1
+            (7, 30, 30, 64),             // window 37, prefix off the row tile
+            (50, 9, 8, 100),             // prefix > tail
+            (13, 67, 66, 17),            // two loose rows, then two blocks
+            (0, 70, 70, 1),              // d = 1 across three blocks
+            // n = 200, d = 100: the session_append workload's passes.
+            (0, 200, 200, 100), // full window
+            (0, 200, 1, 100),   // terminal-block trimming
+            (0, 199, 199, 100), // prepare without a donor
+            (100, 99, 99, 100), // prepare behind donor rows
+            (199, 1, 1, 100),   // append
         ] {
             let window = prefix + tail;
             let skip = window - keep;
@@ -493,18 +738,24 @@ mod tests {
                 }
             };
 
-            let mut scores = vec![SENTINEL; window];
+            let mut scratch = vec![SENTINEL; attention_scratch_len(window, keep, d)];
             let mut out = vec![f32::NAN; keep * d];
+            attention_rows_body(q_kept, k_prefix, k_tail, v_prefix, v_tail, d, scale, &mut scratch, &mut out);
+            assert_bits("baseline body", &out);
+            scratch.fill(SENTINEL);
+            out.fill(f32::NAN);
             causal_attention_rows_into(
-                q_kept, k_prefix, k_tail, v_prefix, v_tail, d, scale, &mut scores, &mut out,
+                q_kept, k_prefix, k_tail, v_prefix, v_tail, d, scale, &mut scratch, &mut out,
             );
-            assert_bits("rows", &out);
+            assert_bits("dispatcher", &out);
             if keep == 0 {
-                assert!(scores.iter().all(|&s| s == SENTINEL), "{tag} keep = 0 touched the scratch");
+                assert!(scratch.iter().all(|&s| s == SENTINEL), "{tag} keep = 0 touched the scratch");
             }
 
-            // The contiguous-window name covers every shape: where the
-            // prefix/tail boundary falls never changes a bit.
+            // The shape-named entry points promise only one score row of
+            // scratch. The contiguous-window one covers every shape:
+            // where the prefix/tail boundary falls never changes a bit.
+            let mut scores = vec![SENTINEL; window];
             out.fill(f32::NAN);
             causal_attention_resume_into(
                 q_kept, k.data(), v.data(), window, d, skip, scale, &mut scores, &mut out,
@@ -521,6 +772,49 @@ mod tests {
                     q_kept, k_prefix, k_tail, v_prefix, v_tail, prefix, d, scale, &mut scores, &mut out,
                 );
                 assert_bits("append", &out);
+            }
+        }
+    }
+
+    /// Causality holds for non-finite values too: a NaN key row and an
+    /// infinite value row planted at window row `j` reach every query row
+    /// `i ≥ j` and no query row `i < j` — on the row shape (no register
+    /// tile fills) and on the tiled shape, where the poisoned key's scores
+    /// are computed for earlier rows of its tile but never read.
+    #[test]
+    fn non_finite_future_rows_never_reach_earlier_queries() {
+        let mut rng = StdRng::seed_from_u64(97);
+        for (prefix, tail, keep, d) in [(2, 3, MR - 1, 5), (5, 75, 70, 17)] {
+            let window = prefix + tail;
+            let skip = window - keep;
+            let q = init::randn(&mut rng, &[keep, d], 0.0, 1.0);
+            let k = init::randn(&mut rng, &[window, d], 0.0, 1.0);
+            let v = init::randn(&mut rng, &[window, d], 0.0, 1.0);
+            let scale = 1.0 / (d as f32).sqrt();
+            let run = |k: &[f32], v: &[f32]| {
+                let mut scratch = vec![0.0f32; attention_scratch_len(window, keep, d)];
+                let mut out = vec![0.0f32; keep * d];
+                let (k_prefix, k_tail) = k.split_at(prefix * d);
+                let (v_prefix, v_tail) = v.split_at(prefix * d);
+                causal_attention_rows_into(
+                    q.data(), k_prefix, k_tail, v_prefix, v_tail, d, scale, &mut scratch, &mut out,
+                );
+                out
+            };
+            let clean = run(k.data(), v.data());
+            assert!(clean.iter().all(|x| x.is_finite()));
+            // Every queried row but the first: each offset within a
+            // register tile, both sides of a block edge, the last row.
+            for j in skip + 1..window {
+                let (mut k, mut v) = (k.data().to_vec(), v.data().to_vec());
+                k[j * d..(j + 1) * d].fill(f32::NAN);
+                v[j * d..(j + 1) * d].fill(f32::INFINITY);
+                let got = run(&k, &v);
+                let (before, after) = got.split_at((j - skip) * d);
+                for (idx, (w, g)) in clean.iter().zip(before).enumerate() {
+                    assert_eq!(w.to_bits(), g.to_bits(), "keep={keep}, poisoned row {j}: element {idx} changed");
+                }
+                assert!(after.iter().all(|x| !x.is_finite()), "keep={keep}: row {j} and later see the poison");
             }
         }
     }

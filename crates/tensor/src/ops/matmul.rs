@@ -85,10 +85,10 @@ pub fn matmul_fast(a: &Tensor, b: &Tensor) -> Result<Tensor> {
 
 /// Rows of `A` per register tile: four output rows share each streamed
 /// `B` vector, quartering `B` bandwidth.
-const MR: usize = 4;
+pub(crate) const MR: usize = 4;
 /// Columns per register tile: two 8-lane AVX2 vectors' worth of output
 /// elements kept in accumulator registers across the whole `k` fold.
-const NR: usize = 16;
+pub(crate) const NR: usize = 16;
 
 /// Raw kernel: `c += a · b` over flat row-major buffers — the inference
 /// fast path's dense workhorse (projections, FFN, prediction head).

@@ -15,8 +15,9 @@ pub mod reduce;
 pub mod softmax;
 
 pub use attention::{
-    causal_attention_append_into, causal_attention_into, causal_attention_resume_into,
-    causal_attention_rows_into, causal_attention_train_backward, causal_attention_train_forward,
+    attention_scratch_len, causal_attention_append_into, causal_attention_into,
+    causal_attention_resume_into, causal_attention_rows_into, causal_attention_train_backward,
+    causal_attention_train_forward,
 };
 pub use elementwise::{
     add, add_into, add_into_fast, add_row_broadcast_into, add_row_broadcast_into_fast,

@@ -81,6 +81,28 @@ cargo test -q --offline --test golden_logits
 VSAN_DISABLE_FAST_PATH=1 cargo test -q --offline -p vsan-core --test fast_path
 VSAN_DISABLE_FAST_PATH=1 cargo test -q --offline --test golden_logits
 
+# The attention kernel under that path, held to the composed ops over the
+# (prefix, tail, keep, d) matrix through both codegen twins (with
+# VSAN_REQUIRE_AVX2=1 the dispatcher side must be the AVX2 twin). Named
+# here so a rename, a filter that matches nothing, or an `ignored`
+# attribute fails the gate instead of thinning it. The kernel never reads
+# the pin; running under both settings shows that.
+echo "==> attention kernel matrix (VSAN_DISABLE_FAST_PATH unset + =1)"
+for pin in "" 1; do
+  out="$(VSAN_DISABLE_FAST_PATH=${pin} cargo test -q --offline -p vsan-tensor --lib -- --exact \
+    ops::attention::tests::row_kernel_matches_composed_ops_over_the_shape_matrix \
+    ops::attention::tests::non_finite_future_rows_never_reach_earlier_queries 2>&1)" || {
+    echo "${out}"
+    echo "attention kernel matrix failed (VSAN_DISABLE_FAST_PATH='${pin}')" >&2
+    exit 1
+  }
+  if ! echo "${out}" | grep -q "^test result: ok. 2 passed; 0 failed; 0 ignored"; then
+    echo "${out}"
+    echo "the attention kernel matrix did not run whole (expected 2 passed, 0 ignored)" >&2
+    exit 1
+  fi
+done
+
 # Training kernel-tier + buffer-policy differential gate (DESIGN.md
 # §10 + §14, PRs 9/10): the fused/tiled fast training tier must stay
 # bit-identical to the scalar reference tape, and arena-reuse training
