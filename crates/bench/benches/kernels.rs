@@ -2,8 +2,9 @@
 //! and §10: parallel vs serial matmul, fused vs composed softmax
 //! cross-entropy, fused causal-mask softmax vs additive-mask softmax,
 //! tape overhead vs raw kernels, the fast path's fused attention vs the
-//! tape's composed ops, and the zero-skip branch cost on dense vs
-//! embedding-sparse operands.
+//! tape's composed ops, the zero-skip branch cost on dense vs
+//! embedding-sparse operands, and the tiled matmul nest at the shapes
+//! with a column remainder, a single row or an `N`-wide head.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::rngs::StdRng;
@@ -231,6 +232,44 @@ fn bench_zero_skip(c: &mut Criterion) {
     group.finish();
 }
 
+fn bench_tiled_matmul(c: &mut Criterion) {
+    // The register-tiled nest (DESIGN.md §10) where its edges are: d = 100
+    // linears (a 4-column remainder) at a full batch, a session prepare and
+    // a single appended row; d = 96 with no remainder; the N-wide heads at
+    // b = 32, b = 1 and the train_eval vocabulary (n = 542, a 14-column
+    // remainder); and the dW = Xᵀ·dY shape of the same layers. A local
+    // before/after: build this bench on both commits and compare.
+    let mut group = c.benchmark_group("tiled_matmul");
+    let mut rng = StdRng::seed_from_u64(8);
+    type Kernel = fn(&[f32], &[f32], &mut [f32], usize, usize, usize);
+    let shapes: [(&str, Kernel, usize, usize, usize); 9] = [
+        ("into", ops::matmul::matmul_into, 1600, 100, 100),
+        ("into", ops::matmul::matmul_into, 199, 100, 100),
+        ("into", ops::matmul::matmul_into, 1, 100, 100),
+        ("into", ops::matmul::matmul_into, 1600, 96, 96),
+        ("into", ops::matmul::matmul_into, 32, 100, 12_001),
+        ("into", ops::matmul::matmul_into, 1, 100, 3_401),
+        ("into", ops::matmul::matmul_into, 400, 100, 542),
+        ("at_b", ops::matmul::matmul_at_b_into, 100, 1600, 100),
+        ("at_b", ops::matmul::matmul_at_b_into, 100, 400, 542),
+    ];
+    for (name, kernel, m, k, n) in shapes {
+        // Both kernels read `m·k` left-operand floats; only the layout
+        // differs, which random data does not care about.
+        let a = init::randn(&mut rng, &[m * k], 0.0, 0.5);
+        let b = init::randn(&mut rng, &[k, n], 0.0, 0.5);
+        let mut out = vec![0.0f32; m * n];
+        group.bench_with_input(BenchmarkId::new(name, format!("{m}x{k}x{n}")), &(), |bench, ()| {
+            bench.iter(|| {
+                out.fill(0.0);
+                kernel(a.data(), b.data(), &mut out, m, k, n);
+                out[m * n - 1]
+            });
+        });
+    }
+    group.finish();
+}
+
 fn bench_elementwise_tier(c: &mut Criterion) {
     // Scalar reference vs runtime-dispatched AVX2 for the vectorized
     // elementwise/softmax tier (DESIGN.md §14): the `_fast` entry points
@@ -283,6 +322,6 @@ fn bench_elementwise_tier(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(20).measurement_time(std::time::Duration::from_secs(3)).warm_up_time(std::time::Duration::from_millis(500));
-    targets = bench_matmul_parallel, bench_fused_ce, bench_causal_mask, bench_tape_overhead, bench_fused_attention, bench_zero_skip, bench_elementwise_tier
+    targets = bench_matmul_parallel, bench_fused_ce, bench_causal_mask, bench_tape_overhead, bench_fused_attention, bench_zero_skip, bench_tiled_matmul, bench_elementwise_tier
 }
 criterion_main!(benches);

@@ -8,10 +8,12 @@
 //!
 //! * initial centroids are chosen by a [`splitmix64`] stream seeded from
 //!   the config, not by any ambient RNG;
-//! * assignment scores run through [`matmul_a_bt_into`], whose per-element
-//!   fold is a single ascending-`k` scalar fold (the PR 5 blocking rule:
-//!   tiling covers output dims only, never splits `k`), so every
-//!   row-to-centroid distance is one fixed-order f32 fold;
+//! * assignment scores run through [`matmul_into`] over a transposed copy
+//!   of the centroids, whose per-element fold is a single ascending-`k`
+//!   scalar fold (the blocking rule of `ops::matmul`: tiling covers output
+//!   dims only, never splits `k`; the transpose moves bits without
+//!   computing any), so every row-to-centroid distance is one fixed-order
+//!   f32 fold;
 //! * centroid updates accumulate member rows in ascending row order and
 //!   ties in the argmin break toward the lower centroid id.
 //!
@@ -21,7 +23,7 @@
 //! is the blocked score matmul, which already carries the AVX2 codegen
 //! twin.
 
-use crate::ops::matmul::matmul_a_bt_into;
+use crate::ops::matmul::{matmul_into, transpose_into};
 
 /// The splitmix64 mixer — the same generator the data-parallel trainer
 /// derives its per-shard streams from. Advances `state` and returns the
@@ -173,6 +175,11 @@ fn assign_sampled(
         }
         *h = 0.5 * acc;
     }
+    // Centroids transposed once per pass, so a block's scores are the
+    // tiled `block · centroidsᵀ` with the lanes across centroids — the
+    // same products in the same ascending order as per-pair dots.
+    let mut centroids_t = vec![0.0f32; dim * k];
+    transpose_into(centroids, &mut centroids_t, k, dim);
     let mut block = vec![0.0f32; ASSIGN_BLOCK * dim];
     let mut scores = vec![0.0f32; ASSIGN_BLOCK * k];
     for (chunk_i, chunk) in rows.chunks(ASSIGN_BLOCK).enumerate() {
@@ -181,7 +188,8 @@ fn assign_sampled(
             block[local * dim..(local + 1) * dim]
                 .copy_from_slice(&data[row * dim..(row + 1) * dim]);
         }
-        matmul_a_bt_into(&block[..m * dim], centroids, &mut scores[..m * k], m, dim, k);
+        scores[..m * k].fill(0.0);
+        matmul_into(&block[..m * dim], &centroids_t, &mut scores[..m * k], m, dim, k);
         for local in 0..m {
             let row_scores = &scores[local * k..(local + 1) * k];
             let mut best = 0usize;
@@ -231,6 +239,37 @@ mod tests {
         assert_eq!(a.centroids.len(), b.centroids.len());
         for (x, y) in a.centroids.iter().zip(&b.centroids) {
             assert_eq!(x.to_bits(), y.to_bits());
+        }
+    }
+
+    /// The tiled score product changes no assignment: the final pass,
+    /// redone with the reference per-pair dots over the built centroids,
+    /// lands every row in the same cluster.
+    #[test]
+    fn assignments_match_reference_dot_scores() {
+        use crate::ops::matmul::matmul_a_bt_ref_into;
+        // 21 centroids and 9 columns: off the 16-column tile and off the
+        // 256-row block on both sides.
+        let (n, dim) = (700, 9);
+        let data = rows(n, dim, 17);
+        let cfg = KmeansConfig { num_clusters: 21, iters: 3, train_sample: 200, seed: 5 };
+        let got = cluster_rows(&data, n, dim, &cfg);
+        let k = got.num_clusters;
+        let mut scores = vec![0.0f32; n * k];
+        matmul_a_bt_ref_into(&data, &got.centroids, &mut scores, n, dim, k);
+        let half_norm: Vec<f32> = got
+            .centroids
+            .chunks(dim)
+            .map(|c| 0.5 * c.iter().fold(0.0f32, |acc, &v| acc + v * v))
+            .collect();
+        for (row, &assigned) in got.assignments.iter().enumerate() {
+            let mut best = (0usize, f32::INFINITY);
+            for (c, (&h, &s)) in half_norm.iter().zip(&scores[row * k..(row + 1) * k]).enumerate() {
+                if h - s < best.1 {
+                    best = (c, h - s);
+                }
+            }
+            assert_eq!(assigned as usize, best.0, "row {row}");
         }
     }
 

@@ -66,7 +66,7 @@
 //! The score tiles do compute a few above-diagonal lanes; those are
 //! stored and never read.
 
-use crate::ops::matmul::{MR, NR};
+use crate::ops::matmul::{fold_tile, row_walk, MR, NR};
 
 /// Query rows whose score rows are live at once in the tiled body: eight
 /// register tiles share each `Kᵀ` / `V` column panel while it is hot in
@@ -234,32 +234,6 @@ fn softmax_scaled_row(row: &mut [f32], scale: f32) {
     }
 }
 
-/// One `MR × C` register tile of `a · b`: `acc[r][c] += Σ_t a[r·lda + t] ·
-/// b[t·ldb + col + c]` over `t` in `0..len`, ascending — every element
-/// one scalar accumulator, lanes only across `c` (`ops::matmul`'s
-/// blocking rule).
-#[inline(always)]
-#[allow(clippy::too_many_arguments)]
-fn fold_tile<const C: usize>(
-    acc: &mut [[f32; C]; MR],
-    a: &[f32],
-    lda: usize,
-    b: &[f32],
-    ldb: usize,
-    col: usize,
-    len: usize,
-) {
-    for t in 0..len {
-        let b_vec = &b[t * ldb + col..][..C];
-        for (r, acc_row) in acc.iter_mut().enumerate() {
-            let ar = a[r * lda + t];
-            for (av, &bv) in acc_row.iter_mut().zip(b_vec) {
-                *av += ar * bv;
-            }
-        }
-    }
-}
-
 /// Raw scores of one block of query rows (`first` = the block's first
 /// window row) against key tiles `from, from + C, …` while they fit below
 /// `upto`; returns the first key not covered. A register tile whose rows
@@ -283,7 +257,7 @@ fn score_tiles<const C: usize>(
                 continue;
             }
             let mut acc = [[0.0f32; C]; MR];
-            fold_tile(&mut acc, q_tile, d, kt, window, j, d);
+            fold_tile(&mut acc, row_walk(q_tile, d, 0, 0..d), kt, window, j);
             for (r, acc_row) in acc.iter().enumerate() {
                 scores[(tile * MR + r) * window + j..][..C].copy_from_slice(acc_row);
             }
@@ -318,8 +292,8 @@ fn value_tiles<const C: usize>(
             let p = &probs[tile * MR * window..];
             let shared = first + tile * MR + 1;
             let mut acc = [[0.0f32; C]; MR];
-            fold_tile(&mut acc, p, window, v_prefix, d, c, prefix);
-            fold_tile(&mut acc, &p[prefix..], window, v_tail, d, c, shared - prefix);
+            fold_tile(&mut acc, row_walk(p, window, 0, 0..prefix), v_prefix, d, c);
+            fold_tile(&mut acc, row_walk(p, window, 0, prefix..shared), v_tail, d, c);
             for (r, acc_row) in acc.iter_mut().enumerate() {
                 for j in shared..shared + r {
                     let pj = p[r * window + j];

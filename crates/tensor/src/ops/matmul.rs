@@ -12,17 +12,34 @@
 //!   the register-tiled, runtime-SIMD-dispatched kernels the inference
 //!   fast path runs. Bit-identical to the reference fold by
 //!   construction (rules below) and by test
-//!   (`blocked_kernel_is_bit_identical_to_naive_fold`, plus the
-//!   end-to-end differential suite in `vsan-core`).
+//!   (`tiled_nest_is_bit_identical_to_naive_fold_over_the_edge_matrix`,
+//!   plus the end-to-end differential suite in `vsan-core`).
 //!
 //! ## The blocking rule (DESIGN.md §10)
 //!
-//! The register-tiled kernels tile over the output dimensions `i`/`j`
-//! only, **never** over the shared dimension `k`: every output element is
-//! still one scalar accumulator folded over `k` in ascending order, so the
-//! blocked kernels are bit-identical to the naive triple loop. Splitting
-//! `k` would reassociate the sum and break the bitwise-determinism
-//! invariant the serve cache and golden fixtures rest on.
+//! The tiled kernels tile over the output dimensions `i`/`j` only,
+//! **never** over the shared dimension `k`: every output element is one
+//! scalar accumulator folded over `k` in ascending order, so they are
+//! bit-identical to the naive triple loop. Splitting `k` would
+//! reassociate the sum and break the bitwise-determinism invariant the
+//! serve cache and golden fixtures rest on.
+//!
+//! One micro-kernel ([`fold_tile`], an `R × C` block of accumulators kept
+//! in registers for a whole `k` fold) sits in one loop nest, shared by
+//! `A·B` and `Aᵀ·B` — they differ only in where `a[i][t]` is stored:
+//!
+//! - rows go in chunks of `ROW_CHUNK`: a chunk's rows of `a` (25 KB at
+//!   `k = 100`) are re-read once per column strip, so they must stay in
+//!   L1/L2 across all strips, which a tall `a` as a whole would not;
+//! - inside a chunk the column strips are outermost: a strip's `k × C`
+//!   panel of `b` (6.4 KB) is fetched once and reused, hot in L1, by all
+//!   16 row tiles of the chunk — row tiles outermost would re-stream all
+//!   of `b` (the `N`-wide head's `W_g`: megabytes) once per 4 rows;
+//! - the `n % NR` remainder is a cascade of narrower strips (8, 4, 2, 1
+//!   columns), each run like a full one: all `MR` rows of a tile at once,
+//!   lanes across the strip's columns. A lane is still a *different
+//!   output element*; a narrower strip just has fewer of them;
+//! - the `m % MR` rows that fill no tile run as `1 × C` tiles.
 //!
 //! ## SIMD and bitwise determinism
 //!
@@ -89,102 +106,161 @@ pub(crate) const MR: usize = 4;
 /// Columns per register tile: two 8-lane AVX2 vectors' worth of output
 /// elements kept in accumulator registers across the whole `k` fold.
 pub(crate) const NR: usize = 16;
+/// Rows per cache chunk of the loop nest; a multiple of `MR`, so only a
+/// product's last chunk can end in single-row tiles.
+const ROW_CHUNK: usize = 64;
 
 /// Raw kernel: `c += a · b` over flat row-major buffers — the inference
-/// fast path's dense workhorse (projections, FFN, prediction head).
+/// fast path's dense workhorse (projections, FFN, prediction head). `c`
+/// must be zeroed (or hold a partial sum to accumulate into).
 ///
-/// `c` must be zeroed (or hold a partial sum to accumulate into).
-///
-/// Register-tiled `MR × NR`: each tile's accumulators live in registers
-/// for the entire `k` fold and are stored exactly once, instead of
-/// round-tripping `c` through memory on every `k` step. Tiles cover
-/// output dimensions only (module header: `k` is never split), so each
-/// `c[i][j]` is accumulated in the same fixed ascending-`k` order as the
-/// reference loop. Branch-free on purpose: dense activations gain
+/// Register-tiled (module header): a tile's accumulators live in
+/// registers for the whole `k` fold and are stored once; `k` is never
+/// split, so each `c[i][j]` is accumulated in the reference loop's
+/// ascending-`k` order. Branch-free on purpose: dense activations gain
 /// nothing from a zero test per `a` element — use
 /// [`matmul_into_skip_zeros`] where the left operand is genuinely
 /// sparse (embedding-side padded rows).
 pub fn matmul_into(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
+    tiled_product::<false>(a, b, c, m, k, n)
+}
+
+/// [`tiled_nest`] behind the runtime dispatch: its AVX2 twin where the CPU has one.
+fn tiled_product<const AT: bool>(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
     #[cfg(target_arch = "x86_64")]
     if avx2_available() {
         // SAFETY: AVX2 support was just verified at runtime.
-        unsafe { return matmul_into_avx2(a, b, c, m, k, n) };
+        unsafe { return tiled_nest_avx2::<AT>(a, b, c, m, k, n) };
     }
-    matmul_into_body(a, b, c, m, k, n)
+    tiled_nest::<AT>(a, b, c, m, k, n)
 }
 
-/// [`matmul_into`]'s body compiled with AVX2 codegen (module header:
-/// same source, wider lanes along `j`, identical bits).
+/// [`tiled_nest`] under AVX2 codegen (module header: same source, same bits).
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-unsafe fn matmul_into_avx2(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
-    matmul_into_body(a, b, c, m, k, n)
+unsafe fn tiled_nest_avx2<const AT: bool>(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
+    tiled_nest::<AT>(a, b, c, m, k, n)
+}
+
+/// The nest under the caller's codegen, for bodies themselves compiled twice (`ops::attention`).
+#[inline(always)]
+pub(crate) fn matmul_into_body(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
+    tiled_nest::<false>(a, b, c, m, k, n)
 }
 
 #[inline(always)]
-pub(crate) fn matmul_into_body(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
-    debug_assert_eq!(a.len(), m * k);
-    debug_assert_eq!(b.len(), k * n);
-    debug_assert_eq!(c.len(), m * n);
-    let itiles = m / MR;
-    let jtiles = n / NR;
-    for it in 0..itiles {
-        let i = it * MR;
-        for jt in 0..jtiles {
-            let j = jt * NR;
-            // Load the tile (accumulate-into semantics), fold the whole
-            // of `k` in registers, store once.
-            let mut acc = [[0.0f32; NR]; MR];
-            for (r, acc_row) in acc.iter_mut().enumerate() {
-                acc_row.copy_from_slice(&c[(i + r) * n + j..(i + r) * n + j + NR]);
-            }
-            for kk in 0..k {
-                let b_vec = &b[kk * n + j..kk * n + j + NR];
-                for (r, acc_row) in acc.iter_mut().enumerate() {
-                    let ar = a[(i + r) * k + kk];
-                    for (av, &bv) in acc_row.iter_mut().zip(b_vec) {
-                        *av += ar * bv;
-                    }
-                }
-            }
-            for (r, acc_row) in acc.iter().enumerate() {
-                c[(i + r) * n + j..(i + r) * n + j + NR].copy_from_slice(acc_row);
-            }
-        }
-        // `j` remainder for this row tile: per-element register folds.
-        for jj in jtiles * NR..n {
-            for r in 0..MR {
-                let mut acc = c[(i + r) * n + jj];
-                let a_row = &a[(i + r) * k..(i + r + 1) * k];
-                for (kk, &av) in a_row.iter().enumerate() {
-                    acc += av * b[kk * n + jj];
-                }
-                c[(i + r) * n + jj] = acc;
+pub(crate) fn matmul_at_b_into_body(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
+    tiled_nest::<true>(a, b, c, m, k, n)
+}
+
+/// Rows `i..i + R` of a row-major matrix with `lda` columns, walked along
+/// columns `ts`: their `R` values at each `t`, ascending. Slicing the rows
+/// once, up to `ts.end`, spares the walk a bounds check per element.
+#[inline(always)]
+pub(crate) fn row_walk<const R: usize>(
+    a: &[f32],
+    lda: usize,
+    i: usize,
+    ts: std::ops::Range<usize>,
+) -> impl Iterator<Item = [f32; R]> + '_ {
+    let mut rows = [a; R];
+    for (r, row) in rows.iter_mut().enumerate() {
+        *row = &a[(i + r) * lda..][..ts.end];
+    }
+    ts.map(move |t| rows.map(|row| row[t]))
+}
+
+/// The register-tile micro-kernel, the one fold every tiled product in
+/// this crate runs: for each `t` that `a` yields, ascending, `acc[r][c]
+/// += a(t)[r] · b[t · ldb + col + c]`. Every `acc[r][c]` is one scalar
+/// accumulator; the lanes run across `c` only (the blocking rule).
+#[inline(always)]
+pub(crate) fn fold_tile<const R: usize, const C: usize>(
+    acc: &mut [[f32; C]; R],
+    a: impl Iterator<Item = [f32; R]>,
+    b: &[f32],
+    ldb: usize,
+    col: usize,
+) {
+    for (a_t, b_row) in a.zip(b.chunks_exact(ldb)) {
+        let b_vec = &b_row[col..col + C];
+        for (acc_row, ar) in acc.iter_mut().zip(a_t) {
+            for (av, &bv) in acc_row.iter_mut().zip(b_vec) {
+                *av += ar * bv;
             }
         }
     }
-    // `i` remainder rows: same tiling over `j` with a single row.
-    for i in itiles * MR..m {
-        let a_row = &a[i * k..(i + 1) * k];
-        for jt in 0..jtiles {
-            let j = jt * NR;
-            let mut acc = [0.0f32; NR];
-            acc.copy_from_slice(&c[i * n + j..i * n + j + NR]);
-            for (kk, &av) in a_row.iter().enumerate() {
-                let b_vec = &b[kk * n + j..kk * n + j + NR];
-                for (accv, &bv) in acc.iter_mut().zip(b_vec) {
-                    *accv += av * bv;
-                }
-            }
-            c[i * n + j..i * n + j + NR].copy_from_slice(&acc);
+}
+
+/// One `R × C` tile of `c += a · b` at row `i`, column `j`: load the
+/// accumulators, fold the whole of `k` in registers, store once.
+#[inline(always)]
+fn tile<const AT: bool, const R: usize, const C: usize>(
+    a: &[f32],
+    lda: usize,
+    b: &[f32],
+    c: &mut [f32],
+    i: usize,
+    j: usize,
+    n: usize,
+) {
+    let mut acc = [[0.0f32; C]; R];
+    for (r, acc_row) in acc.iter_mut().enumerate() {
+        acc_row.copy_from_slice(&c[(i + r) * n + j..][..C]);
+    }
+    if AT {
+        // The tile's `R` values at `t` sit side by side in stored row `t`.
+        let a_t = |row: &[f32]| <[f32; R]>::try_from(&row[i..i + R]).expect("a slice of R values");
+        fold_tile(&mut acc, a.chunks_exact(lda).map(a_t), b, n, j);
+    } else {
+        fold_tile(&mut acc, row_walk(a, lda, i, 0..lda), b, n, j);
+    }
+    for (r, acc_row) in acc.iter().enumerate() {
+        c[(i + r) * n + j..][..C].copy_from_slice(acc_row);
+    }
+}
+
+/// Column strips `from, from + C, …` of one row chunk while they fit in
+/// `n`; returns the first column not covered.
+#[inline(always)]
+fn strips<const AT: bool, const C: usize>(
+    a: &[f32],
+    lda: usize,
+    b: &[f32],
+    c: &mut [f32],
+    rows: std::ops::Range<usize>,
+    from: usize,
+    n: usize,
+) -> usize {
+    let tiled = rows.end - rows.len() % MR;
+    let mut j = from;
+    while j + C <= n {
+        for i in (rows.start..tiled).step_by(MR) {
+            tile::<AT, MR, C>(a, lda, b, c, i, j, n);
         }
-        for jj in jtiles * NR..n {
-            let mut acc = c[i * n + jj];
-            for (kk, &av) in a_row.iter().enumerate() {
-                acc += av * b[kk * n + jj];
-            }
-            c[i * n + jj] = acc;
+        for i in tiled..rows.end {
+            tile::<AT, 1, C>(a, lda, b, c, i, j, n);
         }
+        j += C;
+    }
+    j
+}
+
+/// The loop nest of both tiled products (module header): `c += a · b`,
+/// `a` stored `(m, k)` row-major with `lda = k`, or under `AT` `(k, m)`.
+#[inline(always)]
+fn tiled_nest<const AT: bool>(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
+    // Checked in release too: `fold_tile` pairs the walk over `a` with the
+    // rows of `b` and would quietly stop at the shorter of the two.
+    assert_eq!((a.len(), b.len(), c.len()), (m * k, k * n, m * n));
+    let lda = if AT { m } else { k };
+    for i in (0..m).step_by(ROW_CHUNK) {
+        let rows = i..m.min(i + ROW_CHUNK);
+        let j = strips::<AT, NR>(a, lda, b, c, rows.clone(), 0, n);
+        let j = strips::<AT, 8>(a, lda, b, c, rows.clone(), j, n);
+        let j = strips::<AT, 4>(a, lda, b, c, rows.clone(), j, n);
+        let j = strips::<AT, 2>(a, lda, b, c, rows.clone(), j, n);
+        strips::<AT, 1>(a, lda, b, c, rows, j, n);
     }
 }
 
@@ -461,91 +537,15 @@ pub(crate) fn matmul_a_bt_into_body(a: &[f32], b: &[f32], c: &mut [f32], m: usiz
 ///
 /// This is the gradient-of-weights shape the fast training tier hits
 /// every step (`dW = Xᵀ · dY`, plus `dK`/`dV` in the fused attention
-/// backward). Register-tiled `MR × NR` exactly like [`matmul_into`] —
-/// only the `a` indexing differs (`a[kk * m + i]` instead of
-/// `a[i * k + kk]`) — so each `c[i][j]` is one scalar accumulator folded
-/// over `kk` in ascending order, the same per-element fold as the
-/// reference loop in [`matmul_at_b`]. The reference's zero-skip branch
+/// backward). It runs [`matmul_into`]'s loop nest and tile — only the `a`
+/// indexing differs (`a[kk * m + i]` instead of `a[i * k + kk]`) — so
+/// each `c[i][j]` is one scalar accumulator folded over `kk` ascending,
+/// the reference loop's fold in [`matmul_at_b`]. The reference's zero-skip branch
 /// is dropped here, which is bitwise-equivalent: skipped products are
 /// exact (±)zeros, and an accumulator that starts at `+0.0` is never
 /// changed by adding one (see [`matmul_into_skip_zeros`]).
 pub fn matmul_at_b_into(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
-    #[cfg(target_arch = "x86_64")]
-    if avx2_available() {
-        // SAFETY: AVX2 support was just verified at runtime.
-        unsafe { return matmul_at_b_into_avx2(a, b, c, m, k, n) };
-    }
-    matmul_at_b_into_body(a, b, c, m, k, n)
-}
-
-/// [`matmul_at_b_into`]'s body compiled with AVX2 codegen (module
-/// header: same source, same bits).
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn matmul_at_b_into_avx2(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
-    matmul_at_b_into_body(a, b, c, m, k, n)
-}
-
-#[inline(always)]
-pub(crate) fn matmul_at_b_into_body(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
-    debug_assert_eq!(a.len(), k * m);
-    debug_assert_eq!(b.len(), k * n);
-    debug_assert_eq!(c.len(), m * n);
-    let itiles = m / MR;
-    let jtiles = n / NR;
-    for it in 0..itiles {
-        let i = it * MR;
-        for jt in 0..jtiles {
-            let j = jt * NR;
-            let mut acc = [[0.0f32; NR]; MR];
-            for (r, acc_row) in acc.iter_mut().enumerate() {
-                acc_row.copy_from_slice(&c[(i + r) * n + j..(i + r) * n + j + NR]);
-            }
-            for kk in 0..k {
-                let b_vec = &b[kk * n + j..kk * n + j + NR];
-                for (r, acc_row) in acc.iter_mut().enumerate() {
-                    let ar = a[kk * m + i + r];
-                    for (av, &bv) in acc_row.iter_mut().zip(b_vec) {
-                        *av += ar * bv;
-                    }
-                }
-            }
-            for (r, acc_row) in acc.iter().enumerate() {
-                c[(i + r) * n + j..(i + r) * n + j + NR].copy_from_slice(acc_row);
-            }
-        }
-        for jj in jtiles * NR..n {
-            for r in 0..MR {
-                let mut acc = c[(i + r) * n + jj];
-                for kk in 0..k {
-                    acc += a[kk * m + i + r] * b[kk * n + jj];
-                }
-                c[(i + r) * n + jj] = acc;
-            }
-        }
-    }
-    for i in itiles * MR..m {
-        for jt in 0..jtiles {
-            let j = jt * NR;
-            let mut acc = [0.0f32; NR];
-            acc.copy_from_slice(&c[i * n + j..i * n + j + NR]);
-            for kk in 0..k {
-                let av = a[kk * m + i];
-                let b_vec = &b[kk * n + j..kk * n + j + NR];
-                for (accv, &bv) in acc.iter_mut().zip(b_vec) {
-                    *accv += av * bv;
-                }
-            }
-            c[i * n + j..i * n + j + NR].copy_from_slice(&acc);
-        }
-        for jj in jtiles * NR..n {
-            let mut acc = c[i * n + jj];
-            for kk in 0..k {
-                acc += a[kk * m + i] * b[kk * n + jj];
-            }
-            c[i * n + jj] = acc;
-        }
-    }
+    tiled_product::<true>(a, b, c, m, k, n)
 }
 
 /// Batched matmul for rank-3 operands `(b, m, k) × (b, k, n) → (b, m, n)`.
@@ -707,6 +707,73 @@ mod tests {
             }
         }
         c
+    }
+
+    /// Both tiled products over the whole edge matrix of the loop nest —
+    /// every `n % NR` (each cascade width and each combination, with and
+    /// without a full strip before it), single-row tiles, both sides of
+    /// the row-chunk edge, two chunks plus a remainder — against the naive
+    /// ascending-`k` fold, bit for bit, accumulating into a non-zero `c`,
+    /// with exact zeros planted in `a`. Each case runs through both
+    /// codegen twins: the baseline body is inlined into this test, the
+    /// dispatcher reaches the AVX2 twin where the host has one.
+    #[test]
+    fn tiled_nest_is_bit_identical_to_naive_fold_over_the_edge_matrix() {
+        use crate::init;
+        use rand::rngs::StdRng;
+        use rand::SeedableRng;
+        // scripts/verify.sh exports this on AVX2 hosts: the dispatcher
+        // side of the comparison must not quietly be the baseline body.
+        if std::env::var("VSAN_REQUIRE_AVX2").is_ok_and(|v| v == "1") {
+            assert!(crate::kernel::avx2_supported(), "VSAN_REQUIRE_AVX2=1 but AVX2 dispatch is unavailable");
+        }
+        let mut rng = StdRng::seed_from_u64(29);
+        let assert_bits = |tag: &str, want: &[f32], got: &[f32]| {
+            for (idx, (w, g)) in want.iter().zip(got).enumerate() {
+                assert_eq!(w.to_bits(), g.to_bits(), "{tag} element {idx}: want {w}, got {g}");
+            }
+        };
+        for m_ in [1, 3, MR, 5, ROW_CHUNK - 1, ROW_CHUNK, ROW_CHUNK + 1, 2 * ROW_CHUNK + 2] {
+            for k_ in [1, 7, 100] {
+                for n_ in 1..=2 * NR {
+                    let tag = format!("({m_},{k_},{n_})");
+                    let mut a = init::randn(&mut rng, &[m_, k_], 0.0, 1.0);
+                    for v in a.data_mut().iter_mut().step_by(3) {
+                        *v = 0.0;
+                    }
+                    let at = a.transpose2().unwrap();
+                    let b = init::randn(&mut rng, &[k_, n_], 0.0, 1.0);
+                    let c0 = init::randn(&mut rng, &[m_, n_], 0.0, 1.0);
+                    let mut want = c0.data().to_vec();
+                    for i in 0..m_ {
+                        for j in 0..n_ {
+                            for kk in 0..k_ {
+                                want[i * n_ + j] += a.data()[i * k_ + kk] * b.data()[kk * n_ + j];
+                            }
+                        }
+                    }
+                    type Kernel = fn(&[f32], &[f32], &mut [f32], usize, usize, usize);
+                    let kernels: [(&str, Kernel, &Tensor); 4] = [
+                        ("matmul_into baseline body", matmul_into_body, &a),
+                        ("matmul_into dispatcher", matmul_into, &a),
+                        ("matmul_at_b_into baseline body", matmul_at_b_into_body, &at),
+                        ("matmul_at_b_into dispatcher", matmul_at_b_into, &at),
+                    ];
+                    for (name, kernel, lhs) in kernels {
+                        let mut got = c0.data().to_vec();
+                        kernel(lhs.data(), b.data(), &mut got, m_, k_, n_);
+                        assert_bits(&format!("{tag} {name}"), &want, &got);
+                    }
+                    // The tensor twins start from zeros: the same fold
+                    // without the initial `c`.
+                    let want = naive(a.data(), b.data(), m_, k_, n_);
+                    assert_bits(&format!("{tag} matmul_fast"), &want, matmul_fast(&a, &b).unwrap().data());
+                    assert_bits(&format!("{tag} matmul_at_b_fast"), &want, matmul_at_b_fast(&at, &b).unwrap().data());
+                    let bt = b.transpose2().unwrap();
+                    assert_bits(&format!("{tag} matmul_a_bt_fast"), &want, matmul_a_bt_fast(&a, &bt).unwrap().data());
+                }
+            }
+        }
     }
 
     #[test]

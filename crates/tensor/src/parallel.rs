@@ -7,13 +7,22 @@
 //! `vsan-bench`'s `matmul_parallel` bench).
 
 use crate::kernel::KernelTier;
-use crate::ops::matmul::{matmul_into, matmul_into_skip_zeros};
+use crate::ops::matmul::{matmul_into, matmul_into_skip_zeros, MR};
 use crate::{Result, Tensor, TensorError};
 
 /// Number of worker threads to use: the machine's available parallelism,
 /// clamped to `[1, 16]`.
 pub fn default_threads() -> usize {
     std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1).min(16)
+}
+
+/// Rows per worker for an `m`-row product: an even split rounded up to
+/// whole `MR`-row register tiles, so only the last chunk can end in
+/// single-row tiles. Every front-end below chunks with this, which keeps
+/// the tiers' chunk boundaries identical; rows are never split, so no
+/// fold is.
+fn chunk_rows(m: usize, threads: usize) -> usize {
+    m.div_ceil(threads).next_multiple_of(MR)
 }
 
 /// Parallel dense `C = A · B` for rank-2 operands, splitting rows of `A`
@@ -40,7 +49,7 @@ pub fn matmul_parallel(a: &Tensor, b: &Tensor, threads: usize) -> Result<Tensor>
         return crate::ops::matmul(a, b);
     }
     let mut out = Tensor::zeros(&[m, n]);
-    let chunk_rows = m.div_ceil(threads);
+    let chunk_rows = chunk_rows(m, threads);
     let (ad, bd) = (a.data(), b.data());
     {
         let od = out.data_mut();
@@ -124,7 +133,7 @@ pub fn matmul_parallel_tiered_into(
     if threads == 1 || m * k * n < 1_000_000 {
         return matmul_into_skip_zeros(a, b, c, m, k, n);
     }
-    let chunk_rows = m.div_ceil(threads);
+    let chunk_rows = chunk_rows(m, threads);
     let mut chunks: Vec<&mut [f32]> = c.chunks_mut(chunk_rows * n).collect();
     crossbeam::thread::scope(|s| {
         for (ci, c_chunk) in chunks.iter_mut().enumerate() {
@@ -161,7 +170,7 @@ pub fn matmul_into_parallel(
     if threads == 1 || m * k * n < 1_000_000 {
         return matmul_into(a, b, c, m, k, n);
     }
-    let chunk_rows = m.div_ceil(threads);
+    let chunk_rows = chunk_rows(m, threads);
     let mut chunks: Vec<&mut [f32]> = c.chunks_mut(chunk_rows * n).collect();
     crossbeam::thread::scope(|s| {
         for (ci, c_chunk) in chunks.iter_mut().enumerate() {

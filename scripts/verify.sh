@@ -81,24 +81,29 @@ cargo test -q --offline --test golden_logits
 VSAN_DISABLE_FAST_PATH=1 cargo test -q --offline -p vsan-core --test fast_path
 VSAN_DISABLE_FAST_PATH=1 cargo test -q --offline --test golden_logits
 
-# The attention kernel under that path, held to the composed ops over the
-# (prefix, tail, keep, d) matrix through both codegen twins (with
-# VSAN_REQUIRE_AVX2=1 the dispatcher side must be the AVX2 twin). Named
-# here so a rename, a filter that matches nothing, or an `ignored`
-# attribute fails the gate instead of thinning it. The kernel never reads
-# the pin; running under both settings shows that.
-echo "==> attention kernel matrix (VSAN_DISABLE_FAST_PATH unset + =1)"
+# The kernels under that path, each through both codegen twins (with
+# VSAN_REQUIRE_AVX2=1 the dispatcher side must be the AVX2 twin): the
+# tiled matmul nest held to the naive ascending-k fold over its edge
+# matrix (every n % 16, single-row tiles, both sides of the row chunk),
+# and the attention kernel held to the composed ops over the (prefix,
+# tail, keep, d) matrix. Named here so a rename, a filter that matches
+# nothing, or an `ignored` attribute fails the gate instead of thinning
+# it. The kernels never read the pin; running under both settings shows
+# that.
+echo "==> matmul + attention kernel matrices (VSAN_DISABLE_FAST_PATH unset + =1)"
 for pin in "" 1; do
   out="$(VSAN_DISABLE_FAST_PATH=${pin} cargo test -q --offline -p vsan-tensor --lib -- --exact \
+    ops::matmul::tests::tiled_nest_is_bit_identical_to_naive_fold_over_the_edge_matrix \
+    ops::matmul::tests::blocked_kernel_is_bit_identical_to_naive_fold \
     ops::attention::tests::row_kernel_matches_composed_ops_over_the_shape_matrix \
     ops::attention::tests::non_finite_future_rows_never_reach_earlier_queries 2>&1)" || {
     echo "${out}"
-    echo "attention kernel matrix failed (VSAN_DISABLE_FAST_PATH='${pin}')" >&2
+    echo "kernel matrices failed (VSAN_DISABLE_FAST_PATH='${pin}')" >&2
     exit 1
   }
-  if ! echo "${out}" | grep -q "^test result: ok. 2 passed; 0 failed; 0 ignored"; then
+  if ! echo "${out}" | grep -q "^test result: ok. 4 passed; 0 failed; 0 ignored"; then
     echo "${out}"
-    echo "the attention kernel matrix did not run whole (expected 2 passed, 0 ignored)" >&2
+    echo "the kernel matrices did not run whole (expected 4 passed, 0 ignored)" >&2
     exit 1
   fi
 done
