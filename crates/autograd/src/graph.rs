@@ -2,14 +2,10 @@
 
 use crate::op::Op;
 use crate::{GradError, Result};
-use std::cell::RefCell;
 use std::collections::HashMap;
 use vsan_tensor::ops as tops;
 use vsan_tensor::ops::norm::LN_EPS;
-use vsan_tensor::{
-    parallel, ArenaStats, BufferPolicy, KernelTier, Shape, SharedBufferPool, Tensor, TensorArena,
-    TensorError,
-};
+use vsan_tensor::{parallel, KernelTier, Shape, Tensor, TensorError};
 
 /// A handle to a node on a [`Graph`]'s tape.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -37,24 +33,13 @@ struct Node {
 /// values and gradients (the fold-order contract in `vsan-tensor`'s
 /// `ops::matmul` header, enforced by the tier-differential test wall).
 ///
-/// Orthogonally, a graph carries a [`BufferPolicy`] governing where
-/// tensor buffers come from. The default, [`BufferPolicy::Fresh`],
-/// allocates every buffer from the global allocator — the original
-/// behavior, byte for byte. [`BufferPolicy::Arena`] (opt-in via
-/// [`Graph::with_buffer_policy`]) recycles buffers through a
-/// [`TensorArena`]: call [`Graph::reset`] between steps and forward
-/// activations, saved softmax/probability matrices, and backward
-/// gradient buffers are reused instead of reallocated. Every arena
-/// buffer is handed out zeroed (bit-identical to `vec![0.0; n]`), so
-/// the policy can never change a result bit — see DESIGN.md §14 and
-/// the arena-reuse suite in `tests/tier_differential.rs`.
+/// Every value, saved matrix and gradient buffer is a plain allocation
+/// that lives until the tape (or the backward pass that made it) is
+/// dropped (DESIGN.md §14).
 pub struct Graph {
     nodes: Vec<Node>,
     threads: usize,
     tier: KernelTier,
-    arena: RefCell<TensorArena>,
-    /// High-water mark of tape length across [`Graph::reset`] cycles.
-    peak_nodes: usize,
 }
 
 impl Default for Graph {
@@ -76,78 +61,12 @@ impl Graph {
 
     /// Empty tape with an explicit worker-thread count and kernel tier.
     pub fn with_threads_and_tier(threads: usize, tier: KernelTier) -> Self {
-        Graph {
-            nodes: Vec::with_capacity(256),
-            threads: threads.max(1),
-            tier,
-            arena: RefCell::new(TensorArena::new(BufferPolicy::Fresh)),
-            peak_nodes: 0,
-        }
-    }
-
-    /// Select the buffer policy (builder style). [`BufferPolicy::Fresh`]
-    /// is the default; [`BufferPolicy::Arena`] turns on step-scoped
-    /// buffer recycling through [`Graph::reset`].
-    pub fn with_buffer_policy(self, policy: BufferPolicy) -> Self {
-        self.arena.borrow_mut().set_policy(policy);
-        self
-    }
-
-    /// Attach a cross-graph [`SharedBufferPool`] the arena falls back to
-    /// before fresh allocation (builder style). Lets escaped buffers —
-    /// e.g. parameter gradients recycled after the optimizer step — flow
-    /// back to whichever shard graph needs one next.
-    pub fn with_shared_pool(self, pool: SharedBufferPool) -> Self {
-        self.arena.borrow_mut().set_pool(pool);
-        self
+        Graph { nodes: Vec::with_capacity(256), threads: threads.max(1), tier }
     }
 
     /// The kernel tier this tape runs on.
     pub fn kernel_tier(&self) -> KernelTier {
         self.tier
-    }
-
-    /// The buffer policy this tape allocates under.
-    pub fn buffer_policy(&self) -> BufferPolicy {
-        self.arena.borrow().policy()
-    }
-
-    /// Snapshot of the arena's allocation counters.
-    pub fn arena_stats(&self) -> ArenaStats {
-        self.arena.borrow().stats()
-    }
-
-    /// High-water mark of tape length across [`Graph::reset`] cycles
-    /// (including the current tape).
-    pub fn peak_nodes(&self) -> usize {
-        self.peak_nodes.max(self.nodes.len())
-    }
-
-    /// Clear the tape for the next step, recycling every node's buffers.
-    ///
-    /// The node `Vec` keeps its capacity, and each node's value buffer —
-    /// plus op byproducts (saved softmax/probability matrices, dropout
-    /// masks, layer-norm statistics) — is released to the arena for
-    /// reuse. Under [`BufferPolicy::Fresh`] the arena drops them, which
-    /// is exactly the old drop-the-graph behavior.
-    pub fn reset(&mut self) {
-        self.peak_nodes = self.peak_nodes.max(self.nodes.len());
-        let Graph { nodes, arena, .. } = self;
-        let arena = arena.get_mut();
-        for node in nodes.drain(..) {
-            arena.release(node.value.into_vec());
-            match node.op {
-                Op::CausalAttention { probs, .. } => arena.release(probs),
-                Op::CeOneHot { probs, .. } => arena.release(probs),
-                Op::CeMultiHot { probs, .. } => arena.release(probs),
-                Op::Dropout { mask, .. } => arena.release(mask),
-                Op::LayerNorm { stats, .. } => {
-                    arena.release(stats.mean);
-                    arena.release(stats.inv_std);
-                }
-                _ => {}
-            }
-        }
     }
 
     /// Number of nodes currently on the tape.
@@ -177,67 +96,6 @@ impl Graph {
 
     fn needs(&self, ids: &[usize]) -> bool {
         ids.iter().any(|&i| self.nodes[i].needs_grad)
-    }
-
-    // ---- arena plumbing --------------------------------------------------
-    //
-    // Every tensor the tape creates goes through these helpers, so one
-    // policy switch moves the whole graph between fresh allocation and
-    // arena recycling. All arena buffers arrive zeroed — bit-identical
-    // to `vec![0.0; n]` — so the policy can never change a result.
-
-    /// A zeroed tensor of the given shape from the arena.
-    fn alloc_zeroed(&self, dims: &[usize]) -> Tensor {
-        let len: usize = dims.iter().product();
-        let buf = self.arena.borrow_mut().take(len);
-        Tensor::from_vec(buf, dims).expect("arena buffer sized to dims")
-    }
-
-    /// An arena-backed copy of `src`.
-    fn alloc_clone(&self, src: &Tensor) -> Tensor {
-        let mut buf = self.arena.borrow_mut().take_empty(src.numel());
-        buf.extend_from_slice(src.data());
-        Tensor::from_vec(buf, src.dims()).expect("arena buffer sized to source")
-    }
-
-    /// A constant-filled tensor from the arena (same fill as `vec![v; n]`).
-    fn alloc_full(&self, dims: &[usize], v: f32) -> Tensor {
-        let len: usize = dims.iter().product();
-        let mut buf = self.arena.borrow_mut().take_empty(len);
-        buf.resize(len, v);
-        Tensor::from_vec(buf, dims).expect("arena buffer sized to dims")
-    }
-
-    /// A rank-0 scalar from the arena (same layout as [`Tensor::scalar`]).
-    fn alloc_scalar(&self, v: f32) -> Tensor {
-        let mut buf = self.arena.borrow_mut().take_empty(1);
-        buf.push(v);
-        Tensor::from_vec(buf, &[]).expect("scalar buffer")
-    }
-
-    /// Return a tensor's buffer to the arena.
-    fn release(&self, t: Tensor) {
-        self.arena.borrow_mut().release(t.into_vec());
-    }
-
-    /// An empty `Vec<f32>` with the given capacity from the arena —
-    /// for callers that build tape inputs incrementally (dropout masks).
-    pub fn take_buffer(&self, capacity: usize) -> Vec<f32> {
-        self.arena.borrow_mut().take_empty(capacity)
-    }
-
-    /// Hand a buffer back to the arena for reuse.
-    pub fn release_buffer(&self, buf: Vec<f32>) {
-        self.arena.borrow_mut().release(buf);
-    }
-
-    /// Recycle a consumed [`Gradients`] (e.g. after the optimizer step)
-    /// so parameter-gradient buffers re-enter the reuse cycle.
-    pub fn recycle_gradients(&self, grads: Gradients) {
-        let mut arena = self.arena.borrow_mut();
-        for (_, t) in grads.params {
-            arena.release(t.into_vec());
-        }
     }
 
     // ---- tier-dispatched kernels ----------------------------------------
@@ -281,7 +139,7 @@ impl Graph {
         Ok(())
     }
 
-    /// Arena-allocating `a · b` with the parallel tiered front-end.
+    /// `a · b` through the parallel tiered front-end.
     fn mm_alloc(&self, a: &Tensor, b: &Tensor) -> Result<Tensor> {
         let (m, k) = a.shape().as_2d()?;
         let (kb, n) = b.shape().as_2d()?;
@@ -292,7 +150,7 @@ impl Graph {
                 op: "matmul_parallel",
             }));
         }
-        let mut out = self.alloc_zeroed(&[m, n]);
+        let mut out = Tensor::zeros(&[m, n]);
         parallel::matmul_parallel_tiered_into(
             a.data(),
             b.data(),
@@ -306,7 +164,7 @@ impl Graph {
         Ok(out)
     }
 
-    /// Arena-allocating `a · bᵀ` for `(m, k) × (n, k)` operands.
+    /// `a · bᵀ` for `(m, k) × (n, k)` operands.
     fn mm_a_bt_alloc(&self, a: &Tensor, b: &Tensor) -> Result<Tensor> {
         let (m, k) = a.shape().as_2d()?;
         let (n, kb) = b.shape().as_2d()?;
@@ -317,13 +175,13 @@ impl Graph {
                 op: "matmul_a_bt",
             }));
         }
-        let mut out = self.alloc_zeroed(&[m, n]);
+        let mut out = Tensor::zeros(&[m, n]);
         match self.tier {
             KernelTier::Reference => {
                 tops::matmul_a_bt_ref_into(a.data(), b.data(), out.data_mut(), m, k, n);
             }
             KernelTier::Fast => {
-                let mut scratch = self.arena.borrow_mut().take(k * n);
+                let mut scratch = vec![0.0f32; k * n];
                 tops::matmul_a_bt_fast_into(
                     a.data(),
                     b.data(),
@@ -333,13 +191,12 @@ impl Graph {
                     k,
                     n,
                 );
-                self.arena.borrow_mut().release(scratch);
             }
         }
         Ok(out)
     }
 
-    /// Arena-allocating `aᵀ · b` for `(k, m) × (k, n)` operands.
+    /// `aᵀ · b` for `(k, m) × (k, n)` operands.
     fn mm_at_b_alloc(&self, a: &Tensor, b: &Tensor) -> Result<Tensor> {
         let (k, m) = a.shape().as_2d()?;
         let (kb, n) = b.shape().as_2d()?;
@@ -350,7 +207,7 @@ impl Graph {
                 op: "matmul_at_b",
             }));
         }
-        let mut out = self.alloc_zeroed(&[m, n]);
+        let mut out = Tensor::zeros(&[m, n]);
         match self.tier {
             KernelTier::Reference => {
                 tops::matmul_at_b_ref_into(a.data(), b.data(), out.data_mut(), m, k, n);
@@ -362,9 +219,9 @@ impl Graph {
         Ok(out)
     }
 
-    /// Arena-allocating `s · g` (tier-dispatched, same bits either way).
+    /// `s · g` (tier-dispatched, same bits either way).
     fn scale_alloc(&self, g: &Tensor, s: f32) -> Tensor {
-        let mut out = self.alloc_zeroed(g.dims());
+        let mut out = Tensor::zeros(g.dims());
         match self.tier {
             KernelTier::Reference => tops::scale_into(g.data(), s, out.data_mut()),
             KernelTier::Fast => tops::scale_into_fast(g.data(), s, out.data_mut()),
@@ -372,7 +229,7 @@ impl Graph {
         out
     }
 
-    /// Arena-allocating elementwise product.
+    /// Elementwise product.
     fn hadamard_alloc(&self, a: &Tensor, b: &Tensor) -> Result<Tensor> {
         if !a.shape().same_as(b.shape()) {
             return Err(GradError::Tensor(TensorError::ShapeMismatch {
@@ -381,7 +238,7 @@ impl Graph {
                 op: "hadamard",
             }));
         }
-        let mut out = self.alloc_zeroed(a.dims());
+        let mut out = Tensor::zeros(a.dims());
         (self.k2(tops::hadamard_into, tops::hadamard_into_fast))(
             a.data(),
             b.data(),
@@ -402,21 +259,12 @@ impl Graph {
         self.push(t, Op::Leaf { param_key: Some(key) }, true)
     }
 
-    /// Insert a trainable parameter by reference, copying its tensor into
-    /// an arena buffer — bit-identical to `param(t.clone(), key)`, but the
-    /// copy is recycled by [`Graph::reset`] instead of reallocated every
-    /// step. This is how training drivers bind parameters each step.
-    pub fn param_ref(&mut self, t: &Tensor, key: usize) -> Var {
-        let v = self.alloc_clone(t);
-        self.push(v, Op::Leaf { param_key: Some(key) }, true)
-    }
-
     // ---- elementwise ----------------------------------------------------
 
     /// Elementwise sum.
     pub fn add(&mut self, a: Var, b: Var) -> Result<Var> {
         self.check_same(a, b, "add")?;
-        let mut v = self.alloc_zeroed(self.value(a).dims());
+        let mut v = Tensor::zeros(self.value(a).dims());
         (self.k2(tops::add_into, tops::add_into_fast))(
             self.value(a).data(),
             self.value(b).data(),
@@ -428,7 +276,7 @@ impl Graph {
     /// Elementwise difference.
     pub fn sub(&mut self, a: Var, b: Var) -> Result<Var> {
         self.check_same(a, b, "sub")?;
-        let mut v = self.alloc_zeroed(self.value(a).dims());
+        let mut v = Tensor::zeros(self.value(a).dims());
         (self.k2(tops::sub_into, tops::sub_into_fast))(
             self.value(a).data(),
             self.value(b).data(),
@@ -440,7 +288,7 @@ impl Graph {
     /// Elementwise product.
     pub fn mul(&mut self, a: Var, b: Var) -> Result<Var> {
         self.check_same(a, b, "hadamard")?;
-        let mut v = self.alloc_zeroed(self.value(a).dims());
+        let mut v = Tensor::zeros(self.value(a).dims());
         (self.k2(tops::hadamard_into, tops::hadamard_into_fast))(
             self.value(a).data(),
             self.value(b).data(),
@@ -451,7 +299,7 @@ impl Graph {
 
     /// Elementwise affine map `scale·x + shift`.
     pub fn affine(&mut self, x: Var, scale: f32, shift: f32) -> Var {
-        let mut v = self.alloc_zeroed(self.value(x).dims());
+        let mut v = Tensor::zeros(self.value(x).dims());
         match self.tier {
             KernelTier::Reference => {
                 tops::affine_into(self.value(x).data(), scale, shift, v.data_mut());
@@ -479,7 +327,7 @@ impl Graph {
                 op: "add_row_broadcast",
             }));
         }
-        let mut v = self.alloc_zeroed(&[rows, cols]);
+        let mut v = Tensor::zeros(&[rows, cols]);
         match self.tier {
             KernelTier::Reference => tops::add_row_broadcast_into(
                 self.value(x).data(),
@@ -516,7 +364,7 @@ impl Graph {
     /// Rank-2 transpose.
     pub fn transpose(&mut self, x: Var) -> Result<Var> {
         let (r, c) = self.value(x).shape().as_2d()?;
-        let mut v = self.alloc_zeroed(&[c, r]);
+        let mut v = Tensor::zeros(&[c, r]);
         tops::transpose_into(self.value(x).data(), v.data_mut(), r, c);
         let ng = self.nodes[x.0].needs_grad;
         Ok(self.push(v, Op::Transpose(x.0), ng))
@@ -525,9 +373,7 @@ impl Graph {
     /// Shape reinterpretation.
     pub fn reshape(&mut self, x: Var, dims: &[usize]) -> Result<Var> {
         let old_dims = self.value(x).dims().to_vec();
-        let mut buf = self.take_buffer(self.value(x).numel());
-        buf.extend_from_slice(self.value(x).data());
-        let v = Tensor::from_vec(buf, dims)?;
+        let v = self.value(x).reshape(dims)?;
         let ng = self.nodes[x.0].needs_grad;
         Ok(self.push(v, Op::Reshape { x: x.0, old_dims }, ng))
     }
@@ -536,7 +382,7 @@ impl Graph {
 
     /// ReLU.
     pub fn relu(&mut self, x: Var) -> Var {
-        let mut v = self.alloc_zeroed(self.value(x).dims());
+        let mut v = Tensor::zeros(self.value(x).dims());
         (self.k1(tops::relu_into, tops::relu_into_fast))(self.value(x).data(), v.data_mut());
         let ng = self.nodes[x.0].needs_grad;
         self.push(v, Op::Relu(x.0), ng)
@@ -544,7 +390,7 @@ impl Graph {
 
     /// Sigmoid.
     pub fn sigmoid(&mut self, x: Var) -> Var {
-        let mut v = self.alloc_zeroed(self.value(x).dims());
+        let mut v = Tensor::zeros(self.value(x).dims());
         (self.k1(tops::sigmoid_into, tops::sigmoid_into_fast))(self.value(x).data(), v.data_mut());
         let ng = self.nodes[x.0].needs_grad;
         self.push(v, Op::Sigmoid(x.0), ng)
@@ -552,7 +398,7 @@ impl Graph {
 
     /// Tanh.
     pub fn tanh(&mut self, x: Var) -> Var {
-        let mut v = self.alloc_zeroed(self.value(x).dims());
+        let mut v = Tensor::zeros(self.value(x).dims());
         (self.k1(tops::tanh_into, tops::tanh_into_fast))(self.value(x).data(), v.data_mut());
         let ng = self.nodes[x.0].needs_grad;
         self.push(v, Op::Tanh(x.0), ng)
@@ -560,7 +406,7 @@ impl Graph {
 
     /// Elementwise exponential.
     pub fn exp(&mut self, x: Var) -> Var {
-        let mut v = self.alloc_zeroed(self.value(x).dims());
+        let mut v = Tensor::zeros(self.value(x).dims());
         (self.k1(tops::exp_into, tops::exp_into_fast))(self.value(x).data(), v.data_mut());
         let ng = self.nodes[x.0].needs_grad;
         self.push(v, Op::Exp(x.0), ng)
@@ -571,7 +417,7 @@ impl Graph {
     /// Row-wise softmax of a rank-2 input.
     pub fn softmax_rows(&mut self, x: Var) -> Result<Var> {
         let (r, c) = self.value(x).shape().as_2d()?;
-        let mut v = self.alloc_zeroed(&[r, c]);
+        let mut v = Tensor::zeros(&[r, c]);
         match self.tier {
             KernelTier::Reference => {
                 tops::softmax_rows_into(self.value(x).data(), v.data_mut(), r, c);
@@ -595,9 +441,8 @@ impl Graph {
                 op: "softmax_rows_masked",
             }));
         }
-        // The masked upper triangle must read exactly 0.0 — arena buffers
-        // arrive zeroed, so this holds under both policies.
-        let mut v = self.alloc_zeroed(&[r, c]);
+        // The masked upper triangle must read exactly 0.0.
+        let mut v = Tensor::zeros(&[r, c]);
         match self.tier {
             KernelTier::Reference => {
                 tops::softmax_rows_masked_into(self.value(x).data(), v.data_mut(), r);
@@ -641,8 +486,8 @@ impl Graph {
             }
         }
         // Saved probs must start all-zero (masked upper triangle).
-        let mut probs = self.arena.borrow_mut().take(n * n);
-        let mut out = self.alloc_zeroed(&[n, d]);
+        let mut probs = vec![0.0f32; n * n];
+        let mut out = Tensor::zeros(&[n, d]);
         tops::causal_attention_train_forward(
             self.value(q).data(),
             self.value(k).data(),
@@ -662,9 +507,9 @@ impl Graph {
     /// Fused LayerNorm over rows with learned `gamma`/`beta` (shape `(cols,)`).
     pub fn layer_norm(&mut self, x: Var, gamma: Var, beta: Var) -> Result<Var> {
         let (r, c) = self.value(x).shape().as_2d()?;
-        let mut out = self.alloc_zeroed(&[r, c]);
-        let mut mean = self.take_buffer(r);
-        let mut inv_std = self.take_buffer(r);
+        let mut out = Tensor::zeros(&[r, c]);
+        let mut mean = Vec::with_capacity(r);
+        let mut inv_std = Vec::with_capacity(r);
         tops::layer_norm_rows_stats_into(
             self.value(x).data(),
             self.value(gamma).data(),
@@ -686,20 +531,7 @@ impl Graph {
     /// Gather rows from a rank-2 input; backward scatter-adds (this is the
     /// embedding-lookup op when `x` is an embedding table parameter).
     pub fn gather_rows(&mut self, x: Var, idx: &[usize]) -> Result<Var> {
-        let (r, c) = self.value(x).shape().as_2d()?;
-        for &i in idx {
-            if i >= r {
-                return Err(GradError::Tensor(TensorError::OutOfBounds {
-                    index: vec![i],
-                    shape: self.value(x).dims().to_vec(),
-                }));
-            }
-        }
-        let mut buf = self.take_buffer(idx.len() * c);
-        for &i in idx {
-            buf.extend_from_slice(&self.value(x).data()[i * c..(i + 1) * c]);
-        }
-        let v = Tensor::from_vec(buf, &[idx.len(), c])?;
+        let v = self.value(x).gather_rows(idx)?;
         let ng = self.nodes[x.0].needs_grad;
         Ok(self.push(v, Op::GatherRows { x: x.0, idx: idx.to_vec() }, ng))
     }
@@ -723,7 +555,7 @@ impl Graph {
             rows.push(r);
         }
         let total: usize = rows.iter().sum();
-        let mut data = self.take_buffer(total * cols);
+        let mut data = Vec::with_capacity(total * cols);
         for &p in parts {
             data.extend_from_slice(self.value(p).data());
         }
@@ -752,7 +584,7 @@ impl Graph {
             cols.push(c);
         }
         let total: usize = cols.iter().sum();
-        let mut out = self.alloc_zeroed(&[rows, total]);
+        let mut out = Tensor::zeros(&[rows, total]);
         let mut col0 = 0usize;
         for (&p, &c) in parts.iter().zip(cols.iter()) {
             for r in 0..rows {
@@ -784,13 +616,12 @@ impl Graph {
 
     /// Inverted dropout with a caller-supplied mask whose entries are `0.0`
     /// (dropped) or `1/(1-p)` (kept). Pass an all-`1/(1-p)`-free identity
-    /// mask — or skip the op — at evaluation time. Build the mask in a
-    /// [`Graph::take_buffer`] vector to keep it in the reuse cycle.
+    /// mask — or skip the op — at evaluation time.
     pub fn dropout(&mut self, x: Var, mask: Vec<f32>) -> Result<Var> {
         if mask.len() != self.value(x).numel() {
             return Err(GradError::BadTargets("dropout mask length mismatch"));
         }
-        let mut v = self.alloc_zeroed(self.value(x).dims());
+        let mut v = Tensor::zeros(self.value(x).dims());
         (self.k2(tops::hadamard_into, tops::hadamard_into_fast))(
             self.value(x).data(),
             &mask,
@@ -806,7 +637,7 @@ impl Graph {
         if r == 0 {
             return Err(GradError::BadTargets("max_axis0 over zero rows"));
         }
-        let mut out = self.alloc_zeroed(&[c]);
+        let mut out = Tensor::zeros(&[c]);
         let mut argmax = vec![0usize; c];
         for (j, am) in argmax.iter_mut().enumerate() {
             let mut best = f32::NEG_INFINITY;
@@ -827,14 +658,14 @@ impl Graph {
 
     /// Sum of all elements → scalar.
     pub fn sum_all(&mut self, x: Var) -> Var {
-        let v = self.alloc_scalar(tops::sum_all(self.value(x)));
+        let v = Tensor::scalar(tops::sum_all(self.value(x)));
         let ng = self.nodes[x.0].needs_grad;
         self.push(v, Op::SumAll(x.0), ng)
     }
 
     /// Mean of all elements → scalar.
     pub fn mean_all(&mut self, x: Var) -> Var {
-        let v = self.alloc_scalar(tops::mean_all(self.value(x)));
+        let v = Tensor::scalar(tops::mean_all(self.value(x)));
         let ng = self.nodes[x.0].needs_grad;
         self.push(v, Op::MeanAll(x.0), ng)
     }
@@ -855,9 +686,8 @@ impl Graph {
         }
         let active = targets.iter().filter(|&&t| t != usize::MAX).count();
         let norm = active.max(1) as f32;
-        // Masked rows must keep exactly-zero probabilities; arena `take`
-        // hands out zeroed buffers, same as `vec![0.0; r * c]`.
-        let mut probs = self.arena.borrow_mut().take(r * c);
+        // Masked rows must keep exactly-zero probabilities.
+        let mut probs = vec![0.0f32; r * c];
         let mut loss = 0.0f64;
         for i in 0..r {
             let row = &self.value(logits).data()[i * c..(i + 1) * c];
@@ -876,7 +706,7 @@ impl Graph {
             p_row.iter_mut().for_each(|p| *p *= inv);
             loss -= (p_row[t].max(1e-30) as f64).ln();
         }
-        let v = self.alloc_scalar((loss / norm as f64) as f32);
+        let v = Tensor::scalar((loss / norm as f64) as f32);
         let ng = self.nodes[logits.0].needs_grad;
         Ok(self.push(v, Op::CeOneHot { logits: logits.0, targets: targets.to_vec(), probs, norm }, ng))
     }
@@ -898,7 +728,7 @@ impl Graph {
         }
         let active = targets.iter().filter(|t| !t.is_empty()).count();
         let norm = active.max(1) as f32;
-        let mut probs = self.arena.borrow_mut().take(r * c);
+        let mut probs = vec![0.0f32; r * c];
         let mut loss = 0.0f64;
         for i in 0..r {
             if targets[i].is_empty() {
@@ -918,7 +748,7 @@ impl Graph {
                 loss -= (p_row[t].max(1e-30) as f64).ln();
             }
         }
-        let v = self.alloc_scalar((loss / norm as f64) as f32);
+        let v = Tensor::scalar((loss / norm as f64) as f32);
         let ng = self.nodes[logits.0].needs_grad;
         Ok(self.push(
             v,
@@ -949,7 +779,7 @@ impl Graph {
                 loss += 0.5 * (lv.exp() + m * m - 1.0 - lv) as f64;
             }
         }
-        let v = self.alloc_scalar((loss / norm as f64) as f32);
+        let v = Tensor::scalar((loss / norm as f64) as f32);
         let ng = self.needs(&[mu.0, logvar.0]);
         Ok(self.push(
             v,
@@ -961,11 +791,6 @@ impl Graph {
     // ---- backward ----------------------------------------------------------
 
     /// Reverse pass from a scalar loss. Returns per-parameter gradients.
-    ///
-    /// Every tape-internal gradient buffer (including the seed) is
-    /// released back to the arena before returning; only the per-parameter
-    /// gradients escape. Recycle those with [`Graph::recycle_gradients`]
-    /// after the optimizer consumes them to close the reuse loop.
     pub fn backward(&self, loss: Var) -> Result<Gradients> {
         if loss.0 >= self.nodes.len() {
             return Err(GradError::UnknownVar(loss.0));
@@ -975,7 +800,7 @@ impl Graph {
             return Err(GradError::NonScalarLoss { shape: loss_node.value.dims().to_vec() });
         }
         let mut grads: Vec<Option<Tensor>> = vec![None; self.nodes.len()];
-        let mut seed = self.alloc_zeroed(loss_node.value.dims());
+        let mut seed = Tensor::zeros(loss_node.value.dims());
         seed.data_mut()[0] = 1.0;
         grads[loss.0] = Some(seed);
 
@@ -1001,7 +826,6 @@ impl Graph {
                         std::collections::hash_map::Entry::Occupied(mut e) => {
                             tops::add_scaled_into(e.get_mut(), &g, 1.0)
                                 .expect("same-shape param grads");
-                            self.release(g);
                         }
                         std::collections::hash_map::Entry::Vacant(v) => {
                             v.insert(g);
@@ -1010,25 +834,15 @@ impl Graph {
                 }
             }
         }
-        // Recycle every non-parameter gradient (seed included).
-        for slot in grads.iter_mut() {
-            if let Some(t) = slot.take() {
-                self.release(t);
-            }
-        }
         Ok(Gradients { params })
     }
 
     fn accum(&self, grads: &mut [Option<Tensor>], id: usize, delta: Tensor) -> Result<()> {
         if !self.nodes[id].needs_grad {
-            self.release(delta);
             return Ok(());
         }
         match &mut grads[id] {
-            Some(acc) => {
-                tops::add_scaled_into(acc, &delta, 1.0)?;
-                self.release(delta);
-            }
+            Some(acc) => tops::add_scaled_into(acc, &delta, 1.0)?,
             slot @ None => *slot = Some(delta),
         }
         Ok(())
@@ -1040,14 +854,11 @@ impl Graph {
         match &node.op {
             Op::Leaf { .. } => {}
             Op::Add(a, b) => {
-                let da = self.alloc_clone(g);
-                self.accum(grads, *a, da)?;
-                let db = self.alloc_clone(g);
-                self.accum(grads, *b, db)?;
+                self.accum(grads, *a, g.clone())?;
+                self.accum(grads, *b, g.clone())?;
             }
             Op::Sub(a, b) => {
-                let da = self.alloc_clone(g);
-                self.accum(grads, *a, da)?;
+                self.accum(grads, *a, g.clone())?;
                 let db = self.scale_alloc(g, -1.0);
                 self.accum(grads, *b, db)?;
             }
@@ -1066,12 +877,11 @@ impl Graph {
                 self.accum(grads, *x, dx)?;
             }
             Op::AddRowBroadcast { x, bias } => {
-                let dx = self.alloc_clone(g);
-                self.accum(grads, *x, dx)?;
+                self.accum(grads, *x, g.clone())?;
                 if self.nodes[*bias].needs_grad {
                     // db = Σ_rows g — the sum_axis0 fold, row-major order.
                     let (r, c) = g.shape().as_2d()?;
-                    let mut db = self.alloc_zeroed(&[c]);
+                    let mut db = Tensor::zeros(&[c]);
                     let od = db.data_mut();
                     for row in 0..r {
                         let g_row = &g.data()[row * c..(row + 1) * c];
@@ -1111,10 +921,10 @@ impl Graph {
                 let kv = &self.nodes[*k].value;
                 let vv = &self.nodes[*v].value;
                 let (n, d) = qv.shape().as_2d()?;
-                let mut dq = self.alloc_zeroed(&[n, d]);
-                let mut dk = self.alloc_zeroed(&[n, d]);
-                let mut dv = self.alloc_zeroed(&[n, d]);
-                let mut dscores = self.arena.borrow_mut().take(n * n);
+                let mut dq = Tensor::zeros(&[n, d]);
+                let mut dk = Tensor::zeros(&[n, d]);
+                let mut dv = Tensor::zeros(&[n, d]);
+                let mut dscores = vec![0.0f32; n * n];
                 tops::causal_attention_train_backward(
                     qv.data(),
                     kv.data(),
@@ -1129,7 +939,6 @@ impl Graph {
                     dv.data_mut(),
                     &mut dscores,
                 );
-                self.release_buffer(dscores);
                 // Leaf order v → q → k mirrors the composed chain (the
                 // `matmul(attn, v)` node backprops before the
                 // `matmul_a_bt(q, k)` node), so even a shared q/k/v
@@ -1139,7 +948,7 @@ impl Graph {
                 self.accum(grads, *k, dk)?;
             }
             Op::Relu(x) => {
-                let mut dx = self.alloc_zeroed(g.dims());
+                let mut dx = Tensor::zeros(g.dims());
                 (self.k2(tops::relu_grad_into, tops::relu_grad_into_fast))(
                     g.data(),
                     self.nodes[*x].value.data(),
@@ -1148,7 +957,7 @@ impl Graph {
                 self.accum(grads, *x, dx)?;
             }
             Op::Sigmoid(x) => {
-                let mut dx = self.alloc_zeroed(g.dims());
+                let mut dx = Tensor::zeros(g.dims());
                 (self.k2(tops::sigmoid_grad_into, tops::sigmoid_grad_into_fast))(
                     g.data(),
                     node.value.data(),
@@ -1157,7 +966,7 @@ impl Graph {
                 self.accum(grads, *x, dx)?;
             }
             Op::Tanh(x) => {
-                let mut dx = self.alloc_zeroed(g.dims());
+                let mut dx = Tensor::zeros(g.dims());
                 (self.k2(tops::tanh_grad_into, tops::tanh_grad_into_fast))(
                     g.data(),
                     node.value.data(),
@@ -1173,7 +982,7 @@ impl Graph {
                 // dx_row = y ⊙ (g − ⟨g, y⟩); masked entries have y = 0.
                 let y = &node.value;
                 let (r, c) = y.shape().as_2d()?;
-                let mut dx = self.alloc_zeroed(&[r, c]);
+                let mut dx = Tensor::zeros(&[r, c]);
                 match self.tier {
                     KernelTier::Reference => {
                         tops::softmax_grad_into(y.data(), g.data(), dx.data_mut(), r, c);
@@ -1189,9 +998,9 @@ impl Graph {
                 let (r, c) = xv.shape().as_2d()?;
                 let gam = self.nodes[*gamma].value.data();
                 let cf = c as f32;
-                let mut dx = self.alloc_zeroed(&[r, c]);
-                let mut dgamma = self.alloc_zeroed(&[c]);
-                let mut dbeta = self.alloc_zeroed(&[c]);
+                let mut dx = Tensor::zeros(&[r, c]);
+                let mut dgamma = Tensor::zeros(&[c]);
+                let mut dbeta = Tensor::zeros(&[c]);
                 for row in 0..r {
                     let m = stats.mean[row];
                     let is = stats.inv_std[row];
@@ -1223,7 +1032,7 @@ impl Graph {
                 if self.nodes[*x].needs_grad {
                     let src = &self.nodes[*x].value;
                     let (_, c) = src.shape().as_2d()?;
-                    let mut dx = self.alloc_zeroed(src.dims());
+                    let mut dx = Tensor::zeros(src.dims());
                     for (out_row, &src_row) in idx.iter().enumerate() {
                         let g_row = &g.data()[out_row * c..(out_row + 1) * c];
                         let d_row = &mut dx.data_mut()[src_row * c..(src_row + 1) * c];
@@ -1235,14 +1044,10 @@ impl Graph {
                 }
             }
             Op::ConcatRows { parts, rows } => {
-                let c = node.value.shape().as_2d()?.1;
                 let mut row0 = 0usize;
                 for (&p, &r) in parts.iter().zip(rows.iter()) {
                     if self.nodes[p].needs_grad {
-                        let mut buf = self.take_buffer(r * c);
-                        buf.extend_from_slice(&g.data()[row0 * c..(row0 + r) * c]);
-                        let slice = Tensor::from_vec(buf, &[r, c])?;
-                        self.accum(grads, p, slice)?;
+                        self.accum(grads, p, g.rows_slice(row0, r)?)?;
                     }
                     row0 += r;
                 }
@@ -1252,7 +1057,7 @@ impl Graph {
                 let mut col0 = 0usize;
                 for (&p, &c) in parts.iter().zip(cols.iter()) {
                     if self.nodes[p].needs_grad {
-                        let mut dp = self.alloc_zeroed(&[r, c]);
+                        let mut dp = Tensor::zeros(&[r, c]);
                         for row in 0..r {
                             let src = &g.data()[row * total + col0..row * total + col0 + c];
                             dp.data_mut()[row * c..(row + 1) * c].copy_from_slice(src);
@@ -1263,19 +1068,16 @@ impl Graph {
                 }
             }
             Op::Reshape { x, old_dims } => {
-                let mut buf = self.take_buffer(g.numel());
-                buf.extend_from_slice(g.data());
-                let dx = Tensor::from_vec(buf, old_dims)?;
-                self.accum(grads, *x, dx)?;
+                self.accum(grads, *x, g.reshape(old_dims)?)?;
             }
             Op::Transpose(x) => {
                 let (r, c) = g.shape().as_2d()?;
-                let mut dx = self.alloc_zeroed(&[c, r]);
+                let mut dx = Tensor::zeros(&[c, r]);
                 tops::transpose_into(g.data(), dx.data_mut(), r, c);
                 self.accum(grads, *x, dx)?;
             }
             Op::Dropout { x, mask } => {
-                let mut dx = self.alloc_zeroed(g.dims());
+                let mut dx = Tensor::zeros(g.dims());
                 (self.k2(tops::hadamard_into, tops::hadamard_into_fast))(
                     g.data(),
                     mask,
@@ -1285,7 +1087,7 @@ impl Graph {
             }
             Op::MaxAxis0 { x, argmax } => {
                 let src = &self.nodes[*x].value;
-                let mut dx = self.alloc_zeroed(src.dims());
+                let mut dx = Tensor::zeros(src.dims());
                 let (_, c) = src.shape().as_2d()?;
                 for (j, &row) in argmax.iter().enumerate() {
                     dx.data_mut()[row * c + j] += g.data()[j];
@@ -1294,13 +1096,13 @@ impl Graph {
             }
             Op::SumAll(x) => {
                 let gs = g.data()[0];
-                let dx = self.alloc_full(self.nodes[*x].value.dims(), gs);
+                let dx = Tensor::full(self.nodes[*x].value.dims(), gs);
                 self.accum(grads, *x, dx)?;
             }
             Op::MeanAll(x) => {
                 let n = self.nodes[*x].value.numel() as f32;
                 let gs = g.data()[0] / n;
-                let dx = self.alloc_full(self.nodes[*x].value.dims(), gs);
+                let dx = Tensor::full(self.nodes[*x].value.dims(), gs);
                 self.accum(grads, *x, dx)?;
             }
             Op::CeOneHot { logits, targets, probs, norm } => {
@@ -1308,7 +1110,7 @@ impl Graph {
                     let lv = &self.nodes[*logits].value;
                     let (r, c) = lv.shape().as_2d()?;
                     let gs = g.data()[0] / norm;
-                    let mut dx = self.alloc_zeroed(&[r, c]);
+                    let mut dx = Tensor::zeros(&[r, c]);
                     for row in 0..r {
                         let t = targets[row];
                         if t == usize::MAX {
@@ -1329,7 +1131,7 @@ impl Graph {
                     let lv = &self.nodes[*logits].value;
                     let (r, c) = lv.shape().as_2d()?;
                     let gs = g.data()[0] / norm;
-                    let mut dx = self.alloc_zeroed(&[r, c]);
+                    let mut dx = Tensor::zeros(&[r, c]);
                     for row in 0..r {
                         if targets[row].is_empty() {
                             continue;
@@ -1351,7 +1153,7 @@ impl Graph {
                 let gs = g.data()[0] / norm;
                 let (r, c) = self.nodes[*mu].value.shape().as_2d()?;
                 if self.nodes[*mu].needs_grad {
-                    let mut dmu = self.alloc_zeroed(&[r, c]);
+                    let mut dmu = Tensor::zeros(&[r, c]);
                     for (row, &keep) in row_mask.iter().enumerate().take(r) {
                         if !keep {
                             continue;
@@ -1365,7 +1167,7 @@ impl Graph {
                     self.accum(grads, *mu, dmu)?;
                 }
                 if self.nodes[*logvar].needs_grad {
-                    let mut dlv = self.alloc_zeroed(&[r, c]);
+                    let mut dlv = Tensor::zeros(&[r, c]);
                     for (row, &keep) in row_mask.iter().enumerate().take(r) {
                         if !keep {
                             continue;
@@ -1402,20 +1204,11 @@ impl Gradients {
     /// are moved in. Elementwise addition makes the result independent of
     /// map iteration order, so the merge is deterministic.
     pub fn merge_sum(&mut self, other: Gradients) {
-        self.merge_sum_with(other, &mut |_| {});
-    }
-
-    /// [`Gradients::merge_sum`] with a callback receiving each tensor
-    /// whose buffer is no longer needed (the summed-away right-hand
-    /// sides) — the hook the data-parallel reducer uses to return
-    /// buffers to a shared pool instead of dropping them.
-    pub fn merge_sum_with(&mut self, other: Gradients, release: &mut dyn FnMut(Tensor)) {
         for (k, t) in other.params {
             match self.params.entry(k) {
                 std::collections::hash_map::Entry::Occupied(mut e) => {
                     tops::add_scaled_into(e.get_mut(), &t, 1.0)
                         .expect("merged gradients must share parameter shapes");
-                    release(t);
                 }
                 std::collections::hash_map::Entry::Vacant(v) => {
                     v.insert(t);
@@ -1431,22 +1224,13 @@ impl Gradients {
     /// never on how many worker threads produced the parts. This is the
     /// reduction step of the deterministic data-parallel trainer.
     pub fn tree_reduce(parts: Vec<Gradients>) -> Gradients {
-        Self::tree_reduce_with(parts, &mut |_| {})
-    }
-
-    /// [`Gradients::tree_reduce`] with a release callback (see
-    /// [`Gradients::merge_sum_with`]). The summation tree is identical.
-    pub fn tree_reduce_with(
-        parts: Vec<Gradients>,
-        release: &mut dyn FnMut(Tensor),
-    ) -> Gradients {
         let mut level: Vec<Gradients> = parts;
         while level.len() > 1 {
             let mut next = Vec::with_capacity(level.len().div_ceil(2));
             let mut it = level.into_iter();
             while let Some(mut left) = it.next() {
                 if let Some(right) = it.next() {
-                    left.merge_sum_with(right, release);
+                    left.merge_sum(right);
                 }
                 next.push(left);
             }

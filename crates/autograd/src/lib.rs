@@ -7,7 +7,7 @@
 //!
 //! ## Design
 //!
-//! A [`Graph`] is an arena tape: every operation appends a node holding its
+//! A [`Graph`] is a tape: every operation appends a node holding its
 //! forward value and a typed [`op::Op`] record of how it was computed.
 //! [`Graph::backward`] walks the tape in reverse, accumulating gradients.
 //! Graphs are cheap and rebuilt per training batch (define-by-run), which
@@ -50,7 +50,6 @@ pub mod graph;
 pub mod op;
 
 pub use graph::{Gradients, Graph, Var};
-pub use vsan_tensor::{ArenaStats, BufferPolicy, SharedBufferPool};
 
 /// Errors surfaced by graph construction or the backward pass.
 #[derive(Debug, Clone, PartialEq)]

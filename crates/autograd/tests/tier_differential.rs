@@ -241,162 +241,3 @@ fn fast_tier_rejects_mismatched_operands() {
     let v = g.constant(Tensor::zeros(&[3, 4]));
     assert!(g.causal_attention(q, k, v, 0.5).is_err());
 }
-
-// ---------------------------------------------------------------------
-// Arena-reuse differential suite (DESIGN.md §14): a single graph reset
-// and reused across consecutive steps, with its activation / gradient
-// buffers recycled through the step arena, must produce bit-identical
-// losses and parameter gradients to a fresh graph allocated per step —
-// on both kernel tiers.
-// ---------------------------------------------------------------------
-
-/// Per-step parameters for the full VSAN objective (the same 12-tensor
-/// template as `full_vsan_loss_is_bit_equal_across_tiers`, salted by the
-/// step index so every step sees different data, as training would).
-fn vsan_step_params(n: usize, d: usize, vocab: usize, step: usize) -> (Vec<Tensor>, Tensor) {
-    let mk = |salt: usize, dims: &[usize]| {
-        let len: usize = dims.iter().product();
-        let data: Vec<f32> = (0..len)
-            .map(|i| ((((step * 977 + salt * 211) + i * 29) as f32) * 0.17).sin())
-            .collect();
-        Tensor::from_vec(data, dims).unwrap()
-    };
-    let params = vec![
-        mk(1, &[n, d]),      // x
-        mk(2, &[d, d]),      // wq
-        mk(3, &[d, d]),      // wk
-        mk(4, &[d, d]),      // wv
-        mk(5, &[d]),         // gamma
-        mk(6, &[d]),         // beta_ln
-        mk(7, &[d, d]),      // w_mu
-        mk(8, &[d, d]),      // w_lv
-        mk(9, &[d, d]),      // gq
-        mk(10, &[d, d]),     // gk
-        mk(11, &[d, d]),     // gv
-        mk(12, &[d, vocab]), // w_out
-    ];
-    (params, mk(13, &[n, d]))
-}
-
-/// Build and differentiate one full-VSAN step on `g`; returns the loss
-/// value and every parameter gradient.
-fn run_vsan_step(
-    g: &mut Graph,
-    params: &[Tensor],
-    eps: &Tensor,
-) -> (f32, Vec<Tensor>) {
-    let d = params[1].dims()[0];
-    let targets = vec![vec![1usize, 4], vec![], vec![0, 2], vec![5]];
-    let kl_mask = vec![true, false, true, true];
-    let beta = 0.37f32;
-    let v: Vec<vsan_autograd::Var> =
-        params.iter().enumerate().map(|(i, t)| g.param_ref(t, i)).collect();
-    let scale = 1.0 / (d as f32).sqrt();
-    let q = g.matmul(v[0], v[1]).unwrap();
-    let k = g.matmul(v[0], v[2]).unwrap();
-    let val = g.matmul(v[0], v[3]).unwrap();
-    let ctx = g.causal_attention(q, k, val, scale).unwrap();
-    let res = g.add(ctx, v[0]).unwrap();
-    let h = g.layer_norm(res, v[4], v[5]).unwrap();
-    let mu = g.matmul(h, v[6]).unwrap();
-    let logvar = g.matmul(h, v[7]).unwrap();
-    let half_lv = g.scale(logvar, 0.5);
-    let sigma = g.exp(half_lv);
-    let e = g.constant(eps.clone());
-    let noise = g.mul(sigma, e).unwrap();
-    let z = g.add(mu, noise).unwrap();
-    let q2 = g.matmul(z, v[8]).unwrap();
-    let k2 = g.matmul(z, v[9]).unwrap();
-    let v2 = g.matmul(z, v[10]).unwrap();
-    let ctx2 = g.causal_attention(q2, k2, v2, scale).unwrap();
-    let gen = g.add(ctx2, z).unwrap();
-    let logits = g.matmul(gen, v[11]).unwrap();
-    let ce = g.ce_multi_hot(logits, &targets).unwrap();
-    let kl = g.kl_std_normal(mu, logvar, &kl_mask).unwrap();
-    let kl_scaled = g.scale(kl, beta);
-    let loss = g.add(ce, kl_scaled).unwrap();
-    let loss_val = g.value(loss).data()[0];
-    let mut grads = g.backward(loss).unwrap();
-    let out: Vec<Tensor> = (0..params.len())
-        .map(|i| grads.take(i).expect("every parameter must receive a gradient"))
-        .collect();
-    g.recycle_gradients(grads);
-    (loss_val, out)
-}
-
-#[test]
-fn arena_reuse_is_bit_identical_to_fresh_graphs_across_steps() {
-    // Five consecutive steps on ONE reused graph (reset + arena reuse)
-    // versus a brand-new fresh-allocation graph per step, on both tiers:
-    // every loss and all 12 parameter gradients must be bit-equal, and
-    // the reused graph must actually be recycling (reuses > 0).
-    let (n, d, vocab) = (4, 4, 6);
-    for tier in [KernelTier::Reference, KernelTier::Fast] {
-        let mut reused = Graph::with_threads_and_tier(1, tier)
-            .with_buffer_policy(vsan_autograd::BufferPolicy::Arena);
-        for step in 0..5 {
-            let (params, eps) = vsan_step_params(n, d, vocab, step);
-            reused.reset();
-            let (loss_a, grads_a) = run_vsan_step(&mut reused, &params, &eps);
-            let mut fresh = Graph::with_threads_and_tier(1, tier);
-            let (loss_b, grads_b) = run_vsan_step(&mut fresh, &params, &eps);
-            assert_eq!(
-                loss_a.to_bits(),
-                loss_b.to_bits(),
-                "loss diverged at step {step} (tier={})",
-                tier.name()
-            );
-            for (i, (ga, gb)) in grads_a.iter().zip(&grads_b).enumerate() {
-                assert_eq!(ga.dims(), gb.dims());
-                for (j, (a, b)) in ga.data().iter().zip(gb.data()).enumerate() {
-                    assert_eq!(
-                        a.to_bits(),
-                        b.to_bits(),
-                        "grad {i}[{j}] diverged at step {step} (tier={}): {a:?} vs {b:?}",
-                        tier.name()
-                    );
-                }
-            }
-        }
-        let stats = reused.arena_stats();
-        assert!(
-            stats.reuses > 0,
-            "arena reuse never engaged on tier {} ({stats:?})",
-            tier.name()
-        );
-    }
-}
-
-#[test]
-fn arena_reuse_reaches_zero_fresh_allocs_at_steady_state() {
-    // After warm-up, a reset graph must serve every tensor buffer of a
-    // step from its arena: the fresh-allocation counter freezes.
-    let (n, d, vocab) = (4, 4, 6);
-    let mut g = Graph::with_threads_and_tier(1, KernelTier::Fast)
-        .with_buffer_policy(vsan_autograd::BufferPolicy::Arena);
-    // Mirror the trainer's gradient lifecycle: after the optimizer would
-    // consume the extracted gradients, their buffers go back to the graph
-    // (`DataParallel::recycle` does the same through the shared pool).
-    let run_and_recycle = |g: &mut Graph, step: usize| {
-        let (params, eps) = vsan_step_params(n, d, vocab, step);
-        g.reset();
-        let (_, grads) = run_vsan_step(g, &params, &eps);
-        for t in grads {
-            g.release_buffer(t.into_vec());
-        }
-    };
-    for step in 0..3 {
-        run_and_recycle(&mut g, step);
-    }
-    let warm = g.arena_stats().fresh_allocs;
-    for step in 3..8 {
-        run_and_recycle(&mut g, step);
-    }
-    let steady = g.arena_stats().fresh_allocs;
-    assert_eq!(
-        steady, warm,
-        "steady-state steps still pulled {} buffers from the allocator",
-        steady - warm
-    );
-    assert!(g.peak_nodes() > 0);
-}

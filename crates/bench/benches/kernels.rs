@@ -273,7 +273,7 @@ fn bench_tiled_matmul(c: &mut Criterion) {
 fn bench_elementwise_tier(c: &mut Criterion) {
     // Scalar reference vs runtime-dispatched AVX2 for the vectorized
     // elementwise/softmax tier (DESIGN.md §14): the `_fast` entry points
-    // the arena tape calls, at paper activation shapes — n = 50 (Beauty)
+    // the training tape calls, at paper activation shapes — n = 50 (Beauty)
     // to 200 (ML-1M) rows and beyond, d = 64–128 columns. The
     // transcendentals stay scalar libm inside both variants (bit-identity
     // contract), so their speedup comes from the vectorized surrounding

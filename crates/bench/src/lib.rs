@@ -24,7 +24,6 @@
 
 pub mod retrieval_bench;
 pub mod serve_bench;
-pub mod train_bench;
 
 use std::time::Instant;
 

@@ -167,15 +167,6 @@ impl VsanConfig {
         self
     }
 
-    /// Builder: pin the training buffer policy, overriding the
-    /// `VSAN_DISABLE_FAST_PATH` environment default. Both policies train
-    /// bit-identical parameters (DESIGN.md §14); the pin exists so one
-    /// process can train under both and assert exactly that.
-    pub fn with_buffer_policy(mut self, policy: vsan_tensor::BufferPolicy) -> Self {
-        self.base = self.base.with_buffer_policy(policy);
-        self
-    }
-
     /// Human-readable variant label for experiment tables.
     pub fn variant_name(&self) -> &'static str {
         match (self.use_latent, self.infer_ffn, self.gene_ffn) {
@@ -227,8 +218,5 @@ mod tests {
         // The kernel-tier pin forwards into the shared base config.
         let c = VsanConfig::smoke().with_kernel_tier(vsan_tensor::KernelTier::Fast);
         assert_eq!(c.base.kernel_tier, Some(vsan_tensor::KernelTier::Fast));
-        // So does the buffer-policy pin.
-        let c = VsanConfig::smoke().with_buffer_policy(vsan_tensor::BufferPolicy::Arena);
-        assert_eq!(c.base.buffer_policy, Some(vsan_tensor::BufferPolicy::Arena));
     }
 }

@@ -8,13 +8,11 @@
 //! reduction, Adam update — across commits. Any refactor that changes a
 //! single mantissa bit anywhere in that chain fails here loudly.
 //!
-//! The fixture is asserted under **both kernel tiers, both buffer
-//! policies, and threads 1 and 4** (the policy/tier/thread grid):
-//! reference and fast tiers — and fresh-allocation vs arena-reuse
-//! training — must train the *same pinned bits*, which is the
-//! DESIGN.md §10/§14 training contract in its strongest form — not
-//! merely "variants agree with each other" but "variants agree with the
-//! committed history".
+//! The fixture is asserted under **both kernel tiers and threads 1 and
+//! 4** (the tier/thread grid): reference and fast tiers must train the
+//! *same pinned bits*, which is the DESIGN.md §10 training contract in
+//! its strongest form — not merely "variants agree with each other" but
+//! "variants agree with the committed history".
 //!
 //! Regenerate (after a change that intentionally alters training) with:
 //!
@@ -27,7 +25,7 @@ use std::sync::Arc;
 use vsan_core::{Vsan, VsanConfig};
 use vsan_data::Dataset;
 use vsan_obs::{CollectingObserver, ObserverHandle};
-use vsan_tensor::{BufferPolicy, KernelTier};
+use vsan_tensor::KernelTier;
 
 /// 12 users < smoke batch size 16 → exactly one optimizer step per epoch;
 /// 3 epochs → the three pinned steps.
@@ -64,14 +62,13 @@ struct EpochBits {
     beta: u32,
 }
 
-fn run_train(threads: usize, tier: KernelTier, policy: BufferPolicy) -> (u64, Vec<EpochBits>) {
+fn run_train(threads: usize, tier: KernelTier) -> (u64, Vec<EpochBits>) {
     let ds = golden_dataset();
     let users: Vec<usize> = (0..ds.sequences.len()).collect();
     let collector = Arc::new(CollectingObserver::new());
     let mut cfg = VsanConfig::smoke()
         .with_threads(threads)
         .with_kernel_tier(tier)
-        .with_buffer_policy(policy)
         .with_observer(ObserverHandle::new(collector.clone()));
     cfg.base.epochs = 3;
     let model = Vsan::train(&ds, &users, &cfg).expect("smoke training");
@@ -133,9 +130,9 @@ fn three_training_steps_match_the_golden_fixture_on_every_tier_and_thread_count(
 
     if std::env::var("VSAN_REGEN_GOLDEN").is_ok_and(|v| v == "1") {
         // Regenerate from the most conservative cell of the grid: the
-        // reference tier, fresh allocations, serial. The assertion pass
-        // below then holds the other seven cells to these bits.
-        let (hash, epochs) = run_train(1, KernelTier::Reference, BufferPolicy::Fresh);
+        // reference tier, serial. The assertion pass below then holds
+        // the other three cells to these bits.
+        let (hash, epochs) = run_train(1, KernelTier::Reference);
         std::fs::create_dir_all(path.parent().unwrap()).expect("fixtures dir");
         std::fs::write(&path, render(hash, &epochs)).expect("write fixture");
         eprintln!("golden training fixture regenerated at {}", path.display());
@@ -151,26 +148,22 @@ fn three_training_steps_match_the_golden_fixture_on_every_tier_and_thread_count(
     let (gold_hash, gold_epochs) = parse_fixture(&text);
     assert_eq!(gold_epochs.len(), 3, "fixture pins three steps");
 
-    for policy in [BufferPolicy::Fresh, BufferPolicy::Arena] {
-        for tier in [KernelTier::Reference, KernelTier::Fast] {
-            for threads in [1, 4] {
-                let (hash, epochs) = run_train(threads, tier, policy);
-                assert_eq!(
-                    hash,
-                    gold_hash,
-                    "trained parameter bits drifted from the fixture \
-                     (tier={}, policy={policy:?}, threads={threads}): \
-                     got {hash:016x}, pinned {gold_hash:016x}",
-                    tier.name()
-                );
-                assert_eq!(
-                    epochs,
-                    gold_epochs,
-                    "loss decomposition drifted from the fixture \
-                     (tier={}, policy={policy:?}, threads={threads})",
-                    tier.name()
-                );
-            }
+    for tier in [KernelTier::Reference, KernelTier::Fast] {
+        for threads in [1, 4] {
+            let (hash, epochs) = run_train(threads, tier);
+            assert_eq!(
+                hash,
+                gold_hash,
+                "trained parameter bits drifted from the fixture \
+                 (tier={}, threads={threads}): got {hash:016x}, pinned {gold_hash:016x}",
+                tier.name()
+            );
+            assert_eq!(
+                epochs,
+                gold_epochs,
+                "loss decomposition drifted from the fixture (tier={}, threads={threads})",
+                tier.name()
+            );
         }
     }
 }
@@ -202,26 +195,12 @@ fn env_pin_routes_every_entry_point_consistently() {
         "training tier default disagrees with the environment"
     );
 
-    // Entry point 3: the training buffer policy. Pinned ⇒ fresh
-    // allocations (the oracle memory discipline); unpinned ⇒ arena reuse.
-    let expected_policy = if pinned { BufferPolicy::Fresh } else { BufferPolicy::Arena };
-    assert_eq!(
-        vsan_tensor::default_buffer_policy(),
-        expected_policy,
-        "buffer-policy default disagrees with the environment"
-    );
-
-    // The training config resolvers follow the same defaults when nothing
+    // The training config resolver follows the same default when nothing
     // is pinned in-config, and an explicit pin always wins over the env.
     let unpinned = vsan_models::NeuralConfig::smoke();
     assert_eq!(unpinned.resolved_kernel_tier(), expected_tier);
-    assert_eq!(unpinned.resolved_buffer_policy(), expected_policy);
     for tier in [KernelTier::Reference, KernelTier::Fast] {
         let cfg = VsanConfig::smoke().with_kernel_tier(tier);
         assert_eq!(cfg.base.resolved_kernel_tier(), tier);
-    }
-    for policy in [BufferPolicy::Fresh, BufferPolicy::Arena] {
-        let cfg = VsanConfig::smoke().with_buffer_policy(policy);
-        assert_eq!(cfg.base.resolved_buffer_policy(), policy);
     }
 }

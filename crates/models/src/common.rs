@@ -34,11 +34,6 @@ pub struct NeuralConfig {
     /// what lets a single test process exercise both tiers. Both tiers
     /// train bit-identical parameters (DESIGN.md §10).
     pub kernel_tier: Option<vsan_tensor::KernelTier>,
-    /// Buffer policy for the training graphs: `None` resolves from the
-    /// environment (arena reuse unless `VSAN_DISABLE_FAST_PATH=1` pins
-    /// fresh allocations); `Some(policy)` wins over the environment. Both
-    /// policies train bit-identical parameters (DESIGN.md §14).
-    pub buffer_policy: Option<vsan_tensor::BufferPolicy>,
     /// Optional training-telemetry receiver. Observers see copies of
     /// values the loop computed anyway, so attaching one never changes
     /// the trained bits (DESIGN.md §8).
@@ -62,7 +57,6 @@ impl NeuralConfig {
             seed: 42,
             threads: vsan_tensor::parallel::default_threads(),
             kernel_tier: None,
-            buffer_policy: None,
             observer: ObserverHandle::none(),
         }
     }
@@ -82,7 +76,6 @@ impl NeuralConfig {
             seed: 42,
             threads: vsan_tensor::parallel::default_threads(),
             kernel_tier: None,
-            buffer_policy: None,
             observer: ObserverHandle::none(),
         }
     }
@@ -100,7 +93,6 @@ impl NeuralConfig {
             seed: 7,
             threads: 1,
             kernel_tier: None,
-            buffer_policy: None,
             observer: ObserverHandle::none(),
         }
     }
@@ -156,21 +148,6 @@ impl NeuralConfig {
     /// ([`vsan_tensor::kernel::default_train_tier`]).
     pub fn resolved_kernel_tier(&self) -> vsan_tensor::KernelTier {
         self.kernel_tier.unwrap_or_else(vsan_tensor::kernel::default_train_tier)
-    }
-
-    /// Builder-style buffer-policy pin. `Some(policy)` overrides the
-    /// `VSAN_DISABLE_FAST_PATH` environment default; trained bits are
-    /// identical either way (DESIGN.md §14).
-    pub fn with_buffer_policy(mut self, policy: vsan_tensor::BufferPolicy) -> Self {
-        self.buffer_policy = Some(policy);
-        self
-    }
-
-    /// The buffer policy training will actually run: the explicit pin
-    /// when set, otherwise the environment default
-    /// ([`vsan_tensor::default_buffer_policy`]).
-    pub fn resolved_buffer_policy(&self) -> vsan_tensor::BufferPolicy {
-        self.buffer_policy.unwrap_or_else(vsan_tensor::default_buffer_policy)
     }
 }
 
@@ -242,9 +219,8 @@ where
     // from seeds derived per (step, shard), so it is thread-count-invariant.
     let mut rng = rand::rngs::StdRng::seed_from_u64(cfg.seed);
     let mut opt = vsan_nn::Adam::new(cfg.lr);
-    let executor = vsan_nn::DataParallel::new(cfg.threads)
-        .with_kernel_tier(cfg.resolved_kernel_tier())
-        .with_buffer_policy(cfg.resolved_buffer_policy());
+    let executor =
+        vsan_nn::DataParallel::new(cfg.threads).with_kernel_tier(cfg.resolved_kernel_tier());
     let mut losses = Vec::with_capacity(cfg.epochs);
     let mut step: u64 = 0;
     let indices: Vec<usize> = (0..examples.len()).collect();
@@ -290,11 +266,6 @@ where
             }
             opt.step(store, &grads);
             post_step(store);
-            // Hand the reduced gradient buffers back to the executor's
-            // shared pool; under arena reuse the next step's backward
-            // pass re-takes them instead of allocating (no-op for the
-            // fresh-allocation policy).
-            executor.recycle(grads);
             step += 1;
         }
         if !store.all_finite() {
@@ -304,7 +275,6 @@ where
         let mean_loss = if batch_count > 0 { (epoch_loss / denom) as f32 } else { 0.0 };
         losses.push(mean_loss);
         if observer.is_attached() {
-            let mem = executor.memory_stats();
             observer.on_epoch(&EpochRecord {
                 epoch,
                 loss: mean_loss,
@@ -316,10 +286,8 @@ where
                 shards: epoch_shards,
                 steps: step,
                 wall_ms: epoch_start.elapsed().as_secs_f64() * 1e3,
-                peak_tape_nodes: mem.peak_tape_nodes,
-                arena_fresh_allocs: mem.arena.fresh_allocs,
-                arena_held_bytes: mem.arena.held_bytes,
-                pool_held_bytes: mem.pool_held_bytes,
+                peak_tape_nodes: executor.peak_tape_nodes(),
+                ..EpochRecord::default()
             });
         }
     }
@@ -396,21 +364,6 @@ mod tests {
         // Pinned: the explicit tier wins regardless of the environment.
         for tier in [KernelTier::Reference, KernelTier::Fast] {
             assert_eq!(NeuralConfig::smoke().with_kernel_tier(tier).resolved_kernel_tier(), tier);
-        }
-    }
-
-    #[test]
-    fn buffer_policy_pin_wins_over_the_environment() {
-        use vsan_tensor::BufferPolicy;
-        let c = NeuralConfig::smoke();
-        // Unpinned: resolves to the process-wide environment default.
-        assert_eq!(c.resolved_buffer_policy(), vsan_tensor::default_buffer_policy());
-        // Pinned: the explicit policy wins regardless of the environment.
-        for policy in [BufferPolicy::Fresh, BufferPolicy::Arena] {
-            assert_eq!(
-                NeuralConfig::smoke().with_buffer_policy(policy).resolved_buffer_policy(),
-                policy
-            );
         }
     }
 

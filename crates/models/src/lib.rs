@@ -24,7 +24,7 @@
 //! Caser drops its user embedding — the same adaptation the paper applies
 //! via SVAE's protocol ("for the baselines that can only provide
 //! meaningful predictions for users who are already utilized during the
-//! training phase, we adopt the same operation as [33]").
+//! training phase, we adopt the same operation as \[33\]").
 //!
 //! Neural baselines are trained with full-softmax cross-entropy (rather
 //! than the sampled losses some original papers used) for comparability

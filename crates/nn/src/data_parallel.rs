@@ -25,9 +25,8 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
 use vsan_autograd::{Gradients, Graph, Var};
-use vsan_tensor::{default_buffer_policy, ArenaStats, BufferPolicy, KernelTier, SharedBufferPool};
+use vsan_tensor::KernelTier;
 
 /// Number of examples per shard. Constant by design: sharding by a fixed
 /// size (rather than dividing the batch by the thread count) is what keeps
@@ -87,74 +86,6 @@ impl ShardStats {
     }
 }
 
-/// Persistent per-shard graphs, keyed by shard id.
-///
-/// Workers steal *which* shard to run from an atomic cursor, but a shard
-/// always checks out the graph slot matching its shard id — so which graph
-/// (and which arena) computes shard `i` is a function of `i` alone, never
-/// of thread scheduling. Since arena buffers are handed out zeroed
-/// (bit-identical to fresh allocation), graph reuse cannot move a bit
-/// either way; the keying just keeps the memory behavior deterministic.
-struct GraphPool {
-    slots: Mutex<Vec<Option<Graph>>>,
-}
-
-impl std::fmt::Debug for GraphPool {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let held = self.slots.lock().map(|s| s.iter().filter(|g| g.is_some()).count());
-        write!(f, "GraphPool {{ graphs: {:?} }}", held.unwrap_or(0))
-    }
-}
-
-impl GraphPool {
-    fn new() -> Self {
-        GraphPool { slots: Mutex::new(Vec::new()) }
-    }
-
-    /// Take the persistent graph for `shard_id`, creating it on first use.
-    fn checkout(&self, shard_id: usize, make: impl FnOnce() -> Graph) -> Graph {
-        let mut slots = self.slots.lock().expect("graph pool lock poisoned");
-        if slots.len() <= shard_id {
-            slots.resize_with(shard_id + 1, || None);
-        }
-        slots[shard_id].take().unwrap_or_else(make)
-    }
-
-    /// Return the graph for `shard_id` so the next step reuses it.
-    fn checkin(&self, shard_id: usize, g: Graph) {
-        let mut slots = self.slots.lock().expect("graph pool lock poisoned");
-        if slots.len() <= shard_id {
-            slots.resize_with(shard_id + 1, || None);
-        }
-        slots[shard_id] = Some(g);
-    }
-
-    /// Fold a summary over every pooled graph.
-    fn fold_stats(&self) -> (usize, ArenaStats) {
-        let slots = self.slots.lock().expect("graph pool lock poisoned");
-        let mut peak = 0usize;
-        let mut stats = ArenaStats::default();
-        for g in slots.iter().flatten() {
-            peak = peak.max(g.peak_nodes());
-            stats = stats.merged(g.arena_stats());
-        }
-        (peak, stats)
-    }
-}
-
-/// Memory counters for one executor: tape high-water mark, merged arena
-/// counters across every shard graph, and the shared pool's inventory.
-/// Pure telemetry — reading it cannot perturb training.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct ExecutorMemoryStats {
-    /// Largest tape (node count) any shard graph ever recorded.
-    pub peak_tape_nodes: usize,
-    /// Arena counters summed over all shard graphs.
-    pub arena: ArenaStats,
-    /// Bytes currently parked in the shared cross-graph buffer pool.
-    pub pool_held_bytes: u64,
-}
-
 /// The per-shard product: weighted loss value plus weighted gradients.
 type ShardResult = Result<(f32, Gradients), String>;
 
@@ -178,31 +109,25 @@ type ObservedShardResult = Result<(f32, ShardStats, Gradients), String>;
 /// assert!(loss.is_finite());
 /// assert!(grads.param_grad(0).is_some());
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct DataParallel {
     threads: usize,
     shard_size: usize,
     tier: KernelTier,
-    policy: BufferPolicy,
-    pool: SharedBufferPool,
-    graphs: Arc<GraphPool>,
+    /// Longest tape any shard has recorded (telemetry only).
+    peak_tape_nodes: AtomicUsize,
 }
 
 impl DataParallel {
     /// Executor running shards on up to `threads` workers (clamped to ≥ 1).
     /// Shard graphs run the reference kernel tier unless
-    /// [`Self::with_kernel_tier`] opts into the fast tier, and allocate
-    /// under [`default_buffer_policy`] (arena reuse unless the
-    /// `VSAN_DISABLE_FAST_PATH` oracle pin is set) unless
-    /// [`Self::with_buffer_policy`] overrides it.
+    /// [`Self::with_kernel_tier`] opts into the fast tier.
     pub fn new(threads: usize) -> Self {
         DataParallel {
             threads: threads.max(1),
             shard_size: DEFAULT_SHARD_SIZE,
             tier: KernelTier::Reference,
-            policy: default_buffer_policy(),
-            pool: SharedBufferPool::new(),
-            graphs: Arc::new(GraphPool::new()),
+            peak_tape_nodes: AtomicUsize::new(0),
         }
     }
 
@@ -223,17 +148,6 @@ impl DataParallel {
         self
     }
 
-    /// Select the buffer policy for every shard graph (builder style; set
-    /// before the first [`Self::run`] — pooled graphs keep the policy they
-    /// were created with). [`BufferPolicy::Arena`] recycles tape buffers
-    /// across steps; [`BufferPolicy::Fresh`] reproduces the original
-    /// allocate-per-step behavior byte for byte. Both produce bit-identical
-    /// losses and gradients (arena buffers are handed out zeroed).
-    pub fn with_buffer_policy(mut self, policy: BufferPolicy) -> Self {
-        self.policy = policy;
-        self
-    }
-
     /// Configured worker-thread budget.
     pub fn threads(&self) -> usize {
         self.threads
@@ -244,30 +158,10 @@ impl DataParallel {
         self.tier
     }
 
-    /// Configured buffer policy for shard graphs.
-    pub fn buffer_policy(&self) -> BufferPolicy {
-        self.policy
-    }
-
-    /// Recycle consumed parameter gradients (call after the optimizer
-    /// step). Their buffers return to the shared pool, where the next
-    /// step's shard arenas pick them up — closing the loop that makes
-    /// steady-state training allocation-free. A no-op drop under
-    /// [`BufferPolicy::Fresh`].
-    pub fn recycle(&self, grads: Gradients) {
-        if self.policy == BufferPolicy::Fresh {
-            return;
-        }
-        for (_, t) in grads.into_params() {
-            self.pool.release(t.into_vec());
-        }
-    }
-
-    /// Memory counters: tape high-water mark and arena totals across all
-    /// shard graphs, plus the shared pool inventory.
-    pub fn memory_stats(&self) -> ExecutorMemoryStats {
-        let (peak_tape_nodes, arena) = self.graphs.fold_stats();
-        ExecutorMemoryStats { peak_tape_nodes, arena, pool_held_bytes: self.pool.held_bytes() }
+    /// Longest tape (node count) any shard has recorded on this executor.
+    /// Pure telemetry — reading it cannot perturb training.
+    pub fn peak_tape_nodes(&self) -> usize {
+        self.peak_tape_nodes.load(Ordering::Relaxed)
     }
 
     /// Run one batch: shard `items`, build and backprop a loss per shard,
@@ -308,31 +202,22 @@ impl DataParallel {
         let batch_len = items.len() as f32;
 
         let run_shard = |shard_id: usize, shard: &[T]| -> ObservedShardResult {
-            // Check out the shard's persistent graph (tape capacity and
-            // arena survive across steps); reset recycles last step's
-            // buffers before the new forward pass records over them.
-            let mut g = self.graphs.checkout(shard_id, || {
-                Graph::with_threads_and_tier(1, self.tier)
-                    .with_buffer_policy(self.policy)
-                    .with_shared_pool(self.pool.clone())
-            });
-            g.reset();
+            // The tape lives for this shard only: at most `threads` are
+            // ever alive, and an erroring shard leaves nothing behind.
+            let mut g = Graph::with_threads_and_tier(1, self.tier);
             let mut rng = StdRng::seed_from_u64(shard_seed(batch_seed, shard_id));
-            let result = (|| {
-                let (loss, stats) = build(&mut g, shard, &mut rng)
-                    .map_err(|e| format!("shard {shard_id}: loss build failed: {e}"))?;
-                let weight = shard.len() as f32 / batch_len;
-                let weighted = g.scale(loss, weight);
-                let loss_val = g.value(weighted).data()[0];
-                let grads = g
-                    .backward(weighted)
-                    .map_err(|e| format!("shard {shard_id}: backward failed: {e}"))?;
-                let weighted_stats =
-                    ShardStats { ce: stats.ce * weight, kl: stats.kl * weight, beta: stats.beta };
-                Ok((loss_val, weighted_stats, grads))
-            })();
-            self.graphs.checkin(shard_id, g);
-            result
+            let (loss, stats) = build(&mut g, shard, &mut rng)
+                .map_err(|e| format!("shard {shard_id}: loss build failed: {e}"))?;
+            let weight = shard.len() as f32 / batch_len;
+            let weighted = g.scale(loss, weight);
+            let loss_val = g.value(weighted).data()[0];
+            let grads = g
+                .backward(weighted)
+                .map_err(|e| format!("shard {shard_id}: backward failed: {e}"))?;
+            self.peak_tape_nodes.fetch_max(g.len(), Ordering::Relaxed);
+            let weighted_stats =
+                ShardStats { ce: stats.ce * weight, kl: stats.kl * weight, beta: stats.beta };
+            Ok((loss_val, weighted_stats, grads))
         };
 
         let workers = self.threads.min(shards.len());
@@ -397,17 +282,7 @@ impl DataParallel {
             parts.push(grads);
         }
         let stats = ShardStats { ce: tree_sum(&ces), kl: tree_sum(&kls), beta };
-        // Same fixed-order tree either way; under arena reuse the merged
-        // duplicates' buffers flow back to the shared pool instead of the
-        // allocator, balancing the S×P gradient tensors that escape the
-        // shard graphs each step.
-        let reduced = match self.policy {
-            BufferPolicy::Fresh => Gradients::tree_reduce(parts),
-            BufferPolicy::Arena => {
-                Gradients::tree_reduce_with(parts, &mut |t| self.pool.release(t.into_vec()))
-            }
-        };
-        Ok((tree_sum(&losses), stats, reduced))
+        Ok((tree_sum(&losses), stats, Gradients::tree_reduce(parts)))
     }
 }
 
@@ -501,89 +376,70 @@ mod tests {
         }
     }
 
-    /// An attention-bearing loss with RNG noise — exercises fused
-    /// attention, activations, and the arena's zeroed-buffer contract.
-    fn attn_loss(g: &mut Graph, shard: &[f32], rng: &mut StdRng) -> vsan_autograd::Result<Var> {
+    /// An attention-bearing loss with RNG noise whose tape grows with the
+    /// shard (one node per item), so a short tail shard records a shorter
+    /// tape than a full one.
+    fn attn_loss(
+        g: &mut Graph,
+        shard: &[f32],
+        rng: &mut StdRng,
+    ) -> vsan_autograd::Result<(Var, ShardStats)> {
         let q = g.param(init::randn(rng, &[5, 4], 0.0, 0.5), 0);
         let k = g.param(init::randn(rng, &[5, 4], 0.0, 0.5), 1);
         let v = g.param(init::randn(rng, &[5, 4], 0.0, 0.5), 2);
         let attn = g.causal_attention(q, k, v, 0.5)?;
         let act = g.tanh(attn);
         let sq = g.mul(act, act)?;
-        let s = g.sum_all(sq);
-        let bias: f32 = shard.iter().sum::<f32>() / shard.len() as f32;
-        Ok(g.affine(s, 1.0, bias))
+        let mut loss = g.sum_all(sq);
+        for &item in shard {
+            loss = g.affine(loss, 1.0, item / shard.len() as f32);
+        }
+        let ce = g.value(loss).data()[0];
+        Ok((loss, ShardStats { ce, kl: 0.5 * ce, beta: 0.25 }))
     }
 
     #[test]
-    fn arena_reuse_is_bit_identical_across_steps_threads_and_tiers() {
+    fn a_reused_executor_matches_fresh_ones_and_recovers_from_a_failed_shard() {
+        // 21 items in shards of 4: five full shards and a one-item tail.
         let items: Vec<f32> = (0..21).map(|i| (i as f32 * 0.41).cos()).collect();
-        let run_steps = |threads: usize, tier: KernelTier, policy: BufferPolicy| {
-            let dp = DataParallel::new(threads)
-                .with_shard_size(4)
-                .with_kernel_tier(tier)
-                .with_buffer_policy(policy);
-            let mut trace = Vec::new();
-            for step in 0..5u64 {
-                let (loss, grads) = dp.run(&items, batch_seed(33, step), attn_loss).unwrap();
-                let gs: Vec<Vec<f32>> =
-                    (0..3).map(|k| grads.param_grad(k).unwrap().data().to_vec()).collect();
-                trace.push((loss, gs));
-                dp.recycle(grads);
-            }
-            (trace, dp.memory_stats())
+        let observe = |dp: &DataParallel, step: u64| {
+            let (loss, stats, grads) =
+                dp.run_observed(&items, batch_seed(33, step), attn_loss).unwrap();
+            let grads: Vec<Vec<u32>> = (0..3)
+                .map(|k| grads.param_grad(k).unwrap().data().iter().map(|v| v.to_bits()).collect())
+                .collect();
+            (loss.to_bits(), stats.ce.to_bits(), stats.kl.to_bits(), stats.beta, grads)
         };
-        let (baseline, _) = run_steps(1, KernelTier::Reference, BufferPolicy::Fresh);
-        for threads in [1, 4] {
-            for tier in [KernelTier::Reference, KernelTier::Fast] {
-                let (trace, stats) = run_steps(threads, tier, BufferPolicy::Arena);
-                for (step, ((l, gs), (bl, bgs))) in
-                    trace.iter().zip(baseline.iter()).enumerate()
-                {
-                    assert_eq!(
-                        l.to_bits(),
-                        bl.to_bits(),
-                        "loss diverged: step={step} threads={threads} tier={}",
-                        tier.name()
-                    );
-                    for (key, (a, b)) in gs.iter().zip(bgs.iter()).enumerate() {
-                        let same =
-                            a.iter().zip(b.iter()).all(|(x, y)| x.to_bits() == y.to_bits());
-                        assert!(
-                            same,
-                            "grad {key} diverged: step={step} threads={threads} tier={}",
-                            tier.name()
-                        );
-                    }
+        for tier in [KernelTier::Reference, KernelTier::Fast] {
+            // A full shard's tape, plus the executor's one weighting node.
+            let mut full = Graph::with_threads_and_tier(1, tier);
+            attn_loss(&mut full, &items[..4], &mut StdRng::seed_from_u64(0)).unwrap();
+            let longest = full.len() + 1;
+            for threads in [1, 2, 4] {
+                let case = format!("threads={threads} tier={}", tier.name());
+                let fresh =
+                    || DataParallel::new(threads).with_shard_size(4).with_kernel_tier(tier);
+                let reused = fresh();
+                assert_eq!(reused.peak_tape_nodes(), 0, "{case}");
+                for step in 0..3 {
+                    assert_eq!(observe(&reused, step), observe(&fresh(), step), "{case} step={step}");
                 }
-                assert!(stats.arena.reuses > 0, "arena reuse never engaged");
-                assert!(stats.peak_tape_nodes > 0, "peak tape nodes not tracked");
+                assert_eq!(reused.peak_tape_nodes(), longest, "{case}");
+                // Shard 2 fails to build: the run errors, and nothing of it
+                // is left behind to change the next run on this executor.
+                let err = reused
+                    .run_observed(&items, batch_seed(33, 3), |g, shard, rng| {
+                        if shard[0] == items[8] {
+                            return Err(vsan_autograd::GradError::BadTargets("injected"));
+                        }
+                        attn_loss(g, shard, rng)
+                    })
+                    .unwrap_err();
+                assert!(err.starts_with("shard 2:"), "{case}: {err}");
+                assert_eq!(observe(&reused, 3), observe(&fresh(), 3), "{case} after the error");
+                assert_eq!(reused.peak_tape_nodes(), longest, "{case}");
             }
         }
-    }
-
-    #[test]
-    fn arena_steady_state_stops_allocating_tensor_buffers() {
-        let items: Vec<f32> = (0..12).map(|i| (i as f32 * 0.7).sin()).collect();
-        let dp = DataParallel::new(1)
-            .with_shard_size(4)
-            .with_kernel_tier(KernelTier::Fast)
-            .with_buffer_policy(BufferPolicy::Arena);
-        // Warm-up: first steps populate the free lists.
-        for step in 0..3u64 {
-            let (_, grads) = dp.run(&items, batch_seed(5, step), attn_loss).unwrap();
-            dp.recycle(grads);
-        }
-        let warm = dp.memory_stats().arena.fresh_allocs;
-        for step in 3..8u64 {
-            let (_, grads) = dp.run(&items, batch_seed(5, step), attn_loss).unwrap();
-            dp.recycle(grads);
-        }
-        let steady = dp.memory_stats().arena.fresh_allocs;
-        assert_eq!(
-            steady, warm,
-            "arena kept allocating after warm-up ({warm} → {steady} fresh allocs)"
-        );
     }
 
     #[test]

@@ -38,11 +38,7 @@ impl Dropout {
         let keep = 1.0 - self.p;
         let scale = 1.0 / keep;
         let n = g.value(x).numel();
-        // The mask buffer comes from the graph's arena (recycled across
-        // steps under arena reuse); the RNG draw order is unchanged, so
-        // the mask bits are identical to the old collect-into-Vec path.
-        let mut mask = g.take_buffer(n);
-        mask.extend((0..n).map(|_| if rng.gen::<f32>() < keep { scale } else { 0.0 }));
+        let mask = (0..n).map(|_| if rng.gen::<f32>() < keep { scale } else { 0.0 }).collect();
         g.dropout(x, mask)
     }
 }

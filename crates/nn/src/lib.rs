@@ -46,7 +46,7 @@ pub mod param;
 pub mod schedule;
 
 pub use attention::SelfAttentionBlock;
-pub use data_parallel::{DataParallel, ExecutorMemoryStats, ShardStats};
+pub use data_parallel::{DataParallel, ShardStats};
 pub use dropout::Dropout;
 pub use embedding::Embedding;
 pub use gru::GruCell;

@@ -78,12 +78,8 @@ impl ParamStore {
     }
 
     /// Place the parameter onto a graph as a trainable leaf.
-    ///
-    /// The copy goes through the graph's buffer arena (`param_ref`), so
-    /// under arena-reuse training the per-step parameter snapshots are
-    /// recycled instead of reallocated — same bytes either way.
     pub fn var(&self, g: &mut Graph, id: ParamId) -> Var {
-        g.param_ref(&self.tensors[id], id)
+        g.param(self.tensors[id].clone(), id)
     }
 
     /// Iterate `(id, name, tensor)`.

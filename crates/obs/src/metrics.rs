@@ -64,7 +64,7 @@ const SUB_BITS: u32 = 4;
 const SUB: usize = 1 << SUB_BITS; // 16
 
 /// Total bucket count: values `0..16` get exact unit buckets; every
-/// power of two `2^4 ..= 2^63` gets [`SUB`] linear sub-buckets.
+/// power of two `2^4 ..= 2^63` gets `SUB` (16) linear sub-buckets.
 pub const NUM_BUCKETS: usize = SUB + (64 - SUB_BITS as usize) * SUB;
 
 /// Bucket index for a recorded value.

@@ -88,17 +88,15 @@ pub struct EpochRecord {
     pub steps: u64,
     /// Epoch wall-clock in milliseconds (telemetry only).
     pub wall_ms: f64,
-    /// High-water mark of autograd tape nodes across the executor's
-    /// per-shard graphs (0 when the trainer does not report memory).
+    /// Longest autograd tape (node count) any shard has recorded so far
+    /// (0 when the trainer does not report it).
     pub peak_tape_nodes: usize,
-    /// Cumulative tensor buffers the step arenas had to pull from the
-    /// global allocator. Flat across epochs once reuse reaches steady
-    /// state (DESIGN.md §14).
+    /// Retired with the step arena (DESIGN.md §14) and always 0: no arena
+    /// allocates. The name stays because `benchmark/` reads it.
     pub arena_fresh_allocs: u64,
-    /// Bytes currently parked in the per-shard arena free lists.
+    /// Retired with the step arena and always 0: nothing is held between
+    /// steps. The name stays because `benchmark/` reads it.
     pub arena_held_bytes: u64,
-    /// Bytes currently parked in the shared gradient-buffer pool.
-    pub pool_held_bytes: u64,
 }
 
 impl EpochRecord {
@@ -117,9 +115,6 @@ impl EpochRecord {
             .u64("steps", self.steps)
             .f64("wall_ms", self.wall_ms)
             .u64("peak_tape_nodes", self.peak_tape_nodes as u64)
-            .u64("arena_fresh_allocs", self.arena_fresh_allocs)
-            .u64("arena_held_bytes", self.arena_held_bytes)
-            .u64("pool_held_bytes", self.pool_held_bytes)
             .finish()
     }
 }
@@ -221,9 +216,9 @@ impl TrainObserver for JsonlTrainObserver {
 }
 
 /// Observer that mirrors per-epoch training telemetry into a metrics
-/// [`Registry`] as gauges, so the training memory profile (peak tape
-/// nodes, arena bytes) rides the same Prometheus exposition path as the
-/// serving metrics. Gauges are clamped at `i64::MAX` on overflow.
+/// [`Registry`](crate::metrics::Registry) as gauges, so training progress
+/// and the peak tape length ride the same Prometheus exposition path as
+/// the serving metrics. Gauges are clamped at `i64::MAX` on overflow.
 pub struct MetricsTrainObserver {
     registry: Arc<crate::metrics::Registry>,
 }
@@ -250,9 +245,6 @@ impl TrainObserver for MetricsTrainObserver {
         r.gauge("train.epoch").set(as_gauge(record.epoch as u64));
         r.gauge("train.steps").set(as_gauge(record.steps));
         r.gauge("train.peak_tape_nodes").set(as_gauge(record.peak_tape_nodes as u64));
-        r.gauge("train.arena_fresh_allocs").set(as_gauge(record.arena_fresh_allocs));
-        r.gauge("train.arena_held_bytes").set(as_gauge(record.arena_held_bytes));
-        r.gauge("train.pool_held_bytes").set(as_gauge(record.pool_held_bytes));
     }
 }
 
@@ -309,9 +301,7 @@ mod tests {
             steps: (epoch as u64 + 1) * 3,
             wall_ms: 12.5,
             peak_tape_nodes: 120,
-            arena_fresh_allocs: 64,
-            arena_held_bytes: 4096,
-            pool_held_bytes: 512,
+            ..Default::default()
         }
     }
 
@@ -336,26 +326,21 @@ mod tests {
         assert_eq!(e1.get("epoch").unwrap().as_u64(), Some(1));
         assert_eq!(e1.get("kl").unwrap().as_f64(), Some(0.5));
         assert_eq!(e1.get("peak_tape_nodes").unwrap().as_u64(), Some(120));
-        assert_eq!(e1.get("arena_fresh_allocs").unwrap().as_u64(), Some(64));
-        assert_eq!(e1.get("arena_held_bytes").unwrap().as_u64(), Some(4096));
-        assert_eq!(e1.get("pool_held_bytes").unwrap().as_u64(), Some(512));
         let end = parse(&lines[3]).unwrap();
         assert_eq!(end.get("type").unwrap().as_str(), Some("run_end"));
     }
 
     #[test]
-    fn metrics_observer_mirrors_memory_gauges() {
+    fn metrics_observer_mirrors_epoch_gauges() {
         let registry = Arc::new(crate::metrics::Registry::new());
         let obs = MetricsTrainObserver::new(registry.clone());
         obs.on_epoch(&sample_epoch(3));
         assert_eq!(registry.gauge("train.epoch").get(), 3);
         assert_eq!(registry.gauge("train.peak_tape_nodes").get(), 120);
-        assert_eq!(registry.gauge("train.arena_fresh_allocs").get(), 64);
-        assert_eq!(registry.gauge("train.arena_held_bytes").get(), 4096);
-        assert_eq!(registry.gauge("train.pool_held_bytes").get(), 512);
         // A later epoch overwrites (gauges, not counters).
-        obs.on_epoch(&EpochRecord { epoch: 4, arena_held_bytes: 8192, ..sample_epoch(4) });
-        assert_eq!(registry.gauge("train.arena_held_bytes").get(), 8192);
+        obs.on_epoch(&EpochRecord { peak_tape_nodes: 150, ..sample_epoch(4) });
+        assert_eq!(registry.gauge("train.epoch").get(), 4);
+        assert_eq!(registry.gauge("train.peak_tape_nodes").get(), 150);
     }
 
     #[test]

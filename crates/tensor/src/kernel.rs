@@ -61,8 +61,9 @@ pub fn fast_path_disabled() -> bool {
 ///
 /// Explicit selection (e.g. `NeuralConfig::with_kernel_tier` in
 /// `vsan-models`) wins over the pin, mirroring how inference's explicit
-/// `_fast`/`_graph` entry points bypass it — that is what lets a single
-/// test process compare both tiers regardless of the environment.
+/// `Vsan::score_items_batch_fast` / `Vsan::score_items_batch_graph`
+/// bypass it — that is what lets a single test process compare both
+/// tiers regardless of the environment.
 pub fn default_train_tier() -> KernelTier {
     if fast_path_disabled() {
         KernelTier::Reference

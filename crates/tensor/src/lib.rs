@@ -22,8 +22,6 @@
 //! * [`serialize`] — compact binary encode/decode via [`bytes`].
 //! * [`cluster`] — deterministic seeded k-means for the clustered
 //!   retrieval index (DESIGN.md §12).
-//! * [`arena`] — step-scoped buffer recycling for allocation-free
-//!   training steps (DESIGN.md §14).
 //!
 //! ## Example
 //!
@@ -36,7 +34,6 @@
 //! assert_eq!(c.data(), a.data());
 //! ```
 
-pub mod arena;
 pub mod cluster;
 pub mod init;
 pub mod kernel;
@@ -46,7 +43,6 @@ pub mod serialize;
 pub mod shape;
 pub mod tensor;
 
-pub use arena::{default_buffer_policy, ArenaStats, BufferPolicy, SharedBufferPool, TensorArena};
 pub use kernel::KernelTier;
 pub use shape::Shape;
 pub use tensor::Tensor;

@@ -121,7 +121,7 @@ pub fn exp(a: &Tensor) -> Tensor {
 }
 
 // ---------------------------------------------------------------------------
-// `_into` kernel tier: arena-friendly variants writing caller buffers.
+// `_into` kernel tier: variants writing caller buffers.
 //
 // Each kernel comes in three pieces, following the `ops/matmul.rs` /
 // `softmax_rows_masked_fast` idiom:

@@ -24,7 +24,7 @@
 //! reassociate the sum and break the bitwise-determinism invariant the
 //! serve cache and golden fixtures rest on.
 //!
-//! One micro-kernel ([`fold_tile`], an `R × C` block of accumulators kept
+//! One micro-kernel (`fold_tile`, an `R × C` block of accumulators kept
 //! in registers for a whole `k` fold) sits in one loop nest, shared by
 //! `A·B` and `Aᵀ·B` — they differ only in where `a[i][t]` is stored:
 //!
@@ -319,8 +319,7 @@ pub fn matmul_at_b(a: &Tensor, b: &Tensor) -> Result<Tensor> {
 /// Raw reference kernel behind [`matmul_at_b`]: `c += aᵀ · b` over flat
 /// buffers, `(k, m) × (k, n) → (m, n)`, zero-skip on `a`. `c` must be
 /// zeroed (or hold a partial sum). The exact loop [`matmul_at_b`] has
-/// always run, factored out so arena buffers can be filled without the
-/// output allocation.
+/// always run, factored out for callers that own the output buffer.
 pub fn matmul_at_b_ref_into(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
     debug_assert_eq!(a.len(), k * m);
     debug_assert_eq!(b.len(), k * n);
@@ -382,8 +381,7 @@ pub fn matmul_a_bt(a: &Tensor, b: &Tensor) -> Result<Tensor> {
 /// Raw reference kernel behind [`matmul_a_bt`]: `c = a · bᵀ` over flat
 /// buffers, `(m, k) × (n, k) → (m, n)`, per-element ascending-`k` dots.
 /// Overwrites `c`. The exact loop [`matmul_a_bt`] has always run,
-/// factored out so arena buffers can be filled without the output
-/// allocation.
+/// factored out for callers that own the output buffer.
 pub fn matmul_a_bt_ref_into(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
     debug_assert_eq!(a.len(), m * k);
     debug_assert_eq!(b.len(), n * k);
@@ -436,7 +434,7 @@ pub fn matmul_a_bt_fast(a: &Tensor, b: &Tensor) -> Result<Tensor> {
 
 /// Scratch-threaded twin of [`matmul_a_bt_fast`] over flat buffers:
 /// `c = a · bᵀ` via transpose-then-tiled, with the `Bᵀ` scratch supplied
-/// by the caller (arena-recycled on the training tape). `c` must be
+/// by the caller. `c` must be
 /// zeroed ([`matmul_into`] accumulates); `bt_scratch` is fully
 /// overwritten. Same fold, same bits as [`matmul_a_bt_fast`].
 pub fn matmul_a_bt_fast_into(
@@ -548,28 +546,6 @@ pub fn matmul_at_b_into(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize,
     tiled_product::<true>(a, b, c, m, k, n)
 }
 
-/// Batched matmul for rank-3 operands `(b, m, k) × (b, k, n) → (b, m, n)`.
-/// A tape op: reference kernel per batch slice (module header).
-pub fn matmul3(a: &Tensor, b: &Tensor) -> Result<Tensor> {
-    let (ba, m, k) = a.shape().as_3d()?;
-    let (bb, kb, n) = b.shape().as_3d()?;
-    if ba != bb || k != kb {
-        return Err(TensorError::ShapeMismatch {
-            lhs: a.dims().to_vec(),
-            rhs: b.dims().to_vec(),
-            op: "matmul3",
-        });
-    }
-    let mut out = Tensor::zeros(&[ba, m, n]);
-    for bi in 0..ba {
-        let a_sl = &a.data()[bi * m * k..(bi + 1) * m * k];
-        let b_sl = &b.data()[bi * k * n..(bi + 1) * k * n];
-        let o_sl = &mut out.data_mut()[bi * m * n..(bi + 1) * m * n];
-        matmul_into_skip_zeros(a_sl, b_sl, o_sl, m, k, n);
-    }
-    Ok(out)
-}
-
 /// Matrix–vector product `(m, k) × (k,) → (m,)`.
 pub fn matvec(a: &Tensor, x: &Tensor) -> Result<Tensor> {
     let (m, k) = a.shape().as_2d()?;
@@ -663,15 +639,6 @@ mod tests {
         for (w, g) in want.data().iter().zip(got.data()) {
             assert!((w - g).abs() < 1e-6);
         }
-    }
-
-    #[test]
-    fn matmul3_runs_per_batch() {
-        let a = Tensor::from_vec(vec![1.0, 0.0, 0.0, 1.0, 2.0, 0.0, 0.0, 2.0], &[2, 2, 2]).unwrap();
-        let b = Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0, 1.0, 2.0, 3.0, 4.0], &[2, 2, 2]).unwrap();
-        let c = matmul3(&a, &b).unwrap();
-        assert_eq!(&c.data()[..4], &[1.0, 2.0, 3.0, 4.0]);
-        assert_eq!(&c.data()[4..], &[2.0, 4.0, 6.0, 8.0]);
     }
 
     #[test]

@@ -30,7 +30,7 @@ pub use elementwise::{
 pub use matmul::{
     matmul, matmul_at_b, matmul_at_b_fast, matmul_at_b_into, matmul_at_b_ref_into, matmul_a_bt,
     matmul_a_bt_fast, matmul_a_bt_fast_into, matmul_a_bt_into, matmul_a_bt_ref_into, matmul_fast,
-    matmul3, transpose_into,
+    transpose_into,
 };
 pub use norm::{
     layer_norm_rows, layer_norm_rows_into, layer_norm_rows_stats_into, LayerNormStats,

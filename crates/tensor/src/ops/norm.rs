@@ -48,7 +48,7 @@ pub fn layer_norm_rows(
 
 /// Allocation-free LayerNorm over flat row-major buffers (the inference
 /// fast path's variant): normalizes `rows × c` from `x` into `out`.
-/// Shares [`layer_norm_row`] with [`layer_norm_rows`], so the two are
+/// Shares `layer_norm_row` with [`layer_norm_rows`], so the two are
 /// bit-identical by construction.
 pub fn layer_norm_rows_into(
     x: &[f32],
@@ -72,9 +72,9 @@ pub fn layer_norm_rows_into(
 
 /// Like [`layer_norm_rows_into`], but also captures the per-row statistics
 /// into caller-provided vectors (pushed in row order) so the autograd tape
-/// can run the backward pass from arena-owned buffers. Shares
-/// [`layer_norm_row`] with both other entry points, so all three are
-/// bit-identical by construction.
+/// can run the backward pass from them. Shares `layer_norm_row` with
+/// both other entry points, so all three are bit-identical by
+/// construction.
 #[allow(clippy::too_many_arguments)]
 pub fn layer_norm_rows_stats_into(
     x: &[f32],

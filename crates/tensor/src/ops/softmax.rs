@@ -119,7 +119,7 @@ fn softmax_rows_masked_body(scores: &[f32], out: &mut [f32], r: usize) {
 }
 
 // ---------------------------------------------------------------------------
-// `_into` kernel tier: arena-friendly variants writing caller buffers.
+// `_into` kernel tier: variants writing caller buffers.
 // Same three-piece idiom as `ops/elementwise.rs`: scalar reference, AVX2
 // dispatcher, and a feature-gated twin sharing one `#[inline(always)]`
 // body — bit-identical by construction. The max/exp/sum folds inside stay
@@ -166,8 +166,7 @@ fn softmax_rows_into_body(src: &[f32], out: &mut [f32], rows: usize, c: usize) {
 }
 
 /// Causal-masked softmax writing a caller buffer. `out` must be zeroed
-/// (masked entries `j > i` are left untouched and must read exactly 0.0),
-/// which arena buffers guarantee.
+/// (masked entries `j > i` are left untouched and must read exactly 0.0).
 pub fn softmax_rows_masked_into(scores: &[f32], out: &mut [f32], r: usize) {
     debug_assert_eq!(scores.len(), r * r);
     debug_assert_eq!(out.len(), r * r);

@@ -69,49 +69,14 @@ pub fn matmul_parallel(a: &Tensor, b: &Tensor, threads: usize) -> Result<Tensor>
     Ok(out)
 }
 
-/// Tier-dispatched parallel `C = A · B`: the tape's front-end once the
-/// graph carries a [`KernelTier`]. [`KernelTier::Reference`] runs
-/// [`matmul_parallel`] unchanged (the oracle path); [`KernelTier::Fast`]
-/// keeps the identical row-chunking and serial-fallback threshold but
-/// runs the register-tiled [`matmul_into`] in each chunk. Chunking never
-/// splits a row's `k` fold and the tiled kernel is bit-identical to the
-/// reference fold, so both tiers produce the same bits at every thread
-/// count.
-pub fn matmul_parallel_tiered(
-    a: &Tensor,
-    b: &Tensor,
-    threads: usize,
-    tier: KernelTier,
-) -> Result<Tensor> {
-    if tier == KernelTier::Reference {
-        return matmul_parallel(a, b, threads);
-    }
-    let (m, k) = a.shape().as_2d()?;
-    let (kb, n) = b.shape().as_2d()?;
-    if k != kb {
-        return Err(TensorError::ShapeMismatch {
-            lhs: a.dims().to_vec(),
-            rhs: b.dims().to_vec(),
-            op: "matmul_parallel",
-        });
-    }
-    let mut out = Tensor::zeros(&[m, n]);
-    let threads = threads.max(1).min(m.max(1));
-    if threads == 1 || m * k * n < 1_000_000 {
-        matmul_into(a.data(), b.data(), out.data_mut(), m, k, n);
-        return Ok(out);
-    }
-    matmul_into_parallel(a.data(), b.data(), out.data_mut(), m, k, n, threads);
-    Ok(out)
-}
-
-/// Flat-buffer twin of [`matmul_parallel_tiered`] writing a caller
-/// (arena) buffer: `c` must be zeroed. [`KernelTier::Reference`] runs
-/// the reference `i-k-j` zero-skip kernel with [`matmul_parallel`]'s
-/// exact row-chunking and serial-fallback threshold; [`KernelTier::Fast`]
-/// runs [`matmul_into_parallel`] (identical chunking, tiled kernel).
-/// Same folds per output element in every case — same bits as the
-/// allocating front-end at every thread count.
+/// Tier-dispatched parallel `c += a · b` into a caller's zeroed buffer:
+/// the tape's front-end. [`KernelTier::Reference`] runs the reference
+/// `i-k-j` zero-skip kernel with [`matmul_parallel`]'s exact row-chunking
+/// and serial-fallback threshold; [`KernelTier::Fast`] runs
+/// [`matmul_into_parallel`] (identical chunking, tiled kernel). Chunking
+/// never splits a row's `k` fold and the tiled kernel is bit-identical to
+/// the reference fold, so both tiers produce `ops::matmul`'s bits at
+/// every thread count.
 #[allow(clippy::too_many_arguments)]
 pub fn matmul_parallel_tiered_into(
     a: &[f32],
@@ -185,36 +150,6 @@ pub fn matmul_into_parallel(
     .expect("worker thread panicked in matmul_into_parallel");
 }
 
-/// Run `f(i)` for every `i in 0..len` across `threads` workers, writing into
-/// equal chunks of `out`. The closure receives `(global_index, &mut item)`.
-///
-/// Used for per-row post-processing (e.g. softmax over huge logit rows).
-pub fn for_each_chunk_parallel<T: Send>(
-    out: &mut [T],
-    threads: usize,
-    f: impl Fn(usize, &mut T) + Sync,
-) {
-    let threads = threads.max(1);
-    if threads == 1 || out.len() < 2 {
-        for (i, item) in out.iter_mut().enumerate() {
-            f(i, item);
-        }
-        return;
-    }
-    let chunk = out.len().div_ceil(threads);
-    crossbeam::thread::scope(|s| {
-        for (ci, ch) in out.chunks_mut(chunk).enumerate() {
-            let f = &f;
-            s.spawn(move |_| {
-                for (j, item) in ch.iter_mut().enumerate() {
-                    f(ci * chunk + j, item);
-                }
-            });
-        }
-    })
-    .expect("worker thread panicked in for_each_chunk_parallel");
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -255,29 +190,13 @@ mod tests {
         let a = Tensor::zeros(&[2, 3]);
         let b = Tensor::zeros(&[4, 2]);
         assert!(matmul_parallel(&a, &b, 2).is_err());
-        assert!(matmul_parallel_tiered(&a, &b, 2, KernelTier::Fast).is_err());
     }
 
     #[test]
     fn tiered_front_end_is_bit_identical_across_tiers_and_threads() {
-        let mut rng = StdRng::seed_from_u64(3);
-        // Big enough to cross the serial-fallback threshold at 4 threads.
-        let a = init::randn(&mut rng, &[128, 64], 0.0, 0.5);
-        let b = init::randn(&mut rng, &[64, 160], 0.0, 0.5);
-        let want = crate::ops::matmul(&a, &b).unwrap();
-        for threads in [1, 2, 4] {
-            for tier in [KernelTier::Reference, KernelTier::Fast] {
-                let got = matmul_parallel_tiered(&a, &b, threads, tier).unwrap();
-                for (w, g) in want.data().iter().zip(got.data()) {
-                    assert_eq!(w.to_bits(), g.to_bits(), "threads={threads} tier={}", tier.name());
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn into_front_end_matches_the_allocating_front_end_bitwise() {
         let mut rng = StdRng::seed_from_u64(4);
+        // The large shape crosses the serial-fallback threshold at 2 and 4
+        // threads; the small one stays serial and ends in partial tiles.
         for (m, k, n) in [(5usize, 7usize, 9usize), (128, 64, 160)] {
             let mut a = init::randn(&mut rng, &[m, k], 0.0, 0.5);
             // Exact zeros exercise the reference tier's skip branch.
@@ -285,9 +204,9 @@ mod tests {
                 *v = 0.0;
             }
             let b = init::randn(&mut rng, &[k, n], 0.0, 0.5);
-            for threads in [1usize, 4] {
+            let want = crate::ops::matmul(&a, &b).unwrap();
+            for threads in [1usize, 2, 4] {
                 for tier in [KernelTier::Reference, KernelTier::Fast] {
-                    let want = matmul_parallel_tiered(&a, &b, threads, tier).unwrap();
                     let mut got = vec![0.0f32; m * n];
                     matmul_parallel_tiered_into(a.data(), b.data(), &mut got, m, k, n, threads, tier);
                     for (w, g) in want.data().iter().zip(&got) {
@@ -300,15 +219,6 @@ mod tests {
                     }
                 }
             }
-        }
-    }
-
-    #[test]
-    fn for_each_chunk_visits_every_index() {
-        let mut out = vec![0usize; 37];
-        for_each_chunk_parallel(&mut out, 4, |i, slot| *slot = i * 2);
-        for (i, v) in out.iter().enumerate() {
-            assert_eq!(*v, i * 2);
         }
     }
 

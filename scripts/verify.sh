@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # Full offline verification gate: release build, workspace tests, the
-# serial/parallel training-equivalence matrix, and clippy with warnings
-# denied. Everything resolves against the vendored shims in shims/, so
-# --offline always works.
+# serial/parallel training-equivalence matrix, and clippy and rustdoc
+# with warnings denied. Everything resolves against the vendored shims
+# in shims/, so --offline always works.
 #
 # PROPTEST_CASES is pinned so property-test coverage is identical across
 # CI runs (the proptest shim reads it, matching upstream's env override).
@@ -108,22 +108,18 @@ for pin in "" 1; do
   fi
 done
 
-# Training kernel-tier + buffer-policy differential gate (DESIGN.md
-# §10 + §14, PRs 9/10): the fused/tiled fast training tier must stay
-# bit-identical to the scalar reference tape, and arena-reuse training
-# (reset graphs, recycled buffers, vectorized elementwise/softmax
-# kernels) must stay bit-identical to fresh-allocation training. The
-# proptest differential suite (which now carries the arena-reuse and
-# steady-state-allocation tests), the tiered gradcheck suite, the
-# golden 3-step training fixture (now a policy × tier × thread grid),
-# and the threads × tier training grid all run twice — with the
-# environment pin unset (fast tier + arena reuse are the defaults) and
-# with VSAN_DISABLE_FAST_PATH=1 (reference tier + fresh allocations) —
-# covering every env × entry-point routing the pin controls. In-config
-# pins override the env, so each single run still exercises both
-# tiers' kernels and both policies; the double run proves the
-# *routing* under both process-level env states.
-echo "==> kernel-tier + buffer-policy differential suite (VSAN_DISABLE_FAST_PATH unset + =1)"
+# Training kernel-tier differential gate (DESIGN.md §10 + §14, PRs
+# 9/10): the fused/tiled fast training tier, vectorized
+# elementwise/softmax kernels included, must stay bit-identical to the
+# scalar reference tape. The proptest differential suite, the tiered
+# gradcheck suite, the golden 3-step training fixture (a tier × thread
+# grid) and the threads × tier training grid all run twice — with the
+# environment pin unset (fast tier is the default) and with
+# VSAN_DISABLE_FAST_PATH=1 (reference tier) — covering every env ×
+# entry-point routing the pin controls. In-config pins override the
+# env, so each single run still exercises both tiers' kernels; the
+# double run proves the *routing* under both process-level env states.
+echo "==> kernel-tier differential suite (VSAN_DISABLE_FAST_PATH unset + =1)"
 cargo test -q --offline -p vsan-autograd --test tier_differential
 cargo test -q --offline -p vsan-autograd --test gradcheck_ops
 cargo test -q --offline -p vsan-core --test golden_train
@@ -131,41 +127,6 @@ VSAN_DISABLE_FAST_PATH=1 cargo test -q --offline -p vsan-autograd --test tier_di
 VSAN_DISABLE_FAST_PATH=1 cargo test -q --offline -p vsan-autograd --test gradcheck_ops
 VSAN_DISABLE_FAST_PATH=1 cargo test -q --offline -p vsan-core --test golden_train
 VSAN_DISABLE_FAST_PATH=1 cargo test -q --offline -p vsan-core --test parallel_train
-
-# The committed training benchmark must attest all three halves of the
-# training-perf claims: every policy × tier × thread cell trained
-# bit-identical parameters, the single-thread fused/tiled training step
-# is at least 2x the reference tape at every benchmarked shape, and
-# steady-state training steps under arena reuse pull exactly zero
-# tensor buffers from the global allocator (allocation-free training,
-# DESIGN.md §14).
-echo "==> results/BENCH_train.json bitwise_match + min_kernel_speedup >= 2 + zero-alloc attestations"
-if [ ! -f results/BENCH_train.json ]; then
-  echo "results/BENCH_train.json missing — run: cargo run --release -p vsan-bench --bin train_bench" >&2
-  exit 1
-fi
-if ! grep -q '"bitwise_match": true' results/BENCH_train.json; then
-  echo "results/BENCH_train.json lacks \"bitwise_match\": true" >&2
-  exit 1
-fi
-speedup="$(sed -n 's/.*"min_kernel_speedup": \([0-9.]*\).*/\1/p' results/BENCH_train.json | head -n1)"
-if [ -z "${speedup}" ]; then
-  echo "results/BENCH_train.json lacks \"min_kernel_speedup\" — regenerate with train_bench" >&2
-  exit 1
-fi
-if ! awk -v s="${speedup}" 'BEGIN { exit !(s >= 2.0) }'; then
-  echo "min_kernel_speedup ${speedup} < 2.0 — the fast training tier no longer pays for itself" >&2
-  exit 1
-fi
-allocs="$(sed -n 's/.*"tensor_allocs_per_step_steady": \([0-9.]*\).*/\1/p' results/BENCH_train.json | head -n1)"
-if [ -z "${allocs}" ]; then
-  echo "results/BENCH_train.json lacks \"tensor_allocs_per_step_steady\" — regenerate with train_bench" >&2
-  exit 1
-fi
-if ! awk -v a="${allocs}" 'BEGIN { exit !(a <= 0.0) }'; then
-  echo "tensor_allocs_per_step_steady ${allocs} > 0 — steady-state training steps allocate again" >&2
-  exit 1
-fi
 
 # Session differential gate: the incremental append path (prepare +
 # one-row fold-in, DESIGN.md §10–§11) must equal the graph oracle and a
@@ -282,6 +243,11 @@ cargo run --release --offline -q -p vsan-bench --bin obs_smoke
 
 echo "==> cargo clippy --offline -- -D warnings"
 cargo clippy --workspace --all-targets --offline -- -D warnings
+
+# Doc links are the only place a deleted public name can dangle
+# unnoticed: rustdoc's broken/private/ambiguous-link lints are errors.
+echo "==> cargo doc --offline (RUSTDOCFLAGS=-D warnings)"
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 
 # benchmark/ is its own cargo workspace, so nothing above compiles it:
 # the smoke pass builds it against the crates' public functions and runs
