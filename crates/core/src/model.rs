@@ -223,6 +223,13 @@ impl Vsan {
         &self.cfg
     }
 
+    /// Vocabulary size: the real items plus the padding id 0. An item id
+    /// at or above it is what every scoring path rejects as out of
+    /// vocabulary.
+    pub fn vocab(&self) -> usize {
+        self.vocab
+    }
+
     /// Total trainable scalars.
     pub fn num_parameters(&self) -> usize {
         self.store.num_scalars()

@@ -72,9 +72,11 @@ pub enum TraceStage {
     Session = 12,
     /// Session store resolution: own entry / sibling / cold decision.
     SessionResolve = 13,
-    /// Full state prepare on the session path (cold start / resume).
+    /// Full state prepare on the session path: on the reply path when
+    /// the event found no fresh state (cold start / resume / reset), on
+    /// a pool worker for the refresh after the reply.
     SessionPrepare = 14,
-    /// The one-row append pass + re-prepare for the grown history.
+    /// The one-row append pass.
     SessionApply = 15,
     /// Session snapshot committed back to the store (evictions fire
     /// here).

@@ -223,10 +223,15 @@ impl std::fmt::Debug for Ticket {
     }
 }
 
-/// Work units travelling from the batcher to the workers.
+/// Work units travelling to the workers: batches from the batcher,
+/// session refreshes from [`Engine::append_event`].
 enum BatchMsg {
     /// A batch of requests to score and answer.
     Work(Vec<Request>),
+    /// Prepare `user`'s session state for its grown history, after the
+    /// event that grew it has been answered. `trace` is that event's
+    /// `session` span, the parent of the prepare span recorded here.
+    Refresh { user: u64, trace: TraceContext },
     /// Teardown sentinel: the receiving worker exits.
     Stop,
 }
@@ -316,6 +321,12 @@ impl Inner {
     /// Record `stage` as a child span of `parent`.
     fn span(&self, parent: TraceContext, stage: TraceStage, dur_us: u64, attr: u64) {
         self.trace(parent.child(stage.code()), stage, dur_us, attr);
+    }
+
+    /// The session runtime's trace hookup under the `session` span
+    /// `ctx`; `None` when tracing is disabled.
+    fn session_trace(&self, ctx: TraceContext) -> Option<SessionTrace<'_>> {
+        self.recorder.as_deref().map(|recorder| SessionTrace { recorder, ctx, origin: self.origin })
     }
 
     /// The trace id to attach as a histogram exemplar — `0` (no
@@ -443,6 +454,8 @@ pub struct Engine {
     batcher: Option<JoinHandle<()>>,
     supervisor: Option<JoinHandle<()>>,
     ctrl_tx: Sender<Ctrl>,
+    /// The batch channel, for posting session refreshes to the pool.
+    batch_tx: Sender<BatchMsg>,
 }
 
 impl Engine {
@@ -506,7 +519,7 @@ impl Engine {
         let ctx = WorkerCtx {
             inner: Arc::clone(&inner),
             batch_rx,
-            batch_tx,
+            batch_tx: batch_tx.clone(),
             ctrl_tx: ctrl_tx.clone(),
             max_batch,
         };
@@ -525,7 +538,7 @@ impl Engine {
                 .expect("spawn supervisor thread")
         };
 
-        Engine { inner, batcher: Some(batcher), supervisor: Some(supervisor), ctrl_tx }
+        Engine { inner, batcher: Some(batcher), supervisor: Some(supervisor), ctrl_tx, batch_tx }
     }
 
     /// Enqueue a request for the top `k` items after `history`, with
@@ -669,6 +682,13 @@ impl Engine {
     /// by the prefix-keyed layer-state cache (README § Incremental
     /// sessions) — bit-identical to a batch forward of the same history.
     ///
+    /// The reply is computed on the calling thread and returned as soon
+    /// as the append pass is done. Preparing the session state for the
+    /// *next* event — one full pass — is then posted to the worker pool
+    /// as a refresh: an event that arrives after it pays the append pass
+    /// alone, one that arrives before it prepares for itself, and the
+    /// answer is the same either way.
+    ///
     /// `hint` is the client's view of the history *before* this event:
     /// `None` trusts the server-side session; `Some` cross-checks it. A
     /// missing session, an eviction, or a hint running ahead of the
@@ -676,8 +696,9 @@ impl Engine {
     /// tagged in the `session.*` metrics. A *contradictory* hint resets
     /// the session (the hint wins) and fires a `session_reset` fault.
     /// In degraded mode, and on a genuine model error (e.g. an
-    /// out-of-vocabulary id), the event resolves through the degraded
-    /// fallback path like any other request.
+    /// out-of-vocabulary id, rejected before the session store is
+    /// touched), the event resolves through the degraded fallback path
+    /// like any other request.
     pub fn append_event(
         &self,
         user: u64,
@@ -709,16 +730,26 @@ impl Engine {
         // prepare / apply / commit) as children of this `session` span.
         let sctx = trace.child(TraceStage::Session.code());
         inner.trace(sctx, TraceStage::Session, 0, user);
-        let strace = inner
-            .recorder
-            .as_deref()
-            .map(|recorder| SessionTrace { recorder, ctx: sctx, origin: inner.origin });
         let mut ws = inner.take_session_ws();
-        let result =
-            inner.session.append_event_traced(&inner.model, user, hint, item, &mut ws, start, strace);
+        let result = inner.session.append_event_traced(
+            &inner.model,
+            user,
+            hint,
+            item,
+            &mut ws,
+            start,
+            inner.session_trace(sctx),
+        );
         inner.put_session_ws(ws);
         match result {
             Ok(r) => {
+                // The state is one event behind: a pool worker catches it
+                // up while this thread ranks and replies. (The send only
+                // fails once the pool is gone, and then nobody is left to
+                // read the state.)
+                if r.needs_refresh {
+                    let _ = self.batch_tx.send(BatchMsg::Refresh { user, trace: sctx });
+                }
                 match r.outcome {
                     SessionOutcome::Append => metrics.session_appends.inc(),
                     SessionOutcome::Resumed { .. } => metrics.session_resumes.inc(),
@@ -1045,10 +1076,11 @@ fn spawn_worker(id: usize, ctx: WorkerCtx) -> JoinHandle<()> {
         .expect("spawn worker thread")
 }
 
-/// Worker: score batches until told to stop. A panic anywhere in the
-/// batch is caught at this boundary; the untouched requests are
-/// requeued (bounded by the retry budget), the supervisor is notified,
-/// and the thread exits — the supervisor respawns a replacement.
+/// Worker: score batches and refresh session states until told to
+/// stop. A panic anywhere in a batch or a refresh is caught at this
+/// boundary; the untouched requests are requeued (bounded by the retry
+/// budget; a refresh holds none), the supervisor is notified, and the
+/// thread exits — the supervisor respawns a replacement.
 ///
 /// Each worker owns one [`vsan_core::Workspace`], pre-sized for
 /// `max_batch` fold-ins at spawn, so the inference fast path performs
@@ -1070,7 +1102,40 @@ fn worker_loop(id: usize, ctx: &WorkerCtx) {
                     return;
                 }
             }
+            Ok(BatchMsg::Refresh { user, trace }) => {
+                let outcome =
+                    catch_unwind(AssertUnwindSafe(|| refresh_session(&ctx.inner, user, trace, &mut ws)));
+                if outcome.is_err() {
+                    isolate_panic(id, ctx, Vec::new());
+                    return;
+                }
+            }
         }
+    }
+}
+
+/// Run one queued session refresh on a worker. Never fails the engine:
+/// a refresh that finds nothing to do (user evicted or ended, state
+/// already fresh) is counted and dropped, and so is every refresh still
+/// queued once shutdown has closed the admission queue — a state
+/// prepared then would never be read.
+fn refresh_session(inner: &Inner, user: u64, trace: TraceContext, ws: &mut vsan_core::Workspace) {
+    if inner.queue.is_closed() {
+        inner.metrics.session_refresh_skipped.inc();
+        return;
+    }
+    match inner.session.refresh_traced(&inner.model, user, ws, inner.session_trace(trace)) {
+        Ok(true) => inner.metrics.session_refreshes.inc(),
+        Ok(false) => inner.metrics.session_refresh_skipped.inc(),
+        Err(err) => {
+            inner.metrics.model_errors.inc();
+            inner.fault(FaultKind::ModelError, &err);
+        }
+    }
+    // After the runtime has taken the refresh off the store's books: a
+    // worker that dies here owes the session nothing.
+    if let Some(action) = failpoint::fire("panic_in_worker") {
+        failpoint::act("panic_in_worker", action);
     }
 }
 

@@ -1,8 +1,8 @@
 //! Deterministic fault-injection registry.
 //!
 //! A *failpoint* is a named site in the serving path where a test can
-//! arm a fault: `panic_in_worker` (panic mid-batch, exercising worker
-//! isolation and respawn), `slow_compute` (inject latency before the
+//! arm a fault: `panic_in_worker` (panic mid-batch or mid-refresh,
+//! exercising worker isolation and respawn), `slow_compute` (inject latency before the
 //! forward pass, exercising deadlines and saturation), and `drop_batch`
 //! (discard a dispatched batch, exercising the no-ticket-lost
 //! guarantee). Sites call [`fire`], which is a single relaxed atomic

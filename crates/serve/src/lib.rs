@@ -29,9 +29,11 @@
 //! * **Incremental sessions** — [`Engine::append_event`] folds one new
 //!   interaction into a per-user prefix-keyed layer-state cache
 //!   (`vsan_session`), answering in one O(n·d²) append pass instead of
-//!   a full forward, bit-identical to it. Eviction (LRU capacity /
-//!   idle TTL) is transparent: the next event cold-starts through the
-//!   same API, tagged in the `session.*` metrics and fault events.
+//!   a full forward, bit-identical to it; the worker pool re-prepares
+//!   the state for the next event after the reply has gone out.
+//!   Eviction (LRU capacity / idle TTL) is transparent: the next event
+//!   cold-starts through the same API, tagged in the `session.*`
+//!   metrics and fault events.
 //! * **Request-scoped tracing** — every request roots a deterministic
 //!   trace at admission and grows child spans at each stage it crosses
 //!   (queue pickup, compute, clustered retrieval, session sub-stages,

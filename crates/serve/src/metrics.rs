@@ -81,17 +81,25 @@ pub(crate) struct Metrics {
     /// rate here flags callers invalidating windows that never cached.
     pub cache_invalidate_misses: Arc<Counter>,
     // --- incremental-session counters (README § Incremental sessions) ---
-    /// Events served by a pure incremental append (warm session).
+    /// Events that found their state refreshed in time: one append
+    /// pass, no prepare on the reply path.
     pub session_appends: Arc<Counter>,
-    /// Events that transparently cold-started (first event or evicted).
+    /// Events for a user that was not resident (first event, evicted,
+    /// ended).
     pub session_cold_starts: Arc<Counter>,
-    /// Events that resumed a cached prefix (gap replay or exact-history
-    /// sibling reuse).
+    /// Events for a resident user that prepared on the reply path: the
+    /// state was still stale, the hint ran ahead, or an exact-history
+    /// sibling state was reused.
     pub session_resumes: Arc<Counter>,
     /// Events whose hint contradicted the cached history (state rebuilt).
     pub session_resets: Arc<Counter>,
     /// Sessions evicted by LRU capacity or idle TTL.
     pub session_evictions: Arc<Counter>,
+    /// Session states prepared by the worker pool after the reply.
+    pub session_refreshes: Arc<Counter>,
+    /// Queued refreshes that prepared nothing: user evicted or ended,
+    /// state already fresh, or dropped at shutdown.
+    pub session_refresh_skipped: Arc<Counter>,
     /// Live sessions in the store.
     pub sessions_live: Arc<Gauge>,
     /// Resident bytes across all session states.
@@ -152,6 +160,8 @@ impl Metrics {
             session_resumes: registry.counter("session.resumes"),
             session_resets: registry.counter("session.resets"),
             session_evictions: registry.counter("session.evictions"),
+            session_refreshes: registry.counter("session.refreshes"),
+            session_refresh_skipped: registry.counter("session.refresh_skipped"),
             sessions_live: registry.gauge("session.live"),
             session_bytes: registry.gauge("session.bytes"),
             retrieval_exact: registry.counter("serve.retrieval_exact"),
@@ -201,6 +211,8 @@ impl Metrics {
             session_resumes: self.session_resumes.get(),
             session_resets: self.session_resets.get(),
             session_evictions: self.session_evictions.get(),
+            session_refreshes: self.session_refreshes.get(),
+            session_refresh_skipped: self.session_refresh_skipped.get(),
             retrieval_exact: self.retrieval_exact.get(),
             retrieval_clustered: self.retrieval_clustered.get(),
         }
@@ -278,16 +290,23 @@ pub struct MetricsSnapshot {
     pub model_errors: u64,
     /// `Engine::invalidate` calls that found nothing to evict.
     pub cache_invalidate_misses: u64,
-    /// Session events served by a pure incremental append.
+    /// Session events that found their state refreshed in time (one
+    /// append pass on the reply path).
     pub session_appends: u64,
-    /// Session events that transparently cold-started.
+    /// Session events for a user that was not resident.
     pub session_cold_starts: u64,
-    /// Session events that resumed a cached prefix (replay or sibling).
+    /// Session events for a resident user that prepared on the reply
+    /// path (stale state, hint ahead, or sibling reuse).
     pub session_resumes: u64,
     /// Session events whose hint contradicted the cached history.
     pub session_resets: u64,
     /// Sessions evicted by LRU capacity or idle TTL.
     pub session_evictions: u64,
+    /// Session states prepared by the worker pool after the reply.
+    pub session_refreshes: u64,
+    /// Queued refreshes that prepared nothing (user gone, state already
+    /// fresh, or dropped at shutdown).
+    pub session_refresh_skipped: u64,
     /// Requests scored by exact brute force over the full vocabulary.
     pub retrieval_exact: u64,
     /// Requests scored through the clustered MIPS index.
@@ -411,6 +430,8 @@ impl ServeStats {
             .u64("session_resumes", self.snapshot.session_resumes)
             .u64("session_resets", self.snapshot.session_resets)
             .u64("session_evictions", self.snapshot.session_evictions)
+            .u64("session_refreshes", self.snapshot.session_refreshes)
+            .u64("session_refresh_skipped", self.snapshot.session_refresh_skipped)
             .i64("sessions_live", self.sessions_live)
             .i64("session_bytes", self.session_bytes)
             .u64("retrieval_exact", self.snapshot.retrieval_exact)
@@ -457,10 +478,14 @@ mod tests {
         m.compute_us.record(200);
         m.latency_us.record(250);
         m.batch_fill_pct.record(100);
+        m.session_refreshes.add(3);
+        m.session_refresh_skipped.inc();
         let stats = m.stats();
         assert_eq!(stats.mean_batch_fill_pct(), 100.0);
         let v = vsan_obs::parse(&stats.to_json()).unwrap();
         assert_eq!(v.get("requests").unwrap().as_u64(), Some(1));
+        assert_eq!(v.get("session_refreshes").unwrap().as_u64(), Some(3));
+        assert_eq!(v.get("session_refresh_skipped").unwrap().as_u64(), Some(1));
         let lat = v.get("latency_us").unwrap();
         assert_eq!(lat.get("count").unwrap().as_u64(), Some(1));
         assert!(lat.get("p99").unwrap().as_u64().unwrap() >= 250);

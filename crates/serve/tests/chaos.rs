@@ -11,6 +11,10 @@
 //!    fault-free run** — faults can delay or reject a request, never
 //!    corrupt its ranking.
 //!
+//! 4. **A session refresh is pool work like any other** — a panic inside
+//!    one is isolated and healed like a batch panic, and shutdown drops
+//!    the queued backlog instead of running it.
+//!
 //! The failpoint registry is process-global, so every test serializes
 //! on one lock and disarms on the way out. Seeded schedules draw their
 //! seed from `VSAN_FAILPOINT_SEED` (the verify script sweeps several);
@@ -465,4 +469,71 @@ fn worker_panic_dump_reconstructs_the_poisoned_batch_chain() {
         assert_eq!(admission.2, "0000000000000000", "admission is the root (no parent)");
         assert_eq!(admission.0, c.0, "trace id constant along the chain");
     }
+}
+
+/// Spin (bounded) until `cond` holds.
+fn wait_until(what: &str, cond: impl Fn() -> bool) {
+    let due = Instant::now() + Duration::from_secs(30);
+    while !cond() {
+        assert!(Instant::now() < due, "timed out waiting for {what}");
+        std::thread::sleep(Duration::from_micros(200));
+    }
+}
+
+#[test]
+fn shutdown_drops_a_backlog_of_refreshes_without_running_them() {
+    let _chaos = chaos();
+    // Put the one worker to sleep inside a batch, then queue session
+    // refreshes behind it.
+    failpoint::arm("slow_compute", Schedule::FirstN(1), FailAction::SleepMs(500));
+    let engine =
+        Engine::start(trained_model(), EngineConfig::default().with_workers(1).with_cache_capacity(0));
+    let ticket = engine.submit(&histories(1)[0], 5);
+    wait_until("the worker to fall asleep", || failpoint::fired("slow_compute") == 1);
+
+    for user in 0..8u32 {
+        let item = user % 8 + 1;
+        let resp = engine.append_event(u64::from(user), None, item, 3).expect("append");
+        assert_eq!(resp.items(), &engine.model().recommend(&[item], 3)[..]);
+    }
+    let before = engine.metrics();
+    assert_eq!(before.session_refreshes + before.session_refresh_skipped, 0, "the worker is asleep");
+
+    // Shutdown closes the admission queue first; the worker wakes up to
+    // eight refreshes nobody will read, and must not spend eight full
+    // passes on them before it lets the engine go.
+    let after = engine.shutdown();
+    assert_eq!(after.session_refreshes, before.session_refreshes, "shutdown ran a queued refresh");
+    let posted = if vsan_core::fast_path_disabled() { 0 } else { 8 };
+    assert_eq!(after.session_refresh_skipped, posted, "every queued refresh is dropped, and counted");
+    wait_within(ticket, Duration::from_secs(30)).expect("the sleeping batch still resolves");
+}
+
+#[test]
+fn a_panic_inside_a_refresh_is_isolated_and_healed_like_a_batch_panic() {
+    let _chaos = chaos();
+    if vsan_core::fast_path_disabled() {
+        // Oracle mode posts no refresh: there is nothing to panic in.
+        return;
+    }
+    failpoint::arm("panic_in_worker", Schedule::FirstN(1), FailAction::Panic);
+    let engine = Engine::start(trained_model(), EngineConfig::default().with_workers(1));
+
+    // The reply does not wait for the refresh, so the panic cannot touch
+    // it; the worker dies at the end of the refresh and is respawned.
+    let resp = engine.append_event(5, None, 3, 3).expect("append");
+    assert_eq!(resp.items(), &engine.model().recommend(&[3], 3)[..]);
+    wait_until("the respawn", || engine.metrics().worker_respawns == 1);
+
+    // The session is unharmed, and the new worker takes over its
+    // refreshes and ordinary batches alike.
+    let resp = engine.append_event(5, None, 5, 3).expect("append after the panic");
+    assert_eq!(resp.source(), ResponseSource::Session);
+    assert_eq!(resp.items(), &engine.model().recommend(&[3, 5], 3)[..]);
+    wait_until("a refresh on the respawned worker", || engine.metrics().session_refreshes == 2);
+    assert_eq!(engine.recommend(&[1, 2, 3], 3).expect("batch"), engine.model().recommend(&[1, 2, 3], 3));
+
+    let m = engine.shutdown();
+    assert_eq!((m.worker_panics, m.worker_respawns), (1, 1));
+    assert_eq!(m.session_cold_starts, 1, "the second event found the session resident");
 }

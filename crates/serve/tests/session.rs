@@ -1,10 +1,12 @@
 //! Engine-level tests for the incremental session path
 //! (`Engine::append_event`): bitwise agreement with the offline
-//! recommend path, transparent eviction under capacity pressure,
-//! hint-driven resets, `session.*` metrics and fault telemetry, and the
-//! sequence-cache warming side effect.
+//! recommend path whether or not the pool's refresh has caught up,
+//! transparent eviction under capacity pressure, hint-driven resets,
+//! `session.*` metrics and fault telemetry, and the sequence-cache
+//! warming side effect.
 
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 use vsan_core::{Vsan, VsanConfig};
 use vsan_data::synthetic::{generate_stream, SessionStreamConfig};
@@ -24,9 +26,20 @@ fn trained_model() -> Vsan {
     Vsan::train(&ds, &train_users, &cfg).expect("smoke training")
 }
 
+/// Spin (bounded) until the pool has run `n` refreshes: what makes the
+/// next event's outcome a fact instead of a race.
+fn wait_for_refreshes(engine: &Engine, n: u64) {
+    let due = Instant::now() + Duration::from_secs(20);
+    while engine.metrics().session_refreshes < n {
+        assert!(Instant::now() < due, "refresh {n} never ran: {:?}", engine.metrics());
+        std::thread::sleep(Duration::from_micros(100));
+    }
+}
+
 #[test]
 fn appends_match_offline_recommend_and_count_as_warm() {
     let engine = Engine::start(trained_model(), EngineConfig::default());
+    let live = !vsan_core::fast_path_disabled();
     let mut history: Vec<u32> = Vec::new();
     for (i, item) in [3u32, 1, 4, 1, 5, 2, 6].into_iter().enumerate() {
         let resp = engine.append_event(42, None, item, 5).unwrap();
@@ -35,16 +48,22 @@ fn appends_match_offline_recommend_and_count_as_warm() {
         assert!(!resp.is_degraded());
         let offline = engine.model().recommend(&history, 5);
         assert_eq!(resp.items(), &offline[..], "event {i} diverged from offline recommend");
+        if live {
+            // Let the pool catch the state up before the next event.
+            wait_for_refreshes(&engine, i as u64 + 1);
+        }
     }
     let m = engine.metrics();
-    if vsan_core::fast_path_disabled() {
-        // Oracle mode (VSAN_DISABLE_FAST_PATH=1): every event honestly
-        // classifies as a full-recompute cold start.
-        assert_eq!(m.session_cold_starts, 7);
-        assert_eq!(m.session_appends, 0);
+    assert_eq!(m.session_cold_starts, 1, "only the first event finds nobody resident");
+    if live {
+        assert_eq!(m.session_appends, 6, "every later event found its state refreshed");
+        assert_eq!(m.session_refreshes, 7, "one refresh per event");
+        assert_eq!(m.session_refresh_skipped, 0);
     } else {
-        assert_eq!(m.session_cold_starts, 1, "only the first event cold-starts");
-        assert_eq!(m.session_appends, 6, "every later event is a pure warm append");
+        // Oracle mode (VSAN_DISABLE_FAST_PATH=1): nothing is ever
+        // prepared, so a resident user is always one event behind.
+        assert_eq!(m.session_resumes, 6);
+        assert_eq!(m.session_refreshes + m.session_refresh_skipped, 0, "no refresh is even posted");
     }
     assert_eq!(m.session_resets, 0);
     assert_eq!(m.session_evictions, 0);
@@ -139,13 +158,13 @@ fn divergent_hint_resets_the_session() {
     let resp = engine.append_event(9, Some(&[7, 7]), 2, 3).unwrap();
     let offline = engine.model().recommend(&[7, 7, 2], 3);
     assert_eq!(resp.items(), &offline[..]);
-    if !vsan_core::fast_path_disabled() {
-        // Classification is an incremental-path concept; in oracle mode
-        // the unprepared state makes this a plain cold start instead.
-        let m = engine.metrics();
-        assert_eq!(m.session_resets, 1);
-        assert!(sink.lines().iter().any(|l| l.contains("session_reset")), "reset fault emitted");
-    }
+    // A reset is decided by comparing the hint with the cached history,
+    // so it does not matter whether the refresh for [3, 5] has run yet —
+    // nor whether the incremental path is on at all.
+    let m = engine.metrics();
+    assert_eq!(m.session_resets, 1);
+    assert_eq!(m.session_cold_starts, 1);
+    assert!(sink.lines().iter().any(|l| l.contains("session_reset")), "reset fault emitted");
 }
 
 #[test]
@@ -183,6 +202,35 @@ fn model_errors_resolve_degraded_not_fabricated() {
     let resp = engine.append_event(4, None, 5, 3).unwrap();
     assert_eq!(resp.source(), ResponseSource::Session);
     assert_eq!(resp.items(), &engine.model().recommend(&[3, 5], 3)[..]);
+}
+
+#[test]
+fn a_failed_event_evicts_no_one_and_leaves_no_slot() {
+    let sink = Arc::new(vsan_obs::MemorySink::new());
+    let engine = Engine::start(
+        trained_model(),
+        EngineConfig::default()
+            .with_session_capacity(1)
+            .with_fault_sink(sink.clone())
+            .with_popularity(vec![0.0, 5.0, 4.0, 3.0, 2.0, 1.0, 0.5, 0.2, 0.1]),
+    );
+    engine.append_event(1, None, 3, 3).unwrap();
+    // Another user, an item the model cannot embed. Making room for user
+    // 2 in the one-slot store would have evicted user 1 — for a request
+    // that was never going to be served.
+    let resp = engine.append_event(2, None, 4000, 3).unwrap();
+    assert!(resp.is_degraded());
+    let m = engine.metrics();
+    assert_eq!(m.model_errors, 1);
+    assert_eq!(m.session_evictions, 0, "a request that cannot be served evicts no one");
+    assert!(!sink.lines().iter().any(|l| l.contains("session_evicted")));
+    assert_eq!(engine.stats().sessions_live, 1);
+    assert!(!engine.end_session(2), "…and leaves no slot behind");
+
+    // User 1 is still resident, server-side history and all.
+    let resp = engine.append_event(1, None, 5, 3).unwrap();
+    assert_eq!(resp.items(), &engine.model().recommend(&[3, 5], 3)[..]);
+    assert_eq!(engine.metrics().session_cold_starts, 1, "user 1's second event is no cold start");
 }
 
 #[test]

@@ -3,7 +3,8 @@
 //! tracing must never change served bits, and the engine's metric
 //! registry must round-trip through Prometheus text exposition.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
+use std::time::{Duration, Instant};
 
 use vsan_core::{Vsan, VsanConfig};
 use vsan_data::Dataset;
@@ -154,14 +155,38 @@ fn manual_dump_reconstructs_every_request_chain() {
 #[test]
 fn session_appends_record_their_sub_stages() {
     let engine = Engine::start(trained_model(), EngineConfig::default().with_workers(1));
+    let live = !vsan_core::fast_path_disabled();
     for step in 0..3u32 {
         engine.append_event(77, None, step % 8 + 1, 5).expect("append");
+        // Let the worker's refresh land before the next event (bounded
+        // spin), so which thread prepared what is a fact: the first event
+        // prepares for itself, every later one finds the worker got
+        // there first.
+        let due = Instant::now() + Duration::from_secs(20);
+        while live && engine.metrics().session_refreshes <= u64::from(step) {
+            assert!(Instant::now() < due, "refresh {step} never ran");
+            std::thread::sleep(Duration::from_micros(100));
+        }
     }
     let sink = MemorySink::new();
     engine.dump_flight_recorder(&sink);
     engine.shutdown();
 
     let records = parse_records(&sink.lines());
+    // One prepare on the reply path (the cold start) and one per refresh
+    // on the worker — or, with the fast path env-disabled, one full
+    // recompute per event and no refresh. The worker's spans hang off
+    // the `session` span of the event that asked for them, beside that
+    // event's own sub-stages and under a span id of their own.
+    let prepares: Vec<&Rec> = records.iter().filter(|r| r.stage == "session_prepare").collect();
+    assert_eq!(prepares.len(), if live { 1 + 3 } else { 3 });
+    for p in &prepares {
+        assert_eq!(chain_to_root(&records, &p.span), ["session_prepare", "session", "admission"]);
+    }
+    let distinct: HashSet<&str> = prepares.iter().map(|p| p.span.as_str()).collect();
+    assert_eq!(distinct.len(), prepares.len(), "the worker's prepare span must not reuse the event's id");
+    let parents: HashSet<&str> = prepares.iter().map(|p| p.parent.as_str()).collect();
+    assert_eq!(parents.len(), 3, "every event's session span parents a prepare");
     // With the fast path env-disabled, appends recompute through the
     // graph oracle: a prepare span instead of the one-row apply.
     let incremental = if vsan_core::fast_path_disabled() { "session_prepare" } else { "session_apply" };
@@ -194,9 +219,14 @@ fn registry_round_trips_through_prometheus_exposition() {
         "scraped counter must match the snapshot"
     );
     // The full retrieval-path metrics are registered from startup.
-    for name in
-        ["serve_retrieval_exact", "serve_retrieval_clustered", "serve_cache_hits", "serve_batches"]
-    {
+    for name in [
+        "serve_retrieval_exact",
+        "serve_retrieval_clustered",
+        "serve_cache_hits",
+        "serve_batches",
+        "session_refreshes",
+        "session_refresh_skipped",
+    ] {
         assert!(scrape.value(name).is_some(), "metric {name} missing from exposition");
     }
     assert!(

@@ -9,6 +9,14 @@
 //! its own self-contained state and simply re-registers on commit.
 //! That is what makes eviction **transparent** — worst case the next
 //! event cold-starts; it can never corrupt a sibling session or error.
+//!
+//! The store also keeps the books for the off-path refresh (DESIGN.md
+//! §11): a per-slot flag says a refresh is queued, so a resident
+//! session asks for at most one ([`SessionStore::request_refresh`]), and
+//! the two halves of the refresh itself —
+//! [`SessionStore::take_for_refresh`] and
+//! [`SessionStore::publish_refreshed`] — touch neither LRU order nor
+//! TTL, create no slot, and never re-register an evicted entry.
 
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
@@ -58,8 +66,9 @@ impl SessionConfig {
 pub struct SessionEntry {
     /// Every event seen for this session, oldest first.
     pub history: Vec<u32>,
-    /// Prepared layer state for `history` (unprepared ⇒ next event
-    /// cold-starts).
+    /// Prepared layer state for `history`. Unprepared means *stale*: an
+    /// event leaves it one event behind and a refresh (or the next
+    /// event, whichever comes first) prepares it again.
     pub state: SessionState,
 }
 
@@ -103,6 +112,24 @@ struct Slot {
     bytes: usize,
     tick: u64,
     touched: Instant,
+    /// A refresh for this session is queued and not yet taken. Lives and
+    /// dies with the slot: if a queued refresh is ever lost, eviction
+    /// clears the books.
+    refresh_queued: bool,
+}
+
+impl Slot {
+    fn new(entry: Arc<Mutex<SessionEntry>>, tick: u64, now: Instant) -> Self {
+        Slot {
+            entry,
+            history: Vec::new(),
+            prepared: false,
+            bytes: 0,
+            tick,
+            touched: now,
+            refresh_queued: false,
+        }
+    }
 }
 
 /// LRU/TTL-bounded map from user id to session slot. All time-dependent
@@ -150,14 +177,10 @@ impl SessionStore {
         }
         self.tick += 1;
         let tick = self.tick;
-        let slot = self.map.entry(user).or_insert_with(|| Slot {
-            entry: Arc::new(Mutex::new(SessionEntry::default())),
-            history: Vec::new(),
-            prepared: false,
-            bytes: 0,
-            tick,
-            touched: now,
-        });
+        let slot = self
+            .map
+            .entry(user)
+            .or_insert_with(|| Slot::new(Arc::new(Mutex::new(SessionEntry::default())), tick, now));
         slot.tick = tick;
         slot.touched = now;
         let entry = Arc::clone(&slot.entry);
@@ -202,20 +225,62 @@ impl SessionStore {
     ) -> Vec<Eviction> {
         self.tick += 1;
         let tick = self.tick;
-        let slot = self.map.entry(user).or_insert_with(|| Slot {
-            entry: Arc::clone(entry),
-            history: Vec::new(),
-            prepared: false,
-            bytes: 0,
-            tick,
-            touched: now,
-        });
+        let slot = self.map.entry(user).or_insert_with(|| Slot::new(Arc::clone(entry), tick, now));
         slot.history = history;
         slot.prepared = prepared;
         slot.bytes = bytes;
         slot.tick = tick;
         slot.touched = now;
         self.enforce(now)
+    }
+
+    /// Ask for one refresh of `user`'s state. `true` means the caller
+    /// must deliver one [`Self::take_for_refresh`] for this user (the
+    /// serve engine posts a message to its worker pool); `false` means
+    /// one is queued already, or the user is not resident. One queued
+    /// refresh per resident session is what keeps the backlog in the
+    /// order of `capacity` however far the pool falls behind. (A session
+    /// evicted with its refresh still queued leaves that one message
+    /// behind; it finds no slot — or the user's next one — and is
+    /// harmless either way.)
+    pub fn request_refresh(&mut self, user: u64) -> bool {
+        match self.map.get_mut(&user) {
+            Some(slot) if !slot.refresh_queued => {
+                slot.refresh_queued = true;
+                true
+            }
+            _ => false,
+        }
+    }
+
+    /// First half of a refresh: clear the queued flag and hand out the
+    /// resident entry, in one critical section. Reads the slot and
+    /// nothing else — no tick, no TTL touch, no eviction pass.
+    pub fn take_for_refresh(&mut self, user: u64) -> Option<Arc<Mutex<SessionEntry>>> {
+        let slot = self.map.get_mut(&user)?;
+        slot.refresh_queued = false;
+        Some(Arc::clone(&slot.entry))
+    }
+
+    /// Second half: mark `user`'s snapshot prepared, provided the slot
+    /// still holds `entry` (the caller prepared it under the entry lock,
+    /// under which events also commit, so the history snapshot is
+    /// already the one the state was prepared for). `false` — and no
+    /// change — when the user was evicted, ended, or re-created since.
+    pub fn publish_refreshed(
+        &mut self,
+        user: u64,
+        entry: &Arc<Mutex<SessionEntry>>,
+        bytes: usize,
+    ) -> bool {
+        match self.map.get_mut(&user) {
+            Some(slot) if Arc::ptr_eq(&slot.entry, entry) => {
+                slot.prepared = true;
+                slot.bytes = bytes;
+                true
+            }
+            _ => false,
+        }
     }
 
     /// Drop `user`'s session. `false` when it was not resident.

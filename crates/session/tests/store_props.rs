@@ -135,6 +135,43 @@ fn eviction_never_corrupts_an_in_flight_sibling() {
 }
 
 #[test]
+fn refresh_bookkeeping_reads_the_slot_and_nothing_else() {
+    let now = Instant::now();
+    let mut store = SessionStore::new(&SessionConfig::new().with_capacity(2));
+    let (one, _) = store.get_or_create(1, now);
+    store.commit(1, &one, vec![4], false, 8, now);
+    let (two, _) = store.get_or_create(2, now);
+    store.commit(2, &two, vec![5], false, 8, now);
+
+    // One queued refresh per resident session; none for a stranger.
+    assert!(store.request_refresh(1));
+    assert!(!store.request_refresh(1));
+    assert!(!store.request_refresh(9));
+    assert!(store.take_for_refresh(9).is_none());
+    assert_eq!(store.len(), 2, "a refresh never creates a slot");
+
+    // Taking clears the flag and publishing marks the snapshot prepared
+    // — without making user 1 any younger: it is still the LRU victim.
+    let taken = store.take_for_refresh(1).expect("resident");
+    assert!(Arc::ptr_eq(&taken, &one));
+    assert!(store.request_refresh(1), "taken: the next event may ask again");
+    assert!(store.publish_refreshed(1, &taken, 16));
+    assert_eq!(store.snapshot(1), Some((&[4u32][..], true)));
+    assert_eq!(store.bytes(), 16 + 8);
+    let (_, evictions) = store.get_or_create(3, now);
+    assert_eq!(evictions.iter().map(|e| e.user).collect::<Vec<_>>(), vec![1]);
+
+    // Evicted, then re-created under a new entry: the old refresh has
+    // nothing to publish to and must not re-register anything.
+    assert!(!store.publish_refreshed(1, &taken, 16));
+    let (fresh, _) = store.get_or_create(1, now);
+    assert!(!store.publish_refreshed(1, &taken, 16), "same user, different entry");
+    assert_eq!(store.snapshot(1), Some((&[][..], false)));
+    assert!(store.request_refresh(1), "the flag died with the evicted slot");
+    assert!(Arc::ptr_eq(&store.take_for_refresh(1).expect("resident"), &fresh));
+}
+
+#[test]
 fn remove_reports_absence() {
     let now = Instant::now();
     let mut store = SessionStore::new(&SessionConfig::default());

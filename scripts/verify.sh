@@ -198,6 +198,25 @@ cargo test -q --offline -p vsan-serve --test trace
 VSAN_DISABLE_ANN=1 cargo test -q --offline -p vsan-serve --test trace
 VSAN_DISABLE_FAST_PATH=1 cargo test -q --offline -p vsan-serve --test trace
 
+# One-core schedule: a session event is answered before its state is
+# re-prepared, and a pool worker catches the state up afterwards
+# (DESIGN.md §11), so which thread prepares what depends on the
+# schedule while the replies must not. Pinning every thread of the test
+# process to one core is the schedule in which the refresh loses every
+# race it can lose; the session and trace suites run once more there,
+# with the incremental path live and pinned to the oracle (where
+# `refresh` is a no-op). Skipped where `taskset` does not exist.
+if command -v taskset >/dev/null 2>&1; then
+  echo "==> session + trace suites on one core (taskset -c 0, VSAN_DISABLE_FAST_PATH unset + =1)"
+  for pin in "" 1; do
+    VSAN_DISABLE_FAST_PATH=${pin} taskset -c 0 cargo test -q --offline -p vsan-session
+    VSAN_DISABLE_FAST_PATH=${pin} taskset -c 0 cargo test -q --offline -p vsan-serve --test session
+    VSAN_DISABLE_FAST_PATH=${pin} taskset -c 0 cargo test -q --offline -p vsan-serve --test trace
+  done
+else
+  echo "==> taskset not found: skipping the one-core session + trace schedule"
+fi
+
 # The committed serving report must attest that tracing is effectively
 # free: p50/p99 latency with the flight recorder on regresses < 3%
 # against the same engine with tracing disabled, the traced and
