@@ -23,15 +23,20 @@ struct Node {
 /// [`Graph::backward`] once, then read parameter gradients from the
 /// returned [`Gradients`].
 ///
-/// A graph carries a [`KernelTier`] chosen at construction. The default
-/// ([`Graph::new`], [`Graph::with_threads`]) is
-/// [`KernelTier::Reference`] — the original scalar kernels — so every
-/// existing call site, including the inference graph *oracle* and the
-/// finite-difference gradcheck, keeps its independent implementation.
-/// Training drivers opt into [`KernelTier::Fast`] explicitly via
-/// [`Graph::with_threads_and_tier`]; both tiers produce bit-identical
-/// values and gradients (the fold-order contract in `vsan-tensor`'s
-/// `ops::matmul` header, enforced by the tier-differential test wall).
+/// A graph carries a [`KernelTier`] chosen at construction, which decides
+/// the four ops that have two implementations: the three dense products
+/// ([`KernelTier::matmul`], [`KernelTier::matmul_a_bt`],
+/// [`KernelTier::matmul_at_b`], forward and backward) and
+/// [`Graph::causal_attention`] (composed chain vs fused node). Every other
+/// op is one kernel on both tiers. The default ([`Graph::new`],
+/// [`Graph::with_threads`]) is [`KernelTier::Reference`] — the original
+/// scalar product loops — so every existing call site, including the
+/// inference graph *oracle* and the finite-difference gradcheck, keeps
+/// its independent implementation. Training drivers opt into
+/// [`KernelTier::Fast`] explicitly via [`Graph::with_threads_and_tier`];
+/// both tiers produce bit-identical values and gradients (the fold-order
+/// contract in `vsan-tensor`'s `ops::matmul` header, enforced by the
+/// tier-differential test wall).
 ///
 /// Every value, saved matrix and gradient buffer is a plain allocation
 /// that lives until the tape (or the backward pass that made it) is
@@ -98,35 +103,6 @@ impl Graph {
         ids.iter().any(|&i| self.nodes[i].needs_grad)
     }
 
-    // ---- tier-dispatched kernels ----------------------------------------
-    //
-    // Both tiers share one per-element fold order (ops::matmul's module
-    // header in vsan-tensor), so these helpers change speed, never bits.
-
-    /// Pick the tier's unary flat kernel.
-    fn k1(
-        &self,
-        reference: fn(&[f32], &mut [f32]),
-        fast: fn(&[f32], &mut [f32]),
-    ) -> fn(&[f32], &mut [f32]) {
-        match self.tier {
-            KernelTier::Reference => reference,
-            KernelTier::Fast => fast,
-        }
-    }
-
-    /// Pick the tier's binary flat kernel.
-    fn k2(
-        &self,
-        reference: fn(&[f32], &[f32], &mut [f32]),
-        fast: fn(&[f32], &[f32], &mut [f32]),
-    ) -> fn(&[f32], &[f32], &mut [f32]) {
-        match self.tier {
-            KernelTier::Reference => reference,
-            KernelTier::Fast => fast,
-        }
-    }
-
     fn check_same(&self, a: Var, b: Var, op: &'static str) -> Result<()> {
         let (av, bv) = (self.value(a), self.value(b));
         if !av.shape().same_as(bv.shape()) {
@@ -139,93 +115,10 @@ impl Graph {
         Ok(())
     }
 
-    /// `a · b` through the parallel tiered front-end.
-    fn mm_alloc(&self, a: &Tensor, b: &Tensor) -> Result<Tensor> {
-        let (m, k) = a.shape().as_2d()?;
-        let (kb, n) = b.shape().as_2d()?;
-        if k != kb {
-            return Err(GradError::Tensor(TensorError::ShapeMismatch {
-                lhs: a.dims().to_vec(),
-                rhs: b.dims().to_vec(),
-                op: "matmul_parallel",
-            }));
-        }
-        let mut out = Tensor::zeros(&[m, n]);
-        parallel::matmul_parallel_tiered_into(
-            a.data(),
-            b.data(),
-            out.data_mut(),
-            m,
-            k,
-            n,
-            self.threads,
-            self.tier,
-        );
-        Ok(out)
-    }
-
-    /// `a · bᵀ` for `(m, k) × (n, k)` operands.
-    fn mm_a_bt_alloc(&self, a: &Tensor, b: &Tensor) -> Result<Tensor> {
-        let (m, k) = a.shape().as_2d()?;
-        let (n, kb) = b.shape().as_2d()?;
-        if k != kb {
-            return Err(GradError::Tensor(TensorError::ShapeMismatch {
-                lhs: a.dims().to_vec(),
-                rhs: b.dims().to_vec(),
-                op: "matmul_a_bt",
-            }));
-        }
-        let mut out = Tensor::zeros(&[m, n]);
-        match self.tier {
-            KernelTier::Reference => {
-                tops::matmul_a_bt_ref_into(a.data(), b.data(), out.data_mut(), m, k, n);
-            }
-            KernelTier::Fast => {
-                let mut scratch = vec![0.0f32; k * n];
-                tops::matmul_a_bt_fast_into(
-                    a.data(),
-                    b.data(),
-                    out.data_mut(),
-                    &mut scratch,
-                    m,
-                    k,
-                    n,
-                );
-            }
-        }
-        Ok(out)
-    }
-
-    /// `aᵀ · b` for `(k, m) × (k, n)` operands.
-    fn mm_at_b_alloc(&self, a: &Tensor, b: &Tensor) -> Result<Tensor> {
-        let (k, m) = a.shape().as_2d()?;
-        let (kb, n) = b.shape().as_2d()?;
-        if k != kb {
-            return Err(GradError::Tensor(TensorError::ShapeMismatch {
-                lhs: a.dims().to_vec(),
-                rhs: b.dims().to_vec(),
-                op: "matmul_at_b",
-            }));
-        }
-        let mut out = Tensor::zeros(&[m, n]);
-        match self.tier {
-            KernelTier::Reference => {
-                tops::matmul_at_b_ref_into(a.data(), b.data(), out.data_mut(), m, k, n);
-            }
-            KernelTier::Fast => {
-                tops::matmul_at_b_into(a.data(), b.data(), out.data_mut(), m, k, n);
-            }
-        }
-        Ok(out)
-    }
-
-    /// `s · g` (tier-dispatched, same bits either way).
+    /// `s · g`.
     fn scale_alloc(&self, g: &Tensor, s: f32) -> Tensor {
         let mut out = Tensor::zeros(g.dims());
-        match self.tier {
-            KernelTier::Reference => tops::scale_into(g.data(), s, out.data_mut()),
-            KernelTier::Fast => tops::scale_into_fast(g.data(), s, out.data_mut()),
-        }
+        tops::scale_into(g.data(), s, out.data_mut());
         out
     }
 
@@ -239,11 +132,7 @@ impl Graph {
             }));
         }
         let mut out = Tensor::zeros(a.dims());
-        (self.k2(tops::hadamard_into, tops::hadamard_into_fast))(
-            a.data(),
-            b.data(),
-            out.data_mut(),
-        );
+        tops::hadamard_into(a.data(), b.data(), out.data_mut());
         Ok(out)
     }
 
@@ -265,11 +154,7 @@ impl Graph {
     pub fn add(&mut self, a: Var, b: Var) -> Result<Var> {
         self.check_same(a, b, "add")?;
         let mut v = Tensor::zeros(self.value(a).dims());
-        (self.k2(tops::add_into, tops::add_into_fast))(
-            self.value(a).data(),
-            self.value(b).data(),
-            v.data_mut(),
-        );
+        tops::add_into(self.value(a).data(), self.value(b).data(), v.data_mut());
         Ok(self.push(v, Op::Add(a.0, b.0), self.needs(&[a.0, b.0])))
     }
 
@@ -277,11 +162,7 @@ impl Graph {
     pub fn sub(&mut self, a: Var, b: Var) -> Result<Var> {
         self.check_same(a, b, "sub")?;
         let mut v = Tensor::zeros(self.value(a).dims());
-        (self.k2(tops::sub_into, tops::sub_into_fast))(
-            self.value(a).data(),
-            self.value(b).data(),
-            v.data_mut(),
-        );
+        tops::sub_into(self.value(a).data(), self.value(b).data(), v.data_mut());
         Ok(self.push(v, Op::Sub(a.0, b.0), self.needs(&[a.0, b.0])))
     }
 
@@ -289,25 +170,14 @@ impl Graph {
     pub fn mul(&mut self, a: Var, b: Var) -> Result<Var> {
         self.check_same(a, b, "hadamard")?;
         let mut v = Tensor::zeros(self.value(a).dims());
-        (self.k2(tops::hadamard_into, tops::hadamard_into_fast))(
-            self.value(a).data(),
-            self.value(b).data(),
-            v.data_mut(),
-        );
+        tops::hadamard_into(self.value(a).data(), self.value(b).data(), v.data_mut());
         Ok(self.push(v, Op::Mul(a.0, b.0), self.needs(&[a.0, b.0])))
     }
 
     /// Elementwise affine map `scale·x + shift`.
     pub fn affine(&mut self, x: Var, scale: f32, shift: f32) -> Var {
         let mut v = Tensor::zeros(self.value(x).dims());
-        match self.tier {
-            KernelTier::Reference => {
-                tops::affine_into(self.value(x).data(), scale, shift, v.data_mut());
-            }
-            KernelTier::Fast => {
-                tops::affine_into_fast(self.value(x).data(), scale, shift, v.data_mut());
-            }
-        }
+        tops::affine_into(self.value(x).data(), scale, shift, v.data_mut());
         let ng = self.nodes[x.0].needs_grad;
         self.push(v, Op::Affine { x: x.0, scale, shift }, ng)
     }
@@ -328,22 +198,13 @@ impl Graph {
             }));
         }
         let mut v = Tensor::zeros(&[rows, cols]);
-        match self.tier {
-            KernelTier::Reference => tops::add_row_broadcast_into(
-                self.value(x).data(),
-                self.value(bias).data(),
-                v.data_mut(),
-                rows,
-                cols,
-            ),
-            KernelTier::Fast => tops::add_row_broadcast_into_fast(
-                self.value(x).data(),
-                self.value(bias).data(),
-                v.data_mut(),
-                rows,
-                cols,
-            ),
-        }
+        tops::add_row_broadcast_into(
+            self.value(x).data(),
+            self.value(bias).data(),
+            v.data_mut(),
+            rows,
+            cols,
+        );
         Ok(self.push(v, Op::AddRowBroadcast { x: x.0, bias: bias.0 }, self.needs(&[x.0, bias.0])))
     }
 
@@ -351,13 +212,13 @@ impl Graph {
 
     /// Dense matmul; automatically goes parallel for large problems.
     pub fn matmul(&mut self, a: Var, b: Var) -> Result<Var> {
-        let v = self.mm_alloc(self.value(a), self.value(b))?;
+        let v = self.tier.matmul(self.value(a), self.value(b), self.threads)?;
         Ok(self.push(v, Op::MatMul(a.0, b.0), self.needs(&[a.0, b.0])))
     }
 
     /// `A · Bᵀ` without materializing the transpose (attention scores).
     pub fn matmul_a_bt(&mut self, a: Var, b: Var) -> Result<Var> {
-        let v = self.mm_a_bt_alloc(self.value(a), self.value(b))?;
+        let v = self.tier.matmul_a_bt(self.value(a), self.value(b))?;
         Ok(self.push(v, Op::MatMulABt(a.0, b.0), self.needs(&[a.0, b.0])))
     }
 
@@ -383,7 +244,7 @@ impl Graph {
     /// ReLU.
     pub fn relu(&mut self, x: Var) -> Var {
         let mut v = Tensor::zeros(self.value(x).dims());
-        (self.k1(tops::relu_into, tops::relu_into_fast))(self.value(x).data(), v.data_mut());
+        tops::relu_into(self.value(x).data(), v.data_mut());
         let ng = self.nodes[x.0].needs_grad;
         self.push(v, Op::Relu(x.0), ng)
     }
@@ -391,7 +252,7 @@ impl Graph {
     /// Sigmoid.
     pub fn sigmoid(&mut self, x: Var) -> Var {
         let mut v = Tensor::zeros(self.value(x).dims());
-        (self.k1(tops::sigmoid_into, tops::sigmoid_into_fast))(self.value(x).data(), v.data_mut());
+        tops::sigmoid_into(self.value(x).data(), v.data_mut());
         let ng = self.nodes[x.0].needs_grad;
         self.push(v, Op::Sigmoid(x.0), ng)
     }
@@ -399,7 +260,7 @@ impl Graph {
     /// Tanh.
     pub fn tanh(&mut self, x: Var) -> Var {
         let mut v = Tensor::zeros(self.value(x).dims());
-        (self.k1(tops::tanh_into, tops::tanh_into_fast))(self.value(x).data(), v.data_mut());
+        tops::tanh_into(self.value(x).data(), v.data_mut());
         let ng = self.nodes[x.0].needs_grad;
         self.push(v, Op::Tanh(x.0), ng)
     }
@@ -407,7 +268,7 @@ impl Graph {
     /// Elementwise exponential.
     pub fn exp(&mut self, x: Var) -> Var {
         let mut v = Tensor::zeros(self.value(x).dims());
-        (self.k1(tops::exp_into, tops::exp_into_fast))(self.value(x).data(), v.data_mut());
+        tops::exp_into(self.value(x).data(), v.data_mut());
         let ng = self.nodes[x.0].needs_grad;
         self.push(v, Op::Exp(x.0), ng)
     }
@@ -418,14 +279,7 @@ impl Graph {
     pub fn softmax_rows(&mut self, x: Var) -> Result<Var> {
         let (r, c) = self.value(x).shape().as_2d()?;
         let mut v = Tensor::zeros(&[r, c]);
-        match self.tier {
-            KernelTier::Reference => {
-                tops::softmax_rows_into(self.value(x).data(), v.data_mut(), r, c);
-            }
-            KernelTier::Fast => {
-                tops::softmax_rows_into_fast(self.value(x).data(), v.data_mut(), r, c);
-            }
-        }
+        tops::softmax_rows_into(self.value(x).data(), v.data_mut(), r, c);
         let ng = self.nodes[x.0].needs_grad;
         Ok(self.push(v, Op::SoftmaxRows(x.0), ng))
     }
@@ -443,14 +297,7 @@ impl Graph {
         }
         // The masked upper triangle must read exactly 0.0.
         let mut v = Tensor::zeros(&[r, c]);
-        match self.tier {
-            KernelTier::Reference => {
-                tops::softmax_rows_masked_into(self.value(x).data(), v.data_mut(), r);
-            }
-            KernelTier::Fast => {
-                tops::softmax_rows_masked_into_fast(self.value(x).data(), v.data_mut(), r);
-            }
-        }
+        tops::softmax_rows_masked_into(self.value(x).data(), v.data_mut(), r);
         let ng = self.nodes[x.0].needs_grad;
         Ok(self.push(v, Op::SoftmaxCausal(x.0), ng))
     }
@@ -622,11 +469,7 @@ impl Graph {
             return Err(GradError::BadTargets("dropout mask length mismatch"));
         }
         let mut v = Tensor::zeros(self.value(x).dims());
-        (self.k2(tops::hadamard_into, tops::hadamard_into_fast))(
-            self.value(x).data(),
-            &mask,
-            v.data_mut(),
-        );
+        tops::hadamard_into(self.value(x).data(), &mask, v.data_mut());
         let ng = self.nodes[x.0].needs_grad;
         Ok(self.push(v, Op::Dropout { x: x.0, mask }, ng))
     }
@@ -894,22 +737,22 @@ impl Graph {
             }
             Op::MatMul(a, b) => {
                 if self.nodes[*a].needs_grad {
-                    let da = self.mm_a_bt_alloc(g, &self.nodes[*b].value)?;
+                    let da = self.tier.matmul_a_bt(g, &self.nodes[*b].value)?;
                     self.accum(grads, *a, da)?;
                 }
                 if self.nodes[*b].needs_grad {
-                    let db = self.mm_at_b_alloc(&self.nodes[*a].value, g)?;
+                    let db = self.tier.matmul_at_b(&self.nodes[*a].value, g)?;
                     self.accum(grads, *b, db)?;
                 }
             }
             Op::MatMulABt(a, b) => {
                 // out = A·Bᵀ ⇒ dA = g·B, dB = gᵀ·A.
                 if self.nodes[*a].needs_grad {
-                    let da = self.mm_alloc(g, &self.nodes[*b].value)?;
+                    let da = self.tier.matmul(g, &self.nodes[*b].value, self.threads)?;
                     self.accum(grads, *a, da)?;
                 }
                 if self.nodes[*b].needs_grad {
-                    let db = self.mm_at_b_alloc(g, &self.nodes[*a].value)?;
+                    let db = self.tier.matmul_at_b(g, &self.nodes[*a].value)?;
                     self.accum(grads, *b, db)?;
                 }
             }
@@ -949,29 +792,17 @@ impl Graph {
             }
             Op::Relu(x) => {
                 let mut dx = Tensor::zeros(g.dims());
-                (self.k2(tops::relu_grad_into, tops::relu_grad_into_fast))(
-                    g.data(),
-                    self.nodes[*x].value.data(),
-                    dx.data_mut(),
-                );
+                tops::relu_grad_into(g.data(), self.nodes[*x].value.data(), dx.data_mut());
                 self.accum(grads, *x, dx)?;
             }
             Op::Sigmoid(x) => {
                 let mut dx = Tensor::zeros(g.dims());
-                (self.k2(tops::sigmoid_grad_into, tops::sigmoid_grad_into_fast))(
-                    g.data(),
-                    node.value.data(),
-                    dx.data_mut(),
-                );
+                tops::sigmoid_grad_into(g.data(), node.value.data(), dx.data_mut());
                 self.accum(grads, *x, dx)?;
             }
             Op::Tanh(x) => {
                 let mut dx = Tensor::zeros(g.dims());
-                (self.k2(tops::tanh_grad_into, tops::tanh_grad_into_fast))(
-                    g.data(),
-                    node.value.data(),
-                    dx.data_mut(),
-                );
+                tops::tanh_grad_into(g.data(), node.value.data(), dx.data_mut());
                 self.accum(grads, *x, dx)?;
             }
             Op::Exp(x) => {
@@ -983,14 +814,7 @@ impl Graph {
                 let y = &node.value;
                 let (r, c) = y.shape().as_2d()?;
                 let mut dx = Tensor::zeros(&[r, c]);
-                match self.tier {
-                    KernelTier::Reference => {
-                        tops::softmax_grad_into(y.data(), g.data(), dx.data_mut(), r, c);
-                    }
-                    KernelTier::Fast => {
-                        tops::softmax_grad_into_fast(y.data(), g.data(), dx.data_mut(), r, c);
-                    }
-                }
+                tops::softmax_grad_into(y.data(), g.data(), dx.data_mut(), r, c);
                 self.accum(grads, *x, dx)?;
             }
             Op::LayerNorm { x, gamma, beta, stats } => {
@@ -1078,11 +902,7 @@ impl Graph {
             }
             Op::Dropout { x, mask } => {
                 let mut dx = Tensor::zeros(g.dims());
-                (self.k2(tops::hadamard_into, tops::hadamard_into_fast))(
-                    g.data(),
-                    mask,
-                    dx.data_mut(),
-                );
+                tops::hadamard_into(g.data(), mask, dx.data_mut());
                 self.accum(grads, *x, dx)?;
             }
             Op::MaxAxis0 { x, argmax } => {

@@ -10,7 +10,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use vsan_autograd::Graph;
-use vsan_tensor::{init, ops, parallel, Tensor};
+use vsan_tensor::{init, ops, KernelTier, Tensor};
 
 fn bench_matmul_parallel(c: &mut Criterion) {
     let mut group = c.benchmark_group("matmul_parallel");
@@ -18,13 +18,13 @@ fn bench_matmul_parallel(c: &mut Criterion) {
     // The prediction-layer shape: (batch·seq, d) × (d, items).
     let a = init::randn(&mut rng, &[512, 64], 0.0, 0.5);
     let b = init::randn(&mut rng, &[64, 2048], 0.0, 0.5);
-    group.bench_function("serial", |bench| {
-        bench.iter(|| ops::matmul(&a, &b).unwrap());
-    });
-    for threads in [2, 4, 8] {
-        group.bench_with_input(BenchmarkId::new("threads", threads), &threads, |bench, &t| {
-            bench.iter(|| parallel::matmul_parallel(&a, &b, t).unwrap());
-        });
+    for tier in [KernelTier::Reference, KernelTier::Fast] {
+        for threads in [1, 2, 4, 8] {
+            let id = BenchmarkId::new(format!("{}_threads", tier.name()), threads);
+            group.bench_with_input(id, &threads, |bench, &t| {
+                bench.iter(|| tier.matmul(&a, &b, t).unwrap());
+            });
+        }
     }
     group.finish();
 }
@@ -194,8 +194,9 @@ fn bench_zero_skip(c: &mut Criterion) {
     let mut rng = StdRng::seed_from_u64(6);
     // Dense side (attention projections, FFN, prediction head): the
     // per-element branch never fires and is pure cost — the reason the
-    // fast path's `matmul_into` dropped it. Sparse side (embedding
-    // activations with left-padded all-zero rows): whole-row skips pay.
+    // tiled `matmul_into` dropped what `reference::matmul_into` keeps.
+    // Sparse side (embedding activations with left-padded all-zero rows):
+    // whole-row skips pay.
     // Shapes are the paper's: d=100 projections at Beauty/ML-1M batch
     // sizes, and the (b, d) × (d, N+1) prediction heads at N≈12k/3.4k.
     for (label, m, k, n) in [
@@ -216,7 +217,7 @@ fn bench_zero_skip(c: &mut Criterion) {
             group.bench_with_input(BenchmarkId::new("skip_branch", &id), &(), |bench, ()| {
                 bench.iter(|| {
                     out.fill(0.0);
-                    ops::matmul::matmul_into_skip_zeros(a.data(), b.data(), &mut out, m, k, n);
+                    ops::matmul::reference::matmul_into(a.data(), b.data(), &mut out, m, k, n);
                     out[m * n - 1]
                 });
             });
@@ -270,58 +271,9 @@ fn bench_tiled_matmul(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_elementwise_tier(c: &mut Criterion) {
-    // Scalar reference vs runtime-dispatched AVX2 for the vectorized
-    // elementwise/softmax tier (DESIGN.md §14): the `_fast` entry points
-    // the training tape calls, at paper activation shapes — n = 50 (Beauty)
-    // to 200 (ML-1M) rows and beyond, d = 64–128 columns. The
-    // transcendentals stay scalar libm inside both variants (bit-identity
-    // contract), so their speedup comes from the vectorized surrounding
-    // arithmetic; add is the pure-SIMD ceiling.
-    let mut group = c.benchmark_group("elementwise_tier");
-    let mut rng = StdRng::seed_from_u64(7);
-    for (n, d) in [(50usize, 64usize), (200, 100), (768, 128)] {
-        let x = init::randn(&mut rng, &[n, d], 0.0, 0.8);
-        let y = init::randn(&mut rng, &[n, d], 0.0, 0.8);
-        let mut out = vec![0.0f32; n * d];
-        let id = format!("n{n}_d{d}");
-        type Unary = (&'static str, fn(&[f32], &mut [f32]), fn(&[f32], &mut [f32]));
-        let unary: [Unary; 3] = [
-            ("sigmoid", ops::sigmoid_into, ops::sigmoid_into_fast),
-            ("tanh", ops::tanh_into, ops::tanh_into_fast),
-            ("exp", ops::exp_into, ops::exp_into_fast),
-        ];
-        for (name, scalar, fast) in unary {
-            group.bench_with_input(
-                BenchmarkId::new(format!("{name}_scalar"), &id),
-                &(),
-                |bench, ()| bench.iter(|| scalar(x.data(), &mut out)),
-            );
-            group.bench_with_input(
-                BenchmarkId::new(format!("{name}_fast"), &id),
-                &(),
-                |bench, ()| bench.iter(|| fast(x.data(), &mut out)),
-            );
-        }
-        group.bench_with_input(BenchmarkId::new("add_scalar", &id), &(), |bench, ()| {
-            bench.iter(|| ops::add_into(x.data(), y.data(), &mut out));
-        });
-        group.bench_with_input(BenchmarkId::new("add_fast", &id), &(), |bench, ()| {
-            bench.iter(|| ops::add_into_fast(x.data(), y.data(), &mut out));
-        });
-        group.bench_with_input(BenchmarkId::new("softmax_scalar", &id), &(), |bench, ()| {
-            bench.iter(|| ops::softmax_rows_into(x.data(), &mut out, n, d));
-        });
-        group.bench_with_input(BenchmarkId::new("softmax_fast", &id), &(), |bench, ()| {
-            bench.iter(|| ops::softmax_rows_into_fast(x.data(), &mut out, n, d));
-        });
-    }
-    group.finish();
-}
-
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(20).measurement_time(std::time::Duration::from_secs(3)).warm_up_time(std::time::Duration::from_millis(500));
-    targets = bench_matmul_parallel, bench_fused_ce, bench_causal_mask, bench_tape_overhead, bench_fused_attention, bench_zero_skip, bench_tiled_matmul, bench_elementwise_tier
+    targets = bench_matmul_parallel, bench_fused_ce, bench_causal_mask, bench_tape_overhead, bench_fused_attention, bench_zero_skip, bench_tiled_matmul
 }
 criterion_main!(benches);

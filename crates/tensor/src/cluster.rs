@@ -247,7 +247,7 @@ mod tests {
     /// lands every row in the same cluster.
     #[test]
     fn assignments_match_reference_dot_scores() {
-        use crate::ops::matmul::matmul_a_bt_ref_into;
+        use crate::ops::matmul::reference::matmul_a_bt_into;
         // 21 centroids and 9 columns: off the 16-column tile and off the
         // 256-row block on both sides.
         let (n, dim) = (700, 9);
@@ -256,7 +256,7 @@ mod tests {
         let got = cluster_rows(&data, n, dim, &cfg);
         let k = got.num_clusters;
         let mut scores = vec![0.0f32; n * k];
-        matmul_a_bt_ref_into(&data, &got.centroids, &mut scores, n, dim, k);
+        matmul_a_bt_into(&data, &got.centroids, &mut scores, n, dim, k);
         let half_norm: Vec<f32> = got
             .centroids
             .chunks(dim)

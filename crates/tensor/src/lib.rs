@@ -19,6 +19,8 @@
 //!   Xavier/Glorot) driven by a seedable PRNG.
 //! * [`ops`] — elementwise kernels, matrix multiplication (serial and
 //!   parallel), reductions, row softmax, and layer-norm statistics.
+//! * [`kernel`] — [`KernelTier`] (reference or tiled products) and the
+//!   one runtime AVX2 dispatch every hot kernel is stamped with.
 //! * [`serialize`] — compact binary encode/decode via [`bytes`].
 //! * [`cluster`] — deterministic seeded k-means for the clustered
 //!   retrieval index (DESIGN.md §12).

@@ -44,7 +44,7 @@
 //!   hold `NR` *different* scores, each folded exactly as before — the
 //!   shared dimension is never split, FMA is never enabled, and the
 //!   transpose moves bits without computing any (the argument
-//!   [`crate::ops::matmul::matmul_a_bt_fast`] makes);
+//!   [`crate::KernelTier::matmul_a_bt`] makes);
 //! - `softmax_scaled_row` is the tape's `scale · s + 0.0` affine and then
 //!   [`crate::ops::softmax::softmax_rows_masked`]'s per-row sequence
 //!   verbatim, over exactly the keys `j ≤ i`: max fold, exp + sum in
@@ -66,7 +66,8 @@
 //! The score tiles do compute a few above-diagonal lanes; those are
 //! stored and never read.
 
-use crate::ops::matmul::{fold_tile, row_walk, MR, NR};
+use crate::kernel::simd_kernel;
+use crate::ops::matmul::{fold_tile, row_walk, tiled_nest, transpose_into, MR, NR};
 
 /// Query rows whose score rows are live at once in the tiled body: eight
 /// register tiles share each `Kᵀ` / `V` column panel while it is hot in
@@ -85,130 +86,89 @@ pub fn attention_scratch_len(window: usize, keep: usize, d: usize) -> usize {
     }
 }
 
-/// Causal attention for the last `keep` rows of a `(prefix + tail)`-row
-/// window: `out = softmax_causal(q·[k_prefix; k_tail]ᵀ·scale)·[v_prefix;
-/// v_tail]`, never materializing the concatenation.
-///
-/// All buffers are flat row-major with `d` columns; the counts are their
-/// lengths: `prefix = k_prefix.len() / d`, `tail = k_tail.len() / d`,
-/// `keep = q.len() / d ≤ tail`. Query row `r` is window row `i = prefix +
-/// tail − keep + r` and attends to keys `0..=i`. `scratch` holds at least
-/// [`attention_scratch_len`] floats and comes back clobbered; `out`
-/// (`keep` rows) is overwritten, and `keep = 0` writes nothing.
-#[allow(clippy::too_many_arguments)]
-pub fn causal_attention_rows_into(
-    q: &[f32],
-    k_prefix: &[f32],
-    k_tail: &[f32],
-    v_prefix: &[f32],
-    v_tail: &[f32],
-    d: usize,
-    scale: f32,
-    scratch: &mut [f32],
-    out: &mut [f32],
-) {
-    #[cfg(target_arch = "x86_64")]
-    if crate::ops::matmul::avx2_available() {
-        // SAFETY: AVX2 support was just verified at runtime.
-        unsafe {
-            return attention_rows_avx2(q, k_prefix, k_tail, v_prefix, v_tail, d, scale, scratch, out);
-        };
-    }
-    attention_rows_body(q, k_prefix, k_tail, v_prefix, v_tail, d, scale, scratch, out)
-}
+simd_kernel! {
+    /// Causal attention for the last `keep` rows of a `(prefix + tail)`-row
+    /// window: `out = softmax_causal(q·[k_prefix; k_tail]ᵀ·scale)·[v_prefix;
+    /// v_tail]`, never materializing the concatenation.
+    ///
+    /// All buffers are flat row-major with `d` columns; the counts are their
+    /// lengths: `prefix = k_prefix.len() / d`, `tail = k_tail.len() / d`,
+    /// `keep = q.len() / d ≤ tail`. Query row `r` is window row `i = prefix +
+    /// tail − keep + r` and attends to keys `0..=i`. `scratch` holds at least
+    /// [`attention_scratch_len`] floats and comes back clobbered; `out`
+    /// (`keep` rows) is overwritten, and `keep = 0` writes nothing.
+    #[allow(clippy::too_many_arguments)]
+    pub fn causal_attention_rows_into(
+        q: &[f32],
+        k_prefix: &[f32],
+        k_tail: &[f32],
+        v_prefix: &[f32],
+        v_tail: &[f32],
+        d: usize,
+        scale: f32,
+        scratch: &mut [f32],
+        out: &mut [f32],
+    ) {
+        let window = (k_prefix.len() + k_tail.len()) / d;
+        let keep = q.len() / d;
+        debug_assert!(keep * d <= k_tail.len());
+        debug_assert_eq!(k_prefix.len(), v_prefix.len());
+        debug_assert_eq!(k_tail.len(), v_tail.len());
+        debug_assert!(scratch.len() >= attention_scratch_len(window, keep, d));
+        debug_assert_eq!(out.len(), q.len());
 
-/// [`causal_attention_rows_into`]'s body compiled with AVX2 codegen — same
-/// source, vector lanes only across independent output elements, so the
-/// bits match the baseline build (see `ops::matmul`'s module header).
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-#[allow(clippy::too_many_arguments)]
-unsafe fn attention_rows_avx2(
-    q: &[f32],
-    k_prefix: &[f32],
-    k_tail: &[f32],
-    v_prefix: &[f32],
-    v_tail: &[f32],
-    d: usize,
-    scale: f32,
-    scratch: &mut [f32],
-    out: &mut [f32],
-) {
-    attention_rows_body(q, k_prefix, k_tail, v_prefix, v_tail, d, scale, scratch, out)
-}
-
-#[inline(always)]
-#[allow(clippy::too_many_arguments)]
-fn attention_rows_body(
-    q: &[f32],
-    k_prefix: &[f32],
-    k_tail: &[f32],
-    v_prefix: &[f32],
-    v_tail: &[f32],
-    d: usize,
-    scale: f32,
-    scratch: &mut [f32],
-    out: &mut [f32],
-) {
-    let window = (k_prefix.len() + k_tail.len()) / d;
-    let keep = q.len() / d;
-    debug_assert!(keep * d <= k_tail.len());
-    debug_assert_eq!(k_prefix.len(), v_prefix.len());
-    debug_assert_eq!(k_tail.len(), v_tail.len());
-    debug_assert!(scratch.len() >= attention_scratch_len(window, keep, d));
-    debug_assert_eq!(out.len(), q.len());
-
-    // The leading `keep % MR` rows fill no register tile: each is one
-    // scalar-dot score row, straight off the untransposed keys.
-    let loose = keep % MR;
-    let (q_loose, q_tiled) = q.split_at(loose * d);
-    let (out_loose, out_tiled) = out.split_at_mut(loose * d);
-    for (r, (q_row, o_row)) in q_loose.chunks_exact(d).zip(out_loose.chunks_exact_mut(d)).enumerate() {
-        // Keys 0..=i for window row i = window − keep + r; the zips below
-        // stop at the score row's length.
-        let scores = &mut scratch[..=window - keep + r];
-        for (s, k_row) in scores.iter_mut().zip(k_prefix.chunks_exact(d).chain(k_tail.chunks_exact(d))) {
-            let mut acc = 0.0f32;
-            for (&qv, &kv) in q_row.iter().zip(k_row) {
-                acc += qv * kv;
+        // The leading `keep % MR` rows fill no register tile: each is one
+        // scalar-dot score row, straight off the untransposed keys.
+        let loose = keep % MR;
+        let (q_loose, q_tiled) = q.split_at(loose * d);
+        let (out_loose, out_tiled) = out.split_at_mut(loose * d);
+        for (r, (q_row, o_row)) in q_loose.chunks_exact(d).zip(out_loose.chunks_exact_mut(d)).enumerate() {
+            // Keys 0..=i for window row i = window − keep + r; the zips below
+            // stop at the score row's length.
+            let scores = &mut scratch[..=window - keep + r];
+            for (s, k_row) in scores.iter_mut().zip(k_prefix.chunks_exact(d).chain(k_tail.chunks_exact(d))) {
+                let mut acc = 0.0f32;
+                for (&qv, &kv) in q_row.iter().zip(k_row) {
+                    acc += qv * kv;
+                }
+                *s = acc;
             }
-            *s = acc;
-        }
-        softmax_scaled_row(scores, scale);
-        o_row.fill(0.0);
-        for (&p, v_row) in scores.iter().zip(v_prefix.chunks_exact(d).chain(v_tail.chunks_exact(d))) {
-            for (ov, &vv) in o_row.iter_mut().zip(v_row) {
-                *ov += p * vv;
+            softmax_scaled_row(scores, scale);
+            o_row.fill(0.0);
+            for (&p, v_row) in scores.iter().zip(v_prefix.chunks_exact(d).chain(v_tail.chunks_exact(d))) {
+                for (ov, &vv) in o_row.iter_mut().zip(v_row) {
+                    *ov += p * vv;
+                }
             }
         }
-    }
-    if q_tiled.is_empty() {
-        return;
-    }
+        if q_tiled.is_empty() {
+            return;
+        }
 
-    // Kᵀ once for the whole window — `kt[t][j] = k[j][t]`, pure data
-    // movement — so a score tile's lanes run across keys.
-    let (kt, scores) = scratch.split_at_mut(d * window);
-    for (j, k_row) in k_prefix.chunks_exact(d).chain(k_tail.chunks_exact(d)).enumerate() {
-        for (t, &kv) in k_row.iter().enumerate() {
-            kt[t * window + j] = kv;
+        // Kᵀ once for the whole window — `kt[t][j] = k[j][t]`, pure data
+        // movement — so a score tile's lanes run across keys.
+        let (kt, scores) = scratch.split_at_mut(d * window);
+        for (j, k_row) in k_prefix.chunks_exact(d).chain(k_tail.chunks_exact(d)).enumerate() {
+            for (t, &kv) in k_row.iter().enumerate() {
+                kt[t * window + j] = kv;
+            }
         }
-    }
-    let blocks = q_tiled.chunks(BLOCK_ROWS * d).zip(out_tiled.chunks_mut(BLOCK_ROWS * d));
-    for (blk, (q_blk, o_blk)) in blocks.enumerate() {
-        // Window row of the block's first query row, and one past its last.
-        let first = window - keep + loose + blk * BLOCK_ROWS;
-        let end = first + q_blk.len() / d;
-        // Whole NR-wide key tiles while they fit the window (lanes past a
-        // row's diagonal are stored and never read), single keys after.
-        let keys = end.next_multiple_of(NR).min(window);
-        let j = score_tiles::<NR>(q_blk, kt, d, window, first, 0, keys, scores);
-        score_tiles::<1>(q_blk, kt, d, window, first, j, keys, scores);
-        for (r, row) in scores.chunks_exact_mut(window).take(end - first).enumerate() {
-            softmax_scaled_row(&mut row[..=first + r], scale);
+        let blocks = q_tiled.chunks(BLOCK_ROWS * d).zip(out_tiled.chunks_mut(BLOCK_ROWS * d));
+        for (blk, (q_blk, o_blk)) in blocks.enumerate() {
+            // Window row of the block's first query row, and one past its last.
+            let first = window - keep + loose + blk * BLOCK_ROWS;
+            let end = first + q_blk.len() / d;
+            // Whole NR-wide key tiles while they fit the window (lanes past a
+            // row's diagonal are stored and never read), single keys after.
+            let keys = end.next_multiple_of(NR).min(window);
+            let j = score_tiles::<NR>(q_blk, kt, d, window, first, 0, keys, scores);
+            score_tiles::<1>(q_blk, kt, d, window, first, j, keys, scores);
+            for (r, row) in scores.chunks_exact_mut(window).take(end - first).enumerate() {
+                softmax_scaled_row(&mut row[..=first + r], scale);
+            }
+            let c = value_tiles::<NR>(scores, window, v_prefix, v_tail, d, first, 0, o_blk);
+            value_tiles::<1>(scores, window, v_prefix, v_tail, d, first, c, o_blk);
         }
-        let c = value_tiles::<NR>(scores, window, v_prefix, v_tail, d, first, 0, o_blk);
-        value_tiles::<1>(scores, window, v_prefix, v_tail, d, first, c, o_blk);
     }
 }
 
@@ -392,240 +352,155 @@ pub fn causal_attention_resume_into(
     rows_into_with_score_row(q, &[], k, &[], v, d, scale, scores, out)
 }
 
-/// Fused causal-attention *training* forward: `out =
-/// softmax_causal(q·kᵀ·scale)·v` over flat `(n, d)` buffers, saving the
-/// full `(n, n)` softmax matrix into `probs` for the backward pass.
-///
-/// This is the fast training tier's replacement for the tape's four-op
-/// composition (`matmul_a_bt` → affine → `softmax_causal` → `matmul`).
-/// Unlike [`causal_attention_rows_into`], which streams score rows through
-/// scratch a block at a time, training must keep the probabilities — they
-/// are the saved activation [`causal_attention_train_backward`] consumes —
-/// so `probs` is a persistent `(n, n)` buffer (row `i`: columns `..=i`
-/// hold the softmax row, columns `i+1..` are written to exact `0.0`, the
-/// same layout `softmax_rows_masked` produces).
-///
-/// Bit-compatibility with the composed ops: the score matrix is the
-/// tiled [`crate::ops::matmul::matmul_into`] over a transposed key
-/// buffer (`Q·(Kᵀ)` — same products `q[i][t]·k[j][t]`, same ascending-`t`
-/// fold per element as the reference dot, the transpose itself being
-/// pure data movement; see [`crate::ops::matmul::matmul_a_bt_fast`]),
-/// mapped through `scale * s + 0.0` (the tape's affine); the masked
-/// softmax is `softmax_rows_masked`'s per-row sequence verbatim (the
-/// above-diagonal scores this computes eagerly are overwritten with the
-/// mask's exact zeros before anything reads them); and the output is
-/// the tiled `matmul_into` over the full probability matrix — whose
-/// masked entries are exact zeros, and adding a zero product never
-/// changes an accumulator bit (see
-/// `ops::matmul::matmul_into_skip_zeros`, which is what the tape runs).
-#[allow(clippy::too_many_arguments)]
-pub fn causal_attention_train_forward(
-    q: &[f32],
-    k: &[f32],
-    v: &[f32],
-    n: usize,
-    d: usize,
-    scale: f32,
-    probs: &mut [f32],
-    out: &mut [f32],
-) {
-    #[cfg(target_arch = "x86_64")]
-    if crate::ops::matmul::avx2_available() {
-        // SAFETY: AVX2 support was just verified at runtime.
-        unsafe { return causal_attention_train_forward_avx2(q, k, v, n, d, scale, probs, out) };
-    }
-    causal_attention_train_forward_body(q, k, v, n, d, scale, probs, out)
-}
-
-/// [`causal_attention_train_forward`]'s body compiled with AVX2 codegen
-/// (same source, same bits — see `ops::matmul`'s module header).
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-#[allow(clippy::too_many_arguments)]
-unsafe fn causal_attention_train_forward_avx2(
-    q: &[f32],
-    k: &[f32],
-    v: &[f32],
-    n: usize,
-    d: usize,
-    scale: f32,
-    probs: &mut [f32],
-    out: &mut [f32],
-) {
-    causal_attention_train_forward_body(q, k, v, n, d, scale, probs, out)
-}
-
-#[inline(always)]
-#[allow(clippy::too_many_arguments)]
-fn causal_attention_train_forward_body(
-    q: &[f32],
-    k: &[f32],
-    v: &[f32],
-    n: usize,
-    d: usize,
-    scale: f32,
-    probs: &mut [f32],
-    out: &mut [f32],
-) {
-    use crate::ops::matmul::{matmul_into_body, transpose_into};
-    debug_assert_eq!(q.len(), n * d);
-    debug_assert_eq!(k.len(), n * d);
-    debug_assert_eq!(v.len(), n * d);
-    debug_assert_eq!(probs.len(), n * n);
-    debug_assert_eq!(out.len(), n * d);
-    // All n² scores in one tiled pass over a transposed key buffer
-    // (header: same products, same ascending-k folds as the reference
-    // dots). The above-diagonal half is computed eagerly but every one
-    // of those entries is overwritten with the mask's exact 0.0 below
-    // before anything reads it.
-    let mut kt = vec![0.0f32; n * d];
-    transpose_into(k, &mut kt, n, d);
-    probs.fill(0.0);
-    matmul_into_body(q, &kt, probs, n, d, n);
-    for i in 0..n {
-        let row = &mut probs[i * n..(i + 1) * n];
-        softmax_scaled_row(&mut row[..=i], scale);
-        // Future positions carry exactly zero weight, matching the
-        // softmax_rows_masked layout the backward pass relies on.
-        row[i + 1..].fill(0.0);
-    }
-    out.fill(0.0);
-    matmul_into_body(probs, v, out, n, n, d);
-}
-
-/// Fused causal-attention *training* backward: given the saved softmax
-/// matrix from [`causal_attention_train_forward`] and the upstream
-/// gradient `d_out`, computes `dq`/`dk`/`dv` in one tiled pass.
-/// `dscores` is caller-provided `(n, n)` scratch; `dq`/`dk`/`dv` are
-/// overwritten.
-///
-/// Bit-compatibility with the tape's composed backward chain
-/// (`Op::MatMul` → `Op::SoftmaxCausal` → `Op::Affine` → `Op::MatMulABt`
-/// in reverse):
-/// - `dV = probsᵀ · d_out` — [`crate::ops::matmul::matmul_at_b_into`]'s
-///   ascending-`kk` fold, identical to the reference `matmul_at_b` with
-///   its zero-skip (masked probabilities are exact zeros; zero products
-///   never change an accumulator bit);
-/// - `dP = d_out · vᵀ` over the *full* `(n, n)` matrix — the tiled
-///   [`crate::ops::matmul::matmul_into`] over a transposed value buffer
-///   (same products, same ascending-`t` folds as the reference dots;
-///   see [`crate::ops::matmul::matmul_a_bt_fast`]), exactly what the
-///   tape's `matmul_a_bt(g, v)` computes (including the masked columns:
-///   the softmax backward below multiplies them by an exact zero, just
-///   as the tape does);
-/// - softmax + affine backward per row: `dot = Σ_j y[j]·dp[j]` folded
-///   ascending over **all** `n` columns (the tape's fold; masked terms
-///   contribute exact-zero products), then `ds[j] = scale · (y[j] ·
-///   (dp[j] − dot))` — the same two multiplies, in the same order, as
-///   the tape's softmax-backward elementwise pass followed by its
-///   affine-backward `scale · x` pass;
-/// - `dQ = ds · k` (tiled [`crate::ops::matmul::matmul_into`]) and
-///   `dK = dsᵀ · q` ([`crate::ops::matmul::matmul_at_b_into`]) — same
-///   per-element folds as the tape's reference kernels; the masked `ds`
-///   entries are exact (±)zeros, which the reference kernels skip and
-///   these dense kernels add, a bitwise no-op either way.
-#[allow(clippy::too_many_arguments)]
-pub fn causal_attention_train_backward(
-    q: &[f32],
-    k: &[f32],
-    v: &[f32],
-    probs: &[f32],
-    d_out: &[f32],
-    n: usize,
-    d: usize,
-    scale: f32,
-    dq: &mut [f32],
-    dk: &mut [f32],
-    dv: &mut [f32],
-    dscores: &mut [f32],
-) {
-    #[cfg(target_arch = "x86_64")]
-    if crate::ops::matmul::avx2_available() {
-        // SAFETY: AVX2 support was just verified at runtime.
-        unsafe {
-            return causal_attention_train_backward_avx2(
-                q, k, v, probs, d_out, n, d, scale, dq, dk, dv, dscores,
-            );
-        };
-    }
-    causal_attention_train_backward_body(q, k, v, probs, d_out, n, d, scale, dq, dk, dv, dscores)
-}
-
-/// [`causal_attention_train_backward`]'s body compiled with AVX2
-/// codegen (same source, same bits — see `ops::matmul`'s module header).
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-#[allow(clippy::too_many_arguments)]
-unsafe fn causal_attention_train_backward_avx2(
-    q: &[f32],
-    k: &[f32],
-    v: &[f32],
-    probs: &[f32],
-    d_out: &[f32],
-    n: usize,
-    d: usize,
-    scale: f32,
-    dq: &mut [f32],
-    dk: &mut [f32],
-    dv: &mut [f32],
-    dscores: &mut [f32],
-) {
-    causal_attention_train_backward_body(q, k, v, probs, d_out, n, d, scale, dq, dk, dv, dscores)
-}
-
-#[inline(always)]
-#[allow(clippy::too_many_arguments)]
-fn causal_attention_train_backward_body(
-    q: &[f32],
-    k: &[f32],
-    v: &[f32],
-    probs: &[f32],
-    d_out: &[f32],
-    n: usize,
-    d: usize,
-    scale: f32,
-    dq: &mut [f32],
-    dk: &mut [f32],
-    dv: &mut [f32],
-    dscores: &mut [f32],
-) {
-    use crate::ops::matmul::{matmul_at_b_into_body, matmul_into_body, transpose_into};
-    debug_assert_eq!(q.len(), n * d);
-    debug_assert_eq!(k.len(), n * d);
-    debug_assert_eq!(v.len(), n * d);
-    debug_assert_eq!(probs.len(), n * n);
-    debug_assert_eq!(d_out.len(), n * d);
-    debug_assert_eq!(dq.len(), n * d);
-    debug_assert_eq!(dk.len(), n * d);
-    debug_assert_eq!(dv.len(), n * d);
-    debug_assert_eq!(dscores.len(), n * n);
-    // dV = probsᵀ · d_out.
-    dv.fill(0.0);
-    matmul_at_b_into_body(probs, d_out, dv, n, n, d);
-    // dP = d_out · vᵀ (full n×n, masked columns included — they meet an
-    // exact-zero y below, exactly as on the tape), via the tiled kernel
-    // over a transposed value buffer (header: same folds, same bits).
-    let mut vt = vec![0.0f32; n * d];
-    transpose_into(v, &mut vt, n, d);
-    dscores.fill(0.0);
-    matmul_into_body(d_out, &vt, dscores, n, d, n);
-    // Softmax backward + affine backward, in place: dscores becomes dS.
-    for i in 0..n {
-        let y_row = &probs[i * n..(i + 1) * n];
-        let ds_row = &mut dscores[i * n..(i + 1) * n];
-        let mut dot = 0.0f32;
-        for (&yv, &dp) in y_row.iter().zip(ds_row.iter()) {
-            dot += yv * dp;
+simd_kernel! {
+    /// Fused causal-attention *training* forward: `out =
+    /// softmax_causal(q·kᵀ·scale)·v` over flat `(n, d)` buffers, saving the
+    /// full `(n, n)` softmax matrix into `probs` for the backward pass.
+    ///
+    /// This is the fast training tier's replacement for the tape's four-op
+    /// composition (`matmul_a_bt` → affine → `softmax_causal` → `matmul`).
+    /// Unlike [`causal_attention_rows_into`], which streams score rows through
+    /// scratch a block at a time, training must keep the probabilities — they
+    /// are the saved activation [`causal_attention_train_backward`] consumes —
+    /// so `probs` is a persistent `(n, n)` buffer (row `i`: columns `..=i`
+    /// hold the softmax row, columns `i+1..` are written to exact `0.0`, the
+    /// same layout `softmax_rows_masked` produces).
+    ///
+    /// Bit-compatibility with the composed ops: the score matrix is the
+    /// tiled [`crate::ops::matmul::matmul_into`] over a transposed key
+    /// buffer (`Q·(Kᵀ)` — same products `q[i][t]·k[j][t]`, same ascending-`t`
+    /// fold per element as the reference dot, the transpose itself being
+    /// pure data movement; see [`crate::KernelTier::matmul_a_bt`]),
+    /// mapped through `scale * s + 0.0` (the tape's affine); the masked
+    /// softmax is `softmax_rows_masked`'s per-row sequence verbatim (the
+    /// above-diagonal scores this computes eagerly are overwritten with the
+    /// mask's exact zeros before anything reads them); and the output is
+    /// the tiled `matmul_into` over the full probability matrix — whose
+    /// masked entries are exact zeros, and adding a zero product never
+    /// changes an accumulator bit (see
+    /// [`crate::ops::matmul::reference::matmul_into`], which is what the
+    /// reference tape runs).
+    #[allow(clippy::too_many_arguments)]
+    pub fn causal_attention_train_forward(
+        q: &[f32],
+        k: &[f32],
+        v: &[f32],
+        n: usize,
+        d: usize,
+        scale: f32,
+        probs: &mut [f32],
+        out: &mut [f32],
+    ) {
+        debug_assert_eq!(q.len(), n * d);
+        debug_assert_eq!(k.len(), n * d);
+        debug_assert_eq!(v.len(), n * d);
+        debug_assert_eq!(probs.len(), n * n);
+        debug_assert_eq!(out.len(), n * d);
+        // All n² scores in one tiled pass over a transposed key buffer
+        // (header: same products, same ascending-k folds as the reference
+        // dots). The above-diagonal half is computed eagerly but every one
+        // of those entries is overwritten with the mask's exact 0.0 below
+        // before anything reads it.
+        let mut kt = vec![0.0f32; n * d];
+        transpose_into(k, &mut kt, n, d);
+        probs.fill(0.0);
+        tiled_nest::<false>(q, &kt, probs, n, d, n);
+        for i in 0..n {
+            let row = &mut probs[i * n..(i + 1) * n];
+            softmax_scaled_row(&mut row[..=i], scale);
+            // Future positions carry exactly zero weight, matching the
+            // softmax_rows_masked layout the backward pass relies on.
+            row[i + 1..].fill(0.0);
         }
-        for (dsv, &yv) in ds_row.iter_mut().zip(y_row) {
-            *dsv = scale * (yv * (*dsv - dot));
-        }
+        out.fill(0.0);
+        tiled_nest::<false>(probs, v, out, n, n, d);
     }
-    // dQ = dS · k, dK = dSᵀ · q.
-    dq.fill(0.0);
-    matmul_into_body(dscores, k, dq, n, n, d);
-    dk.fill(0.0);
-    matmul_at_b_into_body(dscores, q, dk, n, n, d);
+}
+
+simd_kernel! {
+    /// Fused causal-attention *training* backward: given the saved softmax
+    /// matrix from [`causal_attention_train_forward`] and the upstream
+    /// gradient `d_out`, computes `dq`/`dk`/`dv` in one tiled pass.
+    /// `dscores` is caller-provided `(n, n)` scratch; `dq`/`dk`/`dv` are
+    /// overwritten.
+    ///
+    /// Bit-compatibility with the tape's composed backward chain
+    /// (`Op::MatMul` → `Op::SoftmaxCausal` → `Op::Affine` → `Op::MatMulABt`
+    /// in reverse):
+    /// - `dV = probsᵀ · d_out` — [`crate::ops::matmul::matmul_at_b_into`]'s
+    ///   ascending-`kk` fold, identical to the reference `matmul_at_b` with
+    ///   its zero-skip (masked probabilities are exact zeros; zero products
+    ///   never change an accumulator bit);
+    /// - `dP = d_out · vᵀ` over the *full* `(n, n)` matrix — the tiled
+    ///   [`crate::ops::matmul::matmul_into`] over a transposed value buffer
+    ///   (same products, same ascending-`t` folds as the reference dots;
+    ///   see [`crate::KernelTier::matmul_a_bt`]), exactly what the
+    ///   tape's `matmul_a_bt(g, v)` computes (including the masked columns:
+    ///   the softmax backward below multiplies them by an exact zero, just
+    ///   as the tape does);
+    /// - softmax + affine backward per row: `dot = Σ_j y[j]·dp[j]` folded
+    ///   ascending over **all** `n` columns (the tape's fold; masked terms
+    ///   contribute exact-zero products), then `ds[j] = scale · (y[j] ·
+    ///   (dp[j] − dot))` — the same two multiplies, in the same order, as
+    ///   the tape's softmax-backward elementwise pass followed by its
+    ///   affine-backward `scale · x` pass;
+    /// - `dQ = ds · k` (tiled [`crate::ops::matmul::matmul_into`]) and
+    ///   `dK = dsᵀ · q` ([`crate::ops::matmul::matmul_at_b_into`]) — same
+    ///   per-element folds as the tape's reference kernels; the masked `ds`
+    ///   entries are exact (±)zeros, which the reference kernels skip and
+    ///   these dense kernels add, a bitwise no-op either way.
+    #[allow(clippy::too_many_arguments)]
+    pub fn causal_attention_train_backward(
+        q: &[f32],
+        k: &[f32],
+        v: &[f32],
+        probs: &[f32],
+        d_out: &[f32],
+        n: usize,
+        d: usize,
+        scale: f32,
+        dq: &mut [f32],
+        dk: &mut [f32],
+        dv: &mut [f32],
+        dscores: &mut [f32],
+    ) {
+        debug_assert_eq!(q.len(), n * d);
+        debug_assert_eq!(k.len(), n * d);
+        debug_assert_eq!(v.len(), n * d);
+        debug_assert_eq!(probs.len(), n * n);
+        debug_assert_eq!(d_out.len(), n * d);
+        debug_assert_eq!(dq.len(), n * d);
+        debug_assert_eq!(dk.len(), n * d);
+        debug_assert_eq!(dv.len(), n * d);
+        debug_assert_eq!(dscores.len(), n * n);
+        // dV = probsᵀ · d_out.
+        dv.fill(0.0);
+        tiled_nest::<true>(probs, d_out, dv, n, n, d);
+        // dP = d_out · vᵀ (full n×n, masked columns included — they meet an
+        // exact-zero y below, exactly as on the tape), via the tiled kernel
+        // over a transposed value buffer (header: same folds, same bits).
+        let mut vt = vec![0.0f32; n * d];
+        transpose_into(v, &mut vt, n, d);
+        dscores.fill(0.0);
+        tiled_nest::<false>(d_out, &vt, dscores, n, d, n);
+        // Softmax backward + affine backward, in place: dscores becomes dS.
+        for i in 0..n {
+            let y_row = &probs[i * n..(i + 1) * n];
+            let ds_row = &mut dscores[i * n..(i + 1) * n];
+            let mut dot = 0.0f32;
+            for (&yv, &dp) in y_row.iter().zip(ds_row.iter()) {
+                dot += yv * dp;
+            }
+            for (dsv, &yv) in ds_row.iter_mut().zip(y_row) {
+                *dsv = scale * (yv * (*dsv - dot));
+            }
+        }
+        // dQ = dS · k, dK = dSᵀ · q.
+        dq.fill(0.0);
+        tiled_nest::<false>(dscores, k, dq, n, n, d);
+        dk.fill(0.0);
+        tiled_nest::<true>(dscores, q, dk, n, n, d);
+    }
 }
 
 #[cfg(test)]
@@ -646,15 +521,15 @@ mod tests {
 
     /// The row kernel against the composed-ops reference over the
     /// concatenated K/V, bit for bit, across the (prefix, tail, keep, d)
-    /// shapes every caller uses and every edge of the tiled body — through
-    /// both codegen twins (the baseline body is inlined into this test,
-    /// the dispatcher reaches the AVX2 twin where the host has one), and
-    /// through the three delegating names wherever their shape applies.
+    /// shapes every caller uses and every edge of the tiled body — under
+    /// the codegen the host dispatches to (AVX2 where it has it; the composed
+    /// ops run the baseline build) — and through the three delegating names
+    /// wherever their shape applies.
     #[test]
     fn row_kernel_matches_composed_ops_over_the_shape_matrix() {
         const SENTINEL: f32 = -7.5;
-        // scripts/verify.sh exports this on AVX2 hosts: the dispatcher
-        // side of the comparison must not quietly be the baseline body.
+        // scripts/verify.sh exports this on AVX2 hosts: the kernel must not
+        // quietly run its baseline build there.
         if std::env::var("VSAN_REQUIRE_AVX2").is_ok_and(|v| v == "1") {
             assert!(crate::kernel::avx2_supported(), "VSAN_REQUIRE_AVX2=1 but AVX2 dispatch is unavailable");
         }
@@ -714,14 +589,10 @@ mod tests {
 
             let mut scratch = vec![SENTINEL; attention_scratch_len(window, keep, d)];
             let mut out = vec![f32::NAN; keep * d];
-            attention_rows_body(q_kept, k_prefix, k_tail, v_prefix, v_tail, d, scale, &mut scratch, &mut out);
-            assert_bits("baseline body", &out);
-            scratch.fill(SENTINEL);
-            out.fill(f32::NAN);
             causal_attention_rows_into(
                 q_kept, k_prefix, k_tail, v_prefix, v_tail, d, scale, &mut scratch, &mut out,
             );
-            assert_bits("dispatcher", &out);
+            assert_bits("rows", &out);
             if keep == 0 {
                 assert!(scratch.iter().all(|&s| s == SENTINEL), "{tag} keep = 0 touched the scratch");
             }

@@ -1,19 +1,23 @@
 //! Matrix multiplication kernels, in two tiers (DESIGN.md §10):
 //!
-//! - **Reference kernels** — the cache-friendly `i-k-j` loops the tape
-//!   has used since the first training run ([`matmul_into_skip_zeros`]
-//!   and the dot loop inside [`matmul_a_bt`]). The graph ops stay on
-//!   these: the graph path is the *differential oracle* for the
-//!   inference fast path, and an oracle is only worth having if it is
-//!   an independent, obviously-correct implementation — if both paths
-//!   ran the optimized kernels, a kernel bug would cancel out in the
-//!   bitwise compare.
-//! - **Optimized kernels** — [`matmul_into`] / [`matmul_a_bt_into`],
-//!   the register-tiled, runtime-SIMD-dispatched kernels the inference
-//!   fast path runs. Bit-identical to the reference fold by
-//!   construction (rules below) and by test
+//! - **Reference kernels** — [`mod@reference`]: the cache-friendly `i-k-j`
+//!   loops and the per-element dot the tape has used since the first
+//!   training run. They stay unoptimized: the reference tier is the
+//!   *differential oracle* for the tiled kernels, and an oracle is only
+//!   worth having if it is an independent, obviously-correct
+//!   implementation — if both tiers ran the optimized kernels, a kernel
+//!   bug would cancel out in the bitwise compare.
+//! - **Optimized kernels** — [`matmul_into`] / [`matmul_a_bt_into`] /
+//!   [`matmul_at_b_into`], the register-tiled, runtime-SIMD-dispatched
+//!   kernels the inference pass and the fast training tier run.
+//!   Bit-identical to the reference fold by construction (rules below)
+//!   and by test
 //!   (`tiled_nest_is_bit_identical_to_naive_fold_over_the_edge_matrix`,
 //!   plus the end-to-end differential suite in `vsan-core`).
+//!
+//! The `Tensor`-level products are [`crate::KernelTier`]'s three methods,
+//! the one place a tier is picked; [`matmul`], [`matmul_a_bt`] and
+//! [`matmul_at_b`] below are those methods on the reference tier.
 //!
 //! ## The blocking rule (DESIGN.md §10)
 //!
@@ -44,60 +48,115 @@
 //! ## SIMD and bitwise determinism
 //!
 //! On x86-64 the optimized kernels are compiled twice — baseline and an
-//! AVX2-enabled twin selected once at runtime. The twin is the *same
+//! AVX2-enabled twin selected once at runtime, both stamped from one body
+//! by `crate::kernel`'s `simd_kernel!`. The twin is the *same
 //! Rust body*: vectorization happens along `j`, where every SIMD lane
 //! is a **different output element**, so each element's ascending-`k`
 //! scalar fold is untouched. FMA is deliberately **not** enabled —
 //! a fused multiply-add rounds once instead of twice and would change
 //! the bits; Rust/LLVM never contract `a * b + c` on their own.
 
-use crate::{Result, Shape, Tensor, TensorError};
+use crate::kernel::simd_kernel;
+use crate::{KernelTier, Result, Tensor};
 
-/// Whether the running CPU supports AVX2, probed once.
-#[cfg(target_arch = "x86_64")]
-pub(crate) fn avx2_available() -> bool {
-    use std::sync::OnceLock;
-    static AVX2: OnceLock<bool> = OnceLock::new();
-    *AVX2.get_or_init(|| std::arch::is_x86_feature_detected!("avx2"))
-}
-
-/// Dense `C = A · B` for rank-2 operands `(m, k) × (k, n) → (m, n)`.
-///
-/// This is the tape's op: it runs the *reference* kernel
-/// ([`matmul_into_skip_zeros`], the original `i-k-j` loop), keeping the
-/// graph path an implementation-independent oracle for the fast path's
-/// optimized kernels (module header).
+/// Dense `C = A · B` for rank-2 operands `(m, k) × (k, n) → (m, n)`, on
+/// the reference tier ([`KernelTier::matmul`], serial).
 pub fn matmul(a: &Tensor, b: &Tensor) -> Result<Tensor> {
-    let (m, k) = a.shape().as_2d()?;
-    let (kb, n) = b.shape().as_2d()?;
-    if k != kb {
-        return Err(TensorError::ShapeMismatch {
-            lhs: a.dims().to_vec(),
-            rhs: b.dims().to_vec(),
-            op: "matmul",
-        });
-    }
-    let mut out = Tensor::zeros(&[m, n]);
-    matmul_into_skip_zeros(a.data(), b.data(), out.data_mut(), m, k, n);
-    Ok(out)
+    KernelTier::Reference.matmul(a, b, 1)
 }
 
-/// Fast-tier twin of [`matmul`]: same shapes, same bits, but the
-/// register-tiled [`matmul_into`] kernel. The tape dispatches here when
-/// its graph was built on [`crate::kernel::KernelTier::Fast`].
-pub fn matmul_fast(a: &Tensor, b: &Tensor) -> Result<Tensor> {
-    let (m, k) = a.shape().as_2d()?;
-    let (kb, n) = b.shape().as_2d()?;
-    if k != kb {
-        return Err(TensorError::ShapeMismatch {
-            lhs: a.dims().to_vec(),
-            rhs: b.dims().to_vec(),
-            op: "matmul",
-        });
+/// `C = Aᵀ · B` for `(k, m) × (k, n) → (m, n)` without materializing `Aᵀ`,
+/// on the reference tier ([`KernelTier::matmul_at_b`]).
+pub fn matmul_at_b(a: &Tensor, b: &Tensor) -> Result<Tensor> {
+    KernelTier::Reference.matmul_at_b(a, b)
+}
+
+/// `C = A · Bᵀ` for `(m, k) × (n, k) → (m, n)` without materializing `Bᵀ`,
+/// on the reference tier ([`KernelTier::matmul_a_bt`]).
+pub fn matmul_a_bt(a: &Tensor, b: &Tensor) -> Result<Tensor> {
+    KernelTier::Reference.matmul_a_bt(a, b)
+}
+
+/// The reference tier's three loops over flat row-major buffers: what the
+/// oracle tape runs and what every tiled kernel is held to, bit for bit.
+/// Unoptimized on purpose (module header).
+pub mod reference {
+    /// `c += a · b`, `(m, k) × (k, n) → (m, n)`: the `i-k-j` loop. `c` must
+    /// be zeroed (or hold a partial sum to accumulate into).
+    ///
+    /// Skips `a` elements that are exactly zero. The skip pays only
+    /// when the left operand has entire zero *rows or large zero runs* — the
+    /// embedding-side case (padded positions gather the pinned all-zero row
+    /// 0) and dropout-masked training activations. On dense data the
+    /// per-element branch costs more than the skipped work saves (measured
+    /// in `vsan-bench`'s `zero_skip` group), which is why the tiled
+    /// [`super::matmul_into`] dropped it.
+    ///
+    /// Skipping is bitwise-equivalent to adding the zero products: the
+    /// accumulator starts at `+0.0` and `+0.0 + (±0.0) == +0.0`, so a zero
+    /// contribution never changes any accumulator bit.
+    pub fn matmul_into(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
+        debug_assert_eq!(a.len(), m * k);
+        debug_assert_eq!(b.len(), k * n);
+        debug_assert_eq!(c.len(), m * n);
+        for i in 0..m {
+            let a_row = &a[i * k..(i + 1) * k];
+            let c_row = &mut c[i * n..(i + 1) * n];
+            for (kk, &aik) in a_row.iter().enumerate() {
+                if aik == 0.0 {
+                    continue;
+                }
+                let b_row = &b[kk * n..(kk + 1) * n];
+                for (cv, &bv) in c_row.iter_mut().zip(b_row) {
+                    *cv += aik * bv;
+                }
+            }
+        }
     }
-    let mut out = Tensor::zeros(&[m, n]);
-    matmul_into(a.data(), b.data(), out.data_mut(), m, k, n);
-    Ok(out)
+
+    /// `c += aᵀ · b`, `(k, m) × (k, n) → (m, n)`, zero-skip on `a`. `c` must
+    /// be zeroed (or hold a partial sum). Deliberately keeps the zero-skip
+    /// branch: `a` here is an activation carrying dropout-masked entries and
+    /// embedding-side padded rows, where whole zero runs are common enough
+    /// to pay for the test.
+    pub fn matmul_at_b_into(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
+        debug_assert_eq!(a.len(), k * m);
+        debug_assert_eq!(b.len(), k * n);
+        debug_assert_eq!(c.len(), m * n);
+        // Outer loop over the shared dim keeps both reads sequential.
+        for kk in 0..k {
+            let a_row = &a[kk * m..(kk + 1) * m];
+            let b_row = &b[kk * n..(kk + 1) * n];
+            for (i, &av) in a_row.iter().enumerate() {
+                if av == 0.0 {
+                    continue;
+                }
+                let o_row = &mut c[i * n..(i + 1) * n];
+                for (ov, &bv) in o_row.iter_mut().zip(b_row) {
+                    *ov += av * bv;
+                }
+            }
+        }
+    }
+
+    /// `c = a · bᵀ`, `(m, k) × (n, k) → (m, n)`: per-element ascending-`k`
+    /// dots. Overwrites `c`.
+    pub fn matmul_a_bt_into(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
+        debug_assert_eq!(a.len(), m * k);
+        debug_assert_eq!(b.len(), n * k);
+        debug_assert_eq!(c.len(), m * n);
+        for i in 0..m {
+            let a_row = &a[i * k..(i + 1) * k];
+            for j in 0..n {
+                let b_row = &b[j * k..(j + 1) * k];
+                let mut acc = 0.0f32;
+                for (&av, &bv) in a_row.iter().zip(b_row) {
+                    acc += av * bv;
+                }
+                c[i * n + j] = acc;
+            }
+        }
+    }
 }
 
 /// Rows of `A` per register tile: four output rows share each streamed
@@ -110,47 +169,21 @@ pub(crate) const NR: usize = 16;
 /// product's last chunk can end in single-row tiles.
 const ROW_CHUNK: usize = 64;
 
-/// Raw kernel: `c += a · b` over flat row-major buffers — the inference
-/// fast path's dense workhorse (projections, FFN, prediction head). `c`
-/// must be zeroed (or hold a partial sum to accumulate into).
-///
-/// Register-tiled (module header): a tile's accumulators live in
-/// registers for the whole `k` fold and are stored once; `k` is never
-/// split, so each `c[i][j]` is accumulated in the reference loop's
-/// ascending-`k` order. Branch-free on purpose: dense activations gain
-/// nothing from a zero test per `a` element — use
-/// [`matmul_into_skip_zeros`] where the left operand is genuinely
-/// sparse (embedding-side padded rows).
-pub fn matmul_into(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
-    tiled_product::<false>(a, b, c, m, k, n)
-}
-
-/// [`tiled_nest`] behind the runtime dispatch: its AVX2 twin where the CPU has one.
-fn tiled_product<const AT: bool>(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
-    #[cfg(target_arch = "x86_64")]
-    if avx2_available() {
-        // SAFETY: AVX2 support was just verified at runtime.
-        unsafe { return tiled_nest_avx2::<AT>(a, b, c, m, k, n) };
+simd_kernel! {
+    /// Raw kernel: `c += a · b` over flat row-major buffers — the inference
+    /// fast path's dense workhorse (projections, FFN, prediction head). `c`
+    /// must be zeroed (or hold a partial sum to accumulate into).
+    ///
+    /// Register-tiled (module header): a tile's accumulators live in
+    /// registers for the whole `k` fold and are stored once; `k` is never
+    /// split, so each `c[i][j]` is accumulated in the reference loop's
+    /// ascending-`k` order. Branch-free on purpose: dense activations gain
+    /// nothing from a zero test per `a` element — [`reference::matmul_into`]
+    /// has one, which pays only where the left operand is genuinely sparse
+    /// (embedding-side padded rows).
+    pub fn matmul_into(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
+        tiled_nest::<false>(a, b, c, m, k, n)
     }
-    tiled_nest::<AT>(a, b, c, m, k, n)
-}
-
-/// [`tiled_nest`] under AVX2 codegen (module header: same source, same bits).
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn tiled_nest_avx2<const AT: bool>(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
-    tiled_nest::<AT>(a, b, c, m, k, n)
-}
-
-/// The nest under the caller's codegen, for bodies themselves compiled twice (`ops::attention`).
-#[inline(always)]
-pub(crate) fn matmul_into_body(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
-    tiled_nest::<false>(a, b, c, m, k, n)
-}
-
-#[inline(always)]
-pub(crate) fn matmul_at_b_into_body(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
-    tiled_nest::<true>(a, b, c, m, k, n)
 }
 
 /// Rows `i..i + R` of a row-major matrix with `lda` columns, walked along
@@ -248,8 +281,11 @@ fn strips<const AT: bool, const C: usize>(
 
 /// The loop nest of both tiled products (module header): `c += a · b`,
 /// `a` stored `(m, k)` row-major with `lda = k`, or under `AT` `(k, m)`.
+/// Compiled under its caller's codegen: [`matmul_into`] / [`matmul_at_b_into`]
+/// are its stamped entry points, `ops::attention`'s stamped training pair
+/// calls it directly.
 #[inline(always)]
-fn tiled_nest<const AT: bool>(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
+pub(crate) fn tiled_nest<const AT: bool>(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
     // Checked in release too: `fold_tile` pairs the walk over `a` with the
     // rows of `b` and would quietly stop at the shorter of the two.
     assert_eq!((a.len(), b.len(), c.len()), (m * k, k * n, m * n));
@@ -264,196 +300,9 @@ fn tiled_nest<const AT: bool>(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: 
     }
 }
 
-/// The reference `i-k-j` kernel (and the tape's kernel — see the module
-/// header): skips `a` elements that are exactly zero. The skip pays only
-/// when the left operand has entire zero *rows or large zero runs* — the
-/// embedding-side case (padded positions gather the pinned all-zero row
-/// 0) and dropout-masked training activations. On dense data the
-/// per-element branch costs more than the skipped work saves (measured
-/// in `vsan-bench`'s `zero_skip` group), which is why the fast path's
-/// [`matmul_into`] dropped it.
-///
-/// Skipping is bitwise-equivalent to adding the zero products: the
-/// accumulator starts at `+0.0` and `+0.0 + (±0.0) == +0.0`, so a zero
-/// contribution never changes any accumulator bit.
-pub fn matmul_into_skip_zeros(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
-    debug_assert_eq!(a.len(), m * k);
-    debug_assert_eq!(b.len(), k * n);
-    debug_assert_eq!(c.len(), m * n);
-    for i in 0..m {
-        let a_row = &a[i * k..(i + 1) * k];
-        let c_row = &mut c[i * n..(i + 1) * n];
-        for (kk, &aik) in a_row.iter().enumerate() {
-            if aik == 0.0 {
-                continue;
-            }
-            let b_row = &b[kk * n..(kk + 1) * n];
-            for (cv, &bv) in c_row.iter_mut().zip(b_row) {
-                *cv += aik * bv;
-            }
-        }
-    }
-}
-
-/// `C = Aᵀ · B` for `(k, m) × (k, n) → (m, n)` without materializing `Aᵀ`.
-///
-/// This is the gradient-of-weights shape (`dW = Xᵀ · dY`), hit every step.
-/// Deliberately keeps the zero-skip branch: `X` here is an activation
-/// carrying dropout-masked entries and embedding-side padded rows, where
-/// whole zero runs are common enough to pay for the test.
-pub fn matmul_at_b(a: &Tensor, b: &Tensor) -> Result<Tensor> {
-    let (k, m) = a.shape().as_2d()?;
-    let (kb, n) = b.shape().as_2d()?;
-    if k != kb {
-        return Err(TensorError::ShapeMismatch {
-            lhs: a.dims().to_vec(),
-            rhs: b.dims().to_vec(),
-            op: "matmul_at_b",
-        });
-    }
-    let mut out = Tensor::zeros(&[m, n]);
-    matmul_at_b_ref_into(a.data(), b.data(), out.data_mut(), m, k, n);
-    Ok(out)
-}
-
-/// Raw reference kernel behind [`matmul_at_b`]: `c += aᵀ · b` over flat
-/// buffers, `(k, m) × (k, n) → (m, n)`, zero-skip on `a`. `c` must be
-/// zeroed (or hold a partial sum). The exact loop [`matmul_at_b`] has
-/// always run, factored out for callers that own the output buffer.
-pub fn matmul_at_b_ref_into(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
-    debug_assert_eq!(a.len(), k * m);
-    debug_assert_eq!(b.len(), k * n);
-    debug_assert_eq!(c.len(), m * n);
-    // Outer loop over the shared dim keeps both reads sequential.
-    for kk in 0..k {
-        let a_row = &a[kk * m..(kk + 1) * m];
-        let b_row = &b[kk * n..(kk + 1) * n];
-        for (i, &av) in a_row.iter().enumerate() {
-            if av == 0.0 {
-                continue;
-            }
-            let o_row = &mut c[i * n..(i + 1) * n];
-            for (ov, &bv) in o_row.iter_mut().zip(b_row) {
-                *ov += av * bv;
-            }
-        }
-    }
-}
-
-/// Fast-tier twin of [`matmul_at_b`]: same shapes, same bits, but the
-/// register-tiled [`matmul_at_b_into`] kernel.
-pub fn matmul_at_b_fast(a: &Tensor, b: &Tensor) -> Result<Tensor> {
-    let (k, m) = a.shape().as_2d()?;
-    let (kb, n) = b.shape().as_2d()?;
-    if k != kb {
-        return Err(TensorError::ShapeMismatch {
-            lhs: a.dims().to_vec(),
-            rhs: b.dims().to_vec(),
-            op: "matmul_at_b",
-        });
-    }
-    let mut out = Tensor::zeros(&[m, n]);
-    matmul_at_b_into(a.data(), b.data(), out.data_mut(), m, k, n);
-    Ok(out)
-}
-
-/// `C = A · Bᵀ` for `(m, k) × (n, k) → (m, n)` without materializing `Bᵀ`.
-///
-/// This is the attention-score shape (`Q · Kᵀ`) and the gradient-of-input
-/// shape (`dX = dY · Wᵀ`). A tape op, so it runs the reference dot loop
-/// (module header); the fast path's register-blocked twin is
-/// [`matmul_a_bt_into`].
-pub fn matmul_a_bt(a: &Tensor, b: &Tensor) -> Result<Tensor> {
-    let (m, k) = a.shape().as_2d()?;
-    let (n, kb) = b.shape().as_2d()?;
-    if k != kb {
-        return Err(TensorError::ShapeMismatch {
-            lhs: a.dims().to_vec(),
-            rhs: b.dims().to_vec(),
-            op: "matmul_a_bt",
-        });
-    }
-    let mut out = Tensor::zeros(&[m, n]);
-    matmul_a_bt_ref_into(a.data(), b.data(), out.data_mut(), m, k, n);
-    Ok(out)
-}
-
-/// Raw reference kernel behind [`matmul_a_bt`]: `c = a · bᵀ` over flat
-/// buffers, `(m, k) × (n, k) → (m, n)`, per-element ascending-`k` dots.
-/// Overwrites `c`. The exact loop [`matmul_a_bt`] has always run,
-/// factored out for callers that own the output buffer.
-pub fn matmul_a_bt_ref_into(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
-    debug_assert_eq!(a.len(), m * k);
-    debug_assert_eq!(b.len(), n * k);
-    debug_assert_eq!(c.len(), m * n);
-    for i in 0..m {
-        let a_row = &a[i * k..(i + 1) * k];
-        for j in 0..n {
-            let b_row = &b[j * k..(j + 1) * k];
-            let mut acc = 0.0f32;
-            for (&av, &bv) in a_row.iter().zip(b_row) {
-                acc += av * bv;
-            }
-            c[i * n + j] = acc;
-        }
-    }
-}
-
-/// Fast-tier twin of [`matmul_a_bt`]: same shapes, same bits, but
-/// computed as **transpose-then-tiled-matmul** instead of per-element
-/// dots.
-///
-/// `A·Bᵀ` is the one dense shape a SIMD twin cannot accelerate in
-/// place: each output is a single dot fold over `k`, and lanes within
-/// one fold would reassociate the sum. Materializing `Bᵀ` first (pure
-/// data movement — no arithmetic, no bits at risk) turns the product
-/// into the plain `A·(Bᵀ)` shape, which [`matmul_into`] tiles and
-/// vectorizes along `j`. Each `c[i][j]` is still one scalar accumulator
-/// folded over the *same* products `a[i][t]·b[j][t]` in the *same*
-/// ascending-`t` order as the reference dot, so the result is
-/// bit-identical (enforced by `blocked_kernel_is_bit_identical_to_naive_fold`).
-/// This shape is the `dX = dY·Wᵀ` half of every matmul backward, so the
-/// transpose (one `(n, k)` copy) is paid once per op against an `m·k·n`
-/// fold.
-pub fn matmul_a_bt_fast(a: &Tensor, b: &Tensor) -> Result<Tensor> {
-    let (m, k) = a.shape().as_2d()?;
-    let (n, kb) = b.shape().as_2d()?;
-    if k != kb {
-        return Err(TensorError::ShapeMismatch {
-            lhs: a.dims().to_vec(),
-            rhs: b.dims().to_vec(),
-            op: "matmul_a_bt",
-        });
-    }
-    let mut bt = vec![0.0f32; k * n];
-    transpose_into(b.data(), &mut bt, n, k);
-    let mut out = Tensor::zeros(&[m, n]);
-    matmul_into(a.data(), &bt, out.data_mut(), m, k, n);
-    Ok(out)
-}
-
-/// Scratch-threaded twin of [`matmul_a_bt_fast`] over flat buffers:
-/// `c = a · bᵀ` via transpose-then-tiled, with the `Bᵀ` scratch supplied
-/// by the caller. `c` must be
-/// zeroed ([`matmul_into`] accumulates); `bt_scratch` is fully
-/// overwritten. Same fold, same bits as [`matmul_a_bt_fast`].
-pub fn matmul_a_bt_fast_into(
-    a: &[f32],
-    b: &[f32],
-    c: &mut [f32],
-    bt_scratch: &mut [f32],
-    m: usize,
-    k: usize,
-    n: usize,
-) {
-    debug_assert_eq!(bt_scratch.len(), k * n);
-    transpose_into(b, bt_scratch, n, k);
-    matmul_into(a, bt_scratch, c, m, k, n);
-}
-
 /// Scratch transpose `(r, c) → (c, r)` over flat row-major buffers —
-/// the data-movement half of the fast tier's `A·Bᵀ` kernels. Pure
-/// copies: it cannot change any result bit, so the twins that call it
+/// the data-movement half of the fast tier's `A·Bᵀ` products. Pure
+/// copies: it cannot change any result bit, so the kernels that call it
 /// under AVX2 codegen stay bit-identical by construction.
 #[inline(always)]
 pub fn transpose_into(src: &[f32], dst: &mut [f32], r: usize, c: usize) {
@@ -466,129 +315,73 @@ pub fn transpose_into(src: &[f32], dst: &mut [f32], r: usize, c: usize) {
     }
 }
 
-/// Raw kernel behind [`matmul_a_bt`]: `c = a · bᵀ` over flat buffers,
-/// `(m, k) × (n, k) → (m, n)`. Overwrites `c` (no accumulation).
-///
-/// Register-blocked over `j`: four `B` rows are dotted against one hot
-/// `A` row per pass, with four independent accumulators. Each `c[i][j]`
-/// is still a single scalar fold over `k` in ascending order, so the
-/// result is bit-identical to the unblocked dot (module header).
-pub fn matmul_a_bt_into(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
-    #[cfg(target_arch = "x86_64")]
-    if avx2_available() {
-        // SAFETY: AVX2 support was just verified at runtime.
-        unsafe { return matmul_a_bt_into_avx2(a, b, c, m, k, n) };
-    }
-    matmul_a_bt_into_body(a, b, c, m, k, n)
-}
-
-/// [`matmul_a_bt_into`]'s body compiled with AVX2 codegen (module
-/// header: same source, same bits).
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn matmul_a_bt_into_avx2(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
-    matmul_a_bt_into_body(a, b, c, m, k, n)
-}
-
-#[inline(always)]
-pub(crate) fn matmul_a_bt_into_body(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
-    debug_assert_eq!(a.len(), m * k);
-    debug_assert_eq!(b.len(), n * k);
-    debug_assert_eq!(c.len(), m * n);
-    const NR: usize = 4;
-    let blocks = n / NR;
-    for i in 0..m {
-        let a_row = &a[i * k..(i + 1) * k];
-        let o_row = &mut c[i * n..(i + 1) * n];
-        for bj in 0..blocks {
-            let j = bj * NR;
-            let b0 = &b[j * k..(j + 1) * k];
-            let b1 = &b[(j + 1) * k..(j + 2) * k];
-            let b2 = &b[(j + 2) * k..(j + 3) * k];
-            let b3 = &b[(j + 3) * k..(j + 4) * k];
-            let (mut s0, mut s1, mut s2, mut s3) = (0.0f32, 0.0f32, 0.0f32, 0.0f32);
-            for (t, &av) in a_row.iter().enumerate() {
-                s0 += av * b0[t];
-                s1 += av * b1[t];
-                s2 += av * b2[t];
-                s3 += av * b3[t];
+simd_kernel! {
+    /// Raw kernel: `c = a · bᵀ` over flat buffers, `(m, k) × (n, k) → (m, n)`,
+    /// straight off `b`'s rows — the tied prediction head and the clustered
+    /// index's few-row queries, where a transposed copy of `b` would cost
+    /// more than it saves. Overwrites `c` (no accumulation).
+    ///
+    /// Register-blocked over `j`: four `B` rows are dotted against one hot
+    /// `A` row per pass, with four independent accumulators. Each `c[i][j]`
+    /// is still a single scalar fold over `k` in ascending order, so the
+    /// result is bit-identical to the unblocked dot (module header).
+    pub fn matmul_a_bt_into(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
+        debug_assert_eq!(a.len(), m * k);
+        debug_assert_eq!(b.len(), n * k);
+        debug_assert_eq!(c.len(), m * n);
+        const NR: usize = 4;
+        let blocks = n / NR;
+        for i in 0..m {
+            let a_row = &a[i * k..(i + 1) * k];
+            let o_row = &mut c[i * n..(i + 1) * n];
+            for bj in 0..blocks {
+                let j = bj * NR;
+                let b0 = &b[j * k..(j + 1) * k];
+                let b1 = &b[(j + 1) * k..(j + 2) * k];
+                let b2 = &b[(j + 2) * k..(j + 3) * k];
+                let b3 = &b[(j + 3) * k..(j + 4) * k];
+                let (mut s0, mut s1, mut s2, mut s3) = (0.0f32, 0.0f32, 0.0f32, 0.0f32);
+                for (t, &av) in a_row.iter().enumerate() {
+                    s0 += av * b0[t];
+                    s1 += av * b1[t];
+                    s2 += av * b2[t];
+                    s3 += av * b3[t];
+                }
+                o_row[j] = s0;
+                o_row[j + 1] = s1;
+                o_row[j + 2] = s2;
+                o_row[j + 3] = s3;
             }
-            o_row[j] = s0;
-            o_row[j + 1] = s1;
-            o_row[j + 2] = s2;
-            o_row[j + 3] = s3;
-        }
-        for (j, ov) in o_row.iter_mut().enumerate().skip(blocks * NR) {
-            let b_row = &b[j * k..(j + 1) * k];
-            let mut acc = 0.0f32;
-            for (&av, &bv) in a_row.iter().zip(b_row) {
-                acc += av * bv;
+            for (j, ov) in o_row.iter_mut().enumerate().skip(blocks * NR) {
+                let b_row = &b[j * k..(j + 1) * k];
+                let mut acc = 0.0f32;
+                for (&av, &bv) in a_row.iter().zip(b_row) {
+                    acc += av * bv;
+                }
+                *ov = acc;
             }
-            *ov = acc;
         }
     }
 }
 
-/// Raw kernel twin of [`matmul_at_b`]: `c += aᵀ · b` over flat buffers,
-/// `(k, m) × (k, n) → (m, n)`, without materializing `aᵀ`. `c` must be
-/// zeroed (or hold a partial sum to accumulate into).
-///
-/// This is the gradient-of-weights shape the fast training tier hits
-/// every step (`dW = Xᵀ · dY`, plus `dK`/`dV` in the fused attention
-/// backward). It runs [`matmul_into`]'s loop nest and tile — only the `a`
-/// indexing differs (`a[kk * m + i]` instead of `a[i * k + kk]`) — so
-/// each `c[i][j]` is one scalar accumulator folded over `kk` ascending,
-/// the reference loop's fold in [`matmul_at_b`]. The reference's zero-skip branch
-/// is dropped here, which is bitwise-equivalent: skipped products are
-/// exact (±)zeros, and an accumulator that starts at `+0.0` is never
-/// changed by adding one (see [`matmul_into_skip_zeros`]).
-pub fn matmul_at_b_into(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
-    tiled_product::<true>(a, b, c, m, k, n)
-}
-
-/// Matrix–vector product `(m, k) × (k,) → (m,)`.
-pub fn matvec(a: &Tensor, x: &Tensor) -> Result<Tensor> {
-    let (m, k) = a.shape().as_2d()?;
-    if x.dims() != [k] {
-        return Err(TensorError::ShapeMismatch {
-            lhs: a.dims().to_vec(),
-            rhs: x.dims().to_vec(),
-            op: "matvec",
-        });
+simd_kernel! {
+    /// Raw kernel twin of [`matmul_at_b`]: `c += aᵀ · b` over flat buffers,
+    /// `(k, m) × (k, n) → (m, n)`, without materializing `aᵀ`. `c` must be
+    /// zeroed (or hold a partial sum to accumulate into).
+    ///
+    /// This is the gradient-of-weights shape the fast training tier hits
+    /// every step (`dW = Xᵀ · dY`, plus `dK`/`dV` in the fused attention
+    /// backward). It runs [`matmul_into`]'s loop nest and tile — only the `a`
+    /// indexing differs (`a[kk * m + i]` instead of `a[i * k + kk]`) — so
+    /// each `c[i][j]` is one scalar accumulator folded over `kk` ascending,
+    /// the reference loop's fold in [`reference::matmul_at_b_into`]. The
+    /// reference's zero-skip branch is dropped here, which is
+    /// bitwise-equivalent: skipped products are exact (±)zeros, and an
+    /// accumulator that starts at `+0.0` is never changed by adding one (see
+    /// [`reference::matmul_into`]).
+    pub fn matmul_at_b_into(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
+        tiled_nest::<true>(a, b, c, m, k, n)
     }
-    let mut out = Tensor::zeros(&[m]);
-    for i in 0..m {
-        let row = &a.data()[i * k..(i + 1) * k];
-        out.data_mut()[i] = row.iter().zip(x.data()).map(|(&a, &b)| a * b).sum();
-    }
-    Ok(out)
-}
-
-/// Outer product `(m,) × (n,) → (m, n)`.
-pub fn outer(a: &Tensor, b: &Tensor) -> Result<Tensor> {
-    if a.rank() != 1 || b.rank() != 1 {
-        return Err(TensorError::RankMismatch { expected: 1, got: a.rank().max(b.rank()), op: "outer" });
-    }
-    let (m, n) = (a.numel(), b.numel());
-    let mut data = Vec::with_capacity(m * n);
-    for &av in a.data() {
-        for &bv in b.data() {
-            data.push(av * bv);
-        }
-    }
-    Ok(Tensor::from_vec(data, &[m, n]).expect("sized above"))
-}
-
-/// Dot product of two equal-length rank-1 tensors.
-pub fn dot(a: &Tensor, b: &Tensor) -> Result<f32> {
-    if !Shape::new(a.dims()).same_as(&Shape::new(b.dims())) || a.rank() != 1 {
-        return Err(TensorError::ShapeMismatch {
-            lhs: a.dims().to_vec(),
-            rhs: b.dims().to_vec(),
-            op: "dot",
-        });
-    }
-    Ok(a.data().iter().zip(b.data()).map(|(&x, &y)| x * y).sum())
 }
 
 #[cfg(test)]
@@ -621,6 +414,15 @@ mod tests {
         let a = m(vec![0.0; 6], 2, 3);
         let b = m(vec![0.0; 8], 2, 4);
         assert!(matmul(&a, &b).is_err());
+        // The shared check reads `k` off the right axis of each operand:
+        // (2,3)·(2,4)ᵀ disagrees on it, (2,3)ᵀ·(2,4) does not.
+        for tier in [KernelTier::Reference, KernelTier::Fast] {
+            assert!(tier.matmul(&a, &b, 2).is_err());
+            assert!(tier.matmul_a_bt(&a, &b).is_err());
+            assert_eq!(tier.matmul_at_b(&a, &b).unwrap().dims(), [3, 4]);
+            assert!(tier.matmul_at_b(&a, &m(vec![0.0; 12], 3, 4)).is_err());
+            assert!(tier.matmul(&a, &Tensor::zeros(&[3]), 1).is_err());
+        }
     }
 
     #[test]
@@ -639,16 +441,6 @@ mod tests {
         for (w, g) in want.data().iter().zip(got.data()) {
             assert!((w - g).abs() < 1e-6);
         }
-    }
-
-    #[test]
-    fn matvec_outer_dot() {
-        let a = m(vec![1.0, 2.0, 3.0, 4.0], 2, 2);
-        let x = Tensor::from_vec(vec![1.0, -1.0], &[2]).unwrap();
-        assert_eq!(matvec(&a, &x).unwrap().data(), &[-1.0, -1.0]);
-        let o = outer(&x, &x).unwrap();
-        assert_eq!(o.data(), &[1.0, -1.0, -1.0, 1.0]);
-        assert_eq!(dot(&x, &x).unwrap(), 2.0);
     }
 
     #[test]
@@ -681,9 +473,9 @@ mod tests {
     /// without a full strip before it), single-row tiles, both sides of
     /// the row-chunk edge, two chunks plus a remainder — against the naive
     /// ascending-`k` fold, bit for bit, accumulating into a non-zero `c`,
-    /// with exact zeros planted in `a`. Each case runs through both
-    /// codegen twins: the baseline body is inlined into this test, the
-    /// dispatcher reaches the AVX2 twin where the host has one.
+    /// with exact zeros planted in `a`. Each case runs the nest under both
+    /// codegens: `tiled_nest` itself is inlined into this test's baseline
+    /// build, the stamped kernels reach the AVX2 twin where the host has one.
     #[test]
     fn tiled_nest_is_bit_identical_to_naive_fold_over_the_edge_matrix() {
         use crate::init;
@@ -721,23 +513,24 @@ mod tests {
                     }
                     type Kernel = fn(&[f32], &[f32], &mut [f32], usize, usize, usize);
                     let kernels: [(&str, Kernel, &Tensor); 4] = [
-                        ("matmul_into baseline body", matmul_into_body, &a),
-                        ("matmul_into dispatcher", matmul_into, &a),
-                        ("matmul_at_b_into baseline body", matmul_at_b_into_body, &at),
-                        ("matmul_at_b_into dispatcher", matmul_at_b_into, &at),
+                        ("tiled_nest::<false> baseline", tiled_nest::<false>, &a),
+                        ("matmul_into", matmul_into, &a),
+                        ("tiled_nest::<true> baseline", tiled_nest::<true>, &at),
+                        ("matmul_at_b_into", matmul_at_b_into, &at),
                     ];
                     for (name, kernel, lhs) in kernels {
                         let mut got = c0.data().to_vec();
                         kernel(lhs.data(), b.data(), &mut got, m_, k_, n_);
                         assert_bits(&format!("{tag} {name}"), &want, &got);
                     }
-                    // The tensor twins start from zeros: the same fold
-                    // without the initial `c`.
+                    // The fast tier's tensor products start from zeros: the
+                    // same fold without the initial `c`.
+                    let fast = KernelTier::Fast;
                     let want = naive(a.data(), b.data(), m_, k_, n_);
-                    assert_bits(&format!("{tag} matmul_fast"), &want, matmul_fast(&a, &b).unwrap().data());
-                    assert_bits(&format!("{tag} matmul_at_b_fast"), &want, matmul_at_b_fast(&at, &b).unwrap().data());
+                    assert_bits(&format!("{tag} Fast.matmul"), &want, fast.matmul(&a, &b, 1).unwrap().data());
+                    assert_bits(&format!("{tag} Fast.matmul_at_b"), &want, fast.matmul_at_b(&at, &b).unwrap().data());
                     let bt = b.transpose2().unwrap();
-                    assert_bits(&format!("{tag} matmul_a_bt_fast"), &want, matmul_a_bt_fast(&a, &bt).unwrap().data());
+                    assert_bits(&format!("{tag} Fast.matmul_a_bt"), &want, fast.matmul_a_bt(&a, &bt).unwrap().data());
                 }
             }
         }
@@ -772,7 +565,7 @@ mod tests {
             let mut dense = vec![0.0f32; m_ * n_];
             matmul_into(a.data(), b.data(), &mut dense, m_, k_, n_);
             let mut skip = vec![0.0f32; m_ * n_];
-            matmul_into_skip_zeros(a.data(), b.data(), &mut skip, m_, k_, n_);
+            reference::matmul_into(a.data(), b.data(), &mut skip, m_, k_, n_);
             for ((w, d), s) in want.iter().zip(&dense).zip(&skip) {
                 assert_eq!(w.to_bits(), d.to_bits(), "blocked ({m_},{k_},{n_})");
                 assert_eq!(w.to_bits(), s.to_bits(), "skip ({m_},{k_},{n_})");
@@ -811,19 +604,19 @@ mod tests {
                 assert_eq!(w.to_bits(), g.to_bits(), "at_b ({m_},{k_},{n_})");
             }
 
-            // The tensor-level fast twins run the tiled kernels through
-            // the same shape checks as the tape ops: same bits.
-            let fast = matmul_fast(&a, &b).unwrap();
+            // The fast tier's tensor products run the tiled kernels
+            // through the same shape check as the reference tier's: same bits.
+            let fast = KernelTier::Fast.matmul(&a, &b, 1).unwrap();
             for (w, g) in want.iter().zip(fast.data()) {
-                assert_eq!(w.to_bits(), g.to_bits(), "matmul_fast ({m_},{k_},{n_})");
+                assert_eq!(w.to_bits(), g.to_bits(), "Fast.matmul ({m_},{k_},{n_})");
             }
-            let fast = matmul_a_bt_fast(&a, &bt).unwrap();
+            let fast = KernelTier::Fast.matmul_a_bt(&a, &bt).unwrap();
             for (w, g) in want_bt.iter().zip(fast.data()) {
-                assert_eq!(w.to_bits(), g.to_bits(), "a_bt_fast ({m_},{k_},{n_})");
+                assert_eq!(w.to_bits(), g.to_bits(), "Fast.matmul_a_bt ({m_},{k_},{n_})");
             }
-            let fast = matmul_at_b_fast(&at, &b2).unwrap();
+            let fast = KernelTier::Fast.matmul_at_b(&at, &b2).unwrap();
             for (w, g) in want_at.data().iter().zip(fast.data()) {
-                assert_eq!(w.to_bits(), g.to_bits(), "at_b_fast ({m_},{k_},{n_})");
+                assert_eq!(w.to_bits(), g.to_bits(), "Fast.matmul_at_b ({m_},{k_},{n_})");
             }
         }
     }

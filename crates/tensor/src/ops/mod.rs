@@ -1,11 +1,15 @@
 //! Numeric kernels on [`crate::Tensor`].
 //!
-//! Kernels are free functions in two forms: `Tensor`-returning wrappers
-//! that allocate a fresh output (what the reference autograd tape
-//! composes), and the `_into` family, which writes into caller-provided
-//! slices and allocates nothing (what the fast training tier and the
-//! inference pass call). Submodules group by family; the most common
-//! entry points are re-exported here.
+//! Kernels are free functions in two forms. The `_into` family writes
+//! into caller-provided slices and allocates nothing: it is what the
+//! autograd tape (on either tier) and the inference pass run, one name per
+//! kernel, each stamped by `simd_kernel!` so its body runs under AVX2
+//! codegen where the CPU has it (`crate::kernel`). The `Tensor`-returning
+//! functions allocate a fresh output and are plain scalar code: the
+//! elementwise and softmax ones are the independent definitions the
+//! `_into` kernels are held to in tests, and the three products are
+//! [`crate::KernelTier`]'s methods on the reference tier. Submodules group
+//! by family; the most common entry points are re-exported here.
 
 pub mod attention;
 pub mod elementwise;
@@ -20,24 +24,18 @@ pub use attention::{
     causal_attention_train_forward,
 };
 pub use elementwise::{
-    add, add_into, add_into_fast, add_row_broadcast_into, add_row_broadcast_into_fast,
-    add_scaled_into, affine_into, affine_into_fast, axpy, exp_into, exp_into_fast, hadamard,
-    hadamard_into, hadamard_into_fast, relu_grad_into, relu_grad_into_fast, relu_into,
-    relu_into_fast, scale, scale_into, scale_into_fast, sigmoid_grad_into, sigmoid_grad_into_fast,
-    sigmoid_into, sigmoid_into_fast, sub, sub_into, sub_into_fast, tanh_grad_into,
-    tanh_grad_into_fast, tanh_into, tanh_into_fast,
+    add, add_into, add_row_broadcast_into, add_scaled_into, affine_into, exp_into, hadamard,
+    hadamard_into, relu_grad_into, relu_into, scale, scale_into, sigmoid_grad_into, sigmoid_into,
+    sub, sub_into, tanh_grad_into, tanh_into,
 };
 pub use matmul::{
-    matmul, matmul_at_b, matmul_at_b_fast, matmul_at_b_into, matmul_at_b_ref_into, matmul_a_bt,
-    matmul_a_bt_fast, matmul_a_bt_fast_into, matmul_a_bt_into, matmul_a_bt_ref_into, matmul_fast,
-    transpose_into,
+    matmul, matmul_a_bt, matmul_a_bt_into, matmul_at_b, matmul_at_b_into, transpose_into,
 };
 pub use norm::{
     layer_norm_rows, layer_norm_rows_into, layer_norm_rows_stats_into, LayerNormStats,
 };
-pub use reduce::{mean_all, sum_all, sum_axis0, sum_rows};
+pub use reduce::{mean_all, sum_all, sum_axis0};
 pub use softmax::{
-    log_softmax_rows, softmax_grad_into, softmax_grad_into_fast, softmax_rows, softmax_rows_into,
-    softmax_rows_into_fast, softmax_rows_masked, softmax_rows_masked_fast,
-    softmax_rows_masked_into, softmax_rows_masked_into_fast,
+    softmax_grad_into, softmax_rows, softmax_rows_into, softmax_rows_masked,
+    softmax_rows_masked_into,
 };

@@ -16,16 +16,6 @@ pub fn mean_all(a: &Tensor) -> f32 {
     }
 }
 
-/// Row sums of a rank-2 tensor: `(r, c) → (r,)`.
-pub fn sum_rows(a: &Tensor) -> Result<Tensor> {
-    let (r, c) = a.shape().as_2d()?;
-    let mut out = Tensor::zeros(&[r]);
-    for i in 0..r {
-        out.data_mut()[i] = a.data()[i * c..(i + 1) * c].iter().sum();
-    }
-    Ok(out)
-}
-
 /// Column sums of a rank-2 tensor: `(r, c) → (c,)`.
 ///
 /// This is the bias-gradient reduction (`db = Σ_rows dY`).
@@ -38,36 +28,6 @@ pub fn sum_axis0(a: &Tensor) -> Result<Tensor> {
         for (o, &x) in od.iter_mut().zip(row) {
             *o += x;
         }
-    }
-    Ok(out)
-}
-
-/// Row max of a rank-2 tensor: `(r, c) → (r,)`. Empty rows yield `-inf`.
-pub fn max_rows(a: &Tensor) -> Result<Tensor> {
-    let (r, c) = a.shape().as_2d()?;
-    let mut out = Tensor::full(&[r], f32::NEG_INFINITY);
-    for i in 0..r {
-        let m = a.data()[i * c..(i + 1) * c].iter().fold(f32::NEG_INFINITY, |m, &x| m.max(x));
-        out.data_mut()[i] = m;
-    }
-    Ok(out)
-}
-
-/// Per-row argmax of a rank-2 tensor. Ties break to the lowest index.
-pub fn argmax_rows(a: &Tensor) -> Result<Vec<usize>> {
-    let (r, c) = a.shape().as_2d()?;
-    let mut out = Vec::with_capacity(r);
-    for i in 0..r {
-        let row = &a.data()[i * c..(i + 1) * c];
-        let mut best = 0usize;
-        let mut best_v = f32::NEG_INFINITY;
-        for (j, &v) in row.iter().enumerate() {
-            if v > best_v {
-                best_v = v;
-                best = j;
-            }
-        }
-        out.push(best);
     }
     Ok(out)
 }
@@ -86,23 +46,12 @@ mod tests {
     #[test]
     fn axis_reductions() {
         let a = Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0], &[2, 3]).unwrap();
-        assert_eq!(sum_rows(&a).unwrap().data(), &[6.0, 15.0]);
         assert_eq!(sum_axis0(&a).unwrap().data(), &[5.0, 7.0, 9.0]);
-        assert_eq!(max_rows(&a).unwrap().data(), &[3.0, 6.0]);
-    }
-
-    #[test]
-    fn argmax_breaks_ties_low() {
-        let a = Tensor::from_vec(vec![1.0, 5.0, 5.0, 0.0, -1.0, -2.0], &[2, 3]).unwrap();
-        assert_eq!(argmax_rows(&a).unwrap(), vec![1, 0]);
     }
 
     #[test]
     fn rank_checks() {
         let v = Tensor::from_vec(vec![1.0], &[1]).unwrap();
-        assert!(sum_rows(&v).is_err());
         assert!(sum_axis0(&v).is_err());
-        assert!(max_rows(&v).is_err());
-        assert!(argmax_rows(&v).is_err());
     }
 }

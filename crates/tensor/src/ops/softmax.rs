@@ -2,6 +2,7 @@
 //! the self-attention layers (§IV-B of the paper: links between `Q_i` and
 //! `K_j` are prohibited for `j > i`).
 
+use crate::kernel::simd_kernel;
 use crate::{Result, Tensor, TensorError};
 
 /// Numerically stable softmax over each row of a rank-2 tensor.
@@ -33,19 +34,6 @@ pub fn softmax_slice(row: &mut [f32]) {
     row.iter_mut().for_each(|x| *x *= inv);
 }
 
-/// Stable log-softmax over each row of a rank-2 tensor.
-pub fn log_softmax_rows(a: &Tensor) -> Result<Tensor> {
-    let (r, c) = a.shape().as_2d()?;
-    let mut out = a.clone();
-    for i in 0..r {
-        let row = &mut out.data_mut()[i * c..(i + 1) * c];
-        let max = row.iter().fold(f32::NEG_INFINITY, |m, &x| m.max(x));
-        let lse = max + row.iter().map(|&x| (x - max).exp()).sum::<f32>().ln();
-        row.iter_mut().for_each(|x| *x -= lse);
-    }
-    Ok(out)
-}
-
 /// Causal-masked softmax for square score matrices.
 ///
 /// Row `i` attends only to columns `j ≤ i`; masked entries come out exactly
@@ -61,44 +49,14 @@ pub fn softmax_rows_masked(scores: &Tensor) -> Result<Tensor> {
         });
     }
     let mut out = Tensor::zeros(&[r, c]);
-    softmax_rows_masked_body(scores.data(), out.data_mut(), r);
+    masked_rows(scores.data(), out.data_mut(), r);
     Ok(out)
 }
 
-/// Fast-tier twin of [`softmax_rows_masked`]: the same per-row sequence
-/// compiled with AVX2 codegen when the CPU supports it (same source,
-/// same bits — see `ops::matmul`'s module header). The fused attention
-/// kernel bypasses this op entirely on the fast tier; this twin covers
-/// graphs that build `softmax_causal` directly.
-pub fn softmax_rows_masked_fast(scores: &Tensor) -> Result<Tensor> {
-    let (r, c) = scores.shape().as_2d()?;
-    if r != c {
-        return Err(TensorError::ShapeMismatch {
-            lhs: scores.dims().to_vec(),
-            rhs: scores.dims().to_vec(),
-            op: "softmax_rows_masked (square required)",
-        });
-    }
-    let mut out = Tensor::zeros(&[r, c]);
-    #[cfg(target_arch = "x86_64")]
-    if crate::ops::matmul::avx2_available() {
-        // SAFETY: AVX2 support was just verified at runtime.
-        unsafe { softmax_rows_masked_avx2(scores.data(), out.data_mut(), r) };
-        return Ok(out);
-    }
-    softmax_rows_masked_body(scores.data(), out.data_mut(), r);
-    Ok(out)
-}
-
-/// [`softmax_rows_masked_fast`]'s body compiled with AVX2 codegen.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn softmax_rows_masked_avx2(scores: &[f32], out: &mut [f32], r: usize) {
-    softmax_rows_masked_body(scores, out, r)
-}
-
+/// The masked row sequence behind [`softmax_rows_masked`] and
+/// [`softmax_rows_masked_into`], compiled under its caller's codegen.
 #[inline(always)]
-fn softmax_rows_masked_body(scores: &[f32], out: &mut [f32], r: usize) {
+fn masked_rows(scores: &[f32], out: &mut [f32], r: usize) {
     let c = r;
     for i in 0..r {
         let src = &scores[i * c..i * c + i + 1];
@@ -119,117 +77,52 @@ fn softmax_rows_masked_body(scores: &[f32], out: &mut [f32], r: usize) {
 }
 
 // ---------------------------------------------------------------------------
-// `_into` kernel tier: variants writing caller buffers.
-// Same three-piece idiom as `ops/elementwise.rs`: scalar reference, AVX2
-// dispatcher, and a feature-gated twin sharing one `#[inline(always)]`
-// body — bit-identical by construction. The max/exp/sum folds inside stay
-// strictly sequential (never reassociated); only the copy and normalize
-// loops are legal for LLVM to vectorize.
+// `_into` kernels: the same row sequences over caller buffers, one name per
+// op, stamped by `simd_kernel!` like `ops/elementwise.rs`'s. The max/exp/sum
+// folds inside stay strictly sequential (never reassociated); only the copy
+// and normalize loops are legal for LLVM to vectorize. Lengths are checked
+// in release builds too.
 // ---------------------------------------------------------------------------
 
-/// Row softmax over flat row-major buffers: copies each `src` row into
-/// `out` and applies [`softmax_slice`] — the exact sequence of
-/// [`softmax_rows`] without the output allocation.
-pub fn softmax_rows_into(src: &[f32], out: &mut [f32], rows: usize, c: usize) {
-    softmax_rows_into_body(src, out, rows, c)
-}
-
-/// AVX2-dispatched twin of [`softmax_rows_into`] (shared body, identical
-/// bits).
-pub fn softmax_rows_into_fast(src: &[f32], out: &mut [f32], rows: usize, c: usize) {
-    #[cfg(target_arch = "x86_64")]
-    {
-        if crate::ops::matmul::avx2_available() {
-            // SAFETY: AVX2 presence checked at runtime.
-            unsafe { softmax_rows_into_avx2(src, out, rows, c) };
-            return;
+simd_kernel! {
+    /// Row softmax over flat row-major buffers: copies each `src` row into
+    /// `out` and applies [`softmax_slice`] — the exact sequence of
+    /// [`softmax_rows`] without the output allocation.
+    pub fn softmax_rows_into(src: &[f32], out: &mut [f32], rows: usize, c: usize) {
+        assert_eq!((src.len(), out.len()), (rows * c, rows * c));
+        for i in 0..rows {
+            let dst = &mut out[i * c..(i + 1) * c];
+            dst.copy_from_slice(&src[i * c..(i + 1) * c]);
+            softmax_slice(dst);
         }
     }
-    softmax_rows_into_body(src, out, rows, c)
 }
 
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn softmax_rows_into_avx2(src: &[f32], out: &mut [f32], rows: usize, c: usize) {
-    softmax_rows_into_body(src, out, rows, c)
-}
-
-#[inline(always)]
-fn softmax_rows_into_body(src: &[f32], out: &mut [f32], rows: usize, c: usize) {
-    debug_assert_eq!(src.len(), rows * c);
-    debug_assert_eq!(out.len(), rows * c);
-    for i in 0..rows {
-        let dst = &mut out[i * c..(i + 1) * c];
-        dst.copy_from_slice(&src[i * c..(i + 1) * c]);
-        softmax_slice(dst);
+simd_kernel! {
+    /// Causal-masked softmax writing a caller buffer. `out` must be zeroed
+    /// (masked entries `j > i` are left untouched and must read exactly 0.0).
+    pub fn softmax_rows_masked_into(scores: &[f32], out: &mut [f32], r: usize) {
+        assert_eq!((scores.len(), out.len()), (r * r, r * r));
+        masked_rows(scores, out, r)
     }
 }
 
-/// Causal-masked softmax writing a caller buffer. `out` must be zeroed
-/// (masked entries `j > i` are left untouched and must read exactly 0.0).
-pub fn softmax_rows_masked_into(scores: &[f32], out: &mut [f32], r: usize) {
-    debug_assert_eq!(scores.len(), r * r);
-    debug_assert_eq!(out.len(), r * r);
-    softmax_rows_masked_body(scores, out, r)
-}
-
-/// AVX2-dispatched twin of [`softmax_rows_masked_into`] (shared body,
-/// identical bits).
-pub fn softmax_rows_masked_into_fast(scores: &[f32], out: &mut [f32], r: usize) {
-    debug_assert_eq!(scores.len(), r * r);
-    debug_assert_eq!(out.len(), r * r);
-    #[cfg(target_arch = "x86_64")]
-    {
-        if crate::ops::matmul::avx2_available() {
-            // SAFETY: AVX2 presence checked at runtime.
-            unsafe { softmax_rows_masked_avx2(scores, out, r) };
-            return;
-        }
-    }
-    softmax_rows_masked_body(scores, out, r)
-}
-
-/// Softmax backward over flat buffers: for each row,
-/// `dot = Σ_j y[j]·g[j]` (strictly sequential fold) then
-/// `out[j] = y[j] * (g[j] - dot)` — the exact per-row sequence of the
-/// tape's softmax backward. Covers both the plain and causal-masked
-/// variants (masked positions have `y = 0`, contributing nothing).
-pub fn softmax_grad_into(y: &[f32], g: &[f32], out: &mut [f32], rows: usize, c: usize) {
-    softmax_grad_into_body(y, g, out, rows, c)
-}
-
-/// AVX2-dispatched twin of [`softmax_grad_into`] (shared body, identical
-/// bits — the dot fold stays sequential in both tiers).
-pub fn softmax_grad_into_fast(y: &[f32], g: &[f32], out: &mut [f32], rows: usize, c: usize) {
-    #[cfg(target_arch = "x86_64")]
-    {
-        if crate::ops::matmul::avx2_available() {
-            // SAFETY: AVX2 presence checked at runtime.
-            unsafe { softmax_grad_into_avx2(y, g, out, rows, c) };
-            return;
-        }
-    }
-    softmax_grad_into_body(y, g, out, rows, c)
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn softmax_grad_into_avx2(y: &[f32], g: &[f32], out: &mut [f32], rows: usize, c: usize) {
-    softmax_grad_into_body(y, g, out, rows, c)
-}
-
-#[inline(always)]
-fn softmax_grad_into_body(y: &[f32], g: &[f32], out: &mut [f32], rows: usize, c: usize) {
-    debug_assert_eq!(y.len(), rows * c);
-    debug_assert_eq!(g.len(), rows * c);
-    debug_assert_eq!(out.len(), rows * c);
-    for i in 0..rows {
-        let y_row = &y[i * c..(i + 1) * c];
-        let g_row = &g[i * c..(i + 1) * c];
-        let dot: f32 = y_row.iter().zip(g_row).map(|(a, b)| a * b).sum();
-        let o_row = &mut out[i * c..(i + 1) * c];
-        for j in 0..c {
-            o_row[j] = y_row[j] * (g_row[j] - dot);
+simd_kernel! {
+    /// Softmax backward over flat buffers: for each row,
+    /// `dot = Σ_j y[j]·g[j]` (strictly sequential fold) then
+    /// `out[j] = y[j] * (g[j] - dot)` — the exact per-row sequence of the
+    /// tape's softmax backward. Covers both the plain and causal-masked
+    /// variants (masked positions have `y = 0`, contributing nothing).
+    pub fn softmax_grad_into(y: &[f32], g: &[f32], out: &mut [f32], rows: usize, c: usize) {
+        assert_eq!((y.len(), g.len(), out.len()), (rows * c, rows * c, rows * c));
+        for i in 0..rows {
+            let y_row = &y[i * c..(i + 1) * c];
+            let g_row = &g[i * c..(i + 1) * c];
+            let dot: f32 = y_row.iter().zip(g_row).map(|(a, b)| a * b).sum();
+            let o_row = &mut out[i * c..(i + 1) * c];
+            for j in 0..c {
+                o_row[j] = y_row[j] * (g_row[j] - dot);
+            }
         }
     }
 }
@@ -263,16 +156,6 @@ mod tests {
     }
 
     #[test]
-    fn log_softmax_matches_log_of_softmax() {
-        let a = Tensor::from_vec(vec![0.5, -1.5, 2.0, 0.0], &[1, 4]).unwrap();
-        let ls = log_softmax_rows(&a).unwrap();
-        let s = softmax_rows(&a).unwrap();
-        for (l, p) in ls.data().iter().zip(s.data()) {
-            assert!((l.exp() - p).abs() < 1e-6);
-        }
-    }
-
-    #[test]
     fn causal_mask_zeroes_future() {
         let a = Tensor::from_vec(vec![5.0; 9], &[3, 3]).unwrap();
         let s = softmax_rows_masked(&a).unwrap();
@@ -291,23 +174,6 @@ mod tests {
     fn causal_mask_requires_square() {
         let a = Tensor::zeros(&[2, 3]);
         assert!(softmax_rows_masked(&a).is_err());
-        assert!(softmax_rows_masked_fast(&a).is_err());
-    }
-
-    #[test]
-    fn fast_masked_softmax_is_bit_identical() {
-        use crate::init;
-        use rand::rngs::StdRng;
-        use rand::SeedableRng;
-        let mut rng = StdRng::seed_from_u64(5);
-        for n in [1, 2, 7, 16, 33] {
-            let a = init::randn(&mut rng, &[n, n], 0.0, 2.0);
-            let want = softmax_rows_masked(&a).unwrap();
-            let got = softmax_rows_masked_fast(&a).unwrap();
-            for (w, g) in want.data().iter().zip(got.data()) {
-                assert_eq!(w.to_bits(), g.to_bits(), "n={n}");
-            }
-        }
     }
 
     #[test]
@@ -320,7 +186,7 @@ mod tests {
     }
 
     #[test]
-    fn into_kernels_are_bit_identical_across_tiers_and_to_the_reference() {
+    fn into_kernels_match_the_tensor_reference_bitwise() {
         use crate::init;
         use rand::rngs::StdRng;
         use rand::SeedableRng;
@@ -328,22 +194,24 @@ mod tests {
         for (r, c) in [(1usize, 1usize), (3, 5), (16, 16), (50, 64), (7, 200)] {
             let a = init::randn(&mut rng, &[r, c], 0.0, 3.0);
             let want = softmax_rows(&a).unwrap();
-            let mut ref_out = vec![0.0f32; r * c];
-            let mut fast_out = vec![0.0f32; r * c];
-            softmax_rows_into(a.data(), &mut ref_out, r, c);
-            softmax_rows_into_fast(a.data(), &mut fast_out, r, c);
-            for j in 0..r * c {
-                assert_eq!(want.data()[j].to_bits(), ref_out[j].to_bits(), "ref {r}x{c}");
-                assert_eq!(ref_out[j].to_bits(), fast_out[j].to_bits(), "fast {r}x{c}");
+            let mut y = vec![0.0f32; r * c];
+            softmax_rows_into(a.data(), &mut y, r, c);
+            for (w, got) in want.data().iter().zip(&y) {
+                assert_eq!(w.to_bits(), got.to_bits(), "{r}x{c}");
             }
-            // Backward: dot-then-scale sequence, both tiers.
+            // Backward against the tape's formula written out: the per-row
+            // sequential dot, then y·(g − dot).
             let g = init::randn(&mut rng, &[r, c], 0.0, 1.0);
-            let mut dref = vec![0.0f32; r * c];
-            let mut dfast = vec![0.0f32; r * c];
-            softmax_grad_into(ref_out.as_slice(), g.data(), &mut dref, r, c);
-            softmax_grad_into_fast(ref_out.as_slice(), g.data(), &mut dfast, r, c);
-            for j in 0..r * c {
-                assert_eq!(dref[j].to_bits(), dfast[j].to_bits(), "grad {r}x{c}");
+            let mut dx = vec![0.0f32; r * c];
+            softmax_grad_into(&y, g.data(), &mut dx, r, c);
+            for ((y_row, g_row), dx_row) in y.chunks(c).zip(g.data().chunks(c)).zip(dx.chunks(c)) {
+                let mut dot = 0.0f32;
+                for (yv, gv) in y_row.iter().zip(g_row) {
+                    dot += yv * gv;
+                }
+                for ((yv, gv), got) in y_row.iter().zip(g_row).zip(dx_row) {
+                    assert_eq!(got.to_bits(), (yv * (gv - dot)).to_bits(), "grad {r}x{c}");
+                }
             }
         }
     }
@@ -357,14 +225,36 @@ mod tests {
         for n in [1usize, 4, 17, 33] {
             let a = init::randn(&mut rng, &[n, n], 0.0, 2.0);
             let want = softmax_rows_masked(&a).unwrap();
-            let mut ref_out = vec![0.0f32; n * n];
-            let mut fast_out = vec![0.0f32; n * n];
-            softmax_rows_masked_into(a.data(), &mut ref_out, n);
-            softmax_rows_masked_into_fast(a.data(), &mut fast_out, n);
-            for j in 0..n * n {
-                assert_eq!(want.data()[j].to_bits(), ref_out[j].to_bits(), "n={n}");
-                assert_eq!(ref_out[j].to_bits(), fast_out[j].to_bits(), "n={n}");
+            let mut got = vec![0.0f32; n * n];
+            softmax_rows_masked_into(a.data(), &mut got, n);
+            for (w, g) in want.data().iter().zip(&got) {
+                assert_eq!(w.to_bits(), g.to_bits(), "n={n}");
             }
         }
+    }
+
+    // The length contract holds in release builds (see `ops/elementwise.rs`).
+    #[test]
+    #[should_panic]
+    fn row_softmax_rejects_a_short_input() {
+        softmax_rows_into(&[1.0; 3], &mut [0.0; 6], 2, 3);
+    }
+
+    #[test]
+    #[should_panic]
+    fn row_softmax_rejects_a_short_output() {
+        softmax_grad_into(&[1.0; 6], &[1.0; 6], &mut [0.0; 3], 2, 3);
+    }
+
+    #[test]
+    #[should_panic]
+    fn masked_softmax_rejects_a_short_input() {
+        softmax_rows_masked_into(&[1.0; 2], &mut [0.0; 4], 2);
+    }
+
+    #[test]
+    #[should_panic]
+    fn masked_softmax_rejects_a_short_output() {
+        softmax_rows_masked_into(&[1.0; 4], &mut [0.0; 2], 2);
     }
 }

@@ -4,9 +4,8 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use vsan_tensor::ops;
-use vsan_tensor::parallel::matmul_parallel;
 use vsan_tensor::serialize;
-use vsan_tensor::{init, Tensor};
+use vsan_tensor::{init, KernelTier, Tensor};
 
 fn seeded_randn(seed: u64, dims: &[usize]) -> Tensor {
     init::randn(&mut StdRng::seed_from_u64(seed), dims, 0.0, 1.0)
@@ -14,6 +13,10 @@ fn seeded_randn(seed: u64, dims: &[usize]) -> Tensor {
 
 fn bits(t: &Tensor) -> Vec<u32> {
     t.data().iter().map(|x| x.to_bits()).collect()
+}
+
+fn any_tier() -> impl Strategy<Value = KernelTier> {
+    (0usize..2).prop_map(|i| [KernelTier::Reference, KernelTier::Fast][i])
 }
 
 fn small_matrix() -> impl Strategy<Value = Tensor> {
@@ -121,11 +124,12 @@ proptest! {
         }
     }
 
-    // ---- matmul_parallel ≡ matmul, bit for bit -------------------------
+    // ---- tier.matmul(.., threads) ≡ matmul, bit for bit ----------------
     //
-    // The parallel kernel partitions output rows; each row is produced by
-    // the same i-k-j inner loop as the serial kernel, so the contract is
-    // exact bitwise equality (not tolerance) for any shape × thread count.
+    // The parallel front-end partitions output rows; each row is produced
+    // by the tier's serial kernel, whose per-element fold is the reference
+    // i-k-j loop's, so the contract is exact bitwise equality (not
+    // tolerance) for any shape × thread count × tier.
 
     #[test]
     fn matmul_parallel_matches_serial_below_threshold(
@@ -133,13 +137,14 @@ proptest! {
         k in 1usize..9,
         n in 1usize..9,
         threads in 1usize..17,
+        tier in any_tier(),
         seed in 0u64..1_000_000,
     ) {
         // m·k·n < 1e6 here, so this pins the serial-fallback branch.
         let a = seeded_randn(seed, &[m, k]);
         let b = seeded_randn(seed ^ 0xab54_a98c, &[k, n]);
         let serial = ops::matmul(&a, &b).unwrap();
-        let par = matmul_parallel(&a, &b, threads).unwrap();
+        let par = tier.matmul(&a, &b, threads).unwrap();
         prop_assert_eq!(bits(&par), bits(&serial));
     }
 
@@ -149,6 +154,7 @@ proptest! {
         k in 2usize..17,
         threads in 2usize..17,
         extra in 1usize..512,
+        tier in any_tier(),
         seed in 0u64..1_000_000,
     ) {
         // Pick n so m·k·n ≥ 1e6: the genuinely threaded branch. Small m
@@ -157,7 +163,7 @@ proptest! {
         let a = seeded_randn(seed, &[m, k]);
         let b = seeded_randn(seed ^ 0x5151_f00d, &[k, n]);
         let serial = ops::matmul(&a, &b).unwrap();
-        let par = matmul_parallel(&a, &b, threads).unwrap();
+        let par = tier.matmul(&a, &b, threads).unwrap();
         prop_assert_eq!(bits(&par), bits(&serial));
     }
 
@@ -182,8 +188,10 @@ fn matmul_parallel_thread_sweep_is_bitwise_stable() {
     let a = seeded_randn(11, &[m, k]);
     let b = seeded_randn(12, &[k, n]);
     let baseline = bits(&ops::matmul(&a, &b).unwrap());
-    for threads in [1, 2, 3, 4, 5, 8, 16] {
-        let par = matmul_parallel(&a, &b, threads).unwrap();
-        assert_eq!(bits(&par), baseline, "diverged at threads={threads}");
+    for tier in [KernelTier::Reference, KernelTier::Fast] {
+        for threads in [1, 2, 3, 4, 5, 8, 16] {
+            let par = tier.matmul(&a, &b, threads).unwrap();
+            assert_eq!(bits(&par), baseline, "diverged at threads={threads} on {}", tier.name());
+        }
     }
 }

@@ -81,50 +81,55 @@ cargo test -q --offline --test golden_logits
 VSAN_DISABLE_FAST_PATH=1 cargo test -q --offline -p vsan-core --test fast_path
 VSAN_DISABLE_FAST_PATH=1 cargo test -q --offline --test golden_logits
 
-# The kernels under that path, each through both codegen twins (with
-# VSAN_REQUIRE_AVX2=1 the dispatcher side must be the AVX2 twin): the
-# tiled matmul nest held to the naive ascending-k fold over its edge
-# matrix (every n % 16, single-row tiles, both sides of the row chunk),
-# and the attention kernel held to the composed ops over the (prefix,
-# tail, keep, d) matrix. Named here so a rename, a filter that matches
-# nothing, or an `ignored` attribute fails the gate instead of thinning
-# it. The kernels never read the pin; running under both settings shows
-# that.
-echo "==> matmul + attention kernel matrices (VSAN_DISABLE_FAST_PATH unset + =1)"
-for pin in "" 1; do
-  out="$(VSAN_DISABLE_FAST_PATH=${pin} cargo test -q --offline -p vsan-tensor --lib -- --exact \
-    ops::matmul::tests::tiled_nest_is_bit_identical_to_naive_fold_over_the_edge_matrix \
-    ops::matmul::tests::blocked_kernel_is_bit_identical_to_naive_fold \
-    ops::attention::tests::row_kernel_matches_composed_ops_over_the_shape_matrix \
-    ops::attention::tests::non_finite_future_rows_never_reach_earlier_queries 2>&1)" || {
-    echo "${out}"
-    echo "kernel matrices failed (VSAN_DISABLE_FAST_PATH='${pin}')" >&2
-    exit 1
-  }
-  if ! echo "${out}" | grep -q "^test result: ok. 4 passed; 0 failed; 0 ignored"; then
-    echo "${out}"
-    echo "the kernel matrices did not run whole (expected 4 passed, 0 ignored)" >&2
-    exit 1
-  fi
-done
+# The kernels under that path, as dispatched (with VSAN_REQUIRE_AVX2=1
+# that must be the AVX2 twin): the tiled matmul nest — its baseline build
+# too, inlined into the test — and both tiers' tensor products held to the
+# naive ascending-k fold over the nest's edge matrix (every n % 16,
+# single-row tiles, both sides of the row chunk), and the attention kernel
+# held to the composed ops over the (prefix, tail, keep, d) matrix. Named
+# here so a rename, a filter that matches nothing, or an `ignored`
+# attribute fails the gate instead of thinning it. Run once: nothing on
+# these four paths reads VSAN_DISABLE_FAST_PATH.
+echo "==> matmul + attention kernel matrices"
+out="$(cargo test -q --offline -p vsan-tensor --lib -- --exact \
+  ops::matmul::tests::tiled_nest_is_bit_identical_to_naive_fold_over_the_edge_matrix \
+  ops::matmul::tests::blocked_kernel_is_bit_identical_to_naive_fold \
+  ops::attention::tests::row_kernel_matches_composed_ops_over_the_shape_matrix \
+  ops::attention::tests::non_finite_future_rows_never_reach_earlier_queries 2>&1)" || {
+  echo "${out}"
+  echo "kernel matrices failed" >&2
+  exit 1
+}
+if ! echo "${out}" | grep -q "^test result: ok. 4 passed; 0 failed; 0 ignored"; then
+  echo "${out}"
+  echo "the kernel matrices did not run whole (expected 4 passed, 0 ignored)" >&2
+  exit 1
+fi
 
-# Training kernel-tier differential gate (DESIGN.md §10 + §14, PRs
-# 9/10): the fused/tiled fast training tier, vectorized
-# elementwise/softmax kernels included, must stay bit-identical to the
-# scalar reference tape. The proptest differential suite, the tiered
-# gradcheck suite, the golden 3-step training fixture (a tier × thread
-# grid) and the threads × tier training grid all run twice — with the
-# environment pin unset (fast tier is the default) and with
-# VSAN_DISABLE_FAST_PATH=1 (reference tier) — covering every env ×
+# The same crate once more as it ships: optimized codegen is what serves
+# and trains, and `debug_assert!` is compiled out there, so this is the
+# run in which the stamped kernels' length checks (`assert_eq!`, with
+# `#[should_panic]` cases per signature shape) can fail.
+echo "==> vsan-tensor unit tests, release profile"
+cargo test -q --offline --release -p vsan-tensor --lib
+
+# Training kernel-tier differential gate (DESIGN.md §10, PR 9): the
+# fast training tier — tiled products and the fused attention node —
+# must stay bit-identical to the reference tape's scalar product loops
+# and composed attention chain. The proptest differential suite and the
+# tiered gradcheck suite name both tiers explicitly and read no
+# environment (crates/autograd and crates/nn never consult the pin), so
+# they run once. The golden 3-step training fixture (a tier × thread
+# grid) and the threads × tier training grid resolve a default tier
+# from the pin, so they run twice — unset (fast tier is the default)
+# and VSAN_DISABLE_FAST_PATH=1 (reference tier) — covering every env ×
 # entry-point routing the pin controls. In-config pins override the
 # env, so each single run still exercises both tiers' kernels; the
 # double run proves the *routing* under both process-level env states.
-echo "==> kernel-tier differential suite (VSAN_DISABLE_FAST_PATH unset + =1)"
+echo "==> kernel-tier differential suite (vsan-core under VSAN_DISABLE_FAST_PATH unset + =1)"
 cargo test -q --offline -p vsan-autograd --test tier_differential
 cargo test -q --offline -p vsan-autograd --test gradcheck_ops
 cargo test -q --offline -p vsan-core --test golden_train
-VSAN_DISABLE_FAST_PATH=1 cargo test -q --offline -p vsan-autograd --test tier_differential
-VSAN_DISABLE_FAST_PATH=1 cargo test -q --offline -p vsan-autograd --test gradcheck_ops
 VSAN_DISABLE_FAST_PATH=1 cargo test -q --offline -p vsan-core --test golden_train
 VSAN_DISABLE_FAST_PATH=1 cargo test -q --offline -p vsan-core --test parallel_train
 
