@@ -6,7 +6,9 @@
 //! codegen where the CPU has it and under the baseline build elsewhere.
 //! The two compilations are the same Rust source with vector lanes only
 //! across independent output elements, so they agree bit for bit; no
-//! caller picks between them and no second name reaches the baseline one.
+//! caller picks between them and no second public name reaches the
+//! baseline one (the matmul and attention matrix tests do, by inlining
+//! the crate-private `tiled_nest` / `attention_rows` bodies).
 //!
 //! **Which implementation** — only the three dense products (`A·B`,
 //! `A·Bᵀ`, `Aᵀ·B`) and causal attention exist twice: the scalar loops of

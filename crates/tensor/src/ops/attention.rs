@@ -109,66 +109,85 @@ simd_kernel! {
         scratch: &mut [f32],
         out: &mut [f32],
     ) {
-        let window = (k_prefix.len() + k_tail.len()) / d;
-        let keep = q.len() / d;
-        debug_assert!(keep * d <= k_tail.len());
-        debug_assert_eq!(k_prefix.len(), v_prefix.len());
-        debug_assert_eq!(k_tail.len(), v_tail.len());
-        debug_assert!(scratch.len() >= attention_scratch_len(window, keep, d));
-        debug_assert_eq!(out.len(), q.len());
+        attention_rows(q, k_prefix, k_tail, v_prefix, v_tail, d, scale, scratch, out)
+    }
+}
 
-        // The leading `keep % MR` rows fill no register tile: each is one
-        // scalar-dot score row, straight off the untransposed keys.
-        let loose = keep % MR;
-        let (q_loose, q_tiled) = q.split_at(loose * d);
-        let (out_loose, out_tiled) = out.split_at_mut(loose * d);
-        for (r, (q_row, o_row)) in q_loose.chunks_exact(d).zip(out_loose.chunks_exact_mut(d)).enumerate() {
-            // Keys 0..=i for window row i = window − keep + r; the zips below
-            // stop at the score row's length.
-            let scores = &mut scratch[..=window - keep + r];
-            for (s, k_row) in scores.iter_mut().zip(k_prefix.chunks_exact(d).chain(k_tail.chunks_exact(d))) {
-                let mut acc = 0.0f32;
-                for (&qv, &kv) in q_row.iter().zip(k_row) {
-                    acc += qv * kv;
-                }
-                *s = acc;
-            }
-            softmax_scaled_row(scores, scale);
-            o_row.fill(0.0);
-            for (&p, v_row) in scores.iter().zip(v_prefix.chunks_exact(d).chain(v_tail.chunks_exact(d))) {
-                for (ov, &vv) in o_row.iter_mut().zip(v_row) {
-                    *ov += p * vv;
-                }
-            }
-        }
-        if q_tiled.is_empty() {
-            return;
-        }
+/// [`causal_attention_rows_into`]'s body, inlined into whichever codegen
+/// twin calls it (and, under the baseline build, into the shape-matrix
+/// test).
+#[inline(always)]
+#[allow(clippy::too_many_arguments)]
+fn attention_rows(
+    q: &[f32],
+    k_prefix: &[f32],
+    k_tail: &[f32],
+    v_prefix: &[f32],
+    v_tail: &[f32],
+    d: usize,
+    scale: f32,
+    scratch: &mut [f32],
+    out: &mut [f32],
+) {
+    let window = (k_prefix.len() + k_tail.len()) / d;
+    let keep = q.len() / d;
+    debug_assert!(keep * d <= k_tail.len());
+    debug_assert_eq!(k_prefix.len(), v_prefix.len());
+    debug_assert_eq!(k_tail.len(), v_tail.len());
+    debug_assert!(scratch.len() >= attention_scratch_len(window, keep, d));
+    debug_assert_eq!(out.len(), q.len());
 
-        // Kᵀ once for the whole window — `kt[t][j] = k[j][t]`, pure data
-        // movement — so a score tile's lanes run across keys.
-        let (kt, scores) = scratch.split_at_mut(d * window);
-        for (j, k_row) in k_prefix.chunks_exact(d).chain(k_tail.chunks_exact(d)).enumerate() {
-            for (t, &kv) in k_row.iter().enumerate() {
-                kt[t * window + j] = kv;
+    // The leading `keep % MR` rows fill no register tile: each is one
+    // scalar-dot score row, straight off the untransposed keys.
+    let loose = keep % MR;
+    let (q_loose, q_tiled) = q.split_at(loose * d);
+    let (out_loose, out_tiled) = out.split_at_mut(loose * d);
+    for (r, (q_row, o_row)) in q_loose.chunks_exact(d).zip(out_loose.chunks_exact_mut(d)).enumerate() {
+        // Keys 0..=i for window row i = window − keep + r; the zips below
+        // stop at the score row's length.
+        let scores = &mut scratch[..=window - keep + r];
+        for (s, k_row) in scores.iter_mut().zip(k_prefix.chunks_exact(d).chain(k_tail.chunks_exact(d))) {
+            let mut acc = 0.0f32;
+            for (&qv, &kv) in q_row.iter().zip(k_row) {
+                acc += qv * kv;
+            }
+            *s = acc;
+        }
+        softmax_scaled_row(scores, scale);
+        o_row.fill(0.0);
+        for (&p, v_row) in scores.iter().zip(v_prefix.chunks_exact(d).chain(v_tail.chunks_exact(d))) {
+            for (ov, &vv) in o_row.iter_mut().zip(v_row) {
+                *ov += p * vv;
             }
         }
-        let blocks = q_tiled.chunks(BLOCK_ROWS * d).zip(out_tiled.chunks_mut(BLOCK_ROWS * d));
-        for (blk, (q_blk, o_blk)) in blocks.enumerate() {
-            // Window row of the block's first query row, and one past its last.
-            let first = window - keep + loose + blk * BLOCK_ROWS;
-            let end = first + q_blk.len() / d;
-            // Whole NR-wide key tiles while they fit the window (lanes past a
-            // row's diagonal are stored and never read), single keys after.
-            let keys = end.next_multiple_of(NR).min(window);
-            let j = score_tiles::<NR>(q_blk, kt, d, window, first, 0, keys, scores);
-            score_tiles::<1>(q_blk, kt, d, window, first, j, keys, scores);
-            for (r, row) in scores.chunks_exact_mut(window).take(end - first).enumerate() {
-                softmax_scaled_row(&mut row[..=first + r], scale);
-            }
-            let c = value_tiles::<NR>(scores, window, v_prefix, v_tail, d, first, 0, o_blk);
-            value_tiles::<1>(scores, window, v_prefix, v_tail, d, first, c, o_blk);
+    }
+    if q_tiled.is_empty() {
+        return;
+    }
+
+    // Kᵀ once for the whole window — `kt[t][j] = k[j][t]`, pure data
+    // movement — so a score tile's lanes run across keys.
+    let (kt, scores) = scratch.split_at_mut(d * window);
+    for (j, k_row) in k_prefix.chunks_exact(d).chain(k_tail.chunks_exact(d)).enumerate() {
+        for (t, &kv) in k_row.iter().enumerate() {
+            kt[t * window + j] = kv;
         }
+    }
+    let blocks = q_tiled.chunks(BLOCK_ROWS * d).zip(out_tiled.chunks_mut(BLOCK_ROWS * d));
+    for (blk, (q_blk, o_blk)) in blocks.enumerate() {
+        // Window row of the block's first query row, and one past its last.
+        let first = window - keep + loose + blk * BLOCK_ROWS;
+        let end = first + q_blk.len() / d;
+        // Whole NR-wide key tiles while they fit the window (lanes past a
+        // row's diagonal are stored and never read), single keys after.
+        let keys = end.next_multiple_of(NR).min(window);
+        let j = score_tiles::<NR>(q_blk, kt, d, window, first, 0, keys, scores);
+        score_tiles::<1>(q_blk, kt, d, window, first, j, keys, scores);
+        for (r, row) in scores.chunks_exact_mut(window).take(end - first).enumerate() {
+            softmax_scaled_row(&mut row[..=first + r], scale);
+        }
+        let c = value_tiles::<NR>(scores, window, v_prefix, v_tail, d, first, 0, o_blk);
+        value_tiles::<1>(scores, window, v_prefix, v_tail, d, first, c, o_blk);
     }
 }
 
@@ -521,10 +540,10 @@ mod tests {
 
     /// The row kernel against the composed-ops reference over the
     /// concatenated K/V, bit for bit, across the (prefix, tail, keep, d)
-    /// shapes every caller uses and every edge of the tiled body — under
-    /// the codegen the host dispatches to (AVX2 where it has it; the composed
-    /// ops run the baseline build) — and through the three delegating names
-    /// wherever their shape applies.
+    /// shapes every caller uses and every edge of the tiled body — through
+    /// both codegen twins (the baseline body is inlined into this test,
+    /// the dispatcher reaches the AVX2 twin where the host has one), and
+    /// through the three delegating names wherever their shape applies.
     #[test]
     fn row_kernel_matches_composed_ops_over_the_shape_matrix() {
         const SENTINEL: f32 = -7.5;
@@ -589,10 +608,14 @@ mod tests {
 
             let mut scratch = vec![SENTINEL; attention_scratch_len(window, keep, d)];
             let mut out = vec![f32::NAN; keep * d];
+            attention_rows(q_kept, k_prefix, k_tail, v_prefix, v_tail, d, scale, &mut scratch, &mut out);
+            assert_bits("baseline body", &out);
+            scratch.fill(SENTINEL);
+            out.fill(f32::NAN);
             causal_attention_rows_into(
                 q_kept, k_prefix, k_tail, v_prefix, v_tail, d, scale, &mut scratch, &mut out,
             );
-            assert_bits("rows", &out);
+            assert_bits("dispatcher", &out);
             if keep == 0 {
                 assert!(scratch.iter().all(|&s| s == SENTINEL), "{tag} keep = 0 touched the scratch");
             }

@@ -384,38 +384,40 @@ mod tests {
 
     // The length contract holds in release builds: a mismatch panics
     // instead of computing a prefix (one case per signature shape and side).
+    // The expected message is the stamped body's own `assert_eq!`: a slice
+    // index that happens to run out further down does not satisfy these.
     #[test]
-    #[should_panic]
+    #[should_panic(expected = "assertion `left == right` failed")]
     fn unary_kernel_rejects_a_short_input() {
         relu_into(&[1.0; 2], &mut [0.0; 4]);
     }
 
     #[test]
-    #[should_panic]
+    #[should_panic(expected = "assertion `left == right` failed")]
     fn unary_kernel_rejects_a_short_output() {
         affine_into(&[1.0; 4], 2.0, 1.0, &mut [0.0; 2]);
     }
 
     #[test]
-    #[should_panic]
+    #[should_panic(expected = "assertion `left == right` failed")]
     fn binary_kernel_rejects_a_short_input() {
         add_into(&[1.0; 4], &[1.0; 2], &mut [0.0; 4]);
     }
 
     #[test]
-    #[should_panic]
+    #[should_panic(expected = "assertion `left == right` failed")]
     fn binary_kernel_rejects_a_short_output() {
         add_into(&[1.0; 4], &[1.0; 4], &mut [0.0; 2]);
     }
 
     #[test]
-    #[should_panic]
+    #[should_panic(expected = "assertion `left == right` failed")]
     fn row_broadcast_kernel_rejects_a_short_input() {
         add_row_broadcast_into(&[1.0; 6], &[1.0; 2], &mut [0.0; 6], 2, 3);
     }
 
     #[test]
-    #[should_panic]
+    #[should_panic(expected = "assertion `left == right` failed")]
     fn row_broadcast_kernel_rejects_a_short_output() {
         add_row_broadcast_into(&[1.0; 6], &[1.0; 3], &mut [0.0; 3], 2, 3);
     }

@@ -235,25 +235,25 @@ mod tests {
 
     // The length contract holds in release builds (see `ops/elementwise.rs`).
     #[test]
-    #[should_panic]
+    #[should_panic(expected = "assertion `left == right` failed")]
     fn row_softmax_rejects_a_short_input() {
         softmax_rows_into(&[1.0; 3], &mut [0.0; 6], 2, 3);
     }
 
     #[test]
-    #[should_panic]
+    #[should_panic(expected = "assertion `left == right` failed")]
     fn row_softmax_rejects_a_short_output() {
         softmax_grad_into(&[1.0; 6], &[1.0; 6], &mut [0.0; 3], 2, 3);
     }
 
     #[test]
-    #[should_panic]
+    #[should_panic(expected = "assertion `left == right` failed")]
     fn masked_softmax_rejects_a_short_input() {
         softmax_rows_masked_into(&[1.0; 2], &mut [0.0; 4], 2);
     }
 
     #[test]
-    #[should_panic]
+    #[should_panic(expected = "assertion `left == right` failed")]
     fn masked_softmax_rejects_a_short_output() {
         softmax_rows_masked_into(&[1.0; 4], &mut [0.0; 2], 2);
     }

@@ -86,10 +86,11 @@ VSAN_DISABLE_FAST_PATH=1 cargo test -q --offline --test golden_logits
 # too, inlined into the test — and both tiers' tensor products held to the
 # naive ascending-k fold over the nest's edge matrix (every n % 16,
 # single-row tiles, both sides of the row chunk), and the attention kernel
-# held to the composed ops over the (prefix, tail, keep, d) matrix. Named
-# here so a rename, a filter that matches nothing, or an `ignored`
-# attribute fails the gate instead of thinning it. Run once: nothing on
-# these four paths reads VSAN_DISABLE_FAST_PATH.
+# — baseline build too, same way — held to the composed ops over the
+# (prefix, tail, keep, d) matrix. Named here so a rename, a filter that
+# matches nothing, or an `ignored` attribute fails the gate instead of
+# thinning it. Run once: nothing on these four paths reads
+# VSAN_DISABLE_FAST_PATH.
 echo "==> matmul + attention kernel matrices"
 out="$(cargo test -q --offline -p vsan-tensor --lib -- --exact \
   ops::matmul::tests::tiled_nest_is_bit_identical_to_naive_fold_over_the_edge_matrix \
