@@ -27,8 +27,8 @@ struct Node {
 /// the four ops that have two implementations: the three dense products
 /// ([`KernelTier::matmul`], [`KernelTier::matmul_a_bt`],
 /// [`KernelTier::matmul_at_b`], forward and backward) and
-/// [`Graph::causal_attention`] (composed chain vs fused node). Every other
-/// op is one kernel on both tiers. The default ([`Graph::new`],
+/// [`Graph::causal_attention_batch`] (composed chains vs one fused node).
+/// Every other op is one kernel on both tiers. The default ([`Graph::new`],
 /// [`Graph::with_threads`]) is [`KernelTier::Reference`] — the original
 /// scalar product loops — so every existing call site, including the
 /// inference graph *oracle* and the finite-difference gradcheck, keeps
@@ -38,9 +38,9 @@ struct Node {
 /// contract in `vsan-tensor`'s `ops::matmul` header, enforced by the
 /// tier-differential test wall).
 ///
-/// Every value, saved matrix and gradient buffer is a plain allocation
-/// that lives until the tape (or the backward pass that made it) is
-/// dropped (DESIGN.md §14).
+/// Every value and saved matrix is a plain allocation that lives until
+/// the tape is dropped; a gradient buffer lives until the reverse pass
+/// has propagated it (DESIGN.md §14).
 pub struct Graph {
     nodes: Vec<Node>,
     threads: usize,
@@ -303,50 +303,98 @@ impl Graph {
     }
 
     /// Causal attention `softmax_causal(q·kᵀ·scale)·v` for `(n, d)`
-    /// operands — the attention block's whole score→mix pipeline as one
-    /// builder.
-    ///
-    /// On [`KernelTier::Reference`] this composes the four tape ops the
-    /// attention layers have always recorded (`matmul_a_bt` → scale →
-    /// `softmax_causal` → `matmul`), so the oracle tape is unchanged op
-    /// for op. On [`KernelTier::Fast`] it runs the fused training
-    /// kernel: one forward pass that saves the `(n, n)` softmax matrix,
-    /// and a one-pass tiled backward for `dq`/`dk`/`dv` — bit-identical
-    /// values and gradients either way (the contract proven in
-    /// `vsan-tensor`'s fused-kernel tests and the tier-differential
-    /// suite).
+    /// operands: [`Graph::causal_attention_batch`] over one sample.
     pub fn causal_attention(&mut self, q: Var, k: Var, v: Var, scale: f32) -> Result<Var> {
-        if self.tier == KernelTier::Reference {
-            let scores = self.matmul_a_bt(q, k)?;
-            let scaled = self.scale(scores, scale);
-            let attn = self.softmax_causal(scaled)?;
-            return self.matmul(attn, v);
-        }
-        let (n, d) = self.value(q).shape().as_2d()?;
+        self.causal_attention_batch(q, k, v, 1, scale)
+    }
+
+    /// Causal attention over `batch` stacked samples: `q`, `k` and `v` are
+    /// flat `(batch·n, d)` operands, sample `s` owns rows `s·n..(s+1)·n`
+    /// and attends only within them — an attention block's whole
+    /// score→mix pipeline as one builder.
+    ///
+    /// On [`KernelTier::Reference`] this composes, per sample, the tape
+    /// ops the attention layers have always recorded (a row gather per
+    /// operand → `matmul_a_bt` → scale → `softmax_causal` → `matmul`,
+    /// the outputs stacked by `concat_rows`; one sample needs neither the
+    /// gathers nor the stack), so the oracle stays the composed chain. On
+    /// [`KernelTier::Fast`] it records **one** node: the fused training
+    /// kernel run over each sample's slice, saving the `(batch, n, n)`
+    /// softmax matrices, with a one-pass tiled backward that writes
+    /// `dq`/`dk`/`dv` in place — bit-identical values and parameter
+    /// gradients either way (the contract proven in `vsan-tensor`'s
+    /// fused-kernel tests and the tier-differential suite; DESIGN.md §10
+    /// has the argument, signed zeros included).
+    pub fn causal_attention_batch(
+        &mut self,
+        q: Var,
+        k: Var,
+        v: Var,
+        batch: usize,
+        scale: f32,
+    ) -> Result<Var> {
+        let (rows, d) = self.value(q).shape().as_2d()?;
         for operand in [k, v] {
-            if self.value(operand).dims() != [n, d] {
+            if self.value(operand).dims() != [rows, d] {
                 return Err(GradError::Tensor(TensorError::ShapeMismatch {
-                    lhs: vec![n, d],
+                    lhs: vec![rows, d],
                     rhs: self.value(operand).dims().to_vec(),
                     op: "causal_attention",
                 }));
             }
         }
+        if batch == 0 || !rows.is_multiple_of(batch) {
+            return Err(GradError::Tensor(TensorError::ShapeMismatch {
+                lhs: vec![rows, d],
+                rhs: vec![batch],
+                op: "causal_attention_batch",
+            }));
+        }
+        let n = rows / batch;
+        if self.tier == KernelTier::Reference {
+            if batch == 1 {
+                return self.attention_chain(q, k, v, scale);
+            }
+            let mut outs = Vec::with_capacity(batch);
+            for s in 0..batch {
+                let idx: Vec<usize> = (s * n..(s + 1) * n).collect();
+                // Gathered k, q, v so that the reverse pass (descending
+                // ids) reaches an operand shared between them in the
+                // order v → q → k: the chain's own order, and the fused
+                // node's.
+                let ks = self.gather_rows(k, &idx)?;
+                let qs = self.gather_rows(q, &idx)?;
+                let vs = self.gather_rows(v, &idx)?;
+                outs.push(self.attention_chain(qs, ks, vs, scale)?);
+            }
+            return self.concat_rows(&outs);
+        }
         // Saved probs must start all-zero (masked upper triangle).
-        let mut probs = vec![0.0f32; n * n];
-        let mut out = Tensor::zeros(&[n, d]);
-        tops::causal_attention_train_forward(
-            self.value(q).data(),
-            self.value(k).data(),
-            self.value(v).data(),
-            n,
-            d,
-            scale,
-            &mut probs,
-            out.data_mut(),
-        );
+        let mut probs = vec![0.0f32; batch * n * n];
+        let mut out = Tensor::zeros(&[rows, d]);
+        for s in 0..batch {
+            let sample = s * n * d..(s + 1) * n * d;
+            tops::causal_attention_train_forward(
+                &self.value(q).data()[sample.clone()],
+                &self.value(k).data()[sample.clone()],
+                &self.value(v).data()[sample.clone()],
+                n,
+                d,
+                scale,
+                &mut probs[s * n * n..(s + 1) * n * n],
+                &mut out.data_mut()[sample],
+            );
+        }
         let ng = self.needs(&[q.0, k.0, v.0]);
-        Ok(self.push(out, Op::CausalAttention { q: q.0, k: k.0, v: v.0, scale, probs }, ng))
+        Ok(self.push(out, Op::CausalAttention { q: q.0, k: k.0, v: v.0, batch, scale, probs }, ng))
+    }
+
+    /// One sample's composed attention: the four reference tape ops.
+    fn attention_chain(&mut self, q: Var, k: Var, v: Var, scale: f32) -> Result<Var> {
+        let scores = self.matmul_a_bt(q, k)?;
+        let scaled = self.scale(scores, scale);
+        let attn = self.softmax_causal(scaled)?;
+        self.matmul(attn, v)
     }
 
     // ---- normalization ----------------------------------------------------
@@ -656,8 +704,12 @@ impl Graph {
                 None => continue,
             };
             self.backprop_node(i, &g, &mut grads)?;
-            // Re-store the gradient so later fan-in nodes can still add to it.
-            grads[i] = Some(g);
+            // A node's consumers all have larger ids and have run already,
+            // so nothing adds to or reads this gradient again — except the
+            // parameter sweep below, which looks only at leaves.
+            if matches!(self.nodes[i].op, Op::Leaf { .. }) {
+                grads[i] = Some(g);
+            }
         }
 
         let mut params = HashMap::new();
@@ -756,32 +808,37 @@ impl Graph {
                     self.accum(grads, *b, db)?;
                 }
             }
-            Op::CausalAttention { q, k, v, scale, probs } => {
-                // One tiled pass computes all three input gradients,
-                // bit-identical to the composed chain's reverse rules
-                // (vsan-tensor's causal_attention_train_backward doc).
+            Op::CausalAttention { q, k, v, batch, scale, probs } => {
+                // One tiled pass per sample computes all three input
+                // gradients in place, bit-identical to the composed
+                // chain's reverse rules (vsan-tensor's
+                // causal_attention_train_backward doc).
                 let qv = &self.nodes[*q].value;
                 let kv = &self.nodes[*k].value;
                 let vv = &self.nodes[*v].value;
-                let (n, d) = qv.shape().as_2d()?;
-                let mut dq = Tensor::zeros(&[n, d]);
-                let mut dk = Tensor::zeros(&[n, d]);
-                let mut dv = Tensor::zeros(&[n, d]);
+                let (rows, d) = qv.shape().as_2d()?;
+                let n = rows / batch;
+                let mut dq = Tensor::zeros(&[rows, d]);
+                let mut dk = Tensor::zeros(&[rows, d]);
+                let mut dv = Tensor::zeros(&[rows, d]);
                 let mut dscores = vec![0.0f32; n * n];
-                tops::causal_attention_train_backward(
-                    qv.data(),
-                    kv.data(),
-                    vv.data(),
-                    probs,
-                    g.data(),
-                    n,
-                    d,
-                    *scale,
-                    dq.data_mut(),
-                    dk.data_mut(),
-                    dv.data_mut(),
-                    &mut dscores,
-                );
+                for s in 0..*batch {
+                    let sample = s * n * d..(s + 1) * n * d;
+                    tops::causal_attention_train_backward(
+                        &qv.data()[sample.clone()],
+                        &kv.data()[sample.clone()],
+                        &vv.data()[sample.clone()],
+                        &probs[s * n * n..(s + 1) * n * n],
+                        &g.data()[sample.clone()],
+                        n,
+                        d,
+                        *scale,
+                        &mut dq.data_mut()[sample.clone()],
+                        &mut dk.data_mut()[sample.clone()],
+                        &mut dv.data_mut()[sample],
+                        &mut dscores,
+                    );
+                }
                 // Leaf order v → q → k mirrors the composed chain (the
                 // `matmul(attn, v)` node backprops before the
                 // `matmul_a_bt(q, k)` node), so even a shared q/k/v

@@ -14,7 +14,7 @@
 
 use proptest::prelude::*;
 use vsan_autograd::gradcheck::{check_gradients_tiered, check_tier_equivalence};
-use vsan_autograd::Graph;
+use vsan_autograd::{Graph, Var};
 use vsan_tensor::{KernelTier, Tensor};
 
 fn matrix(r: usize, c: usize) -> impl Strategy<Value = Tensor> {
@@ -127,7 +127,7 @@ fn tile_edge_shape_matrix_is_bit_equal_and_finite_difference_close() {
         };
         let params = [mk(1), mk(2), mk(3)];
         let scale = 1.0 / (d as f32).sqrt();
-        let build = |g: &mut Graph, vars: &[vsan_autograd::Var]| {
+        let build = |g: &mut Graph, vars: &[Var]| {
             let attn = g.causal_attention(vars[0], vars[1], vars[2], scale).unwrap();
             let sq = g.mul(attn, attn).unwrap();
             g.sum_all(sq)
@@ -240,4 +240,276 @@ fn fast_tier_rejects_mismatched_operands() {
     let k = g.constant(Tensor::zeros(&[2, 4]));
     let v = g.constant(Tensor::zeros(&[3, 4]));
     assert!(g.causal_attention(q, k, v, 0.5).is_err());
+}
+
+// ---- causal_attention_batch ------------------------------------------------
+//
+// Three recordings of the same attention over `batch` stacked samples must
+// agree to the bit: the batch builder on the fast tier (one fused node),
+// the batch builder on the reference tier (per-sample composed chains),
+// and `batch` separate `causal_attention` calls on row gathers, stacked
+// with `concat_rows` — the per-sample fused nodes training recorded
+// before the batch node existed.
+
+/// How a build turns flat `(batch·n, d)` operands into the attention output.
+type Attend = fn(&mut Graph, Var, Var, Var, usize, f32) -> Var;
+
+fn batch_node(g: &mut Graph, q: Var, k: Var, v: Var, batch: usize, scale: f32) -> Var {
+    g.causal_attention_batch(q, k, v, batch, scale).unwrap()
+}
+
+fn stacked_single_calls(g: &mut Graph, q: Var, k: Var, v: Var, batch: usize, scale: f32) -> Var {
+    let n = g.value(q).dims()[0] / batch;
+    let mut outs = Vec::with_capacity(batch);
+    for s in 0..batch {
+        let idx: Vec<usize> = (s * n..(s + 1) * n).collect();
+        // k before q: descending ids then reach a shared operand in the
+        // chain's own v → q → k order (as the builder's reference arm).
+        let ks = g.gather_rows(k, &idx).unwrap();
+        let qs = g.gather_rows(q, &idx).unwrap();
+        let vs = g.gather_rows(v, &idx).unwrap();
+        outs.push(g.causal_attention(qs, ks, vs, scale).unwrap());
+    }
+    g.concat_rows(&outs).unwrap()
+}
+
+const RECORDINGS: [(&str, KernelTier, Attend); 3] = [
+    ("batch node, fast tier", KernelTier::Fast, batch_node),
+    ("batch builder, reference tier", KernelTier::Reference, batch_node),
+    ("stacked single calls, fast tier", KernelTier::Fast, stacked_single_calls),
+];
+
+/// Deterministic dense test data.
+fn wave(salt: usize, dims: &[usize]) -> Tensor {
+    let len: usize = dims.iter().product();
+    let data = (0..len).map(|i| (((salt * 97 + i * 13) as f32) * 0.29).sin()).collect();
+    Tensor::from_vec(data, dims).unwrap()
+}
+
+/// Attention-output bits and each parameter's gradient bits for one
+/// recording of `build`, under the loss `Σ out ⊙ upstream` (so `upstream`
+/// *is* the gradient that reaches the output).
+fn record(
+    tier: KernelTier,
+    attend: Attend,
+    params: &[Tensor],
+    upstream: &Tensor,
+    build: impl Fn(&mut Graph, &[Var], Attend) -> Var,
+) -> (Vec<u32>, Vec<Vec<u32>>) {
+    let mut g = Graph::with_threads_and_tier(1, tier);
+    let vars: Vec<Var> = params.iter().enumerate().map(|(i, t)| g.param(t.clone(), i)).collect();
+    let out = build(&mut g, &vars, attend);
+    let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<u32>>();
+    let out_bits = bits(g.value(out));
+    let w = g.constant(upstream.clone());
+    let weighted = g.mul(out, w).unwrap();
+    let loss = g.sum_all(weighted);
+    let grads = g.backward(loss).unwrap();
+    let grad_bits = (0..params.len())
+        .map(|i| bits(grads.param_grad(i).unwrap_or_else(|| panic!("no gradient for param {i}"))))
+        .collect();
+    (out_bits, grad_bits)
+}
+
+/// All three recordings of `build`: values bit-equal, and every parameter
+/// gradient element the same under `same_grad(want_bits, got_bits)`.
+fn compare_recordings(
+    what: &str,
+    params: &[Tensor],
+    upstream: &Tensor,
+    build: impl Fn(&mut Graph, &[Var], Attend) -> Var,
+    same_grad: impl Fn(u32, u32) -> bool,
+) {
+    let (name0, tier0, attend0) = RECORDINGS[0];
+    let want = record(tier0, attend0, params, upstream, &build);
+    for (name, tier, attend) in &RECORDINGS[1..] {
+        let got = record(*tier, *attend, params, upstream, &build);
+        assert_eq!(want.0, got.0, "{what}: values differ between {name0} and {name}");
+        for (i, (w, g)) in want.1.iter().zip(&got.1).enumerate() {
+            assert_eq!(w.len(), g.len(), "{what}: gradient shape of param {i}");
+            for (e, (&a, &b)) in w.iter().zip(g).enumerate() {
+                assert!(
+                    same_grad(a, b),
+                    "{what}: gradient of param {i}, element {e}: \
+                     {a:08x} ({name0}) vs {b:08x} ({name})"
+                );
+            }
+        }
+    }
+}
+
+/// All three recordings of `build`: values and every parameter gradient
+/// bit-equal.
+fn assert_recordings_agree(
+    what: &str,
+    params: &[Tensor],
+    upstream: &Tensor,
+    build: impl Fn(&mut Graph, &[Var], Attend) -> Var,
+) {
+    compare_recordings(what, params, upstream, build, |a, b| a == b);
+}
+
+/// `x → (x·Wq, x·Wk, x·Wv)` → attention per head on `slice_cols` of the
+/// flat projections → `·Wo`: the shape `nn::SelfAttentionBlock` records.
+/// Params: `[x, wq, wk, wv, wo]`.
+fn projected_block(
+    batch: usize,
+    heads: usize,
+) -> impl Fn(&mut Graph, &[Var], Attend) -> Var {
+    move |g, p, attend| {
+        let d = g.value(p[1]).dims()[1];
+        let head_dim = d / heads;
+        let scale = 1.0 / (head_dim as f32).sqrt();
+        let q = g.matmul(p[0], p[1]).unwrap();
+        let k = g.matmul(p[0], p[2]).unwrap();
+        let v = g.matmul(p[0], p[3]).unwrap();
+        let mixed = if heads == 1 {
+            attend(g, q, k, v, batch, scale)
+        } else {
+            let outs: Vec<Var> = (0..heads)
+                .map(|h| {
+                    let (lo, hi) = (h * head_dim, (h + 1) * head_dim);
+                    let qh = g.slice_cols(q, lo, hi).unwrap();
+                    let kh = g.slice_cols(k, lo, hi).unwrap();
+                    let vh = g.slice_cols(v, lo, hi).unwrap();
+                    attend(g, qh, kh, vh, batch, scale)
+                })
+                .collect();
+            g.concat_cols(&outs).unwrap()
+        };
+        g.matmul(mixed, p[4]).unwrap()
+    }
+}
+
+#[test]
+fn batch_attention_recordings_agree_over_the_shape_matrix() {
+    for d in [8, 100] {
+        for n in [1, 4, 17, 33, 50] {
+            for batch in [1, 2, 8] {
+                let rows = batch * n;
+                let what = format!("batch = {batch}, n = {n}, d = {d}");
+                let scale = 1.0 / (d as f32).sqrt();
+                let upstream = wave(9, &[rows, d]);
+
+                // q, k, v as leaves: the gradients are dq / dk / dv themselves.
+                let qkv = [wave(1, &[rows, d]), wave(2, &[rows, d]), wave(3, &[rows, d])];
+                let leaf = |g: &mut Graph, p: &[Var], attend: Attend| {
+                    attend(g, p[0], p[1], p[2], batch, scale)
+                };
+                assert_recordings_agree(&format!("{what}, leaf q/k/v"), &qkv, &upstream, leaf);
+
+                // One operand in all three roles: the v → q → k fan-in order.
+                let x = [wave(4, &[rows, d])];
+                let shared = |g: &mut Graph, p: &[Var], attend: Attend| {
+                    attend(g, p[0], p[0], p[0], batch, scale)
+                };
+                assert_recordings_agree(&format!("{what}, shared q = k = v"), &x, &upstream, shared);
+
+                // The projected block, single-head and two heads.
+                let block = [
+                    wave(5, &[rows, d]),
+                    wave(6, &[d, d]),
+                    wave(7, &[d, d]),
+                    wave(8, &[d, d]),
+                    wave(10, &[d, d]),
+                ];
+                for heads in [1, 2] {
+                    assert_recordings_agree(
+                        &format!("{what}, projected block, {heads} head(s)"),
+                        &block,
+                        &upstream,
+                        projected_block(batch, heads),
+                    );
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn zero_rows_and_negative_zeros_upstream_leave_parameter_gradients_bit_equal() {
+    // An upstream gradient with whole zero rows and −0.0 entries — what a
+    // compacted head's scatter and a dropout mask hand the last block.
+    // The per-sample gathers of the composed and stacked recordings pass
+    // every gradient through `0.0 + g`, which turns a −0.0 into +0.0; the
+    // batch node writes dq / dk / dv in place. So a *leaf* q / k / v may
+    // differ in the sign of a zero and in nothing else, and everything
+    // behind a projection — a product folded from +0.0 — must not differ
+    // at all.
+    let (batch, n, d) = (3, 5, 8);
+    let rows = batch * n;
+    let mut upstream = wave(11, &[rows, d]);
+    for (i, v) in upstream.data_mut().iter_mut().enumerate() {
+        let row = i / d;
+        if row % 4 == 1 || row == rows - 1 {
+            *v = 0.0;
+        } else if i % 3 == 0 {
+            *v = -0.0;
+        }
+    }
+    let scale = 1.0 / (d as f32).sqrt();
+
+    let qkv = [wave(1, &[rows, d]), wave(2, &[rows, d]), wave(3, &[rows, d])];
+    let leaf = |g: &mut Graph, p: &[Var], attend: Attend| attend(g, p[0], p[1], p[2], batch, scale);
+    compare_recordings("zero-row upstream, leaf q/k/v", &qkv, &upstream, leaf, |a, b| {
+        a == b || (f32::from_bits(a) == 0.0 && f32::from_bits(b) == 0.0)
+    });
+
+    let block = [
+        wave(5, &[rows, d]),
+        wave(6, &[d, d]),
+        wave(7, &[d, d]),
+        wave(8, &[d, d]),
+        wave(10, &[d, d]),
+    ];
+    for heads in [1, 2] {
+        assert_recordings_agree(
+            &format!("zero-row upstream, projected block, {heads} head(s)"),
+            &block,
+            &upstream,
+            projected_block(batch, heads),
+        );
+    }
+}
+
+#[test]
+fn batch_node_passes_the_fast_tier_gradcheck_at_batch_three() {
+    let (batch, n, d) = (3, 4, 5);
+    let params = [wave(1, &[batch * n, d]), wave(2, &[batch * n, d]), wave(3, &[batch * n, d])];
+    let scale = 1.0 / (d as f32).sqrt();
+    let build = |g: &mut Graph, vars: &[Var]| {
+        let attn = g.causal_attention_batch(vars[0], vars[1], vars[2], batch, scale).unwrap();
+        let sq = g.mul(attn, attn).unwrap();
+        g.sum_all(sq)
+    };
+    check_tier_equivalence(&params, build).expect("tiers must agree bitwise");
+    check_gradients_tiered(&params, build, 1e-2, 2e-2, KernelTier::Fast)
+        .expect("fast-tier batch node vs reference finite differences");
+}
+
+#[test]
+fn batch_builder_rejects_bad_shapes_with_a_shape_mismatch_on_both_tiers() {
+    use vsan_autograd::GradError;
+    use vsan_tensor::TensorError;
+    for tier in [KernelTier::Reference, KernelTier::Fast] {
+        let mut g = Graph::with_threads_and_tier(1, tier);
+        let q = g.constant(Tensor::zeros(&[6, 4]));
+        let short = g.constant(Tensor::zeros(&[4, 4]));
+        let narrow = g.constant(Tensor::zeros(&[6, 3]));
+        let before = g.len();
+        for (what, result) in [
+            ("rows % batch != 0", g.causal_attention_batch(q, q, q, 4, 0.5)),
+            ("batch = 0", g.causal_attention_batch(q, q, q, 0, 0.5)),
+            ("short k", g.causal_attention_batch(q, short, q, 2, 0.5)),
+            ("narrow v", g.causal_attention_batch(q, q, narrow, 2, 0.5)),
+        ] {
+            assert!(
+                matches!(result, Err(GradError::Tensor(TensorError::ShapeMismatch { .. }))),
+                "{what} on the {} tier: {result:?}",
+                tier.name()
+            );
+        }
+        assert_eq!(g.len(), before, "a rejected call must leave the tape as it was");
+        assert!(g.causal_attention_batch(q, q, q, 3, 0.5).is_ok());
+    }
 }

@@ -8,7 +8,9 @@
 
 use vsan_bench::{timed, Bench, ExpArgs};
 use vsan_eval::RunAggregate;
-use vsan_models::common::{examples_for_users, flatten_batch, position_indices, train_epochs};
+use vsan_models::common::{
+    active_rows, examples_for_users, flatten_batch, position_indices, train_epochs,
+};
 use vsan_models::NeuralConfig;
 use vsan_nn::{Dropout, Embedding, ParamStore, SelfAttentionBlock};
 
@@ -76,6 +78,8 @@ impl HeadedSasRec {
                 for block in &blocks {
                     h = block.forward(g, store, h, b, n, &dropout, rng, true)?;
                 }
+                let (active, targets) = active_rows(targets, |&t| t != usize::MAX);
+                let h = g.gather_rows(h, &active)?;
                 let logits = g.matmul_a_bt(h, table)?;
                 let loss = g.ce_one_hot(logits, &targets)?;
                 let ce = g.value(loss).data()[0];

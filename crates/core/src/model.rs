@@ -6,7 +6,7 @@ use crate::retrieval::{self, ItemIndex, Retrieval};
 use vsan_data::sequence::{next_k_example, pad_left, SeqExampleK};
 use vsan_data::Dataset;
 use vsan_eval::Scorer;
-use vsan_models::common::{position_indices, train_epochs};
+use vsan_models::common::{active_rows, position_indices, train_epochs};
 use vsan_models::Recommender;
 use vsan_nn::{Dropout, Embedding, Linear, ParamStore, SelfAttentionBlock};
 
@@ -127,8 +127,12 @@ impl Vsan {
                     gz = block.forward(g, store, gz, b, n, &dropout, rng, true)?;
                 }
 
-                // Prediction layer + loss (Eqs. 18–20). Tied mode scores
-                // against the item embedding (extension flag, see config).
+                // Prediction layer + loss (Eqs. 18–20), over the rows that
+                // have a target only: the loss sums over nothing else.
+                // Tied mode scores against the item embedding (extension
+                // flag, see config).
+                let (active, targets) = active_rows(targets, |t| !t.is_empty());
+                let gz = g.gather_rows(gz, &active)?;
                 let logits = if vcfg.tie_prediction {
                     g.matmul_a_bt(gz, table)?
                 } else {

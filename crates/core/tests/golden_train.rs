@@ -1,7 +1,13 @@
-//! Golden-value regression for *training*: three optimizer steps of the
-//! seeded smoke VSAN, pinned bit-for-bit in
-//! `tests/fixtures/golden_train.txt` — a parameter-bits hash plus the
-//! per-epoch loss decomposition (loss / CE / KL / β).
+//! Golden-value regression for *training*: three epochs of the seeded
+//! smoke VSAN, pinned bit-for-bit in `tests/fixtures/golden_train*.txt` —
+//! a parameter-bits hash plus the per-epoch loss decomposition (loss / CE
+//! / KL / β). Two runs are pinned: [`DENSE`] (histories of 9–11 in a
+//! window of 8: no padding, one step per epoch) and [`PADDED`] (histories
+//! of 2–9 left-padded to 40, next-2 targets, two steps per epoch). The
+//! padded fixture was written by the last commit whose head ran over
+//! every row and whose blocks recorded one attention node per sample, so
+//! it is what says end to end that compacting the head to the rows with a
+//! target and batching the attention node moved no trained bit.
 //!
 //! `tests/golden_logits.rs` (workspace root) pins the eval forward; this
 //! fixture pins the *training* computation — forward, backward, tree
@@ -27,16 +33,54 @@ use vsan_data::Dataset;
 use vsan_obs::{CollectingObserver, ObserverHandle};
 use vsan_tensor::KernelTier;
 
+/// One pinned training run: a dataset, its departures from
+/// `VsanConfig::smoke()` (beyond `epochs = 3`), and the fixture file.
+struct Case {
+    fixture: &'static str,
+    /// The fixture's first comment line.
+    title: &'static str,
+    dataset: fn() -> Dataset,
+    tune: fn(&mut VsanConfig),
+}
+
 /// 12 users < smoke batch size 16 → exactly one optimizer step per epoch;
 /// 3 epochs → the three pinned steps.
-fn golden_dataset() -> Dataset {
-    let num_items = 8;
-    let users = 12;
-    let sequences = (0..users)
-        .map(|u| (0..9 + u % 3).map(|t| ((u + t) % num_items + 1) as u32).collect())
-        .collect();
-    Dataset { name: "golden-train".into(), num_items, sequences }
-}
+const DENSE: Case = Case {
+    fixture: "golden_train.txt",
+    title: "# Golden VSAN training run: 3 steps from seeded init.\n",
+    dataset: || {
+        let num_items = 8;
+        let users = 12;
+        let sequences = (0..users)
+            .map(|u| (0..9 + u % 3).map(|t| ((u + t) % num_items + 1) as u32).collect())
+            .collect();
+        Dataset { name: "golden-train".into(), num_items, sequences }
+    },
+    tune: |_| {},
+};
+
+/// 20 users of 2–9 events in a window of 40: 86 of the 800 rows have a
+/// target. A batch of 16 and one of 4 per epoch (shards of 8, 8 and 4),
+/// next-2 multi-hot targets.
+const PADDED: Case = Case {
+    fixture: "golden_train_padded.txt",
+    title: "# Golden VSAN training run, left-padded: 3 epochs of 2 steps from seeded init.\n",
+    dataset: || {
+        let num_items = 11;
+        let users = 20;
+        let sequences = (0..users)
+            .map(|u| {
+                let len = 2 + (u * 3) % 8;
+                (0..len).map(|t| ((u * 5 + t * 3) % num_items + 1) as u32).collect()
+            })
+            .collect();
+        Dataset { name: "golden-train-padded".into(), num_items, sequences }
+    },
+    tune: |cfg| {
+        cfg.base.max_seq_len = 40;
+        cfg.next_k = 2;
+    },
+};
 
 /// FNV-1a over every parameter's f32 bit patterns, in store order — one
 /// u64 that moves if any trained bit moves.
@@ -62,8 +106,8 @@ struct EpochBits {
     beta: u32,
 }
 
-fn run_train(threads: usize, tier: KernelTier) -> (u64, Vec<EpochBits>) {
-    let ds = golden_dataset();
+fn run_train(case: &Case, threads: usize, tier: KernelTier) -> (u64, Vec<EpochBits>) {
+    let ds = (case.dataset)();
     let users: Vec<usize> = (0..ds.sequences.len()).collect();
     let collector = Arc::new(CollectingObserver::new());
     let mut cfg = VsanConfig::smoke()
@@ -71,8 +115,9 @@ fn run_train(threads: usize, tier: KernelTier) -> (u64, Vec<EpochBits>) {
         .with_kernel_tier(tier)
         .with_observer(ObserverHandle::new(collector.clone()));
     cfg.base.epochs = 3;
+    (case.tune)(&mut cfg);
     let model = Vsan::train(&ds, &users, &cfg).expect("smoke training");
-    assert_eq!(model.train_losses.len(), 3, "expected exactly three optimizer steps");
+    assert_eq!(model.train_losses.len(), 3, "expected exactly three epochs");
     let epochs = collector
         .records()
         .iter()
@@ -86,14 +131,14 @@ fn run_train(threads: usize, tier: KernelTier) -> (u64, Vec<EpochBits>) {
     (param_hash(&model), epochs)
 }
 
-fn fixture_path() -> std::path::PathBuf {
-    std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/golden_train.txt")
+fn fixture_path(case: &Case) -> std::path::PathBuf {
+    std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures").join(case.fixture)
 }
 
-fn render(hash: u64, epochs: &[EpochBits]) -> String {
-    let mut out = String::from(
-        "# Golden VSAN training run: 3 steps from seeded init.\n\
-         # param_hash = FNV-1a over all parameter f32 bits (store order);\n\
+fn render(case: &Case, hash: u64, epochs: &[EpochBits]) -> String {
+    let mut out = String::from(case.title);
+    out.push_str(
+        "# param_hash = FNV-1a over all parameter f32 bits (store order);\n\
          # epoch lines are f32 bit patterns in hex.\n\
          # Regenerate: VSAN_REGEN_GOLDEN=1 cargo test -p vsan-core --test golden_train\n",
     );
@@ -124,17 +169,18 @@ fn parse_fixture(text: &str) -> (u64, Vec<EpochBits>) {
     (hash.expect("fixture missing param_hash line"), epochs)
 }
 
-#[test]
-fn three_training_steps_match_the_golden_fixture_on_every_tier_and_thread_count() {
-    let path = fixture_path();
+/// Hold `case` to its fixture on the whole tier × thread grid (or, under
+/// `VSAN_REGEN_GOLDEN=1`, rewrite the fixture).
+fn check(case: &Case) {
+    let path = fixture_path(case);
 
     if std::env::var("VSAN_REGEN_GOLDEN").is_ok_and(|v| v == "1") {
         // Regenerate from the most conservative cell of the grid: the
         // reference tier, serial. The assertion pass below then holds
         // the other three cells to these bits.
-        let (hash, epochs) = run_train(1, KernelTier::Reference);
+        let (hash, epochs) = run_train(case, 1, KernelTier::Reference);
         std::fs::create_dir_all(path.parent().unwrap()).expect("fixtures dir");
-        std::fs::write(&path, render(hash, &epochs)).expect("write fixture");
+        std::fs::write(&path, render(case, hash, &epochs)).expect("write fixture");
         eprintln!("golden training fixture regenerated at {}", path.display());
         return;
     }
@@ -146,11 +192,11 @@ fn three_training_steps_match_the_golden_fixture_on_every_tier_and_thread_count(
         )
     });
     let (gold_hash, gold_epochs) = parse_fixture(&text);
-    assert_eq!(gold_epochs.len(), 3, "fixture pins three steps");
+    assert_eq!(gold_epochs.len(), 3, "fixture pins three epochs");
 
     for tier in [KernelTier::Reference, KernelTier::Fast] {
         for threads in [1, 4] {
-            let (hash, epochs) = run_train(threads, tier);
+            let (hash, epochs) = run_train(case, threads, tier);
             assert_eq!(
                 hash,
                 gold_hash,
@@ -166,6 +212,16 @@ fn three_training_steps_match_the_golden_fixture_on_every_tier_and_thread_count(
             );
         }
     }
+}
+
+#[test]
+fn three_training_steps_match_the_golden_fixture_on_every_tier_and_thread_count() {
+    check(&DENSE);
+}
+
+#[test]
+fn padded_training_matches_the_bits_the_all_rows_head_trained() {
+    check(&PADDED);
 }
 
 #[test]

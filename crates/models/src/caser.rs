@@ -138,6 +138,8 @@ impl Caser {
                 let emb = g.gather_rows(table, &inputs)?; // (B·L, d)
                 let feats =
                     caser_features(g, store, emb, b, l_, &h_banks, v_bank, &fc)?;
+                // One feature row per example and every example has its
+                // target: there is no padded row for `active_rows` to drop.
                 let logits = out.forward(g, store, feats)?;
                 let loss = g.ce_one_hot(logits, &targets)?;
                 let ce = g.value(loss).data()[0];

@@ -318,6 +318,26 @@ pub fn flatten_batch(examples: &[&SeqExample]) -> (Vec<usize>, Vec<usize>) {
     (inputs, targets)
 }
 
+/// The rows of a flattened batch that carry a target: their ascending
+/// indices, and their targets in that order. `has_target` is the loss's
+/// own masking rule — `|&t| t != usize::MAX` for `ce_one_hot`,
+/// `|t| !t.is_empty()` for `ce_multi_hot`.
+///
+/// A training closure gathers these rows out of its `(rows, d)` hidden
+/// states and runs only them through the N-wide head and the loss, so a
+/// left-padded batch pays for the head's forward and both of its backward
+/// products on the rows Eqs. 18–20 sum over and on no other — with the
+/// bits of the all-rows head (DESIGN.md §10 has the argument;
+/// `crates/models/tests/head_compaction.rs` holds it).
+///
+/// A batch in which no row has a target yields two empty lists, and the
+/// `(0, d)` gather → head → cross-entropy chain built on them is defined:
+/// the loss is `0.0` (the cross-entropy's row count is floored at one, as
+/// it is for the all-rows head) and every parameter gradient is all-zero.
+pub fn active_rows<T>(targets: Vec<T>, has_target: impl Fn(&T) -> bool) -> (Vec<usize>, Vec<T>) {
+    targets.into_iter().enumerate().filter(|(_, t)| has_target(t)).unzip()
+}
+
 /// Position indices `0..n` repeated per example — the lookup list for the
 /// learned positional embedding.
 pub fn position_indices(batch: usize, n: usize) -> Vec<usize> {
@@ -389,6 +409,20 @@ mod tests {
         assert_eq!(&inputs[3..], &[0, 6, 7]);
         assert_eq!(targets[3], usize::MAX);
         assert_eq!(&targets[4..], &[7, 8]);
+    }
+
+    #[test]
+    fn active_rows_keep_order_under_either_masking_rule() {
+        let one_hot = vec![usize::MAX, 7, usize::MAX, 3, 0];
+        assert_eq!(active_rows(one_hot, |&t| t != usize::MAX), (vec![1, 3, 4], vec![7, 3, 0]));
+        let multi_hot = vec![vec![], vec![2, 5], vec![], vec![1]];
+        assert_eq!(
+            active_rows(multi_hot, |t| !t.is_empty()),
+            (vec![1, 3], vec![vec![2, 5], vec![1]])
+        );
+        // No padding: every row; no target anywhere: none.
+        assert_eq!(active_rows(vec![4, 2], |&t| t != usize::MAX), (vec![0, 1], vec![4, 2]));
+        assert_eq!(active_rows(vec![usize::MAX; 3], |&t| t != usize::MAX), (vec![], vec![]));
     }
 
     #[test]

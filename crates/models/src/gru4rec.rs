@@ -7,7 +7,7 @@
 //! full-softmax cross-entropy (the stronger "GRU4Rec+ CE" variant),
 //! keeping the objective aligned across all neural baselines.
 
-use crate::common::{examples_for_users, flatten_batch, train_epochs, NeuralConfig};
+use crate::common::{active_rows, examples_for_users, flatten_batch, train_epochs, NeuralConfig};
 use crate::traits::Recommender;
 use vsan_data::sequence::pad_left;
 use vsan_data::Dataset;
@@ -81,8 +81,11 @@ impl Gru4Rec {
                         reordered[t * b + s] = targets[s * n + t];
                     }
                 }
-                let logits = out.forward(g, store, h_all)?;
-                let loss = g.ce_one_hot(logits, &reordered)?;
+                // Only the rows that have a target go through the head.
+                let (active, targets) = active_rows(reordered, |&t| t != usize::MAX);
+                let h = g.gather_rows(h_all, &active)?;
+                let logits = out.forward(g, store, h)?;
+                let loss = g.ce_one_hot(logits, &targets)?;
                 let ce = g.value(loss).data()[0];
                 Ok((loss, vsan_nn::ShardStats::ce_only(ce)))
             },

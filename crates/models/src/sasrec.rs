@@ -7,7 +7,9 @@
 //! the original sampled binary cross-entropy — comparable to VSAN's
 //! objective and strictly harder than sampled BCE.
 
-use crate::common::{examples_for_users, flatten_batch, position_indices, train_epochs, NeuralConfig};
+use crate::common::{
+    active_rows, examples_for_users, flatten_batch, position_indices, train_epochs, NeuralConfig,
+};
 use crate::traits::Recommender;
 use vsan_data::sequence::pad_left;
 use vsan_data::Dataset;
@@ -90,7 +92,10 @@ impl SasRec {
                 for block in &blocks {
                     h = block.forward(g, store, h, batch_size, n, &dropout, rng, true)?;
                 }
-                // Weight-tied logits: (B·n, d) × (vocab, d)ᵀ.
+                // Weight-tied logits over the rows that have a target:
+                // (active, d) × (vocab, d)ᵀ.
+                let (active, targets) = active_rows(targets, |&t| t != usize::MAX);
+                let h = g.gather_rows(h, &active)?;
                 let logits = g.matmul_a_bt(h, table)?;
                 let loss = g.ce_one_hot(logits, &targets)?;
                 let ce = g.value(loss).data()[0];

@@ -7,7 +7,7 @@
 //! RNN-encoder counterpart of VSAN: same latent structure, recurrent
 //! instead of self-attentive encoders.
 
-use crate::common::{train_epochs, NeuralConfig};
+use crate::common::{active_rows, train_epochs, NeuralConfig};
 use crate::traits::Recommender;
 use vsan_data::sequence::{next_k_example, pad_left};
 use vsan_data::Dataset;
@@ -142,7 +142,6 @@ impl Svae {
                 let eps = g.constant(init::randn(rng, &[n * b, latent], 0.0, 1.0));
                 let noise = g.mul(sigma, eps)?;
                 let z = g.add(mu, noise)?;
-                let logits = decoder.forward(g, store, z)?;
                 // Position-major multi-hot targets + KL row mask.
                 let mut targets: Vec<Vec<usize>> = vec![Vec::new(); n * b];
                 let mut mask = vec![false; n * b];
@@ -156,6 +155,11 @@ impl Svae {
                         }
                     }
                 }
+                // Only the rows that have a target go through the decoder;
+                // the KL keeps its full rows and its mask.
+                let (active, targets) = active_rows(targets, |t| !t.is_empty());
+                let z = g.gather_rows(z, &active)?;
+                let logits = decoder.forward(g, store, z)?;
                 let ce = g.ce_multi_hot(logits, &targets)?;
                 let kl = g.kl_std_normal(mu, logvar, &mask)?;
                 let beta = beta_sched.beta(step);

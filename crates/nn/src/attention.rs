@@ -150,33 +150,24 @@ impl SelfAttentionBlock {
         let head_dim = self.dim / self.heads;
         let scale = 1.0 / (head_dim as f32).sqrt();
 
-        // Per-sample causal attention (Eq. 5 with the j > i links removed),
-        // run independently per head on its slice of the width.
-        let mut outs = Vec::with_capacity(batch);
-        for b in 0..batch {
-            let idx: Vec<usize> = (b * seq_len..(b + 1) * seq_len).collect();
-            let q = g.gather_rows(q_flat, &idx)?;
-            let k = g.gather_rows(k_flat, &idx)?;
-            let v = g.gather_rows(v_flat, &idx)?;
-            // `causal_attention` is the tier-dispatched entry point: on a
-            // reference-tier graph it records the composed four-op chain;
-            // on a fast-tier graph it records the fused kernel node —
-            // bit-identical values and gradients either way.
-            if self.heads == 1 {
-                outs.push(g.causal_attention(q, k, v, scale)?);
-            } else {
-                let mut head_outs = Vec::with_capacity(self.heads);
-                for h in 0..self.heads {
-                    let (lo, hi) = (h * head_dim, (h + 1) * head_dim);
-                    let qh = g.slice_cols(q, lo, hi)?;
-                    let kh = g.slice_cols(k, lo, hi)?;
-                    let vh = g.slice_cols(v, lo, hi)?;
-                    head_outs.push(g.causal_attention(qh, kh, vh, scale)?);
-                }
-                outs.push(g.concat_cols(&head_outs)?);
+        // Per-sample causal attention (Eq. 5 with the j > i links removed)
+        // through the tier-dispatched batch builder: one fused node on a
+        // fast-tier graph, the per-sample composed chains on a
+        // reference-tier one — bit-identical values and gradients either
+        // way. Heads attend independently on their slice of the width.
+        let mut d = if self.heads == 1 {
+            g.causal_attention_batch(q_flat, k_flat, v_flat, batch, scale)?
+        } else {
+            let mut head_outs = Vec::with_capacity(self.heads);
+            for h in 0..self.heads {
+                let (lo, hi) = (h * head_dim, (h + 1) * head_dim);
+                let qh = g.slice_cols(q_flat, lo, hi)?;
+                let kh = g.slice_cols(k_flat, lo, hi)?;
+                let vh = g.slice_cols(v_flat, lo, hi)?;
+                head_outs.push(g.causal_attention_batch(qh, kh, vh, batch, scale)?);
             }
-        }
-        let mut d = g.concat_rows(&outs)?;
+            g.concat_cols(&head_outs)?
+        };
         if let Some(wo) = &self.wo {
             d = wo.forward(g, store, d)?;
         }
@@ -389,6 +380,29 @@ mod tests {
             for (a, b) in gr.data().iter().zip(gf.data()) {
                 assert_eq!(a.to_bits(), b.to_bits(), "gradient diverged for {name}");
             }
+        }
+    }
+
+    #[test]
+    fn fast_tier_tape_does_not_grow_with_the_batch() {
+        // One attention node per block (per head), whatever the batch: no
+        // per-sample gathers, nodes or concat on the tier that trains.
+        use vsan_tensor::KernelTier;
+        for heads in [1, 2] {
+            let mut store = ParamStore::new();
+            let mut rng = StdRng::seed_from_u64(41);
+            let block =
+                SelfAttentionBlock::new_multi_head(&mut store, &mut rng, "t", 8, heads, true);
+            let drop = Dropout::new(0.0);
+            let tape_len = |batch: usize| {
+                let mut g = Graph::with_threads_and_tier(1, KernelTier::Fast);
+                let mut rng2 = StdRng::seed_from_u64(42);
+                let x = g.constant(init::randn(&mut rng2, &[batch * 3, 8], 0.0, 0.5));
+                block.forward(&mut g, &store, x, batch, 3, &drop, &mut rng2, false).unwrap();
+                g.len()
+            };
+            let one = tape_len(1);
+            assert_eq!(tape_len(8), one, "{heads} head(s)");
         }
     }
 

@@ -38,7 +38,10 @@ impl Dropout {
         let keep = 1.0 - self.p;
         let scale = 1.0 / keep;
         let n = g.value(x).numel();
-        let mask = (0..n).map(|_| if rng.gen::<f32>() < keep { scale } else { 0.0 }).collect();
+        // Branch-free: at p = 0.5 a select on the draw is a coin-flip branch
+        // per element. `scale·1.0 = scale` and `scale·0.0 = +0.0` are the
+        // bit patterns the select produced, from the same draws.
+        let mask = (0..n).map(|_| scale * f32::from(u8::from(rng.gen::<f32>() < keep))).collect();
         g.dropout(x, mask)
     }
 }
@@ -96,6 +99,27 @@ mod tests {
         let dropped = g.value(y).data().iter().filter(|&&v| v == 0.0).count();
         let frac = dropped as f32 / 10_000.0;
         assert!((frac - 0.8).abs() < 0.02, "dropped fraction {frac}");
+    }
+
+    #[test]
+    fn branch_free_mask_is_the_select_on_the_same_draws_bit_for_bit() {
+        // The mask expression `forward` uses, held to the select it
+        // replaced (written out here): same draw count, same stream,
+        // same two bit patterns.
+        for p in [0.2f32, 0.5] {
+            let d = Dropout::new(p);
+            let mut g = Graph::new();
+            let x = g.constant(Tensor::ones(&[10_000]));
+            let y = d.forward(&mut g, &mut StdRng::seed_from_u64(11), x, true).unwrap();
+
+            let keep = 1.0 - p;
+            let scale = 1.0 / keep;
+            let mut rng = StdRng::seed_from_u64(11);
+            for (i, &got) in g.value(y).data().iter().enumerate() {
+                let want = if rng.gen::<f32>() < keep { scale } else { 0.0 };
+                assert_eq!(got.to_bits(), want.to_bits(), "p = {p}, draw {i}");
+            }
+        }
     }
 
     #[test]

@@ -15,9 +15,9 @@
 //! `ops::matmul::reference` (and the tape's composed attention chain),
 //! kept unoptimized as the *differential oracle*, and the register-tiled
 //! kernels. [`KernelTier`] names that choice and its three product methods
-//! are where it is made; `vsan-autograd`'s `Graph::causal_attention` makes
-//! the fourth. Bit-identical by construction (tiles cover output dims
-//! only, `k` is never split) and by the differential test wall.
+//! are where it is made; `vsan-autograd`'s `Graph::causal_attention_batch`
+//! makes the fourth. Bit-identical by construction (tiles cover output
+//! dims only, `k` is never split) and by the differential test wall.
 //!
 //! The process-level pin is `VSAN_DISABLE_FAST_PATH=1` — the same
 //! environment toggle that reroutes inference to the graph oracle also

@@ -24,6 +24,15 @@ fi
 echo "==> cargo build --release --offline"
 cargo build --workspace --release --offline
 
+# benchmark/ is its own cargo workspace and the one place that names
+# `Graph::*`, `EpochRecord`'s fields, `Vsan::train` and the kernels by
+# path (benchmark/src/surface.rs): build it against this tree first, so
+# a changed signature fails here and not in the pipeline. Same target
+# directory as benchmark/run.sh, which the smoke pass at the end reuses.
+echo "==> benchmark/ builds against the tree (--offline --locked)"
+CARGO_TARGET_DIR="${CARGO_TARGET_DIR:-$PWD/target}" \
+  cargo build --release --offline --locked --manifest-path benchmark/Cargo.toml
+
 echo "==> cargo test -q --offline (PROPTEST_CASES=${PROPTEST_CASES})"
 cargo test --workspace -q --offline
 
@@ -47,10 +56,15 @@ for seed in 1 7 99991; do
 done
 
 # The differential gates below only gate what actually runs: an
-# `ignored` test in the core or tensor suites would silently hollow
-# them out, so those crates must run whole too.
-echo "==> no-ignored-tests check (vsan-core, vsan-tensor)"
-for crate in vsan-core vsan-tensor; do
+# `ignored` test in the core, tensor or models suites would silently
+# hollow them out, so those crates must run whole too. vsan-models is
+# here for its head-compaction suite (DESIGN.md §10, "Only rows with a
+# target reach the head": the compacted head against the all-rows head
+# it replaced, loss and parameter-gradient bits) — the only holder of
+# that claim per head shape and padding share. It builds every graph on
+# a named tier and reads no environment, so this one run is all it needs.
+echo "==> no-ignored-tests check (vsan-core, vsan-tensor, vsan-models)"
+for crate in vsan-core vsan-tensor vsan-models; do
   out="$(cargo test -q --offline -p "${crate}" 2>&1)" || {
     echo "${out}"
     echo "${crate} test run failed" >&2
@@ -115,18 +129,20 @@ echo "==> vsan-tensor unit tests, release profile"
 cargo test -q --offline --release -p vsan-tensor --lib
 
 # Training kernel-tier differential gate (DESIGN.md §10, PR 9): the
-# fast training tier — tiled products and the fused attention node —
-# must stay bit-identical to the reference tape's scalar product loops
-# and composed attention chain. The proptest differential suite and the
-# tiered gradcheck suite name both tiers explicitly and read no
-# environment (crates/autograd and crates/nn never consult the pin), so
-# they run once. The golden 3-step training fixture (a tier × thread
-# grid) and the threads × tier training grid resolve a default tier
-# from the pin, so they run twice — unset (fast tier is the default)
-# and VSAN_DISABLE_FAST_PATH=1 (reference tier) — covering every env ×
-# entry-point routing the pin controls. In-config pins override the
-# env, so each single run still exercises both tiers' kernels; the
-# double run proves the *routing* under both process-level env states.
+# fast training tier — tiled products and the fused attention node, one
+# per block — must stay bit-identical to the reference tape's scalar
+# product loops and composed attention chains. The proptest differential
+# suite and the tiered gradcheck suite name both tiers explicitly and
+# read no environment (crates/autograd and crates/nn never consult the
+# pin), so they run once. The golden training
+# fixtures (dense and left-padded, each a tier × thread grid) and the
+# threads × tier training grid resolve a default tier from the pin, so
+# they run twice — unset (fast tier is the default; parallel_train's
+# unset run is the equivalence matrix above) and VSAN_DISABLE_FAST_PATH=1
+# (reference tier) — covering every env × entry-point routing the pin
+# controls. In-config pins override the env, so each single run still
+# exercises both tiers' kernels; the double run proves the *routing*
+# under both process-level env states.
 echo "==> kernel-tier differential suite (vsan-core under VSAN_DISABLE_FAST_PATH unset + =1)"
 cargo test -q --offline -p vsan-autograd --test tier_differential
 cargo test -q --offline -p vsan-autograd --test gradcheck_ops
