@@ -123,7 +123,7 @@ pub struct RetrievalResult {
     pub index_build_seconds: f64,
     /// Mean seconds per exact `recommend_batch_exact` batch.
     pub exact_seconds: f64,
-    /// Mean seconds per clustered `recommend_batch_clustered` batch.
+    /// Mean seconds per clustered `try_recommend_batch` batch.
     pub clustered_seconds: f64,
     /// `exact_seconds / clustered_seconds`.
     pub speedup: f64,
@@ -207,7 +207,7 @@ fn bench_case(case: &RetrievalCase, iters: usize, seed: u64) -> RetrievalResult 
     // ranking at the configured nprobe, and the full-probe ranking that
     // must equal the oracle bit for bit and in order.
     let exact = model.recommend_batch_exact(&refs, case.k).expect("exact oracle");
-    let clustered = model.recommend_batch_clustered(&refs, case.k).expect("clustered path");
+    let clustered = model.try_recommend_batch(&refs, case.k).expect("clustered path");
     let index = model.retrieval_index().expect("index built");
     let hidden = {
         let mut ws = model.workspace(case.queries);
@@ -233,9 +233,7 @@ fn bench_case(case: &RetrievalCase, iters: usize, seed: u64) -> RetrievalResult 
         std::hint::black_box(model.recommend_batch_exact(&refs, case.k).expect("exact oracle"));
     });
     let clustered_seconds = time_s(iters, || {
-        std::hint::black_box(
-            model.recommend_batch_clustered(&refs, case.k).expect("clustered path"),
-        );
+        std::hint::black_box(model.try_recommend_batch(&refs, case.k).expect("clustered path"));
     });
 
     RetrievalResult {

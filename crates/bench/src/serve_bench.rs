@@ -112,7 +112,7 @@ impl ServeBenchConfig {
             k: 5,
             overload_requests: 96,
             overload_queue_capacity: 8,
-            overload_deadline: Duration::from_millis(20),
+            overload_deadline: Duration::from_millis(250),
             ..Self::default()
         }
     }

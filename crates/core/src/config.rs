@@ -158,10 +158,11 @@ impl VsanConfig {
         self
     }
 
-    /// Builder: pin the training kernel tier, overriding the
-    /// `VSAN_DISABLE_FAST_PATH` environment default. Both tiers train
-    /// bit-identical parameters (DESIGN.md §10); the pin exists so one
-    /// process can train under both tiers and assert exactly that.
+    /// Builder: choose the training kernel tier (every preset says
+    /// [`vsan_tensor::KernelTier::Fast`]). Both tiers train bit-identical
+    /// parameters (DESIGN.md §10); the builder is how a test reaches the
+    /// reference tier through [`crate::Vsan::train`] and asserts exactly
+    /// that.
     pub fn with_kernel_tier(mut self, tier: vsan_tensor::KernelTier) -> Self {
         self.base = self.base.with_kernel_tier(tier);
         self
@@ -215,8 +216,8 @@ mod tests {
         assert_eq!(c.base.seed, 9);
         // k = 0 clamps to 1 (Eq. 18 needs at least the next item).
         assert_eq!(VsanConfig::smoke().with_next_k(0).next_k, 1);
-        // The kernel-tier pin forwards into the shared base config.
-        let c = VsanConfig::smoke().with_kernel_tier(vsan_tensor::KernelTier::Fast);
-        assert_eq!(c.base.kernel_tier, Some(vsan_tensor::KernelTier::Fast));
+        // The kernel tier forwards into the shared base config.
+        let c = VsanConfig::smoke().with_kernel_tier(vsan_tensor::KernelTier::Reference);
+        assert_eq!(c.base.kernel_tier, vsan_tensor::KernelTier::Reference);
     }
 }

@@ -35,10 +35,9 @@
 //! the all-padding state already covers — for a batch, the padding its
 //! longest history leaves.)
 //!
-//! The only other forward is the oracle: the autograd graph
-//! (`Vsan::score_items_batch_graph`), which `VSAN_DISABLE_FAST_PATH=1`
-//! also routes [`crate::Vsan::try_score_items_batch`] through
-//! (`scripts/verify.sh` runs the suite both ways).
+//! The only other forward is the oracle: the autograd graph on the
+//! reference tier (`Vsan::score_items_batch_graph`), which tests call by
+//! name and no serving entry point routes to.
 
 use std::cell::RefCell;
 
@@ -47,21 +46,6 @@ use vsan_nn::{Linear, ParamId, ParamStore, SelfAttentionBlock};
 use vsan_tensor::ops::attention::{attention_scratch_len, causal_attention_rows_into};
 use vsan_tensor::ops::norm::{layer_norm_rows_into, LN_EPS};
 use vsan_tensor::parallel::matmul_into_parallel;
-
-/// `true` when `VSAN_DISABLE_FAST_PATH=1` pins scoring to the graph
-/// path. Read once per process: the flag is a deployment/CI toggle, not
-/// a per-call switch (tests that need both paths in one process call
-/// the explicit `score_items_batch_graph` / `_fast_with` entry points).
-/// Public so the session layer (`vsan-session`) can honour the same
-/// toggle by falling back to full recompute.
-///
-/// Delegates to [`vsan_tensor::kernel::fast_path_disabled`] so the *one*
-/// pin governs every fast tier in the workspace: this inference path and
-/// the training kernel tier ([`vsan_tensor::kernel::default_train_tier`])
-/// read the same OnceLock and can never disagree about the environment.
-pub fn fast_path_disabled() -> bool {
-    vsan_tensor::kernel::fast_path_disabled()
-}
 
 /// One attention block's pre-resolved parameters.
 struct BlockPlan {

@@ -53,8 +53,8 @@
 //! * [`uncertainty`] — posterior introspection: per-user `(μ, σ)` so the
 //!   Fig. 1 uncertainty story can be measured, not just told.
 //! * [`retrieval`] — clustered MIPS top-k over the prediction head with
-//!   the exact brute-force path kept as the always-available oracle
-//!   (`VSAN_DISABLE_ANN=1`).
+//!   the exact brute-force path kept deployable ([`Retrieval::Exact`])
+//!   and as the oracle.
 
 pub mod config;
 pub mod infer;
@@ -63,7 +63,7 @@ pub mod retrieval;
 pub mod uncertainty;
 
 pub use config::VsanConfig;
-pub use infer::{fast_path_disabled, SessionState, Workspace};
+pub use infer::{SessionState, Workspace};
 pub use model::Vsan;
-pub use retrieval::{ann_disabled, ClusteredConfig, ItemIndex, QueryStats, Retrieval};
+pub use retrieval::{ClusteredConfig, ItemIndex, QueryStats, Retrieval};
 pub use uncertainty::PosteriorStats;

@@ -291,9 +291,8 @@ impl Vsan {
     /// is the compute path of the `vsan-serve` micro-batcher.
     ///
     /// Dispatches per [`Self::set_retrieval`]: exact brute-force by
-    /// default, or the clustered index when one is built (and neither
-    /// `VSAN_DISABLE_ANN=1` nor `VSAN_DISABLE_FAST_PATH=1` pins the
-    /// process to the oracle). Legacy zero-fallback wrapper around
+    /// default, or the clustered index when one is built. Legacy
+    /// zero-fallback wrapper around
     /// [`Self::try_recommend_batch`]: an internal error degrades to
     /// ranking all-zero logits — serving code uses the `try_` variant.
     pub fn recommend_batch(&self, histories: &[&[u32]], n: usize) -> Vec<Vec<u32>> {
@@ -310,19 +309,8 @@ impl Vsan {
         })
     }
 
-    /// Batched top-`n` recommendation, surfacing internal errors and
-    /// honouring the configured [`Retrieval`] mode.
-    pub fn try_recommend_batch(&self, histories: &[&[u32]], n: usize) -> Result<Vec<Vec<u32>>, String> {
-        if self.clustered_active() {
-            self.recommend_batch_clustered(histories, n)
-        } else {
-            self.recommend_batch_exact(histories, n)
-        }
-    }
-
-    /// The exact oracle unconditionally (no env gate, no index): full
-    /// logits, then heap top-k — the clustered path's counterpart for
-    /// differential tests that exercise both in one process.
+    /// Exact retrieval whatever the configured mode: full logits, then
+    /// heap top-k — the oracle the clustered index is held to.
     pub fn recommend_batch_exact(&self, histories: &[&[u32]], n: usize) -> Result<Vec<Vec<u32>>, String> {
         use std::collections::HashSet;
         Ok(self
@@ -336,13 +324,17 @@ impl Vsan {
             .collect())
     }
 
-    /// The clustered path unconditionally: hidden rows through the fast
-    /// path, then a two-stage index query per history (never the full
-    /// `(b, d) × (d, N)` projection). Errors if no index is built or on
-    /// the same out-of-vocabulary condition the exact path rejects.
-    pub fn recommend_batch_clustered(&self, histories: &[&[u32]], n: usize) -> Result<Vec<Vec<u32>>, String> {
+    /// Batched top-`n` recommendation, surfacing internal errors and
+    /// honouring the configured [`Retrieval`] mode: with a clustered index
+    /// built, the final hidden rows go through a two-stage index query per
+    /// history (never the full `(b, d) × (d, N)` projection); without one,
+    /// [`Self::recommend_batch_exact`]. Both reject the same
+    /// out-of-vocabulary ids.
+    pub fn try_recommend_batch(&self, histories: &[&[u32]], n: usize) -> Result<Vec<Vec<u32>>, String> {
         use std::collections::HashSet;
-        let index = self.index.as_ref().ok_or("clustered retrieval index not built")?;
+        let Some(index) = &self.index else {
+            return self.recommend_batch_exact(histories, n);
+        };
         let d = self.cfg.base.dim;
         let pad = self.pad_state();
         let hidden = infer::with_thread_workspace(|ws| -> Result<Vec<f32>, String> {
@@ -396,18 +388,10 @@ impl Vsan {
         &self.retrieval
     }
 
-    /// The built clustered index, if any.
+    /// The built clustered index, if any: `Some` exactly when
+    /// [`Self::try_recommend_batch`] serves through it.
     pub fn retrieval_index(&self) -> Option<&ItemIndex> {
         self.index.as_ref()
-    }
-
-    /// `true` when `recommend_batch` will route through the clustered
-    /// index: an index is built and neither oracle pin
-    /// (`VSAN_DISABLE_ANN=1`, `VSAN_DISABLE_FAST_PATH=1`) is set — the
-    /// clustered path needs the fast path's hidden rows, so pinning to
-    /// the graph path also pins retrieval to exact.
-    pub fn clustered_active(&self) -> bool {
-        self.index.is_some() && !retrieval::ann_disabled() && !infer::fast_path_disabled()
     }
 
     /// Final hidden rows (one `(d,)` row per history, flat) through the
@@ -447,18 +431,13 @@ impl Vsan {
     /// Batched [`vsan_eval::Scorer::score_items`]: last-position logits
     /// for each history, one row per history, surfacing internal errors.
     ///
-    /// Runs the graph-free fast path ([`crate::infer`]) against a
-    /// per-thread workspace unless `VSAN_DISABLE_FAST_PATH=1` pins the
-    /// process to the graph path. Both paths are bit-identical (the
-    /// differential suite in `tests/fast_path.rs` and the golden fixture
-    /// assert it).
+    /// Runs the graph-free plan ([`crate::infer`]) against a per-thread
+    /// workspace. It is bit-identical to the graph oracle
+    /// [`Self::score_items_batch_graph`] (the differential suite in
+    /// `tests/fast_path.rs` and the golden fixture assert it).
     pub fn try_score_items_batch(&self, fold_ins: &[&[u32]]) -> Result<Vec<Vec<f32>>, String> {
-        if infer::fast_path_disabled() {
-            self.score_items_batch_graph(fold_ins)
-        } else {
-            let pad = self.pad_state();
-            infer::with_thread_workspace(|ws| self.plan.execute(&self.store, fold_ins, pad, ws))
-        }
+        let pad = self.pad_state();
+        infer::with_thread_workspace(|ws| self.plan.execute(&self.store, fold_ins, pad, ws))
     }
 
     /// [`Self::try_score_items_batch`] against a caller-owned
@@ -469,11 +448,7 @@ impl Vsan {
         fold_ins: &[&[u32]],
         ws: &mut Workspace,
     ) -> Result<Vec<Vec<f32>>, String> {
-        if infer::fast_path_disabled() {
-            self.score_items_batch_graph(fold_ins)
-        } else {
-            self.plan.execute(&self.store, fold_ins, self.pad_state(), ws)
-        }
+        self.plan.execute(&self.store, fold_ins, self.pad_state(), ws)
     }
 
     /// A reusable [`Workspace`] pre-sized for this model at `max_batch`
@@ -538,17 +513,10 @@ impl Vsan {
 
     /// The graph-path forward, kept as the differential-testing oracle:
     /// builds the full autograd tape exactly as training eval did before
-    /// the fast path existed. Slow; for tests and benchmarks.
+    /// the fast path existed. Slow; tests call it by name and no serving
+    /// entry point routes to it.
     pub fn score_items_batch_graph(&self, fold_ins: &[&[u32]]) -> Result<Vec<Vec<f32>>, String> {
         self.forward_logits_batch(fold_ins).map_err(|e| e.to_string())
-    }
-
-    /// The fast path unconditionally (no env gate) — the oracle's
-    /// counterpart for differential tests that exercise both paths in
-    /// one process.
-    pub fn score_items_batch_fast(&self, fold_ins: &[&[u32]]) -> Result<Vec<Vec<f32>>, String> {
-        let pad = self.pad_state();
-        infer::with_thread_workspace(|ws| self.plan.execute(&self.store, fold_ins, pad, ws))
     }
 
     /// The fold-in window the model actually reads: the last

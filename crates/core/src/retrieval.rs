@@ -25,26 +25,15 @@
 //! trades recall for speed; `results/BENCH_retrieval.json` gates
 //! recall@50 ≥ 0.95 against the exact oracle.
 //!
-//! `VSAN_DISABLE_ANN=1` pins every consumer back to exact brute-force
-//! scoring, mirroring `VSAN_DISABLE_FAST_PATH` — the oracle is always
-//! deployable.
+//! Exact brute-force scoring stays deployable through configuration:
+//! [`Retrieval::Exact`] (the default) builds no index, and
+//! [`crate::Vsan::try_recommend_batch`] serves exact whenever no index is
+//! built. `Vsan::recommend_batch_exact` is the oracle tests call by name.
 
 use std::collections::HashSet;
-use std::sync::OnceLock;
 
 use vsan_tensor::cluster::{cluster_rows, KmeansConfig};
 use vsan_tensor::ops::matmul_a_bt_into;
-
-/// `true` when `VSAN_DISABLE_ANN=1` pins recommendation to exact
-/// brute-force scoring even if a clustered index is configured. Read once
-/// per process, mirroring [`crate::fast_path_disabled`]: the flag is a
-/// deployment/CI toggle, not a per-call switch (tests that need both
-/// paths in one process call the explicit `recommend_batch_exact` /
-/// `recommend_batch_clustered` entry points).
-pub fn ann_disabled() -> bool {
-    static DISABLED: OnceLock<bool> = OnceLock::new();
-    *DISABLED.get_or_init(|| std::env::var("VSAN_DISABLE_ANN").is_ok_and(|v| v == "1"))
-}
 
 /// How [`crate::Vsan::recommend_batch`] retrieves top-k items.
 #[derive(Debug, Clone, Default, PartialEq)]

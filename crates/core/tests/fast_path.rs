@@ -59,7 +59,7 @@ proptest! {
         let histories = clamp_histories(&raw_histories, vocab);
         let refs: Vec<&[u32]> = histories.iter().map(Vec::as_slice).collect();
 
-        let fast = model.score_items_batch_fast(&refs).expect("fast path");
+        let fast = model.try_score_items_batch(&refs).expect("fast path");
         let graph = model.score_items_batch_graph(&refs).expect("graph path");
 
         prop_assert_eq!(fast.len(), graph.len());
@@ -90,9 +90,9 @@ proptest! {
         let model = build_model(dim, n, vocab, 1, 1, 0b0111, 1, seed);
         let histories = clamp_histories(&raw_histories, vocab);
         let refs: Vec<&[u32]> = histories.iter().map(Vec::as_slice).collect();
-        let batched = model.score_items_batch_fast(&refs).expect("batched");
+        let batched = model.try_score_items_batch(&refs).expect("batched");
         for (history, row) in refs.iter().zip(&batched) {
-            let single = model.score_items_batch_fast(&[history]).expect("b=1");
+            let single = model.try_score_items_batch(&[history]).expect("b=1");
             for (f, g) in single[0].iter().zip(row) {
                 prop_assert!(f.to_bits() == g.to_bits(), "batch-size dependence in fast path");
             }
@@ -106,6 +106,6 @@ proptest! {
 fn both_paths_reject_out_of_vocab_ids() {
     let model = build_model(6, 4, 8, 1, 1, 0b0111, 1, 7);
     let bad: &[&[u32]] = &[&[1, 2, 300]];
-    assert!(model.score_items_batch_fast(bad).is_err(), "fast path must reject id 300");
+    assert!(model.try_score_items_batch(bad).is_err(), "fast path must reject id 300");
     assert!(model.score_items_batch_graph(bad).is_err(), "graph path must reject id 300");
 }

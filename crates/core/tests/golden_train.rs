@@ -223,40 +223,3 @@ fn three_training_steps_match_the_golden_fixture_on_every_tier_and_thread_count(
 fn padded_training_matches_the_bits_the_all_rows_head_trained() {
     check(&PADDED);
 }
-
-#[test]
-fn env_pin_routes_every_entry_point_consistently() {
-    // The `VSAN_DISABLE_FAST_PATH` contract across all four
-    // (env setting × entry point) combinations. The pin is read once per
-    // process, so one test run observes one env value and checks both
-    // entry points under it; `scripts/verify.sh` runs this test with the
-    // variable unset *and* set to 1, covering the full matrix.
-    let pinned = std::env::var("VSAN_DISABLE_FAST_PATH").is_ok_and(|v| v == "1");
-
-    // Entry point 1: inference scoring (graph-free fast path vs graph
-    // oracle) — vsan-core's routing flag delegates to the shared pin.
-    assert_eq!(
-        vsan_core::fast_path_disabled(),
-        pinned,
-        "inference routing disagrees with the environment"
-    );
-    assert_eq!(vsan_core::fast_path_disabled(), vsan_tensor::kernel::fast_path_disabled());
-
-    // Entry point 2: the training kernel tier. Pinned ⇒ reference tier;
-    // unpinned ⇒ fast tier.
-    let expected_tier = if pinned { KernelTier::Reference } else { KernelTier::Fast };
-    assert_eq!(
-        vsan_tensor::kernel::default_train_tier(),
-        expected_tier,
-        "training tier default disagrees with the environment"
-    );
-
-    // The training config resolver follows the same default when nothing
-    // is pinned in-config, and an explicit pin always wins over the env.
-    let unpinned = vsan_models::NeuralConfig::smoke();
-    assert_eq!(unpinned.resolved_kernel_tier(), expected_tier);
-    for tier in [KernelTier::Reference, KernelTier::Fast] {
-        let cfg = VsanConfig::smoke().with_kernel_tier(tier);
-        assert_eq!(cfg.base.resolved_kernel_tier(), tier);
-    }
-}

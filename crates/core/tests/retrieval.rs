@@ -10,13 +10,14 @@
 //! configuration, tied or untied. Smaller probes may drop items but
 //! recall is monotone in `nprobe` (the probed-cluster list is a prefix
 //! of the larger probe's), result lengths never differ, and both paths
-//! reject the same errors. `scripts/verify.sh` runs this suite with
-//! `VSAN_DISABLE_ANN` unset and `=1`; the assertions hold under both.
+//! reject the same errors. The clustered side is reached through
+//! `try_recommend_batch` on a model whose index is built, the exact side
+//! through `recommend_batch_exact` by name.
 
 use std::collections::HashSet;
 
 use proptest::prelude::*;
-use vsan_core::{ann_disabled, fast_path_disabled, ClusteredConfig, Retrieval, Vsan, VsanConfig};
+use vsan_core::{ClusteredConfig, Retrieval, Vsan, VsanConfig};
 
 /// Build an untrained model for one sampled point of the config space.
 #[allow(clippy::too_many_arguments)]
@@ -75,7 +76,7 @@ proptest! {
         let refs: Vec<&[u32]> = histories.iter().map(Vec::as_slice).collect();
 
         let exact = model.recommend_batch_exact(&refs, k).expect("exact oracle");
-        let clustered = model.recommend_batch_clustered(&refs, k).expect("clustered path");
+        let clustered = model.try_recommend_batch(&refs, k).expect("clustered path");
         prop_assert_eq!(
             &exact, &clustered,
             "full probe diverged at dim={} n={} vocab={} h1={} h2={} flags={:04b} nc={}",
@@ -147,7 +148,7 @@ proptest! {
         let refs: Vec<&[u32]> = vec![&history];
 
         let exact = model.recommend_batch_exact(&refs, k).expect("exact oracle");
-        let clustered = model.recommend_batch_clustered(&refs, k).expect("clustered path");
+        let clustered = model.try_recommend_batch(&refs, k).expect("clustered path");
         prop_assert_eq!(exact[0].len(), clustered[0].len());
     }
 }
@@ -184,7 +185,7 @@ fn structured_catalog_recall_floor() {
         (0..16).map(|_| (0..4).map(|_| rng.gen_range(1..=num_items as u32)).collect()).collect();
     let refs: Vec<&[u32]> = histories.iter().map(Vec::as_slice).collect();
     let exact = model.recommend_batch_exact(&refs, 10).expect("exact oracle");
-    let clustered = model.recommend_batch_clustered(&refs, 10).expect("clustered path");
+    let clustered = model.try_recommend_batch(&refs, 10).expect("clustered path");
 
     let mut hits = 0usize;
     let mut total = 0usize;
@@ -207,7 +208,7 @@ fn both_paths_reject_oov_identically() {
     let bad: &[&[u32]] = &[&[1, 2, 300]];
     let exact = model.recommend_batch_exact(bad, 3).expect_err("exact must reject id 300");
     let clustered =
-        model.recommend_batch_clustered(bad, 3).expect_err("clustered must reject id 300");
+        model.try_recommend_batch(bad, 3).expect_err("clustered must reject id 300");
     assert_eq!(exact, clustered, "the two paths must fail with the same message");
 }
 
@@ -220,7 +221,7 @@ fn k_beyond_catalog_is_identical() {
     let history: Vec<u32> = (1..=10).collect();
     let refs: Vec<&[u32]> = vec![&history];
     let exact = model.recommend_batch_exact(&refs, 500).expect("exact oracle");
-    let clustered = model.recommend_batch_clustered(&refs, 500).expect("clustered path");
+    let clustered = model.try_recommend_batch(&refs, 500).expect("clustered path");
     assert_eq!(exact[0].len(), 22, "32 items minus 10 excluded");
     assert_eq!(exact, clustered, "exhausting the catalog must visit every cluster");
 }
@@ -247,7 +248,7 @@ fn equal_scores_order_by_item_id_on_both_paths() {
     let refs: Vec<&[u32]> = vec![&history];
     let expected: Vec<u32> = (1..vocab as u32).filter(|i| ![2, 5].contains(i)).take(8).collect();
     let exact = model.recommend_batch_exact(&refs, 8).expect("exact oracle");
-    let clustered = model.recommend_batch_clustered(&refs, 8).expect("clustered path");
+    let clustered = model.try_recommend_batch(&refs, 8).expect("clustered path");
     assert_eq!(exact[0], expected, "exact ties must break to ascending id");
     assert_eq!(clustered[0], expected, "clustered ties must break to ascending id");
 }
@@ -267,7 +268,7 @@ fn index_rebuild_is_deterministic_across_checkpoint_reload() {
 
     let histories: Vec<Vec<u32>> = vec![vec![1, 2, 3], vec![7, 9], vec![4]];
     let refs: Vec<&[u32]> = histories.iter().map(Vec::as_slice).collect();
-    let results_a = a.recommend_batch_clustered(&refs, 6).expect("clustered path");
+    let results_a = a.try_recommend_batch(&refs, 6).expect("clustered path");
 
     let blob = a.params().save();
     let mut b = build_model(6, 4, 40, 1, 1, 0b1000, 99); // different init weights
@@ -280,32 +281,28 @@ fn index_rebuild_is_deterministic_across_checkpoint_reload() {
     );
     assert_eq!(
         results_a,
-        b.recommend_batch_clustered(&refs, 6).expect("clustered path"),
+        b.try_recommend_batch(&refs, 6).expect("clustered path"),
         "the restored checkpoint must answer queries identically"
     );
 }
 
-/// The env gates route `recommend_batch`: with an index built, the
-/// clustered path serves unless `VSAN_DISABLE_ANN=1` or
-/// `VSAN_DISABLE_FAST_PATH=1` pins the process to the oracle. This
-/// assertion is written against whatever the current process env says,
-/// so the suite passes under every setting `scripts/verify.sh` uses.
+/// Routing is the model's own configuration: with a full-probe index
+/// built, `try_recommend_batch` serves through it and equals the exact
+/// oracle bit for bit; after `set_retrieval(Exact)` no index exists and
+/// the reply is still the same.
 #[test]
-fn recommend_batch_honours_env_gates() {
+fn retrieval_mode_routes_try_recommend_batch() {
     let mut model = build_model(4, 4, 20, 1, 1, 0b1000, 23);
-    model.set_retrieval(Retrieval::Clustered(cluster_cfg(3, 1, 23)));
-    assert_eq!(
-        model.clustered_active(),
-        !ann_disabled() && !fast_path_disabled(),
-        "clustered_active must reflect both env pins"
-    );
     let histories: Vec<Vec<u32>> = vec![vec![1, 2], vec![3]];
     let refs: Vec<&[u32]> = histories.iter().map(Vec::as_slice).collect();
-    let got = model.recommend_batch(&refs, 5);
-    let expected = if model.clustered_active() {
-        model.recommend_batch_clustered(&refs, 5).expect("clustered path")
-    } else {
-        model.recommend_batch_exact(&refs, 5).expect("exact oracle")
-    };
-    assert_eq!(got, expected);
+    let exact = model.recommend_batch_exact(&refs, 5).expect("exact oracle");
+
+    model.set_retrieval(Retrieval::Clustered(cluster_cfg(3, 3, 23)));
+    assert!(model.retrieval_index().is_some(), "clustered mode builds the index");
+    assert_eq!(model.try_recommend_batch(&refs, 5).expect("clustered path"), exact);
+
+    model.set_retrieval(Retrieval::Exact);
+    assert!(model.retrieval_index().is_none(), "exact mode drops the index");
+    assert_eq!(model.try_recommend_batch(&refs, 5).expect("exact path"), exact);
+    assert_eq!(model.recommend_batch(&refs, 5), exact);
 }

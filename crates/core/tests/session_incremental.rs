@@ -7,10 +7,9 @@
 //! The oracle on every event is `score_items_batch_graph` — the
 //! autograd tape, the only implementation that does not share the
 //! `(prefix, tail, keep)` pass with the code under test. Each event is
-//! also held against `try_score_items_batch`, the production recompute
-//! the session runtime falls back to, which routes by
-//! `VSAN_DISABLE_FAST_PATH` (`scripts/verify.sh` runs the suite both
-//! ways). Equality is `f32::to_bits`, no tolerance.
+//! also held against `try_score_items_batch`, the full recompute the
+//! session runtime's `capacity = 0` mode serves. Equality is
+//! `f32::to_bits`, no tolerance.
 
 use proptest::prelude::*;
 use vsan_core::{SessionState, Vsan, VsanConfig, Workspace};

@@ -28,12 +28,10 @@ pub struct NeuralConfig {
     pub seed: u64,
     /// Worker threads for large matmuls.
     pub threads: usize,
-    /// Kernel tier for training graphs: `None` resolves from the
-    /// environment (fast unless `VSAN_DISABLE_FAST_PATH=1` pins the
-    /// reference tier); `Some(tier)` wins over the environment, which is
-    /// what lets a single test process exercise both tiers. Both tiers
-    /// train bit-identical parameters (DESIGN.md §10).
-    pub kernel_tier: Option<vsan_tensor::KernelTier>,
+    /// Kernel tier for training graphs: `Fast` in every preset. Tests
+    /// name `Reference` (via [`Self::with_kernel_tier`]) to train on the
+    /// oracle; both tiers train bit-identical parameters (DESIGN.md §10).
+    pub kernel_tier: vsan_tensor::KernelTier,
     /// Optional training-telemetry receiver. Observers see copies of
     /// values the loop computed anyway, so attaching one never changes
     /// the trained bits (DESIGN.md §8).
@@ -56,7 +54,7 @@ impl NeuralConfig {
             grad_clip: 5.0,
             seed: 42,
             threads: vsan_tensor::parallel::default_threads(),
-            kernel_tier: None,
+            kernel_tier: vsan_tensor::KernelTier::Fast,
             observer: ObserverHandle::none(),
         }
     }
@@ -75,7 +73,7 @@ impl NeuralConfig {
             grad_clip: 5.0,
             seed: 42,
             threads: vsan_tensor::parallel::default_threads(),
-            kernel_tier: None,
+            kernel_tier: vsan_tensor::KernelTier::Fast,
             observer: ObserverHandle::none(),
         }
     }
@@ -92,7 +90,7 @@ impl NeuralConfig {
             grad_clip: 5.0,
             seed: 7,
             threads: 1,
-            kernel_tier: None,
+            kernel_tier: vsan_tensor::KernelTier::Fast,
             observer: ObserverHandle::none(),
         }
     }
@@ -135,19 +133,11 @@ impl NeuralConfig {
         self
     }
 
-    /// Builder-style kernel-tier pin. `Some(tier)` overrides the
-    /// `VSAN_DISABLE_FAST_PATH` environment default; trained bits are
-    /// identical either way.
+    /// Builder-style kernel-tier override; trained bits are identical
+    /// either way.
     pub fn with_kernel_tier(mut self, tier: vsan_tensor::KernelTier) -> Self {
-        self.kernel_tier = Some(tier);
+        self.kernel_tier = tier;
         self
-    }
-
-    /// The kernel tier training will actually run: the explicit pin when
-    /// set, otherwise the environment default
-    /// ([`vsan_tensor::kernel::default_train_tier`]).
-    pub fn resolved_kernel_tier(&self) -> vsan_tensor::KernelTier {
-        self.kernel_tier.unwrap_or_else(vsan_tensor::kernel::default_train_tier)
     }
 }
 
@@ -219,8 +209,7 @@ where
     // from seeds derived per (step, shard), so it is thread-count-invariant.
     let mut rng = rand::rngs::StdRng::seed_from_u64(cfg.seed);
     let mut opt = vsan_nn::Adam::new(cfg.lr);
-    let executor =
-        vsan_nn::DataParallel::new(cfg.threads).with_kernel_tier(cfg.resolved_kernel_tier());
+    let executor = vsan_nn::DataParallel::new(cfg.threads).with_kernel_tier(cfg.kernel_tier);
     let mut losses = Vec::with_capacity(cfg.epochs);
     let mut step: u64 = 0;
     let indices: Vec<usize> = (0..examples.len()).collect();
@@ -373,18 +362,6 @@ mod tests {
         assert_eq!(c.dim, 32);
         assert_eq!(c.dropout, 0.7);
         assert_eq!(c.epochs, 1);
-    }
-
-    #[test]
-    fn kernel_tier_pin_wins_over_the_environment() {
-        use vsan_tensor::KernelTier;
-        let c = NeuralConfig::smoke();
-        // Unpinned: resolves to the process-wide environment default.
-        assert_eq!(c.resolved_kernel_tier(), vsan_tensor::kernel::default_train_tier());
-        // Pinned: the explicit tier wins regardless of the environment.
-        for tier in [KernelTier::Reference, KernelTier::Fast] {
-            assert_eq!(NeuralConfig::smoke().with_kernel_tier(tier).resolved_kernel_tier(), tier);
-        }
     }
 
     #[test]

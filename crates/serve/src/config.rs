@@ -67,7 +67,7 @@ pub struct EngineConfig {
     /// [`Retrieval::Clustered`] two-stage MIPS with exact re-rank. The
     /// engine builds the index at startup, so a restart after a
     /// checkpoint reload deterministically rebuilds it from the restored
-    /// parameters. `VSAN_DISABLE_ANN=1` pins the process back to exact.
+    /// parameters. Exact is the one way to deploy without the index.
     pub retrieval: Retrieval,
     /// Flight-recorder capacity in span records (rounded up to a power
     /// of two, minimum 8); `0` disables tracing and the recorder

@@ -1301,7 +1301,7 @@ fn process_batch(inner: &Inner, slots: &mut [Option<Request>], ws: &mut vsan_cor
 
     let refs: Vec<&[u32]> = windows.iter().map(Vec::as_slice).collect();
 
-    if inner.model.clustered_active() {
+    if inner.model.retrieval_index().is_some() {
         // Clustered retrieval: one hidden row per distinct window, then a
         // two-stage index query per request. Survivors re-rank with the
         // exact scores and the exact comparator, so `ResponseSource`

@@ -504,18 +504,13 @@ fn shutdown_drops_a_backlog_of_refreshes_without_running_them() {
     // passes on them before it lets the engine go.
     let after = engine.shutdown();
     assert_eq!(after.session_refreshes, before.session_refreshes, "shutdown ran a queued refresh");
-    let posted = if vsan_core::fast_path_disabled() { 0 } else { 8 };
-    assert_eq!(after.session_refresh_skipped, posted, "every queued refresh is dropped, and counted");
+    assert_eq!(after.session_refresh_skipped, 8, "every queued refresh is dropped, and counted");
     wait_within(ticket, Duration::from_secs(30)).expect("the sleeping batch still resolves");
 }
 
 #[test]
 fn a_panic_inside_a_refresh_is_isolated_and_healed_like_a_batch_panic() {
     let _chaos = chaos();
-    if vsan_core::fast_path_disabled() {
-        // Oracle mode posts no refresh: there is nothing to panic in.
-        return;
-    }
     failpoint::arm("panic_in_worker", Schedule::FirstN(1), FailAction::Panic);
     let engine = Engine::start(trained_model(), EngineConfig::default().with_workers(1));
 

@@ -27,8 +27,7 @@ fn trained_model() -> Vsan {
 }
 
 /// A full-probe index config: every cluster visited, so the engine's
-/// answers must equal the exact oracle's regardless of which path the
-/// env gates route to.
+/// clustered answers must equal the exact oracle's.
 fn full_probe() -> ClusteredConfig {
     ClusteredConfig { num_clusters: 3, nprobe: 3, kmeans_iters: 2, train_sample: 4096, seed: 7 }
 }
@@ -109,28 +108,18 @@ fn retrieval_path_counters_account_for_every_batch_answer() {
     let stats = engine.shutdown_stats();
     let m = stats.snapshot;
 
-    // Exactly one retrieval-path resolution per request, whichever path
-    // the env gates routed to.
-    assert_eq!(
-        m.retrieval_exact + m.retrieval_clustered,
-        histories.len() as u64,
-        "every batch answer must be attributed to exactly one retrieval path"
-    );
-    if vsan_core::ann_disabled() || vsan_core::fast_path_disabled() {
-        assert_eq!(m.retrieval_clustered, 0, "env gates pin the engine to the exact path");
-        assert_eq!(stats.retrieval_probes.count, 0);
-    } else {
-        assert_eq!(m.retrieval_clustered, histories.len() as u64);
-        assert_eq!(m.retrieval_exact, 0);
-        // One probe/survivor observation per clustered answer; at full
-        // probe every cluster is visited.
-        assert_eq!(stats.retrieval_probes.count, histories.len() as u64);
-        assert_eq!(stats.retrieval_survivors.count, histories.len() as u64);
-        assert_eq!(stats.retrieval_probes.max, 3, "full probe visits all 3 clusters");
-        assert!(stats.retrieval_survivors.max >= 5, "re-rank pool covers the requested k");
-    }
+    // Exactly one retrieval-path resolution per request: the index.
+    assert_eq!(m.retrieval_clustered, histories.len() as u64);
+    assert_eq!(m.retrieval_exact, 0);
+    // One probe/survivor observation per clustered answer; at full
+    // probe every cluster is visited.
+    assert_eq!(stats.retrieval_probes.count, histories.len() as u64);
+    assert_eq!(stats.retrieval_survivors.count, histories.len() as u64);
+    assert_eq!(stats.retrieval_probes.max, 3, "full probe visits all 3 clusters");
+    assert!(stats.retrieval_survivors.max >= 5, "re-rank pool covers the requested k");
 
-    // An exact-retrieval engine counts on the other side.
+    // An exact-retrieval engine counts on the other side and probes
+    // nothing.
     let engine = Engine::start(
         trained_model(),
         EngineConfig::default().with_workers(1).with_cache_capacity(0),
@@ -138,7 +127,9 @@ fn retrieval_path_counters_account_for_every_batch_answer() {
     for history in &histories {
         engine.submit(history, 5).wait().expect("serve reply");
     }
-    let m = engine.shutdown();
-    assert_eq!(m.retrieval_exact, histories.len() as u64);
-    assert_eq!(m.retrieval_clustered, 0);
+    let stats = engine.shutdown_stats();
+    assert_eq!(stats.snapshot.retrieval_exact, histories.len() as u64);
+    assert_eq!(stats.snapshot.retrieval_clustered, 0);
+    assert_eq!(stats.retrieval_probes.count, 0);
+    assert_eq!(stats.retrieval_survivors.count, 0);
 }

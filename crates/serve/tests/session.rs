@@ -39,7 +39,6 @@ fn wait_for_refreshes(engine: &Engine, n: u64) {
 #[test]
 fn appends_match_offline_recommend_and_count_as_warm() {
     let engine = Engine::start(trained_model(), EngineConfig::default());
-    let live = !vsan_core::fast_path_disabled();
     let mut history: Vec<u32> = Vec::new();
     for (i, item) in [3u32, 1, 4, 1, 5, 2, 6].into_iter().enumerate() {
         let resp = engine.append_event(42, None, item, 5).unwrap();
@@ -48,23 +47,14 @@ fn appends_match_offline_recommend_and_count_as_warm() {
         assert!(!resp.is_degraded());
         let offline = engine.model().recommend(&history, 5);
         assert_eq!(resp.items(), &offline[..], "event {i} diverged from offline recommend");
-        if live {
-            // Let the pool catch the state up before the next event.
-            wait_for_refreshes(&engine, i as u64 + 1);
-        }
+        // Let the pool catch the state up before the next event.
+        wait_for_refreshes(&engine, i as u64 + 1);
     }
     let m = engine.metrics();
     assert_eq!(m.session_cold_starts, 1, "only the first event finds nobody resident");
-    if live {
-        assert_eq!(m.session_appends, 6, "every later event found its state refreshed");
-        assert_eq!(m.session_refreshes, 7, "one refresh per event");
-        assert_eq!(m.session_refresh_skipped, 0);
-    } else {
-        // Oracle mode (VSAN_DISABLE_FAST_PATH=1): nothing is ever
-        // prepared, so a resident user is always one event behind.
-        assert_eq!(m.session_resumes, 6);
-        assert_eq!(m.session_refreshes + m.session_refresh_skipped, 0, "no refresh is even posted");
-    }
+    assert_eq!(m.session_appends, 6, "every later event found its state refreshed");
+    assert_eq!(m.session_refreshes, 7, "one refresh per event");
+    assert_eq!(m.session_refresh_skipped, 0);
     assert_eq!(m.session_resets, 0);
     assert_eq!(m.session_evictions, 0);
     let stats = engine.stats();
@@ -245,5 +235,6 @@ fn stateless_capacity_zero_still_serves_exact_answers() {
     }
     let m = engine.metrics();
     assert_eq!(m.session_cold_starts, 3, "stateless mode recomputes every event");
+    assert_eq!(m.session_refreshes + m.session_refresh_skipped, 0, "no refresh is even posted");
     assert_eq!(engine.stats().sessions_live, 0);
 }

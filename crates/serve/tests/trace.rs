@@ -155,7 +155,6 @@ fn manual_dump_reconstructs_every_request_chain() {
 #[test]
 fn session_appends_record_their_sub_stages() {
     let engine = Engine::start(trained_model(), EngineConfig::default().with_workers(1));
-    let live = !vsan_core::fast_path_disabled();
     for step in 0..3u32 {
         engine.append_event(77, None, step % 8 + 1, 5).expect("append");
         // Let the worker's refresh land before the next event (bounded
@@ -163,7 +162,7 @@ fn session_appends_record_their_sub_stages() {
         // prepares for itself, every later one finds the worker got
         // there first.
         let due = Instant::now() + Duration::from_secs(20);
-        while live && engine.metrics().session_refreshes <= u64::from(step) {
+        while engine.metrics().session_refreshes <= u64::from(step) {
             assert!(Instant::now() < due, "refresh {step} never ran");
             std::thread::sleep(Duration::from_micros(100));
         }
@@ -174,12 +173,11 @@ fn session_appends_record_their_sub_stages() {
 
     let records = parse_records(&sink.lines());
     // One prepare on the reply path (the cold start) and one per refresh
-    // on the worker — or, with the fast path env-disabled, one full
-    // recompute per event and no refresh. The worker's spans hang off
-    // the `session` span of the event that asked for them, beside that
-    // event's own sub-stages and under a span id of their own.
+    // on the worker. The worker's spans hang off the `session` span of
+    // the event that asked for them, beside that event's own sub-stages
+    // and under a span id of their own.
     let prepares: Vec<&Rec> = records.iter().filter(|r| r.stage == "session_prepare").collect();
-    assert_eq!(prepares.len(), if live { 1 + 3 } else { 3 });
+    assert_eq!(prepares.len(), 1 + 3);
     for p in &prepares {
         assert_eq!(chain_to_root(&records, &p.span), ["session_prepare", "session", "admission"]);
     }
@@ -187,10 +185,7 @@ fn session_appends_record_their_sub_stages() {
     assert_eq!(distinct.len(), prepares.len(), "the worker's prepare span must not reuse the event's id");
     let parents: HashSet<&str> = prepares.iter().map(|p| p.parent.as_str()).collect();
     assert_eq!(parents.len(), 3, "every event's session span parents a prepare");
-    // With the fast path env-disabled, appends recompute through the
-    // graph oracle: a prepare span instead of the one-row apply.
-    let incremental = if vsan_core::fast_path_disabled() { "session_prepare" } else { "session_apply" };
-    for want in ["session", "session_resolve", incremental, "session_commit"] {
+    for want in ["session", "session_resolve", "session_apply", "session_commit"] {
         assert!(
             records.iter().any(|r| r.stage == want),
             "session append must record a {want} span"
@@ -200,6 +195,26 @@ fn session_appends_record_their_sub_stages() {
     let resolve = records.iter().find(|r| r.stage == "session_resolve").expect("resolve span");
     let chain = chain_to_root(&records, &resolve.span);
     assert_eq!(chain, ["session_resolve", "session", "admission"]);
+
+    // The one full-recompute mode (`capacity = 0`): every event is one
+    // stateless prepare on the reply path, under its own session span.
+    let engine = Engine::start(
+        trained_model(),
+        EngineConfig::default().with_workers(1).with_session_capacity(0),
+    );
+    for step in 0..3u32 {
+        engine.append_event(77, None, step % 8 + 1, 5).expect("append");
+    }
+    let sink = MemorySink::new();
+    engine.dump_flight_recorder(&sink);
+    engine.shutdown();
+    let records = parse_records(&sink.lines());
+    let prepares: Vec<&Rec> = records.iter().filter(|r| r.stage == "session_prepare").collect();
+    assert_eq!(prepares.len(), 3);
+    for p in &prepares {
+        assert_eq!(chain_to_root(&records, &p.span), ["session_prepare", "session", "admission"]);
+    }
+    assert!(!records.iter().any(|r| r.stage == "session_apply"), "stateless mode has no append pass");
 }
 
 #[test]

@@ -18,8 +18,7 @@
 //!   `refresh` that re-prepares a state after its event was answered,
 //!   bit-identical to full recompute under any schedule of the two
 //!   (the core differential suite, the runtime schedule proptest and
-//!   `scripts/verify.sh` hold this both with and without
-//!   `VSAN_DISABLE_FAST_PATH`).
+//!   `scripts/verify.sh`'s one-core run hold this).
 //!
 //! `vsan-serve` wires this behind `Engine::append_event`, with
 //! `session.*` metrics and `session_evicted` / `session_reset` fault

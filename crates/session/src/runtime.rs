@@ -27,15 +27,14 @@
 //! waits on the entry lock and appends. Either way the logits are a
 //! function of the history alone — the schedule moves time, never bits.
 //!
-//! With `VSAN_DISABLE_FAST_PATH=1` the incremental path is bypassed
-//! entirely: every event is a full recompute through whatever path
-//! `Vsan::try_score_items_batch` routes to, and `refresh` is a no-op.
-//! The differential suites run both ways.
+//! The one full-recompute mode is a deployment setting: with
+//! `capacity = 0` every event is a stateless
+//! `Vsan::try_score_items_batch` call and `refresh` is a no-op.
 
 use std::sync::{Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
-use vsan_core::{fast_path_disabled, SessionState, Vsan, Workspace};
+use vsan_core::{SessionState, Vsan, Workspace};
 use vsan_obs::recorder::FlightRecorder;
 use vsan_obs::trace::{TraceContext, TraceSpan, TraceStage};
 
@@ -332,49 +331,28 @@ impl SessionRuntime {
         }
 
         // 3. The reply.
-        let oracle = fast_path_disabled();
-        let logits = if oracle {
-            // Graph-oracle mode: bypass the incremental path entirely.
+        if outcome != SessionOutcome::Append {
             let stage_start = Instant::now();
-            entry.state.clear();
-            let mut full = pre;
-            full.push(item);
-            let row = model
-                .try_score_items_batch(&[model.fold_in_window(&full)])?
-                .pop()
-                .unwrap_or_default();
-            entry.history = full;
+            match sibling_state {
+                Some(state) => entry.state = state,
+                None => model.prepare_session_into(&pre, Some(&self.pad), &mut entry.state, ws)?,
+            }
+            // State and history move together, so an entry never holds a
+            // state prepared for some other history.
+            entry.history = pre;
             if let Some(t) = &trace {
                 t.record(TraceStage::SessionPrepare, stage_start, entry.history.len() as u64);
             }
-            row
-        } else {
-            if outcome != SessionOutcome::Append {
-                let stage_start = Instant::now();
-                match sibling_state {
-                    Some(state) => entry.state = state,
-                    None => {
-                        model.prepare_session_into(&pre, Some(&self.pad), &mut entry.state, ws)?
-                    }
-                }
-                // State and history move together, so an entry never
-                // holds a state prepared for some other history.
-                entry.history = pre;
-                if let Some(t) = &trace {
-                    t.record(TraceStage::SessionPrepare, stage_start, entry.history.len() as u64);
-                }
-            }
-            let stage_start = Instant::now();
-            let row = model.append_session_logits(&entry.state, item, ws)?;
-            entry.history.push(item);
-            // One event behind now. Preparing for the grown history is
-            // `refresh`'s job, off the reply path; the buffers stay.
-            entry.state.clear();
-            if let Some(t) = &trace {
-                t.record(TraceStage::SessionApply, stage_start, entry.history.len() as u64);
-            }
-            row
-        };
+        }
+        let stage_start = Instant::now();
+        let logits = model.append_session_logits(&entry.state, item, ws)?;
+        entry.history.push(item);
+        // One event behind now. Preparing for the grown history is
+        // `refresh`'s job, off the reply path; the buffers stay.
+        entry.state.clear();
+        if let Some(t) = &trace {
+            t.record(TraceStage::SessionApply, stage_start, entry.history.len() as u64);
+        }
 
         // 4. Publish the snapshot, still under the entry lock (entry →
         //    store is the lock order) so a refresh never sees a state and
@@ -386,7 +364,7 @@ impl SessionRuntime {
         let needs_refresh = {
             let mut store = lock(&self.store);
             evictions.extend(store.commit(user, &entry_arc, history.clone(), false, bytes, now));
-            !oracle && store.request_refresh(user)
+            store.request_refresh(user)
         };
         drop(entry);
         if let Some(t) = &trace {
@@ -399,8 +377,7 @@ impl SessionRuntime {
     /// reply path. `Ok(true)` when a state was prepared and published;
     /// `Ok(false)` when there was nothing to do — the user is not
     /// resident (evicted, ended, never seen), the state is already
-    /// fresh, or the incremental path is off (`capacity = 0`,
-    /// `VSAN_DISABLE_FAST_PATH=1`).
+    /// fresh, or the incremental path is off (`capacity = 0`).
     ///
     /// A refresh only ever *reads* the store's bookkeeping: it does not
     /// touch LRU order or TTL, creates no slot, and publishes nothing
@@ -421,7 +398,7 @@ impl SessionRuntime {
         ws: &mut Workspace,
         trace: Option<SessionTrace<'_>>,
     ) -> Result<bool, String> {
-        if self.stateless || fast_path_disabled() {
+        if self.stateless {
             return Ok(false);
         }
         let Some(entry_arc) = lock(&self.store).take_for_refresh(user) else {

@@ -78,42 +78,35 @@ fn warm_sessions_append_and_hints_govern_resume_reset() {
     let runtime = SessionRuntime::new(&model, &SessionConfig::new().with_capacity(8)).unwrap();
     let mut ws = Workspace::new();
     let now = Instant::now();
-    // Under VSAN_DISABLE_FAST_PATH=1 the bypass never prepares a state
-    // and `refresh` is a no-op, so a resident user is always one event
-    // behind. Outcomes that are decided from the history alone hold in
-    // both modes; the ones that need a fresh state are `live` only. The
-    // logits assertions always run (that is the differential point).
-    let live = !vsan_core::fast_path_disabled();
 
     // First event: not resident. It leaves the state stale and asks for
     // exactly one refresh.
     let r = runtime.append_event(&model, 1, None, 3, &mut ws, now).unwrap();
     assert_eq!(r.outcome, SessionOutcome::ColdStart);
-    assert_eq!(r.needs_refresh, live);
+    assert!(r.needs_refresh);
 
     // Refreshed in time: a pure append. A second refresh has nothing
     // left to do.
-    assert_eq!(runtime.refresh(&model, 1, &mut ws), Ok(live));
+    assert_eq!(runtime.refresh(&model, 1, &mut ws), Ok(true));
     assert_eq!(runtime.refresh(&model, 1, &mut ws), Ok(false));
     let r = runtime.append_event(&model, 1, Some(&[3]), 5, &mut ws, now).unwrap();
-    let stale = SessionOutcome::Resumed { replayed: 1 };
-    assert_eq!(r.outcome, if live { SessionOutcome::Append } else { stale });
+    assert_eq!(r.outcome, SessionOutcome::Append);
     assert_bits_eq(&r.logits, &oracle(&model, &[3, 5]));
 
     // Not refreshed: resident, one event behind — the event prepares for
     // itself, and does not ask for a second refresh while the first is
     // still owed.
-    assert_eq!(r.needs_refresh, live);
+    assert!(r.needs_refresh);
     let r = runtime.append_event(&model, 1, Some(&[3, 5]), 7, &mut ws, now).unwrap();
-    assert_eq!(r.outcome, stale);
+    assert_eq!(r.outcome, SessionOutcome::Resumed { replayed: 1 });
     assert!(!r.needs_refresh, "one refresh per user in flight");
     assert_bits_eq(&r.logits, &oracle(&model, &[3, 5, 7]));
 
     // Hint runs ahead of the cache (client saw events we did not):
     // resume replays the gap.
-    assert_eq!(runtime.refresh(&model, 1, &mut ws), Ok(live));
+    assert_eq!(runtime.refresh(&model, 1, &mut ws), Ok(true));
     let r = runtime.append_event(&model, 1, Some(&[3, 5, 7, 2, 8]), 4, &mut ws, now).unwrap();
-    assert_eq!(r.outcome, SessionOutcome::Resumed { replayed: if live { 2 } else { 3 } });
+    assert_eq!(r.outcome, SessionOutcome::Resumed { replayed: 2 });
     assert_bits_eq(&r.logits, &oracle(&model, &[3, 5, 7, 2, 8, 4]));
 
     // Divergent hint: the cached history is not a prefix — reset, hint
@@ -127,10 +120,9 @@ fn warm_sessions_append_and_hints_govern_resume_reset() {
     // A refresh after the reset prepares the *new* history, whichever
     // event asked for it: its fresh state is reused verbatim by a new
     // user with the exact same history.
-    assert_eq!(runtime.refresh(&model, 1, &mut ws), Ok(live));
+    assert_eq!(runtime.refresh(&model, 1, &mut ws), Ok(true));
     let r = runtime.append_event(&model, 2, Some(&[9, 9, 1]), 6, &mut ws, now).unwrap();
-    let sibling = SessionOutcome::Resumed { replayed: 0 };
-    assert_eq!(r.outcome, if live { sibling } else { SessionOutcome::ColdStart });
+    assert_eq!(r.outcome, SessionOutcome::Resumed { replayed: 0 });
     assert_bits_eq(&r.logits, &oracle(&model, &[9, 9, 1, 6]));
 
     // end_session drops the state; a refresh still owed finds nobody,
@@ -228,7 +220,7 @@ proptest! {
         let twin = SessionRuntime::new(&model, &cfg).unwrap();
         let mut ws = Workspace::new();
         let t0 = Instant::now();
-        let live = capacity > 0 && !vsan_core::fast_path_disabled();
+        let live = capacity > 0;
         // What each client holds, and what this test knows of the store:
         // who is resident, whose state a refresh has made fresh.
         let mut client: Vec<Vec<u32>> = vec![Vec::new(); 4];
@@ -357,7 +349,5 @@ fn an_appender_and_a_refresher_racing_on_one_user_stay_exact() {
         refresher.join().expect("refresher thread")
     });
     assert_eq!(runtime.stats().sessions, 1);
-    if !vsan_core::fast_path_disabled() {
-        assert!(refreshed > 0, "the refresher never won a single race in 3 000 events");
-    }
+    assert!(refreshed > 0, "the refresher never won a single race in 3 000 events");
 }

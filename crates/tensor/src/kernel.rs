@@ -18,10 +18,8 @@
 //! are where it is made; `vsan-autograd`'s `Graph::causal_attention_batch`
 //! makes the fourth. Bit-identical by construction (tiles cover output
 //! dims only, `k` is never split) and by the differential test wall.
-//!
-//! The process-level pin is `VSAN_DISABLE_FAST_PATH=1` — the same
-//! environment toggle that reroutes inference to the graph oracle also
-//! puts training on the reference tier, read once per process.
+//! Nothing reads the environment: training runs the tier its config
+//! names, and the reference tier is reached by naming it.
 
 use crate::ops::matmul::{self, reference, transpose_into};
 use crate::{parallel, Result, Tensor, TensorError};
@@ -165,34 +163,6 @@ impl KernelTier {
     }
 }
 
-/// Whether `VSAN_DISABLE_FAST_PATH=1` pins this process to the
-/// reference tier. Read once: the pin is process-level on purpose, so a
-/// whole test run (or a whole training job) is rerouted at the same
-/// point the production entry points consult.
-pub fn fast_path_disabled() -> bool {
-    static DISABLED: OnceLock<bool> = OnceLock::new();
-    *DISABLED.get_or_init(|| {
-        std::env::var("VSAN_DISABLE_FAST_PATH").map(|v| v == "1").unwrap_or(false)
-    })
-}
-
-/// The tier training entry points run when the caller did not choose
-/// explicitly: [`KernelTier::Fast`] unless the process is pinned by
-/// `VSAN_DISABLE_FAST_PATH=1`.
-///
-/// Explicit selection (e.g. `NeuralConfig::with_kernel_tier` in
-/// `vsan-models`) wins over the pin, mirroring how inference's explicit
-/// `Vsan::score_items_batch_fast` / `Vsan::score_items_batch_graph`
-/// bypass it — that is what lets a single test process compare both
-/// tiers regardless of the environment.
-pub fn default_train_tier() -> KernelTier {
-    if fast_path_disabled() {
-        KernelTier::Reference
-    } else {
-        KernelTier::Fast
-    }
-}
-
 /// Whether the running CPU supports AVX2, probed once.
 #[cfg(target_arch = "x86_64")]
 pub(crate) fn avx2_available() -> bool {
@@ -224,16 +194,5 @@ mod tests {
     fn tier_names_are_stable() {
         assert_eq!(KernelTier::Reference.name(), "reference");
         assert_eq!(KernelTier::Fast.name(), "fast");
-    }
-
-    #[test]
-    fn default_tier_respects_the_pin() {
-        // The OnceLock reads the real process environment; assert the
-        // mapping is consistent with whatever this process was started
-        // with.
-        let pinned = std::env::var("VSAN_DISABLE_FAST_PATH").map(|v| v == "1").unwrap_or(false);
-        assert_eq!(fast_path_disabled(), pinned);
-        let want = if pinned { KernelTier::Reference } else { KernelTier::Fast };
-        assert_eq!(default_train_tier(), want);
     }
 }

@@ -21,6 +21,34 @@ if grep -q avx2 /proc/cpuinfo 2>/dev/null; then
   echo "==> AVX2 host: exporting VSAN_REQUIRE_AVX2=1"
 fi
 
+# Nothing reads an oracle pin any more (DESIGN.md §10): each oracle is a
+# function tests call by name, and the one process-wide switch left is
+# configuration. A mention of either retired variable name is a
+# regression.
+echo "==> no oracle-pin environment variables"
+if git grep -nE 'VSAN_DISABLE_(FAST_PATH|ANN)' -- crates tests src examples scripts; then
+  echo "the oracle pins are gone; drop the mentions above" >&2
+  exit 1
+fi
+
+# Run one `cargo test` command whole: it must pass, and no target may
+# report an ignored test (a gate that quietly shelves a case only gates
+# what is left). The output stays in ${out} for further checks.
+run_whole() {
+  local label="$1"
+  shift
+  out="$("$@" 2>&1)" || {
+    echo "${out}"
+    echo "${label} failed" >&2
+    exit 1
+  }
+  if echo "${out}" | grep -E "^test result:" | grep -vq " 0 ignored"; then
+    echo "${out}"
+    echo "${label} has ignored tests; it must run whole" >&2
+    exit 1
+  fi
+}
+
 echo "==> cargo build --release --offline"
 cargo build --workspace --release --offline
 
@@ -33,48 +61,21 @@ echo "==> benchmark/ builds against the tree (--offline --locked)"
 CARGO_TARGET_DIR="${CARGO_TARGET_DIR:-$PWD/target}" \
   cargo build --release --offline --locked --manifest-path benchmark/Cargo.toml
 
+# The workspace run is also the no-ignored check for every crate: the
+# differential gates only gate what actually runs, and an `ignored` test
+# would silently hollow them out (vsan-models' head-compaction suite,
+# DESIGN.md §10 "Only rows with a target reach the head", is the only
+# holder of that claim per head shape and padding share).
 echo "==> cargo test -q --offline (PROPTEST_CASES=${PROPTEST_CASES})"
-cargo test --workspace -q --offline
+run_whole "cargo test --workspace" cargo test --workspace -q --offline
 
 # Chaos matrix: the fault-injection suite must hold under several
-# distinct failpoint schedules, not just the default seed. The suite
-# also must never quietly shelve a scenario: an `ignored` test in
-# vsan-serve is a gate failure, not a skip.
+# distinct failpoint schedules, not just the default seed.
 echo "==> chaos matrix (VSAN_FAILPOINT_SEED x3)"
 for seed in 1 7 99991; do
   echo "    -- seed ${seed}"
-  out="$(VSAN_FAILPOINT_SEED=${seed} cargo test -q --offline -p vsan-serve 2>&1)" || {
-    echo "${out}"
-    echo "chaos run failed under VSAN_FAILPOINT_SEED=${seed}" >&2
-    exit 1
-  }
-  if echo "${out}" | grep -E "^test result:" | grep -vq " 0 ignored"; then
-    echo "${out}"
-    echo "vsan-serve has ignored tests; the chaos suite must run whole" >&2
-    exit 1
-  fi
-done
-
-# The differential gates below only gate what actually runs: an
-# `ignored` test in the core, tensor or models suites would silently
-# hollow them out, so those crates must run whole too. vsan-models is
-# here for its head-compaction suite (DESIGN.md §10, "Only rows with a
-# target reach the head": the compacted head against the all-rows head
-# it replaced, loss and parameter-gradient bits) — the only holder of
-# that claim per head shape and padding share. It builds every graph on
-# a named tier and reads no environment, so this one run is all it needs.
-echo "==> no-ignored-tests check (vsan-core, vsan-tensor, vsan-models)"
-for crate in vsan-core vsan-tensor vsan-models; do
-  out="$(cargo test -q --offline -p "${crate}" 2>&1)" || {
-    echo "${out}"
-    echo "${crate} test run failed" >&2
-    exit 1
-  }
-  if echo "${out}" | grep -E "^test result:" | grep -vq " 0 ignored"; then
-    echo "${out}"
-    echo "${crate} has ignored tests; the differential gates must run whole" >&2
-    exit 1
-  fi
+  run_whole "vsan-serve under VSAN_FAILPOINT_SEED=${seed}" \
+    env VSAN_FAILPOINT_SEED="${seed}" cargo test -q --offline -p vsan-serve
 done
 
 # Threads-matrix smoke: re-run the data-parallel equivalence suite under
@@ -84,37 +85,50 @@ done
 echo "==> equivalence matrix (VSAN_THREADS_MATRIX=1,2,8)"
 VSAN_THREADS_MATRIX=1,2,8 cargo test -q --offline -p vsan-core --test parallel_train
 
-# Fast-path differential gate: the graph-free inference path must stay
-# bit-identical to the graph oracle. The proptest suite and the golden
-# fixture run twice — once with the fast path live (default) and once
-# pinned to the graph path (VSAN_DISABLE_FAST_PATH=1), so both process-
-# level routings of try_score_items_batch are exercised end to end.
-echo "==> fast-path differential suite (VSAN_DISABLE_FAST_PATH unset + =1)"
-cargo test -q --offline -p vsan-core --test fast_path
-cargo test -q --offline --test golden_logits
-VSAN_DISABLE_FAST_PATH=1 cargo test -q --offline -p vsan-core --test fast_path
-VSAN_DISABLE_FAST_PATH=1 cargo test -q --offline --test golden_logits
+# The differential suites, by name, one run per crate. Each holds a fast
+# path to its oracle in the same process, both called by name (DESIGN.md
+# §10–§12): the plan vs the graph forward (fast_path, golden_logits),
+# the fast tier vs the reference tier (tier_differential, gradcheck_ops,
+# golden_train), the append pass vs the graph oracle (session_incremental,
+# the session runtime and engine suites, whose capacity-0 arm is the one
+# full-recompute mode), and the clustered index vs exact retrieval
+# (retrieval). `cargo test --workspace` already ran them; naming them
+# here makes a renamed or deleted target fail (cargo rejects an unknown
+# `--test`), an emptied one fail (0 passed), and an ignored test fail.
+echo "==> differential suites by name"
+suites() {
+  local crate="$1"
+  shift
+  local args=()
+  for t in "$@"; do args+=(--test "${t}"); done
+  run_whole "${crate} suites ($*)" cargo test -q --offline -p "${crate}" "${args[@]}"
+  if echo "${out}" | grep -q "^test result: ok. 0 passed"; then
+    echo "${out}"
+    echo "a named ${crate} suite ran no test" >&2
+    exit 1
+  fi
+}
+suites vsan-core fast_path golden_train session_incremental retrieval
+suites vsan-repro golden_logits
+suites vsan-autograd tier_differential gradcheck_ops
+suites vsan-session runtime store_props
+suites vsan-serve session retrieval trace
 
-# The kernels under that path, as dispatched (with VSAN_REQUIRE_AVX2=1
-# that must be the AVX2 twin): the tiled matmul nest — its baseline build
-# too, inlined into the test — and both tiers' tensor products held to the
-# naive ascending-k fold over the nest's edge matrix (every n % 16,
-# single-row tiles, both sides of the row chunk), and the attention kernel
-# — baseline build too, same way — held to the composed ops over the
-# (prefix, tail, keep, d) matrix. Named here so a rename, a filter that
-# matches nothing, or an `ignored` attribute fails the gate instead of
-# thinning it. Run once: nothing on these four paths reads
-# VSAN_DISABLE_FAST_PATH.
+# The kernels under the fast paths, as dispatched (with
+# VSAN_REQUIRE_AVX2=1 that must be the AVX2 twin): the tiled matmul nest —
+# its baseline build too, inlined into the test — and both tiers' tensor
+# products held to the naive ascending-k fold over the nest's edge matrix
+# (every n % 16, single-row tiles, both sides of the row chunk), and the
+# attention kernel — baseline build too, same way — held to the composed
+# ops over the (prefix, tail, keep, d) matrix. Named here so a rename, a
+# filter that matches nothing, or an `ignored` attribute fails the gate
+# instead of thinning it.
 echo "==> matmul + attention kernel matrices"
-out="$(cargo test -q --offline -p vsan-tensor --lib -- --exact \
+run_whole "kernel matrices" cargo test -q --offline -p vsan-tensor --lib -- --exact \
   ops::matmul::tests::tiled_nest_is_bit_identical_to_naive_fold_over_the_edge_matrix \
   ops::matmul::tests::blocked_kernel_is_bit_identical_to_naive_fold \
   ops::attention::tests::row_kernel_matches_composed_ops_over_the_shape_matrix \
-  ops::attention::tests::non_finite_future_rows_never_reach_earlier_queries 2>&1)" || {
-  echo "${out}"
-  echo "kernel matrices failed" >&2
-  exit 1
-}
+  ops::attention::tests::non_finite_future_rows_never_reach_earlier_queries
 if ! echo "${out}" | grep -q "^test result: ok. 4 passed; 0 failed; 0 ignored"; then
   echo "${out}"
   echo "the kernel matrices did not run whole (expected 4 passed, 0 ignored)" >&2
@@ -127,55 +141,6 @@ fi
 # `#[should_panic]` cases per signature shape) can fail.
 echo "==> vsan-tensor unit tests, release profile"
 cargo test -q --offline --release -p vsan-tensor --lib
-
-# Training kernel-tier differential gate (DESIGN.md §10, PR 9): the
-# fast training tier — tiled products and the fused attention node, one
-# per block — must stay bit-identical to the reference tape's scalar
-# product loops and composed attention chains. The proptest differential
-# suite and the tiered gradcheck suite name both tiers explicitly and
-# read no environment (crates/autograd and crates/nn never consult the
-# pin), so they run once. The golden training
-# fixtures (dense and left-padded, each a tier × thread grid) and the
-# threads × tier training grid resolve a default tier from the pin, so
-# they run twice — unset (fast tier is the default; parallel_train's
-# unset run is the equivalence matrix above) and VSAN_DISABLE_FAST_PATH=1
-# (reference tier) — covering every env × entry-point routing the pin
-# controls. In-config pins override the env, so each single run still
-# exercises both tiers' kernels; the double run proves the *routing*
-# under both process-level env states.
-echo "==> kernel-tier differential suite (vsan-core under VSAN_DISABLE_FAST_PATH unset + =1)"
-cargo test -q --offline -p vsan-autograd --test tier_differential
-cargo test -q --offline -p vsan-autograd --test gradcheck_ops
-cargo test -q --offline -p vsan-core --test golden_train
-VSAN_DISABLE_FAST_PATH=1 cargo test -q --offline -p vsan-core --test golden_train
-VSAN_DISABLE_FAST_PATH=1 cargo test -q --offline -p vsan-core --test parallel_train
-
-# Session differential gate: the incremental append path (prepare +
-# one-row fold-in, DESIGN.md §10–§11) must equal the graph oracle and a
-# full recompute for any interleaving of append/cold/evict. The core
-# differential suite (graph oracle on every case), the
-# store/runtime proptests, and the engine-level session tests all run
-# twice — incremental path live, then pinned to full recompute
-# (VSAN_DISABLE_FAST_PATH=1) so the bypass wiring itself is exercised.
-echo "==> append-vs-recompute differential suite (VSAN_DISABLE_FAST_PATH unset + =1)"
-cargo test -q --offline -p vsan-core --test session_incremental
-cargo test -q --offline -p vsan-session
-cargo test -q --offline -p vsan-serve --test session
-VSAN_DISABLE_FAST_PATH=1 cargo test -q --offline -p vsan-core --test session_incremental
-VSAN_DISABLE_FAST_PATH=1 cargo test -q --offline -p vsan-session
-VSAN_DISABLE_FAST_PATH=1 cargo test -q --offline -p vsan-serve --test session
-
-# Retrieval differential gate: the clustered MIPS index must equal the
-# exact oracle bit for bit at full probe, keep recall monotone in
-# nprobe, and reject the same errors. The core proptest suite and the
-# engine-level retrieval tests run twice — clustered path live
-# (default) and pinned to the exact oracle (VSAN_DISABLE_ANN=1) — so
-# both process-level routings of recommend_batch are exercised.
-echo "==> retrieval differential suite (VSAN_DISABLE_ANN unset + =1)"
-cargo test -q --offline -p vsan-core --test retrieval
-cargo test -q --offline -p vsan-serve --test retrieval
-VSAN_DISABLE_ANN=1 cargo test -q --offline -p vsan-core --test retrieval
-VSAN_DISABLE_ANN=1 cargo test -q --offline -p vsan-serve --test retrieval
 
 # The committed retrieval report must attest the recall gate — every
 # catalog size holds recall@50 >= 0.95 against the exact oracle — and
@@ -211,30 +176,17 @@ if ! awk -v s="${speedup}" 'BEGIN { exit !(s >= 5.0) }'; then
   exit 1
 fi
 
-# Tracing differential gate: the request-scoped tracing suite must
-# hold with the flight recorder on and with every inference rerouting
-# in play — the spans a stage records depend on which path served it,
-# and rankings must not depend on either.
-echo "==> tracing suite (default + VSAN_DISABLE_ANN=1 + VSAN_DISABLE_FAST_PATH=1)"
-cargo test -q --offline -p vsan-serve --test trace
-VSAN_DISABLE_ANN=1 cargo test -q --offline -p vsan-serve --test trace
-VSAN_DISABLE_FAST_PATH=1 cargo test -q --offline -p vsan-serve --test trace
-
 # One-core schedule: a session event is answered before its state is
 # re-prepared, and a pool worker catches the state up afterwards
 # (DESIGN.md §11), so which thread prepares what depends on the
 # schedule while the replies must not. Pinning every thread of the test
 # process to one core is the schedule in which the refresh loses every
-# race it can lose; the session and trace suites run once more there,
-# with the incremental path live and pinned to the oracle (where
-# `refresh` is a no-op). Skipped where `taskset` does not exist.
+# race it can lose; the session and trace suites run once more there.
+# Skipped where `taskset` does not exist.
 if command -v taskset >/dev/null 2>&1; then
-  echo "==> session + trace suites on one core (taskset -c 0, VSAN_DISABLE_FAST_PATH unset + =1)"
-  for pin in "" 1; do
-    VSAN_DISABLE_FAST_PATH=${pin} taskset -c 0 cargo test -q --offline -p vsan-session
-    VSAN_DISABLE_FAST_PATH=${pin} taskset -c 0 cargo test -q --offline -p vsan-serve --test session
-    VSAN_DISABLE_FAST_PATH=${pin} taskset -c 0 cargo test -q --offline -p vsan-serve --test trace
-  done
+  echo "==> session + trace suites on one core (taskset -c 0)"
+  taskset -c 0 cargo test -q --offline -p vsan-session
+  taskset -c 0 cargo test -q --offline -p vsan-serve --test session --test trace
 else
   echo "==> taskset not found: skipping the one-core session + trace schedule"
 fi
