@@ -6,25 +6,25 @@
 //! streams under `results/`, then re-reads and validates them: every
 //! line must parse as JSON, the training stream must open with a
 //! run-header and carry per-epoch CE/KL/β records, and the serving
-//! stream must carry the engine metrics registry, span records, and a
-//! flight-recorder dump whose trace graph is sound (every span's trace
-//! id resolves to an admission root through acyclic parent links). The
-//! engine's registry is also scraped once over a live Prometheus
+//! stream must carry the engine metrics registry and a flight-recorder
+//! dump whose trace graph is sound (every span's trace id resolves to
+//! an admission root through acyclic parent links). The engine's
+//! registry is also scraped once over a live Prometheus
 //! text-exposition endpoint and the body must parse. Exits non-zero on
 //! any violation.
 
 use std::collections::HashMap;
 use std::io::{Read, Write};
+use std::path::PathBuf;
 use std::sync::Arc;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use vsan_bench::serve_bench::results_dir;
 use vsan_core::{Vsan, VsanConfig};
 use vsan_data::Dataset;
 use vsan_obs::{
     expo, parse, EventSink, ExpositionServer, FileSink, JsonlTrainObserver, JsonValue,
-    ObserverHandle, Tracer,
+    ObserverHandle,
 };
 use vsan_serve::{Engine, EngineConfig};
 
@@ -107,12 +107,12 @@ fn validate_trace_graph(path: &std::path::Path) {
 }
 
 fn main() {
-    let results = results_dir();
+    let results = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../results");
     std::fs::create_dir_all(&results).unwrap_or_else(|e| fail(&format!("mkdir results: {e}")));
     let train_path = results.join("obs_smoke_train.jsonl");
     let serve_path = results.join("obs_smoke_serve.jsonl");
 
-    // Synthetic workload (same shape as the benches).
+    // Synthetic workload: random walks over a 40-item catalogue.
     let mut rng = StdRng::seed_from_u64(7);
     let num_items = 40usize;
     let sequences: Vec<Vec<u32>> =
@@ -120,39 +120,28 @@ fn main() {
     let ds = Dataset { name: "obs-smoke".into(), num_items, sequences };
     let train_users: Vec<usize> = (0..ds.sequences.len()).collect();
 
-    // --- Instrumented training: JSONL observer + spans. ---
-    let tracer = Tracer::new();
+    // --- Instrumented training: JSONL observer. ---
     {
         let sink = Arc::new(
             FileSink::create(&train_path).unwrap_or_else(|e| fail(&format!("train sink: {e}"))),
         );
         let cfg = VsanConfig::smoke()
             .with_observer(ObserverHandle::new(Arc::new(JsonlTrainObserver::new(sink.clone()))));
-        let _train_span = tracer.span("train");
-        let model = {
-            let _span = tracer.span("vsan_train");
-            Vsan::train(&ds, &train_users, &cfg).unwrap_or_else(|e| fail(&format!("train: {e}")))
-        };
-        drop(_train_span);
-        tracer.export_jsonl(sink.as_ref());
+        let model =
+            Vsan::train(&ds, &train_users, &cfg).unwrap_or_else(|e| fail(&format!("train: {e}")));
         sink.flush();
 
-        // --- Instrumented serving: engine registry + spans. ---
+        // --- Instrumented serving: engine registry + flight recorder. ---
         let serve_sink =
             FileSink::create(&serve_path).unwrap_or_else(|e| fail(&format!("serve sink: {e}")));
-        let serve_tracer = Tracer::new();
         let engine = Engine::start(model, EngineConfig::default().with_workers(1));
-        {
-            let _span = serve_tracer.span("serve_stream");
-            let histories: Vec<Vec<u32>> = (0..8)
-                .map(|_| (0..6).map(|_| rng.gen_range(1..=num_items as u32)).collect())
-                .collect();
-            for round in 0..3 {
-                let _round_span = serve_tracer.span(&format!("round{round}"));
-                for h in &histories {
-                    if engine.recommend(h, 5).is_err() {
-                        fail("engine rejected a request");
-                    }
+        let histories: Vec<Vec<u32>> = (0..8)
+            .map(|_| (0..6).map(|_| rng.gen_range(1..=num_items as u32)).collect())
+            .collect();
+        for _ in 0..3 {
+            for h in &histories {
+                if engine.recommend(h, 5).is_err() {
+                    fail("engine rejected a request");
                 }
             }
         }
@@ -201,7 +190,6 @@ fn main() {
         if stats.snapshot.cache_hits == 0 {
             fail("repeat traffic produced no cache hits");
         }
-        serve_tracer.export_jsonl(&serve_sink);
         serve_sink.flush();
     }
 
@@ -217,15 +205,9 @@ fn main() {
     if !train_types.iter().any(|t| t == "run_end") {
         fail("training stream has no run_end record");
     }
-    if !train_types.iter().any(|t| t == "span") {
-        fail("training stream has no span records");
-    }
     let serve_types = validate_jsonl(&serve_path);
     if !serve_types.iter().any(|t| t == "serve_metrics") {
         fail("serving stream has no serve_metrics record");
-    }
-    if !serve_types.iter().any(|t| t == "span") {
-        fail("serving stream has no span records");
     }
     if !serve_types.iter().any(|t| t == "flight_dump") {
         fail("serving stream has no flight_dump record");

@@ -14,16 +14,12 @@
 //! | `fig4` | Fig. 4 — embedding-dimension sweep, VSAN vs SASRec |
 //! | `fig5` | Fig. 5 — dropout sweep |
 //! | `fig6` | Fig. 6 — fixed β sweep vs KL annealing |
-//! | `serve_bench` | not in the paper: `vsan-serve` engine throughput vs a sequential loop |
-//! | `retrieval_bench` | not in the paper: clustered MIPS vs exact oracle at N ∈ {12k, 100k, 1M} (`results/BENCH_retrieval.json`) |
 //!
 //! Every binary accepts `--scale smoke|repro|paper` (default `repro`),
 //! `--seeds N` (default 1 for grids, 3 for Table III), and `--dataset
 //! beauty|ml1m|both`. Criterion micro-benches for the §IV-F complexity
-//! claims live in `benches/`.
-
-pub mod retrieval_bench;
-pub mod serve_bench;
+//! claims live in `benches/`. Serving and retrieval performance is
+//! measured by the `benchmark/` harness at the repository root.
 
 use std::time::Instant;
 

@@ -407,15 +407,9 @@ impl Vsan {
     }
 
     /// Top-`k` via the clustered index for one precomputed hidden row
-    /// (from [`Self::try_last_hidden_batch_with`]), excluding `history`.
-    /// Errors if no index is built.
-    pub fn recommend_from_hidden(&self, hidden: &[f32], history: &[u32], k: usize) -> Result<Vec<u32>, String> {
-        self.recommend_from_hidden_stats(hidden, history, k).map(|(ids, _)| ids)
-    }
-
-    /// [`Self::recommend_from_hidden`] plus the per-query probe
-    /// telemetry ([`retrieval::QueryStats`]) the serving layer records.
-    /// Returned ids are bit-identical to the stats-free variant.
+    /// (from [`Self::try_last_hidden_batch_with`]), excluding `history`,
+    /// plus the per-query probe telemetry ([`retrieval::QueryStats`])
+    /// the serving layer records. Errors if no index is built.
     pub fn recommend_from_hidden_stats(
         &self,
         hidden: &[f32],

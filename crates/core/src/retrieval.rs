@@ -22,8 +22,9 @@
 //! `nprobe = num_clusters` every item is a candidate, so the result
 //! equals exact top-k bit-for-bit and in order — the property the
 //! differential suite in `tests/retrieval.rs` enforces. Smaller `nprobe`
-//! trades recall for speed; `results/BENCH_retrieval.json` gates
-//! recall@50 ≥ 0.95 against the exact oracle.
+//! trades recall for speed; the `retrieval_100k` workload of
+//! `benchmark/` checks recall@50 ≥ 0.9 against the exact oracle on
+//! every run.
 //!
 //! Exact brute-force scoring stays deployable through configuration:
 //! [`Retrieval::Exact`] (the default) builds no index, and
@@ -400,6 +401,10 @@ mod tests {
         let (nc, np) = cfg.resolve(9);
         assert_eq!(nc, 3);
         assert_eq!(np, 3); // max(4, …) clamped to num_clusters
+        for indexed in [0, 1, 2, 2_000, 100_000, 1_000_000] {
+            let (nc, np) = cfg.resolve(indexed);
+            assert!(1 <= np && np <= nc && nc <= indexed.max(1), "{indexed}: ({nc}, {np})");
+        }
     }
 
     #[test]

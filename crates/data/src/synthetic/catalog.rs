@@ -1,8 +1,8 @@
 //! Synthetic million-item catalogs for retrieval benchmarks.
 //!
-//! The clustered-MIPS gate (`results/BENCH_retrieval.json`, DESIGN.md
-//! §12) needs item-embedding universes far beyond what the interaction
-//! simulator in the parent module produces: N ∈ {12 k, 100 k, 10⁶}
+//! Clustered MIPS (DESIGN.md §12; the `retrieval_100k` workload of
+//! `benchmark/`) needs item-embedding universes far beyond what the
+//! interaction simulator in the parent module produces: up to 10⁶
 //! vectors with the two structural properties real recommender
 //! embeddings have —
 //!

@@ -24,10 +24,10 @@ fn scaled(base: usize, scale: f64, min: usize) -> usize {
 }
 
 /// Million-item retrieval catalog (embeddings-only; see
-/// [`super::catalog`]). At `scale = 1.0` this is the 10⁶-item universe
-/// the clustered-MIPS recall gate runs against; smaller scales keep the
-/// same geometry (topic count grows like √N, head-heavy Zipf traffic)
-/// so the differential suites stay cheap.
+/// [`super::catalog`]). At `scale = 1.0` this is a 10⁶-item universe;
+/// `benchmark/`'s `retrieval_100k` workload runs it at 0.1. Smaller
+/// scales keep the same geometry (topic count grows like √N,
+/// head-heavy Zipf traffic) so the differential suites stay cheap.
 pub fn million_item(scale: f64) -> CatalogConfig {
     let num_items = scaled(1_000_000, scale, 1_000);
     let num_topics = (((num_items as f64).sqrt() as usize) / 2).clamp(16, 2048);

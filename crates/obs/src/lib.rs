@@ -5,9 +5,6 @@
 //! Zero-dependency observability layer for the VSAN reproduction:
 //! structured tracing, a metrics registry, and JSONL telemetry export.
 //!
-//! * [`span::Tracer`] — span-based tracer with RAII scoped guards
-//!   ([`span::SpanGuard`]), nested span timing, and thread-safe
-//!   collection.
 //! * [`metrics::Registry`] — named [`metrics::Counter`]s,
 //!   [`metrics::Gauge`]s, and log-linear-bucket [`metrics::Histogram`]s
 //!   with p50/p90/p99/max estimation and lossless snapshot merging.
@@ -37,7 +34,7 @@
 //!
 //! Wall-clock time lives **only in telemetry output, never in control
 //! flow**: nothing in this crate feeds a timing back into a training or
-//! serving decision, so attaching any observer, tracer, or metric
+//! serving decision, so attaching any observer, trace, or metric
 //! leaves trained parameters and served rankings bit-identical — the
 //! determinism contract of DESIGN.md §7 is unaffected.
 
@@ -48,7 +45,6 @@ pub mod metrics;
 pub mod observer;
 pub mod recorder;
 pub mod sink;
-pub mod span;
 pub mod trace;
 
 pub use events::{FaultEvent, FaultKind};
@@ -61,5 +57,4 @@ pub use observer::{
 };
 pub use recorder::{FlightRecord, FlightRecorder};
 pub use sink::{EventSink, FileSink, MemorySink, StderrSink};
-pub use span::{SpanGuard, SpanRecord, Tracer};
 pub use trace::{TraceContext, TraceSpan, TraceStage};

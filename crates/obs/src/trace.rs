@@ -1,11 +1,10 @@
 //! Request-scoped trace identity: the [`TraceContext`] minted at
 //! admission and propagated through every serving stage.
 //!
-//! PR 3's [`crate::span::Tracer`] answers "how long did this *phase*
-//! take, globally"; it cannot answer "what happened to *this request*".
-//! A [`TraceContext`] carries a process-unique `trace_id` (one per
-//! request) and a `span_id` per stage, with `parent_span_id` links, so
-//! the stage records of one request reassemble into a causal tree:
+//! It answers "what happened to *this request*": a [`TraceContext`]
+//! carries a process-unique `trace_id` (one per request) and a
+//! `span_id` per stage, with `parent_span_id` links, so the stage
+//! records of one request reassemble into a causal tree:
 //! admission → queue pickup → worker compute → retrieval / session /
 //! degraded resolution → completion.
 //!

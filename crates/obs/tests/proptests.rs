@@ -77,6 +77,7 @@ proptest! {
         prop_assert!(est >= truth, "estimate {est} < true {truth}");
         prop_assert!(est <= truth + truth / 16 + 1, "estimate {est} vs true {truth}");
         prop_assert!(est <= snap.max);
+        prop_assert!(est >= snap.percentile(q / 2.0), "percentiles must be monotone in q");
     }
 
     #[test]

@@ -37,7 +37,7 @@ use crate::cache::SequenceCache;
 use crate::config::EngineConfig;
 use crate::degrade::{degraded_response, DegradeConfig};
 use crate::failpoint;
-use crate::metrics::{as_us, Metrics, MetricsSnapshot, ServeStats};
+use crate::metrics::{as_us, Metrics, ServeStats};
 use crate::queue::{AdmissionQueue, BackpressurePolicy, PopOutcome, PushOutcome};
 
 /// Failure modes of the serving path. A model-forward error is *not*
@@ -447,7 +447,7 @@ impl Inner {
 }
 
 /// The serving engine. See the crate docs for the architecture; create
-/// one with [`Engine::start`], stop it with [`Engine::shutdown`] (or
+/// one with [`Engine::start`], stop it with [`Engine::shutdown_stats`] (or
 /// just drop it — both drain the queue before joining the threads).
 pub struct Engine {
     inner: Arc<Inner>,
@@ -813,11 +813,6 @@ impl Engine {
         self.inner.degraded_mode.load(Ordering::Acquire)
     }
 
-    /// Current counter values.
-    pub fn metrics(&self) -> MetricsSnapshot {
-        self.inner.metrics.snapshot()
-    }
-
     /// Full telemetry: counters plus queue-wait / compute / end-to-end
     /// latency distributions and batch-fill occupancy.
     pub fn stats(&self) -> ServeStats {
@@ -863,15 +858,9 @@ impl Engine {
 
     /// Graceful shutdown: stop accepting requests, flush every queued
     /// request through the workers, join all threads, and return the
-    /// final counters. Tickets issued before the call still resolve.
-    pub fn shutdown(mut self) -> MetricsSnapshot {
-        self.close();
-        self.inner.metrics.snapshot()
-    }
-
-    /// [`Engine::shutdown`], but returning the full [`ServeStats`] —
-    /// drained-queue telemetry includes the queue-wait / compute split
-    /// for every request flushed during the drain.
+    /// final [`ServeStats`] — drained-queue telemetry includes the
+    /// queue-wait / compute split for every request flushed during the
+    /// drain. Tickets issued before the call still resolve.
     pub fn shutdown_stats(mut self) -> ServeStats {
         self.close();
         self.inner.metrics.stats()

@@ -64,7 +64,7 @@
 //! // Submit/poll style:
 //! let ticket = engine.submit(&[3, 1, 4], 10);
 //! let recs = ticket.wait().unwrap();
-//! let stats = engine.shutdown(); // drains the queue, joins threads
+//! let stats = engine.shutdown_stats(); // drains the queue, joins threads
 //! # let _ = (recs, stats);
 //! ```
 

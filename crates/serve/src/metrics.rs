@@ -2,10 +2,10 @@
 //!
 //! The hot path holds `Arc` handles obtained once at engine start —
 //! counters and histogram records are single relaxed atomics, and the
-//! registry lock is never touched after startup. The legacy
-//! [`MetricsSnapshot`] remains the stable counter view (a thin adapter
-//! over the registry); [`ServeStats`] adds the full latency
-//! distributions, split into queue wait vs. compute time.
+//! registry lock is never touched after startup. [`ServeStats`] is
+//! the one view the engine hands out: the [`MetricsSnapshot`] counters
+//! plus the full latency distributions, split into queue wait vs.
+//! compute time.
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -332,34 +332,6 @@ impl MetricsSnapshot {
         }
     }
 
-    /// Mean request latency in microseconds (0.0 when idle).
-    pub fn mean_latency_us(&self) -> f64 {
-        if self.requests == 0 {
-            0.0
-        } else {
-            self.latency_us_sum as f64 / self.requests as f64
-        }
-    }
-
-    /// Requests refused or diverted by backpressure (rejected, shed,
-    /// or watermark-diverted) as a fraction of all requests.
-    pub fn rejection_rate(&self) -> f64 {
-        if self.requests == 0 {
-            0.0
-        } else {
-            (self.rejected_newest + self.shed_oldest + self.load_shed) as f64
-                / self.requests as f64
-        }
-    }
-
-    /// Fraction of requests answered by a degraded fallback.
-    pub fn degraded_rate(&self) -> f64 {
-        if self.requests == 0 {
-            0.0
-        } else {
-            self.degraded_responses as f64 / self.requests as f64
-        }
-    }
 }
 
 /// Full engine telemetry: the counter snapshot plus the latency
@@ -401,7 +373,7 @@ impl ServeStats {
     }
 
     /// One-line JSON object with the counters and per-distribution
-    /// summaries (count/mean/p50/p90/p99/max) — embedded by the benches.
+    /// summaries (count/mean/p50/p90/p99/max).
     pub fn to_json(&self) -> String {
         vsan_obs::JsonObj::new()
             .u64("requests", self.snapshot.requests)
@@ -455,7 +427,6 @@ mod tests {
         let m = Metrics::default();
         assert_eq!(m.snapshot().mean_batch_size(), 0.0);
         assert_eq!(m.snapshot().cache_hit_rate(), 0.0);
-        assert_eq!(m.snapshot().mean_latency_us(), 0.0);
 
         m.requests.add(10);
         m.cache_hits.add(4);

@@ -238,7 +238,7 @@ fn dropped_batches_resolve_every_ticket_typed() {
     assert_eq!(ok + lost, 8);
     assert!(lost >= 1, "the dropped batch carried at least one request");
 
-    let m = engine.shutdown();
+    let m = engine.shutdown_stats().snapshot;
     assert_eq!(m.dropped_batches, 1);
 }
 
@@ -394,8 +394,13 @@ fn unarmed_failpoints_leave_the_engine_bit_identical() {
     let m = stats.snapshot;
     assert_eq!(m.worker_panics + m.dropped_batches + m.deadline_misses, 0);
     assert_eq!(m.degraded_responses, 0);
+    // The `ServeStats` invariants, on traffic with both hits and misses.
     assert_eq!(stats.latency_us.count, m.requests);
     assert_eq!(stats.compute_us.count, m.requests);
+    assert_eq!(stats.queue_wait_us.count, m.cache_misses, "cache hits never queue");
+    assert_eq!(stats.batch_fill_pct.count, m.batches);
+    assert_eq!(stats.queue_depth, 0, "the queue is drained at shutdown");
+    assert_ne!(stats.latency_us.exemplar_trace, 0, "the default recorder attaches an exemplar");
 }
 
 #[test]
@@ -416,7 +421,7 @@ fn worker_panic_dump_reconstructs_the_poisoned_batch_chain() {
         let _ = wait_within(engine.submit(&history, 5), Duration::from_secs(30));
     }
     assert!(failpoint::fired("panic_in_worker") > 0, "the panic must fire");
-    engine.shutdown();
+    engine.shutdown_stats();
 
     // Every fault-sink line — events, dump header, dump records — must
     // be a valid single-line JSON object.
@@ -484,10 +489,18 @@ fn wait_until(what: &str, cond: impl Fn() -> bool) {
 fn shutdown_drops_a_backlog_of_refreshes_without_running_them() {
     let _chaos = chaos();
     // Put the one worker to sleep inside a batch, then queue session
-    // refreshes behind it.
+    // refreshes and a flood of requests behind it.
     failpoint::arm("slow_compute", Schedule::FirstN(1), FailAction::SleepMs(500));
-    let engine =
-        Engine::start(trained_model(), EngineConfig::default().with_workers(1).with_cache_capacity(0));
+    let engine = Engine::start(
+        trained_model(),
+        EngineConfig::default()
+            .with_workers(1)
+            .with_cache_capacity(0)
+            .with_max_batch(1)
+            .with_queue_capacity(2)
+            .with_backpressure(BackpressurePolicy::ShedOldest)
+            .with_popularity((0..9).map(|i| i as f32).collect()),
+    );
     let ticket = engine.submit(&histories(1)[0], 5);
     wait_until("the worker to fall asleep", || failpoint::fired("slow_compute") == 1);
 
@@ -496,16 +509,32 @@ fn shutdown_drops_a_backlog_of_refreshes_without_running_them() {
         let resp = engine.append_event(u64::from(user), None, item, 3).expect("append");
         assert_eq!(resp.items(), &engine.model().recommend(&[item], 3)[..]);
     }
-    let before = engine.metrics();
+    let before = engine.stats().snapshot;
     assert_eq!(before.session_refreshes + before.session_refresh_skipped, 0, "the worker is asleep");
+
+    // Twelve requests behind the sleeping worker: one more batch in
+    // flight, one held by the batcher and two queued is all the engine
+    // can take, so backpressure must shed at least eight.
+    let flood: Vec<_> = histories(12).iter().map(|h| engine.submit(h, 5)).collect();
 
     // Shutdown closes the admission queue first; the worker wakes up to
     // eight refreshes nobody will read, and must not spend eight full
     // passes on them before it lets the engine go.
-    let after = engine.shutdown();
+    let stats = engine.shutdown_stats();
+    let after = stats.snapshot;
     assert_eq!(after.session_refreshes, before.session_refreshes, "shutdown ran a queued refresh");
     assert_eq!(after.session_refresh_skipped, 8, "every queued refresh is dropped, and counted");
     wait_within(ticket, Duration::from_secs(30)).expect("the sleeping batch still resolves");
+
+    let degraded = flood
+        .into_iter()
+        .map(|t| wait_within(t, Duration::from_secs(30)).expect("every flood ticket resolves"))
+        .filter(Response::is_degraded)
+        .count() as u64;
+    assert!(after.shed_oldest >= 8, "the flood must overwhelm the tight queue: {after:?}");
+    assert_eq!(degraded, after.shed_oldest, "every shed request is answered by the fallback");
+    assert_eq!(stats.latency_us.count, after.requests, "one terminal resolution per request");
+    assert_eq!(stats.queue_depth, 0, "the queue is drained at shutdown");
 }
 
 #[test]
@@ -518,17 +547,19 @@ fn a_panic_inside_a_refresh_is_isolated_and_healed_like_a_batch_panic() {
     // it; the worker dies at the end of the refresh and is respawned.
     let resp = engine.append_event(5, None, 3, 3).expect("append");
     assert_eq!(resp.items(), &engine.model().recommend(&[3], 3)[..]);
-    wait_until("the respawn", || engine.metrics().worker_respawns == 1);
+    wait_until("the respawn", || engine.stats().snapshot.worker_respawns == 1);
 
     // The session is unharmed, and the new worker takes over its
     // refreshes and ordinary batches alike.
     let resp = engine.append_event(5, None, 5, 3).expect("append after the panic");
     assert_eq!(resp.source(), ResponseSource::Session);
     assert_eq!(resp.items(), &engine.model().recommend(&[3, 5], 3)[..]);
-    wait_until("a refresh on the respawned worker", || engine.metrics().session_refreshes == 2);
+    wait_until("a refresh on the respawned worker", || {
+        engine.stats().snapshot.session_refreshes == 2
+    });
     assert_eq!(engine.recommend(&[1, 2, 3], 3).expect("batch"), engine.model().recommend(&[1, 2, 3], 3));
 
-    let m = engine.shutdown();
+    let m = engine.shutdown_stats().snapshot;
     assert_eq!((m.worker_panics, m.worker_respawns), (1, 1));
     assert_eq!(m.session_cold_starts, 1, "the second event found the session resident");
 }

@@ -38,7 +38,7 @@ fn deadline_flushes_a_partial_batch() {
     for t in tickets {
         assert_eq!(t.wait().unwrap().len(), 4);
     }
-    let m = engine.shutdown();
+    let m = engine.shutdown_stats().snapshot;
     assert_eq!(m.requests, 3);
     assert!(m.flush_deadline >= 1, "far-from-full batch must flush on deadline: {m:?}");
     assert_eq!(m.flush_full, 0, "max_batch=64 can never fill with 3 requests");
@@ -61,7 +61,7 @@ fn max_batch_size_flushes_before_the_deadline() {
     for t in tickets {
         assert_eq!(t.wait().unwrap().len(), 3);
     }
-    let m = engine.shutdown();
+    let m = engine.shutdown_stats().snapshot;
     assert_eq!(m.flush_full, 2, "4 requests at max_batch=2 → exactly 2 full batches: {m:?}");
     assert_eq!(m.flush_deadline, 0);
     assert_eq!(m.batched_requests, 4);
@@ -93,7 +93,7 @@ fn concurrent_submitters_each_get_their_own_answer() {
             });
         }
     });
-    let m = engine.shutdown();
+    let m = engine.shutdown_stats().snapshot;
     assert_eq!(m.requests, 24);
     assert_eq!(m.cache_hits + m.cache_misses, 24);
 }
@@ -111,7 +111,7 @@ fn shutdown_drains_a_non_empty_queue() {
     );
     let histories: [&[u32]; 6] = [&[1], &[2], &[3], &[4], &[5], &[6]];
     let tickets: Vec<_> = histories.iter().map(|h| engine.submit(h, 3)).collect();
-    let m = engine.shutdown();
+    let m = engine.shutdown_stats().snapshot;
     for t in tickets {
         assert_eq!(t.wait().unwrap().len(), 3, "queued request must still be answered");
     }
@@ -132,7 +132,7 @@ fn engine_matches_offline_recommend_on_miss_and_hit() {
         assert_eq!(miss, offline, "cache miss must match Vsan::recommend");
         assert_eq!(hit, offline, "cache hit must match Vsan::recommend");
     }
-    let m = engine.metrics();
+    let m = engine.stats().snapshot;
     assert!(m.cache_hits >= 3, "second lookups must hit: {m:?}");
     assert!(m.cache_misses >= 3);
     assert!(m.cache_hit_rate() > 0.0);
@@ -143,11 +143,11 @@ fn invalidate_evicts_the_users_window() {
     let engine = Engine::start(trained_model(), EngineConfig::default());
     let history = [1u32, 3, 5];
     engine.recommend(&history, 3).unwrap();
-    let before = engine.metrics();
+    let before = engine.stats().snapshot;
     assert!(engine.invalidate(&history), "entry cached by the first request");
     assert!(!engine.invalidate(&history), "second eviction finds nothing");
     engine.recommend(&history, 3).unwrap();
-    let after = engine.metrics();
+    let after = engine.stats().snapshot;
     assert_eq!(after.cache_misses, before.cache_misses + 1, "evicted entry must re-miss");
     assert_eq!(
         after.cache_invalidate_misses,
@@ -180,7 +180,7 @@ fn invalidate_during_in_flight_tickets_is_safe_and_exact() {
     // The window cannot be cached yet — both requests are still in flight.
     assert!(!engine.invalidate(&history), "nothing cached while in flight");
     assert_eq!(
-        engine.metrics().cache_invalidate_misses,
+        engine.stats().snapshot.cache_invalidate_misses,
         1,
         "an in-flight (uncached) invalidation is a recorded miss"
     );
@@ -198,10 +198,10 @@ fn invalidate_during_in_flight_tickets_is_safe_and_exact() {
     // settled, or it wasn't — either way a fresh request re-misses or
     // hits with the exact offline answer.
     assert_eq!(engine.recommend(&history, 4).unwrap(), expected);
-    let misses_before = engine.metrics().cache_invalidate_misses;
+    let misses_before = engine.stats().snapshot.cache_invalidate_misses;
     assert!(engine.invalidate(&history), "settled entry evicts exactly once");
     assert!(!engine.invalidate(&history));
-    let m = engine.shutdown();
+    let m = engine.shutdown_stats().snapshot;
     assert!(m.requests >= 3);
     assert_eq!(
         m.cache_invalidate_misses,
@@ -237,7 +237,7 @@ fn engine_from_parallel_trained_model_matches_offline_recommend() {
         assert_eq!(served, engine.model().recommend(history, 5), "engine vs its own model");
         assert_eq!(served, serial.recommend(history, 5), "parallel vs serial training");
     }
-    engine.shutdown();
+    engine.shutdown_stats();
 }
 
 #[test]
@@ -246,7 +246,7 @@ fn cache_can_be_disabled() {
     let a = engine.recommend(&[1, 2], 4).unwrap();
     let b = engine.recommend(&[1, 2], 4).unwrap();
     assert_eq!(a, b, "determinism must not depend on the cache");
-    let m = engine.shutdown();
+    let m = engine.shutdown_stats().snapshot;
     assert_eq!(m.cache_hits, 0);
     assert_eq!(m.cache_misses, 2);
 }
@@ -300,7 +300,7 @@ fn model_error_degrades_explicitly_instead_of_serving_zeros() {
     assert!(!good.is_degraded());
     assert_eq!(good, engine.model().recommend(&[1, 2, 3], 4));
 
-    let m = engine.shutdown();
+    let m = engine.shutdown_stats().snapshot;
     assert_eq!(m.model_errors, 1, "{m:?}");
     assert_eq!(m.degraded_responses, 1, "{m:?}");
     assert!(m.worker_panics == 0, "an Err forward is not a panic: {m:?}");

@@ -49,7 +49,7 @@ fn engine_clustered_matches_exact_oracle_at_full_probe() {
         assert!(!got.is_degraded(), "healthy engine must answer from the model");
         assert_eq!(got.items(), want.as_slice(), "engine ranking diverged from the oracle");
     }
-    engine.shutdown();
+    engine.shutdown_stats();
 }
 
 #[test]
@@ -71,7 +71,7 @@ fn restart_on_restored_checkpoint_rebuilds_identically() {
         .iter()
         .map(|h| engine_a.submit(h, 4).wait().expect("serve reply").into_items())
         .collect();
-    engine_a.shutdown();
+    engine_a.shutdown_stats();
 
     // "Restart": a freshly initialized model (different weights until
     // the load), restored from the checkpoint blob, served again.
@@ -88,7 +88,7 @@ fn restart_on_restored_checkpoint_rebuilds_identically() {
         let got = engine_b.submit(h, 4).wait().expect("serve reply");
         assert_eq!(got.items(), want.as_slice(), "restarted engine must answer identically");
     }
-    engine_b.shutdown();
+    engine_b.shutdown_stats();
 }
 
 #[test]

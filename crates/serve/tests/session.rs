@@ -30,8 +30,8 @@ fn trained_model() -> Vsan {
 /// next event's outcome a fact instead of a race.
 fn wait_for_refreshes(engine: &Engine, n: u64) {
     let due = Instant::now() + Duration::from_secs(20);
-    while engine.metrics().session_refreshes < n {
-        assert!(Instant::now() < due, "refresh {n} never ran: {:?}", engine.metrics());
+    while engine.stats().snapshot.session_refreshes < n {
+        assert!(Instant::now() < due, "refresh {n} never ran: {:?}", engine.stats().snapshot);
         std::thread::sleep(Duration::from_micros(100));
     }
 }
@@ -50,14 +50,14 @@ fn appends_match_offline_recommend_and_count_as_warm() {
         // Let the pool catch the state up before the next event.
         wait_for_refreshes(&engine, i as u64 + 1);
     }
-    let m = engine.metrics();
+    let stats = engine.stats();
+    let m = stats.snapshot;
     assert_eq!(m.session_cold_starts, 1, "only the first event finds nobody resident");
     assert_eq!(m.session_appends, 6, "every later event found its state refreshed");
     assert_eq!(m.session_refreshes, 7, "one refresh per event");
     assert_eq!(m.session_refresh_skipped, 0);
     assert_eq!(m.session_resets, 0);
     assert_eq!(m.session_evictions, 0);
-    let stats = engine.stats();
     assert_eq!(stats.sessions_live, 1);
     assert!(stats.session_bytes > 0);
     assert!(engine.end_session(42));
@@ -91,13 +91,13 @@ fn session_stream_replay_matches_offline_recommend() {
         let offline = engine.model().recommend(&histories[user], 4);
         assert_eq!(resp.items(), &offline[..]);
     }
-    let m = engine.metrics();
+    let stats = engine.stats();
+    let m = stats.snapshot;
     assert_eq!(
         m.session_appends + m.session_cold_starts + m.session_resumes + m.session_resets,
         stream.events.len() as u64,
         "every event classified exactly once: {m:?}"
     );
-    let stats = engine.stats();
     assert!(stats.sessions_live <= 3, "capacity bound holds: {}", stats.sessions_live);
 }
 
@@ -119,7 +119,7 @@ fn eviction_is_transparent_counted_and_reported() {
         let offline = engine.model().recommend(&histories[user as usize], 3);
         assert_eq!(resp.items(), &offline[..], "post-eviction event {i} must still be exact");
     }
-    let m = engine.metrics();
+    let m = engine.stats().snapshot;
     assert!(m.session_evictions >= 4, "every user switch evicts: {m:?}");
     assert_eq!(m.session_appends, 0, "capacity 1 with 2 users never stays warm");
     let evicted_faults = sink
@@ -151,7 +151,7 @@ fn divergent_hint_resets_the_session() {
     // A reset is decided by comparing the hint with the cached history,
     // so it does not matter whether the refresh for [3, 5] has run yet —
     // nor whether the incremental path is on at all.
-    let m = engine.metrics();
+    let m = engine.stats().snapshot;
     assert_eq!(m.session_resets, 1);
     assert_eq!(m.session_cold_starts, 1);
     assert!(sink.lines().iter().any(|l| l.contains("session_reset")), "reset fault emitted");
@@ -162,13 +162,13 @@ fn append_warms_the_sequence_cache() {
     let engine = Engine::start(trained_model(), EngineConfig::default());
     engine.append_event(1, None, 2, 4).unwrap();
     engine.append_event(1, None, 6, 4).unwrap();
-    let before = engine.metrics();
+    let before = engine.stats().snapshot;
     // The appended logits are exactly what a batch forward of [2, 6]
     // would cache, so a submit for the same history must hit.
     let resp = engine.recommend(&[2, 6], 4).unwrap();
     assert_eq!(resp.source(), ResponseSource::Cache);
     assert_eq!(resp.items(), &engine.model().recommend(&[2, 6], 4)[..]);
-    let after = engine.metrics();
+    let after = engine.stats().snapshot;
     assert_eq!(after.cache_hits, before.cache_hits + 1);
 }
 
@@ -184,7 +184,7 @@ fn model_errors_resolve_degraded_not_fabricated() {
     // Out-of-vocabulary item: surfaced via model_errors + degraded path.
     let resp = engine.append_event(4, None, 4000, 3).unwrap();
     assert!(resp.is_degraded(), "fabricated logits are forbidden; fallback required");
-    let m = engine.metrics();
+    let m = engine.stats().snapshot;
     assert_eq!(m.model_errors, 1);
     assert_eq!(m.degraded_responses, 1);
     // The session itself is not poisoned: the next valid event serves
@@ -210,17 +210,22 @@ fn a_failed_event_evicts_no_one_and_leaves_no_slot() {
     // that was never going to be served.
     let resp = engine.append_event(2, None, 4000, 3).unwrap();
     assert!(resp.is_degraded());
-    let m = engine.metrics();
+    let stats = engine.stats();
+    let m = stats.snapshot;
     assert_eq!(m.model_errors, 1);
     assert_eq!(m.session_evictions, 0, "a request that cannot be served evicts no one");
     assert!(!sink.lines().iter().any(|l| l.contains("session_evicted")));
-    assert_eq!(engine.stats().sessions_live, 1);
+    assert_eq!(stats.sessions_live, 1);
     assert!(!engine.end_session(2), "…and leaves no slot behind");
 
     // User 1 is still resident, server-side history and all.
     let resp = engine.append_event(1, None, 5, 3).unwrap();
     assert_eq!(resp.items(), &engine.model().recommend(&[3, 5], 3)[..]);
-    assert_eq!(engine.metrics().session_cold_starts, 1, "user 1's second event is no cold start");
+    assert_eq!(
+        engine.stats().snapshot.session_cold_starts,
+        1,
+        "user 1's second event is no cold start"
+    );
 }
 
 #[test]
@@ -233,8 +238,9 @@ fn stateless_capacity_zero_still_serves_exact_answers() {
         history.push(item);
         assert_eq!(resp.items(), &engine.model().recommend(&history, 4)[..]);
     }
-    let m = engine.metrics();
+    let stats = engine.stats();
+    let m = stats.snapshot;
     assert_eq!(m.session_cold_starts, 3, "stateless mode recomputes every event");
     assert_eq!(m.session_refreshes + m.session_refresh_skipped, 0, "no refresh is even posted");
-    assert_eq!(engine.stats().sessions_live, 0);
+    assert_eq!(stats.sessions_live, 0);
 }

@@ -109,8 +109,8 @@ fn tracing_on_and_off_serve_identical_rankings() {
         let b = off.append_event(user as u64, Some(&h), 3, 5).expect("untraced append");
         assert_eq!(a.items(), b.items(), "tracing changed session bits for user {user}");
     }
-    on.shutdown();
-    off.shutdown();
+    on.shutdown_stats();
+    off.shutdown_stats();
 }
 
 #[test]
@@ -124,7 +124,7 @@ fn manual_dump_reconstructs_every_request_chain() {
     let sink = MemorySink::new();
     let written = engine.dump_flight_recorder(&sink);
     assert!(written > 0, "dump must emit the recorded spans");
-    engine.shutdown();
+    engine.shutdown_stats();
 
     let lines = sink.lines();
     let header = parse(&lines[0]).expect("header JSON");
@@ -162,14 +162,14 @@ fn session_appends_record_their_sub_stages() {
         // prepares for itself, every later one finds the worker got
         // there first.
         let due = Instant::now() + Duration::from_secs(20);
-        while engine.metrics().session_refreshes <= u64::from(step) {
+        while engine.stats().snapshot.session_refreshes <= u64::from(step) {
             assert!(Instant::now() < due, "refresh {step} never ran");
             std::thread::sleep(Duration::from_micros(100));
         }
     }
     let sink = MemorySink::new();
     engine.dump_flight_recorder(&sink);
-    engine.shutdown();
+    engine.shutdown_stats();
 
     let records = parse_records(&sink.lines());
     // One prepare on the reply path (the cold start) and one per refresh
@@ -207,7 +207,7 @@ fn session_appends_record_their_sub_stages() {
     }
     let sink = MemorySink::new();
     engine.dump_flight_recorder(&sink);
-    engine.shutdown();
+    engine.shutdown_stats();
     let records = parse_records(&sink.lines());
     let prepares: Vec<&Rec> = records.iter().filter(|r| r.stage == "session_prepare").collect();
     assert_eq!(prepares.len(), 3);
@@ -223,7 +223,7 @@ fn registry_round_trips_through_prometheus_exposition() {
     for h in histories(5) {
         engine.submit(&h, 5).wait().expect("reply");
     }
-    let snap = engine.metrics();
+    let snap = engine.stats().snapshot;
     let registry = engine.metrics_registry();
 
     let text = expo::render(&registry);
@@ -253,6 +253,6 @@ fn registry_round_trips_through_prometheus_exposition() {
     );
     // Determinism satellite: rendering twice with no traffic in between
     // is byte-identical (sorted names, no timestamps).
-    engine.shutdown();
+    engine.shutdown_stats();
     assert_eq!(expo::render(&registry), expo::render(&registry));
 }

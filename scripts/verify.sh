@@ -31,6 +31,17 @@ if git grep -nE 'VSAN_DISABLE_(FAST_PATH|ANN)' -- crates tests src examples scri
   exit 1
 fi
 
+# Performance numbers come only from fresh benchmark/ runs: its
+# retrieval_100k check holds full-probe equality and recall, and every
+# traced run measures client.trace_overhead_pct. A committed report
+# would be a number nothing re-measures.
+echo "==> no committed results/BENCH_* reports"
+if [ -n "$(git ls-files 'results/BENCH_*')" ]; then
+  git ls-files 'results/BENCH_*'
+  echo "performance reports are not committed; run benchmark/run.sh instead" >&2
+  exit 1
+fi
+
 # Run one `cargo test` command whole: it must pass, and no target may
 # report an ignored test (a gate that quietly shelves a case only gates
 # what is left). The output stays in ${out} for further checks.
@@ -142,40 +153,6 @@ fi
 echo "==> vsan-tensor unit tests, release profile"
 cargo test -q --offline --release -p vsan-tensor --lib
 
-# The committed retrieval report must attest the recall gate — every
-# catalog size holds recall@50 >= 0.95 against the exact oracle — and
-# the million-item speedup claim (clustered >= 5x brute force).
-echo "==> results/BENCH_retrieval.json recall_at_50 >= 0.95 + speedup attestations"
-if [ ! -f results/BENCH_retrieval.json ]; then
-  echo "results/BENCH_retrieval.json missing — run: cargo run --release -p vsan-bench --bin retrieval_bench" >&2
-  exit 1
-fi
-if ! grep -q '"full_probe_bitwise": true' results/BENCH_retrieval.json; then
-  echo "results/BENCH_retrieval.json lacks \"full_probe_bitwise\": true" >&2
-  exit 1
-fi
-if ! awk '
-  /"recall_at_50"/ {
-    for (i = 1; i <= NF; i++) if ($i ~ /"recall_at_50":/) {
-      v = $(i + 1); gsub(/[,}]/, "", v); n++
-      if (v + 0 < 0.95) bad = 1
-    }
-  }
-  END { exit (n == 0 || bad) }
-' results/BENCH_retrieval.json; then
-  echo "a \"recall_at_50\" in results/BENCH_retrieval.json is missing or < 0.95" >&2
-  exit 1
-fi
-speedup="$(sed -n 's/.*"min_clustered_speedup": \([0-9.]*\).*/\1/p' results/BENCH_retrieval.json | head -n1)"
-if [ -z "${speedup}" ]; then
-  echo "results/BENCH_retrieval.json lacks \"min_clustered_speedup\" — regenerate with retrieval_bench" >&2
-  exit 1
-fi
-if ! awk -v s="${speedup}" 'BEGIN { exit !(s >= 5.0) }'; then
-  echo "min_clustered_speedup ${speedup} < 5.0 — the index no longer pays for itself at 1M items" >&2
-  exit 1
-fi
-
 # One-core schedule: a session event is answered before its state is
 # re-prepared, and a pool worker catches the state up afterwards
 # (DESIGN.md §11), so which thread prepares what depends on the
@@ -189,41 +166,6 @@ if command -v taskset >/dev/null 2>&1; then
   taskset -c 0 cargo test -q --offline -p vsan-serve --test session --test trace
 else
   echo "==> taskset not found: skipping the one-core session + trace schedule"
-fi
-
-# The committed serving report must attest that tracing is effectively
-# free: p50/p99 latency with the flight recorder on regresses < 3%
-# against the same engine with tracing disabled, the traced and
-# untraced twins served identical bits, and at least one histogram
-# carries a real (nonzero) trace-id exemplar.
-echo "==> results/BENCH_serve.json trace_overhead < 3% attestation"
-if [ ! -f results/BENCH_serve.json ]; then
-  echo "results/BENCH_serve.json missing — run: cargo run --release -p vsan-bench --bin serve_bench" >&2
-  exit 1
-fi
-if ! grep -q '"trace_overhead"' results/BENCH_serve.json; then
-  echo "results/BENCH_serve.json lacks the trace_overhead phase — regenerate with serve_bench" >&2
-  exit 1
-fi
-for q in p50 p99; do
-  pct="$(sed -n "s/.*\"${q}_overhead_pct\": \(-\{0,1\}[0-9.]*\).*/\1/p" results/BENCH_serve.json | head -n1)"
-  if [ -z "${pct}" ]; then
-    echo "results/BENCH_serve.json lacks \"${q}_overhead_pct\" — regenerate with serve_bench" >&2
-    exit 1
-  fi
-  if ! awk -v p="${pct}" 'BEGIN { exit !(p < 3.0) }'; then
-    echo "${q} tracing overhead ${pct}% >= 3% — tracing is no longer effectively free" >&2
-    exit 1
-  fi
-done
-if ! grep -q '"results_match": true' results/BENCH_serve.json; then
-  echo "results/BENCH_serve.json lacks \"results_match\": true — tracing changed served bits" >&2
-  exit 1
-fi
-exemplar="$(sed -n 's/.*"exemplar_trace": *"\([0-9a-f]*\)".*/\1/p' results/BENCH_serve.json | head -n1)"
-if [ -z "${exemplar}" ] || [ "${exemplar}" = "0000000000000000" ]; then
-  echo "results/BENCH_serve.json lacks a nonzero \"exemplar_trace\" — regenerate with serve_bench" >&2
-  exit 1
 fi
 
 # Instrumented smoke pass: trains and serves with full telemetry

@@ -184,5 +184,5 @@ fn eval_logits_match_the_golden_fixture_bit_for_bit() {
             assert_eq!(streamed, engine.model().recommend(history, 5));
         }
     }
-    engine.shutdown();
+    engine.shutdown_stats();
 }
