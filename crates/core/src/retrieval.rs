@@ -14,8 +14,13 @@
 //!    the same `(score desc, id asc)` heap
 //!    ([`vsan_eval::top_n_excluding_pairs`]).
 //!
-//! Survivor scores are **bit-identical** to the exact path's logits: in
-//! tied mode both are `matmul_a_bt` folds over the same item rows; in
+//! Survivor scores are **bit-identical** to the exact path's logits:
+//! each is one scalar fold over `k` in ascending order, from `+0.0`,
+//! without FMA. The exact head folds the query against item rows
+//! (`matmul_a_bt_into`); the index stores each cluster as a k-major
+//! `(dim, cnt)` panel and scores it with the tiled
+//! [`vsan_tensor::ops::matmul::matmul_into`], lanes across items — a
+//! lane is a different item, so every item's fold is untouched. In
 //! untied mode the index stores `[W[:, j] ; b_j]` and augments the query
 //! with a trailing `1.0`, so the fold ends with `… + 1.0·b_j`, the same
 //! IEEE sequence as the exact path's matmul-then-`add_bias_rows`. With
@@ -26,6 +31,12 @@
 //! `benchmark/` checks recall@50 ≥ 0.9 against the exact oracle on
 //! every run.
 //!
+//! The history is excluded by position, not by a set lookup per
+//! candidate: an indexed item sits in exactly one slot (its cluster's
+//! ascending `ids`), so dropping those slots before selection leaves the
+//! candidate set the set test would have kept, and selection is a pure
+//! function of that set.
+//!
 //! Exact brute-force scoring stays deployable through configuration:
 //! [`Retrieval::Exact`] (the default) builds no index, and
 //! [`crate::Vsan::try_recommend_batch`] serves exact whenever no index is
@@ -34,7 +45,7 @@
 use std::collections::HashSet;
 
 use vsan_tensor::cluster::{cluster_rows, KmeansConfig};
-use vsan_tensor::ops::matmul_a_bt_into;
+use vsan_tensor::ops::matmul::{matmul_a_bt_into, matmul_into};
 
 /// How [`crate::Vsan::recommend_batch`] retrieves top-k items.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -85,8 +96,8 @@ impl ClusteredConfig {
     }
 }
 
-/// The built index: centroids plus item vectors regrouped by cluster for
-/// contiguous re-rank scans.
+/// The built index: centroids plus item vectors regrouped by cluster,
+/// each cluster a contiguous k-major panel for the tiled re-rank.
 ///
 /// Item id 0 (the padding slot) is never indexed; row `i` of the input
 /// corresponds to item id `i + 1`. Builds are bit-reproducible from the
@@ -102,11 +113,14 @@ pub struct ItemIndex {
     nprobe: usize,
     /// `(num_clusters, dim)` centroids.
     centroids: Vec<f32>,
-    /// Item vectors regrouped by cluster, `(indexed, dim)`.
-    vecs: Vec<f32>,
-    /// Item id of each regrouped row.
+    /// Item vectors regrouped by cluster: cluster `c`'s `cnt` members
+    /// form a `(dim, cnt)` panel at `offsets[c] * dim`, component `t` of
+    /// the member in slot `s` at `t * cnt + s`.
+    panels: Vec<f32>,
+    /// Item id of each slot, ascending within a cluster.
     ids: Vec<u32>,
-    /// Cluster row ranges into `vecs`/`ids`, `num_clusters + 1` entries.
+    /// Cluster slot ranges into `ids` (and, times `dim`, into `panels`),
+    /// `num_clusters + 1` entries.
     offsets: Vec<usize>,
     /// Cluster per item, indexed by `item_id - 1`.
     assignments: Vec<u32>,
@@ -115,12 +129,12 @@ pub struct ItemIndex {
 
 impl ItemIndex {
     /// Index a tied prediction head: item vectors are the embedding-table
-    /// rows themselves (ids `1..vocab`; the id-0 padding row is skipped).
+    /// rows themselves (ids `1..vocab`; the id-0 padding row is skipped),
+    /// read in place.
     pub fn from_tied(table: &[f32], d: usize, vocab: usize, cfg: &ClusteredConfig) -> Self {
         assert!(vocab >= 2, "need at least one real item besides padding");
         assert_eq!(table.len(), vocab * d, "table must be (vocab, d)");
-        let vectors = table[d..vocab * d].to_vec();
-        Self::build(vectors, d, vocab - 1, false, cfg)
+        Self::build(&table[d..], d, vocab - 1, false, cfg)
     }
 
     /// Index an untied prediction head `logits = h·W + b` with `W` of
@@ -141,10 +155,10 @@ impl ItemIndex {
             }
             row[d] = bias[j];
         }
-        Self::build(vectors, dim, vocab - 1, true, cfg)
+        Self::build(&vectors, dim, vocab - 1, true, cfg)
     }
 
-    fn build(vectors: Vec<f32>, dim: usize, indexed: usize, augmented: bool, cfg: &ClusteredConfig) -> Self {
+    fn build(vectors: &[f32], dim: usize, indexed: usize, augmented: bool, cfg: &ClusteredConfig) -> Self {
         let (num_clusters, nprobe) = cfg.resolve(indexed);
         let km = KmeansConfig {
             num_clusters,
@@ -152,12 +166,12 @@ impl ItemIndex {
             train_sample: cfg.train_sample,
             seed: cfg.seed,
         };
-        let clustering = cluster_rows(&vectors, indexed, dim, &km);
+        let clustering = cluster_rows(vectors, indexed, dim, &km);
         let num_clusters = clustering.num_clusters;
 
         // Regroup rows by cluster, ascending item id within each cluster
-        // (counting sort over an ascending scan is stable), so the
-        // re-rank scan feeds `top_n_excluding_pairs` contiguously.
+        // (counting sort over an ascending scan is stable), each row
+        // written straight into its column of the cluster's panel.
         let mut counts = vec![0usize; num_clusters];
         for &c in &clustering.assignments {
             counts[c as usize] += 1;
@@ -167,12 +181,17 @@ impl ItemIndex {
             offsets[c + 1] = offsets[c] + counts[c];
         }
         let mut cursor = offsets[..num_clusters].to_vec();
-        let mut vecs = vec![0.0f32; indexed * dim];
+        let mut panels = vec![0.0f32; indexed * dim];
         let mut ids = vec![0u32; indexed];
         for (row, &c) in clustering.assignments.iter().enumerate() {
-            let slot = cursor[c as usize];
-            cursor[c as usize] += 1;
-            vecs[slot * dim..(slot + 1) * dim].copy_from_slice(&vectors[row * dim..(row + 1) * dim]);
+            let c = c as usize;
+            let (lo, cnt) = (offsets[c], counts[c]);
+            let slot = cursor[c];
+            cursor[c] += 1;
+            let panel = &mut panels[lo * dim..(lo + cnt) * dim];
+            for (t, &v) in vectors[row * dim..(row + 1) * dim].iter().enumerate() {
+                panel[t * cnt + slot - lo] = v;
+            }
             ids[slot] = (row + 1) as u32;
         }
         ItemIndex {
@@ -181,7 +200,7 @@ impl ItemIndex {
             num_clusters,
             nprobe: nprobe.min(num_clusters),
             centroids: clustering.centroids,
-            vecs,
+            panels,
             ids,
             offsets,
             assignments: clustering.assignments,
@@ -255,48 +274,98 @@ impl ItemIndex {
             q.push(1.0);
         }
 
-        // Coarse stage: inner product against every centroid.
-        let mut cscores = vec![0.0f32; self.num_clusters];
-        matmul_a_bt_into(&q, &self.centroids, &mut cscores, 1, self.dim, self.num_clusters);
-        let mut order: Vec<usize> = (0..self.num_clusters).collect();
-        order.sort_by(|&a, &b| {
-            cscores[b]
-                .partial_cmp(&cscores[a])
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then_with(|| a.cmp(&b))
-        });
+        let order = self.probe_order(&q);
 
-        // Visit clusters until the probe budget is spent AND enough
-        // candidates exist to fill k even if every excluded id were among
-        // them — so result length always matches the exact path.
+        // Probe list: visit clusters until the probe budget is spent AND
+        // enough candidates exist to fill k even if every excluded id
+        // were among them. Cluster sizes are in `offsets`, so the list is
+        // fixed before anything is scored.
         let nprobe = nprobe.clamp(1, self.num_clusters);
         let need = k.saturating_add(exclude.len());
-        let mut pairs: Vec<(u32, f32)> = Vec::new();
-        let mut scores: Vec<f32> = Vec::new();
         let mut probed = 0usize;
+        let mut survivors = 0usize;
         for (visited, &c) in order.iter().enumerate() {
-            if visited >= nprobe && pairs.len() >= need {
+            if visited >= nprobe && survivors >= need {
                 break;
             }
             probed += 1;
-            let (lo, hi) = (self.offsets[c], self.offsets[c + 1]);
-            let cnt = hi - lo;
-            if cnt == 0 {
-                continue;
-            }
-            scores.resize(cnt, 0.0);
-            matmul_a_bt_into(
-                &q,
-                &self.vecs[lo * self.dim..hi * self.dim],
-                &mut scores[..cnt],
-                1,
-                self.dim,
-                cnt,
-            );
-            pairs.extend(self.ids[lo..hi].iter().zip(&scores[..cnt]).map(|(&id, &s)| (id, s)));
+            survivors += self.offsets[c + 1] - self.offsets[c];
         }
-        let stats = QueryStats { probed_clusters: probed, survivors: pairs.len() };
-        (vsan_eval::top_n_excluding_pairs(pairs, k, exclude), stats)
+
+        // The history's slots, ascending: an indexed item's cluster is its
+        // assignment and its slot a binary search in that cluster's
+        // ascending ids. Padding and ids past the catalog have no slot.
+        let mut excluded: Vec<usize> = exclude
+            .iter()
+            .filter_map(|&id| {
+                let c = *self.assignments.get((id as usize).checked_sub(1)?)? as usize;
+                let lo = self.offsets[c];
+                let at = self.ids[lo..self.offsets[c + 1]].binary_search(&id);
+                Some(lo + at.expect("an indexed item sits in its cluster's ids"))
+            })
+            .collect();
+        excluded.sort_unstable();
+
+        // Exact re-rank: one tiled panel product per probed cluster, then
+        // every slot but the history's into the candidates.
+        let mut pairs: Vec<(u32, f32)> = Vec::with_capacity(survivors);
+        let mut scores: Vec<f32> = Vec::new();
+        let mut finite = 0usize;
+        for (visited, &c) in order.iter().enumerate() {
+            // A non-finite score never ranks, on either path: past the
+            // planned list, keep probing while fewer than `k` rankable
+            // candidates are held. With every score finite the floor
+            // already guarantees `k` of them.
+            if visited >= probed && finite >= k {
+                break;
+            }
+            let (lo, hi) = (self.offsets[c], self.offsets[c + 1]);
+            if visited >= probed {
+                probed += 1;
+                survivors += hi - lo;
+            }
+            self.score_cluster(&q, c, &mut scores);
+            let from = pairs.len();
+            let mut start = lo;
+            let in_block = excluded.partition_point(|&s| s < lo)..excluded.partition_point(|&s| s < hi);
+            for &end in excluded[in_block].iter().chain([&hi]) {
+                let members = self.ids[start..end].iter().zip(&scores[start - lo..end - lo]);
+                pairs.extend(members.map(|(&id, &s)| (id, s)));
+                start = end + 1;
+            }
+            finite += pairs[from..].iter().filter(|p| p.1.is_finite()).count();
+        }
+        let stats = QueryStats { probed_clusters: probed, survivors };
+        (vsan_eval::top_n_excluding_pairs(pairs, k, &HashSet::new()), stats)
+    }
+
+    /// Coarse stage: clusters by descending inner product of `q` (the
+    /// augmented query) with their centroid, ties to the lower cluster id.
+    /// A NaN score sorts after every number, so the order is total and
+    /// the probe list well defined whatever the item vectors hold.
+    fn probe_order(&self, q: &[f32]) -> Vec<usize> {
+        let mut cscores = vec![0.0f32; self.num_clusters];
+        matmul_a_bt_into(q, &self.centroids, &mut cscores, 1, self.dim, self.num_clusters);
+        let mut order: Vec<usize> = (0..self.num_clusters).collect();
+        order.sort_by(|&a, &b| {
+            let (sa, sb) = (cscores[a], cscores[b]);
+            sb.partial_cmp(&sa)
+                .unwrap_or_else(|| sa.is_nan().cmp(&sb.is_nan()))
+                .then_with(|| a.cmp(&b))
+        });
+        order
+    }
+
+    /// Scores of cluster `c`'s members, by slot, into `out` (resized to
+    /// the cluster's size): the tiled `(1, dim) × (dim, cnt)` product over
+    /// the cluster's panel. The kernel accumulates, so `out` is zeroed
+    /// first; each score is then one ascending-`k` fold from `+0.0`, the
+    /// exact head's fold for that item.
+    fn score_cluster(&self, q: &[f32], c: usize, out: &mut Vec<f32>) {
+        let (lo, hi) = (self.offsets[c], self.offsets[c + 1]);
+        out.clear();
+        out.resize(hi - lo, 0.0);
+        matmul_into(q, &self.panels[lo * self.dim..hi * self.dim], out, 1, self.dim, hi - lo);
     }
 }
 
@@ -318,7 +387,9 @@ pub struct QueryStats {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeSet;
     use vsan_tensor::cluster::splitmix64;
+    use vsan_tensor::ops::matmul::reference;
 
     fn table(vocab: usize, d: usize, seed: u64) -> Vec<f32> {
         let mut s = seed;
@@ -420,5 +491,224 @@ mod tests {
         }
         let q = vec![0.1f32; d];
         assert_eq!(a.query(&q, 12, &HashSet::new()), b.query(&q, 12, &HashSet::new()));
+    }
+
+    /// Clusters in probe order for an (augmented) query `q`: descending
+    /// `reference::matmul_a_bt_into` centroid score, ties to the lower id.
+    fn reference_order(idx: &ItemIndex, q: &[f32]) -> Vec<usize> {
+        let mut cscores = vec![0.0f32; idx.num_clusters];
+        reference::matmul_a_bt_into(q, &idx.centroids, &mut cscores, 1, idx.dim, idx.num_clusters);
+        let mut order: Vec<usize> = (0..idx.num_clusters).collect();
+        order.sort_by(|&a, &b| {
+            cscores[b]
+                .partial_cmp(&cscores[a])
+                .unwrap_or(std::cmp::Ordering::Equal)
+                .then_with(|| a.cmp(&b))
+        });
+        order
+    }
+
+    /// The query as it ran before the panels: members scored row-major off
+    /// `vectors` (item `id` at row `id - 1`) by `reference::matmul_a_bt_into`,
+    /// candidates collected whole, the history excluded by the shared
+    /// heap's `HashSet` test.
+    fn reference_query(
+        idx: &ItemIndex,
+        vectors: &[f32],
+        q: &[f32],
+        k: usize,
+        exclude: &HashSet<u32>,
+        nprobe: usize,
+    ) -> (Vec<u32>, QueryStats) {
+        let nprobe = nprobe.clamp(1, idx.num_clusters);
+        let need = k + exclude.len();
+        let mut pairs: Vec<(u32, f32)> = Vec::new();
+        let mut probed = 0;
+        for (visited, c) in reference_order(idx, q).into_iter().enumerate() {
+            if visited >= nprobe && pairs.len() >= need {
+                break;
+            }
+            probed += 1;
+            let members = &idx.ids[idx.offsets[c]..idx.offsets[c + 1]];
+            let rows: Vec<f32> = members
+                .iter()
+                .flat_map(|&id| &vectors[(id as usize - 1) * idx.dim..][..idx.dim])
+                .copied()
+                .collect();
+            let mut scores = vec![0.0f32; members.len()];
+            reference::matmul_a_bt_into(q, &rows, &mut scores, 1, idx.dim, members.len());
+            pairs.extend(members.iter().copied().zip(scores));
+        }
+        let stats = QueryStats { probed_clusters: probed, survivors: pairs.len() };
+        (vsan_eval::top_n_excluding_pairs(pairs, k, exclude), stats)
+    }
+
+    fn uniform(n: usize, s: &mut u64) -> Vec<f32> {
+        (0..n).map(|_| (splitmix64(s) % 2000) as f32 / 1000.0 - 1.0).collect()
+    }
+
+    /// Partial probes against the pre-panel algorithm, tied and untied:
+    /// the same ids in the same order and the same probe telemetry at
+    /// `nprobe ∈ {1, nc/3, nc}`, and every panel score equal to the
+    /// row-major reference fold bit for bit. The builds' cluster sizes
+    /// cover every `cnt % 16`, so each strip of the tiled nest's
+    /// 16/8/4/2/1 cascade scores some cluster's tail.
+    #[test]
+    fn partial_probes_match_the_row_major_reference_bit_for_bit() {
+        let (vocab, d) = (1_201, 7);
+        let mut s = 41u64;
+        for augmented in [false, true] {
+            let mut remainders = BTreeSet::new();
+            for (num_clusters, seed) in [(40, 1), (60, 2), (25, 3)] {
+                let cfg = ClusteredConfig { num_clusters, seed, ..ClusteredConfig::default() };
+                let (idx, vectors) = if augmented {
+                    let w = uniform(d * vocab, &mut s);
+                    let bias = uniform(vocab, &mut s);
+                    let mut vectors = Vec::with_capacity((vocab - 1) * (d + 1));
+                    for j in 1..vocab {
+                        vectors.extend((0..d).map(|t| w[t * vocab + j]));
+                        vectors.push(bias[j]);
+                    }
+                    (ItemIndex::from_untied(&w, &bias, d, vocab, &cfg), vectors)
+                } else {
+                    let t = table(vocab, d, s);
+                    s += 1;
+                    (ItemIndex::from_tied(&t, d, vocab, &cfg), t[d..].to_vec())
+                };
+                let nc = idx.num_clusters();
+                remainders.extend(idx.offsets.windows(2).map(|w| (w[1] - w[0]) % 16));
+
+                let mut scores = Vec::new();
+                for _ in 0..4 {
+                    let hidden = uniform(d, &mut s);
+                    let mut q = hidden.clone();
+                    if augmented {
+                        q.push(1.0);
+                    }
+                    for c in 0..nc {
+                        idx.score_cluster(&q, c, &mut scores);
+                        for (slot, &got) in (idx.offsets[c]..).zip(&scores) {
+                            let row = &vectors[(idx.ids[slot] as usize - 1) * idx.dim..][..idx.dim];
+                            let mut want = [0.0f32];
+                            reference::matmul_a_bt_into(&q, row, &mut want, 1, idx.dim, 1);
+                            assert_eq!(got.to_bits(), want[0].to_bits(), "cluster {c}, slot {slot}");
+                        }
+                    }
+                    let history: HashSet<u32> =
+                        (0..30).map(|_| (splitmix64(&mut s) % (vocab as u64 + 4)) as u32).collect();
+                    for nprobe in [1, nc / 3, nc] {
+                        for k in [1, 10, 50] {
+                            for exclude in [&HashSet::new(), &history] {
+                                assert_eq!(
+                                    idx.query_with_probe_stats(&hidden, k, exclude, nprobe),
+                                    reference_query(&idx, &vectors, &q, k, exclude, nprobe),
+                                    "augmented {augmented}, {nc} clusters, nprobe {nprobe}, k {k}"
+                                );
+                            }
+                        }
+                    }
+                }
+            }
+            assert_eq!(remainders.len(), 16, "augmented {augmented}: cnt % 16 covered {remainders:?}");
+        }
+    }
+
+    /// History exclusion by slot over the edge histories, on a tied model
+    /// whose table holds one NaN row and one +inf row (their logits never
+    /// rank, on either path): padding and duplicate ids, excluded ids only
+    /// in unprobed clusters or past the catalog, a probed cluster's first
+    /// and last slot, and a history that fills the first cluster so the
+    /// `k + |exclude|` floor forces extra probes. Full probe equals
+    /// `recommend_batch_exact` in order; every probe width returns as many
+    /// items as exact — including a `k` that the planned probes hold
+    /// exactly, where a non-finite candidate is one short. Both k-means
+    /// trainings run: every row (the non-finite rows reach the
+    /// centroids) and a 64-row sample.
+    #[test]
+    fn exclusion_by_slot_matches_exact_over_edge_histories_and_non_finite_rows() {
+        use crate::{Vsan, VsanConfig};
+
+        let (vocab, d, nc) = (301, 6, 12);
+        let (nan_id, inf_id) = (17usize, 230usize);
+        let mut t = table(vocab, d, 8);
+        t[nan_id * d..][..d].fill(f32::NAN);
+        t[inf_id * d..][..d].fill(f32::INFINITY);
+        let mut cfg = VsanConfig::smoke().with_seed(3).with_threads(1);
+        cfg.base.dim = d;
+        cfg.base.max_seq_len = 6;
+        cfg.tie_prediction = true;
+        for train_sample in [0, 64] {
+            let mut model = Vsan::init(vocab, &cfg);
+            let id = model.params_mut().id_of("item_emb").expect("item table");
+            model.params_mut().get_mut(id).data_mut().copy_from_slice(&t);
+            model.set_retrieval(Retrieval::Clustered(ClusteredConfig {
+                num_clusters: nc,
+                nprobe: nc,
+                kmeans_iters: 4,
+                train_sample,
+                seed: 5,
+            }));
+
+            let histories: Vec<Vec<u32>> = vec![
+                vec![0, 0, 5, 5, 7, 0, 5],
+                vec![3],
+                vec![nan_id as u32, 4],
+                vec![9, inf_id as u32],
+            ];
+            let refs: Vec<&[u32]> = histories.iter().map(Vec::as_slice).collect();
+            assert_eq!(
+                model.try_recommend_batch(&refs, 40).expect("clustered path"),
+                model.recommend_batch_exact(&refs, 40).expect("exact oracle"),
+                "train_sample {train_sample}"
+            );
+
+            let idx = model.retrieval_index().expect("index built");
+            let size = |c: usize| idx.offsets[c + 1] - idx.offsets[c];
+            let members = |c: usize| idx.ids[idx.offsets[c]..idx.offsets[c + 1]].iter().copied();
+            for history in [&[2u32, 8, 11][..], &[40, 41]] {
+                let hidden = {
+                    let mut ws = model.workspace(1);
+                    model.try_last_hidden_batch_with(&[history], &mut ws).expect("hidden row")
+                };
+                let logits = model.try_score_items_batch(&[history]).expect("logits").remove(0);
+                // A tied index's query is the hidden row itself.
+                let order = idx.probe_order(&hidden);
+                let filled: Vec<usize> = order.iter().copied().filter(|&c| size(c) > 0).collect();
+                let (first, last) = (filled[0], filled[filled.len() - 1]);
+                let (lo, hi) = (idx.offsets[first], idx.offsets[first + 1]);
+                let next = filled.get(1).map(|&c| idx.ids[idx.offsets[c]]);
+                let floor: HashSet<u32> = members(first).chain(next).collect();
+                let edges: HashSet<u32> = [0, idx.ids[lo], idx.ids[hi - 1]].into();
+                let unprobed: HashSet<u32> =
+                    members(last).chain([vocab as u32, vocab as u32 + 7]).collect();
+                let non_finite: HashSet<u32> = [nan_id as u32, inf_id as u32].into();
+                // `(nprobe, k)`: the three named widths, `k` past the
+                // catalog, and every width with the `k` its planned
+                // probes hold exactly.
+                let mut cases = vec![(1, 1), (nc / 3, 10), (nc, 25), (1, vocab)];
+                let mut held = 0;
+                for (p, &c) in order.iter().enumerate() {
+                    held += size(c);
+                    cases.push((p + 1, held));
+                }
+                for exclude in [HashSet::new(), edges, unprobed, floor.clone(), non_finite] {
+                    for &(nprobe, k) in &cases {
+                        let exact = vsan_eval::top_n_excluding(&logits, k, &exclude);
+                        let (got, stats) = idx.query_with_probe_stats(&hidden, k, &exclude, nprobe);
+                        assert_eq!(
+                            got.len(),
+                            exact.len(),
+                            "train_sample {train_sample}, nprobe {nprobe}, k {k}, exclude {exclude:?}"
+                        );
+                        if nprobe == nc {
+                            assert_eq!(got, exact, "full probe, k {k}, exclude {exclude:?}");
+                        }
+                        if exclude == floor && nprobe == 1 && k > 0 {
+                            assert!(stats.probed_clusters > 1, "the floor must force extra probes");
+                        }
+                    }
+                }
+            }
+        }
     }
 }

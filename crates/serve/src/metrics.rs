@@ -180,7 +180,6 @@ impl Metrics {
 
     /// The stable counter view.
     pub fn snapshot(&self) -> MetricsSnapshot {
-        let lat = self.latency_us.snapshot();
         MetricsSnapshot {
             requests: self.requests.get(),
             cache_hits: self.cache_hits.get(),
@@ -190,8 +189,6 @@ impl Metrics {
             flush_full: self.flush_full.get(),
             flush_deadline: self.flush_deadline.get(),
             flush_shutdown: self.flush_shutdown.get(),
-            latency_us_sum: lat.sum,
-            latency_us_max: lat.max,
             deadline_misses: self.deadline_miss_admission.get()
                 + self.deadline_miss_pickup.get()
                 + self.deadline_miss_completion.get(),
@@ -260,10 +257,6 @@ pub struct MetricsSnapshot {
     pub flush_deadline: u64,
     /// Batches flushed while draining the queue at shutdown.
     pub flush_shutdown: u64,
-    /// Sum of request latencies (submit → reply) in microseconds.
-    pub latency_us_sum: u64,
-    /// Maximum single-request latency in microseconds.
-    pub latency_us_max: u64,
     /// Requests rejected `DeadlineExceeded` (admission + pickup +
     /// completion misses).
     pub deadline_misses: u64,
@@ -371,51 +364,6 @@ impl ServeStats {
     pub fn mean_batch_fill_pct(&self) -> f64 {
         self.batch_fill_pct.mean()
     }
-
-    /// One-line JSON object with the counters and per-distribution
-    /// summaries (count/mean/p50/p90/p99/max).
-    pub fn to_json(&self) -> String {
-        vsan_obs::JsonObj::new()
-            .u64("requests", self.snapshot.requests)
-            .u64("cache_hits", self.snapshot.cache_hits)
-            .u64("cache_misses", self.snapshot.cache_misses)
-            .u64("batches", self.snapshot.batches)
-            .u64("batched_requests", self.snapshot.batched_requests)
-            .u64("flush_full", self.snapshot.flush_full)
-            .u64("flush_deadline", self.snapshot.flush_deadline)
-            .u64("flush_shutdown", self.snapshot.flush_shutdown)
-            .i64("queue_depth", self.queue_depth)
-            .u64("deadline_misses", self.snapshot.deadline_misses)
-            .u64("rejected_newest", self.snapshot.rejected_newest)
-            .u64("shed_oldest", self.snapshot.shed_oldest)
-            .u64("load_shed", self.snapshot.load_shed)
-            .u64("degraded_responses", self.snapshot.degraded_responses)
-            .u64("overloaded_errors", self.snapshot.overloaded_errors)
-            .u64("worker_panics", self.snapshot.worker_panics)
-            .u64("worker_respawns", self.snapshot.worker_respawns)
-            .u64("requeued_requests", self.snapshot.requeued_requests)
-            .u64("dropped_batches", self.snapshot.dropped_batches)
-            .u64("model_errors", self.snapshot.model_errors)
-            .u64("cache_invalidate_misses", self.snapshot.cache_invalidate_misses)
-            .u64("session_appends", self.snapshot.session_appends)
-            .u64("session_cold_starts", self.snapshot.session_cold_starts)
-            .u64("session_resumes", self.snapshot.session_resumes)
-            .u64("session_resets", self.snapshot.session_resets)
-            .u64("session_evictions", self.snapshot.session_evictions)
-            .u64("session_refreshes", self.snapshot.session_refreshes)
-            .u64("session_refresh_skipped", self.snapshot.session_refresh_skipped)
-            .i64("sessions_live", self.sessions_live)
-            .i64("session_bytes", self.session_bytes)
-            .u64("retrieval_exact", self.snapshot.retrieval_exact)
-            .u64("retrieval_clustered", self.snapshot.retrieval_clustered)
-            .f64("mean_batch_fill_pct", self.mean_batch_fill_pct())
-            .raw("queue_wait_us", &self.queue_wait_us.summary_json())
-            .raw("compute_us", &self.compute_us.summary_json())
-            .raw("latency_us", &self.latency_us.summary_json())
-            .raw("retrieval_probes", &self.retrieval_probes.summary_json())
-            .raw("retrieval_survivors", &self.retrieval_survivors.summary_json())
-            .finish()
-    }
 }
 
 #[cfg(test)]
@@ -437,12 +385,13 @@ mod tests {
         let s = m.snapshot();
         assert_eq!(s.mean_batch_size(), 3.0);
         assert_eq!(s.cache_hit_rate(), 0.4);
-        assert_eq!(s.latency_us_max, 300);
-        assert_eq!(s.latency_us_sum, 400);
+        // Latency sum and max live on the histogram only.
+        let lat = m.stats().latency_us;
+        assert_eq!((lat.sum, lat.max), (400, 300));
     }
 
     #[test]
-    fn stats_json_roundtrips() {
+    fn stats_carry_counters_and_distributions() {
         let m = Metrics::new();
         m.requests.inc();
         m.queue_wait_us.record(50);
@@ -453,13 +402,11 @@ mod tests {
         m.session_refresh_skipped.inc();
         let stats = m.stats();
         assert_eq!(stats.mean_batch_fill_pct(), 100.0);
-        let v = vsan_obs::parse(&stats.to_json()).unwrap();
-        assert_eq!(v.get("requests").unwrap().as_u64(), Some(1));
-        assert_eq!(v.get("session_refreshes").unwrap().as_u64(), Some(3));
-        assert_eq!(v.get("session_refresh_skipped").unwrap().as_u64(), Some(1));
-        let lat = v.get("latency_us").unwrap();
-        assert_eq!(lat.get("count").unwrap().as_u64(), Some(1));
-        assert!(lat.get("p99").unwrap().as_u64().unwrap() >= 250);
+        assert_eq!(stats.snapshot.requests, 1);
+        assert_eq!(stats.snapshot.session_refreshes, 3);
+        assert_eq!(stats.snapshot.session_refresh_skipped, 1);
+        assert_eq!(stats.latency_us.count, 1);
+        assert!(stats.latency_us.percentile(0.99) >= 250);
     }
 
     #[test]

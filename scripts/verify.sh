@@ -146,6 +146,23 @@ if ! echo "${out}" | grep -q "^test result: ok. 4 passed; 0 failed; 0 ignored"; 
   exit 1
 fi
 
+# The clustered index's re-rank, held by name to its two in-module
+# oracles: partial probes against the row-major reference algorithm
+# (every k-major panel score bit for bit, cluster sizes over every
+# cnt % 16 strip tail, tied and untied), and the history excluded by slot
+# over the edge histories and a table with a NaN and a +inf row. A
+# rename, a filter that matches nothing or an `ignored` attribute fails
+# the gate instead of quietly removing the check.
+echo "==> clustered re-rank oracles"
+run_whole "clustered re-rank oracles" cargo test -q --offline -p vsan-core --lib -- --exact \
+  retrieval::tests::partial_probes_match_the_row_major_reference_bit_for_bit \
+  retrieval::tests::exclusion_by_slot_matches_exact_over_edge_histories_and_non_finite_rows
+if ! echo "${out}" | grep -q "^test result: ok. 2 passed; 0 failed; 0 ignored"; then
+  echo "${out}"
+  echo "the re-rank oracles did not run whole (expected 2 passed, 0 ignored)" >&2
+  exit 1
+fi
+
 # The same crate once more as it ships: optimized codegen is what serves
 # and trains, and `debug_assert!` is compiled out there, so this is the
 # run in which the stamped kernels' length checks (`assert_eq!`, with
