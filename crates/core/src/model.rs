@@ -419,7 +419,7 @@ impl Vsan {
         use std::collections::HashSet;
         let index = self.index.as_ref().ok_or("clustered retrieval index not built")?;
         let seen: HashSet<u32> = history.iter().copied().collect();
-        Ok(index.query_with_probe_stats(hidden, k, &seen, index.nprobe()))
+        Ok(index.query_with_probe_stats(hidden, k, &seen, 0))
     }
 
     /// Batched [`vsan_eval::Scorer::score_items`]: last-position logits

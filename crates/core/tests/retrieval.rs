@@ -1,18 +1,19 @@
 //! Differential suite: clustered retrieval vs the exact brute-force
 //! oracle ([`vsan_core::retrieval`], DESIGN.md §12).
 //!
-//! The clustered index is an *approximation with an exactness mode*:
-//! with `nprobe = num_clusters` every cluster is visited, the survivor
-//! re-rank runs the same IEEE fold as the exact prediction matmul, and
-//! the shared `(score desc, id asc)` comparator makes selection a pure
-//! function of the candidate set — so the full-probe clustered top-k
-//! must equal the exact top-k **bit for bit and in order**, on every
-//! configuration, tied or untied. Smaller probes may drop items but
-//! recall is monotone in `nprobe` (the probed-cluster list is a prefix
-//! of the larger probe's), result lengths never differ, and both paths
-//! reject the same errors. The clustered side is reached through
-//! `try_recommend_batch` on a model whose index is built, the exact side
-//! through `recommend_batch_exact` by name.
+//! The clustered index is an *approximation with two exactness modes*.
+//! With `slack = inf` every cluster is visited, the survivor re-rank runs
+//! the same IEEE fold as the exact prediction matmul, and the shared
+//! `(score desc, id asc)` comparator makes selection a pure function of
+//! the candidate set — so the full-probe clustered top-k must equal the
+//! exact top-k **bit for bit and in order**, on every configuration,
+//! tied or untied. With `slack = 1` the walk skips only clusters whose
+//! Cauchy–Schwarz bound (with its rounding margin) is below the k-th
+//! score, so every reply is certified and equals exact too; at smaller
+//! slack a certified reply still does. Result lengths never differ, and
+//! both paths reject the same errors. The clustered side is reached
+//! through `try_recommend_batch` on a model whose index is built, the
+//! exact side through `recommend_batch_exact` by name.
 
 use std::collections::HashSet;
 
@@ -48,12 +49,16 @@ fn clamp_histories(raw: &[Vec<u32>], vocab: usize) -> Vec<Vec<u32>> {
 }
 
 /// A small, fast index config with every knob pinned.
-fn cluster_cfg(num_clusters: usize, nprobe: usize, seed: u64) -> ClusteredConfig {
-    ClusteredConfig { num_clusters, nprobe, kmeans_iters: 2, train_sample: 4096, seed }
+fn cluster_cfg(num_clusters: usize, slack: f32, seed: u64) -> ClusteredConfig {
+    ClusteredConfig { num_clusters, slack, kmeans_iters: 2, train_sample: 4096, seed }
 }
 
+/// `slack = inf`: no bound is ever below the k-th score, so the walk
+/// visits every cluster.
+const FULL_PROBE: f32 = f32::INFINITY;
+
 proptest! {
-    /// The exactness mode: `nprobe = num_clusters` must reproduce the
+    /// The exactness mode: a full probe must reproduce the
     /// oracle's ranking bit for bit and in order, across widths, block
     /// counts, the ablation flags (bit 3 = tied prediction, exercising
     /// both index layouts), cluster counts, and batch shapes.
@@ -71,7 +76,7 @@ proptest! {
         raw_histories in collection::vec(collection::vec(0u32..4096, 0..12), 1..4),
     ) {
         let mut model = build_model(dim, n, vocab, h1, h2, flags, seed);
-        model.set_retrieval(Retrieval::Clustered(cluster_cfg(nc, nc, seed)));
+        model.set_retrieval(Retrieval::Clustered(cluster_cfg(nc, FULL_PROBE, seed)));
         let histories = clamp_histories(&raw_histories, vocab);
         let refs: Vec<&[u32]> = histories.iter().map(Vec::as_slice).collect();
 
@@ -84,66 +89,55 @@ proptest! {
         );
     }
 
-    /// Structural recall property: the probed-cluster list under the
-    /// shared total order is a prefix of any larger probe's list, so
-    /// oracle hits can only be gained as `nprobe` grows — never lost.
-    /// (A displaced candidate is only displaced by a higher-ranked one,
-    /// which itself belongs to the oracle top-k.)
+    /// The certificate: at `slack = 1` every reply is certified and
+    /// equals `recommend_batch_exact` bit for bit and in order; at the
+    /// default slack, every reply that says it is certified does. Tied
+    /// and untied heads (bit 3 of `flags`), with a history excluded.
     #[test]
-    fn recall_is_monotone_in_nprobe(
-        dim in 2usize..8,
-        vocab in 8usize..48,
-        nc in 2usize..8,
-        k in 1usize..10,
+    fn alpha_one_equals_exact_in_order(
+        dim in 2usize..10,
+        vocab in 8usize..200,
+        flags in 0u8..16,
+        nc in 2usize..16,
+        k in 1usize..12,
         seed in 0u64..10_000,
         raw_history in collection::vec(0u32..4096, 0..10),
     ) {
-        let mut model = build_model(dim, 4, vocab, 1, 1, 0b1000, seed);
-        model.set_retrieval(Retrieval::Clustered(cluster_cfg(nc, nc, seed)));
+        let mut model = build_model(dim, 4, vocab, 1, 1, flags, seed);
         let history = clamp_histories(&[raw_history], vocab).pop().unwrap();
         let refs: Vec<&[u32]> = vec![&history];
-
-        let index = model.retrieval_index().expect("index built");
+        let exact = model.recommend_batch_exact(&refs, k).expect("exact oracle").remove(0);
         let hidden = {
             let mut ws = model.workspace(1);
             model.try_last_hidden_batch_with(&refs, &mut ws).expect("hidden row")
         };
-        let seen: HashSet<u32> = history.iter().copied().collect();
-        let oracle: HashSet<u32> = index
-            .query_with_probe(&hidden, k, &seen, index.num_clusters())
-            .into_iter()
-            .collect();
-
-        let mut prev_hits = 0usize;
-        for np in 1..=index.num_clusters() {
-            let got = index.query_with_probe(&hidden, k, &seen, np);
-            let hits = got.iter().filter(|item| oracle.contains(item)).count();
-            prop_assert!(
-                hits >= prev_hits,
-                "recall dropped from {} to {} when nprobe grew to {} (of {})",
-                prev_hits, hits, np, index.num_clusters()
-            );
-            prev_hits = hits;
+        for slack in [1.0, ClusteredConfig::default().slack] {
+            model.set_retrieval(Retrieval::Clustered(cluster_cfg(nc, slack, seed)));
+            let (got, stats) =
+                model.recommend_from_hidden_stats(&hidden, &history, k).expect("clustered path");
+            prop_assert!(stats.certified || slack < 1.0, "slack 1 left a reply uncertified: {:?}", stats);
+            if stats.certified {
+                prop_assert_eq!(&got, &exact, "certified reply diverged at slack {}: {:?}", slack, stats);
+            }
         }
-        prop_assert_eq!(prev_hits, oracle.len(), "full probe must recover the oracle set");
     }
 
-    /// Result-length parity: the clustered path keeps probing past
-    /// `nprobe` until it holds enough candidates, so even `nprobe = 1`
-    /// returns exactly as many items as the oracle — including the
-    /// `k > N` regime where both exhaust the catalog.
+    /// Result-length parity: the walk skips nothing until it holds `k`
+    /// rankable candidates, so even `slack = 0` returns exactly as many
+    /// items as the oracle — including the `k > N` regime where both
+    /// exhaust the catalog.
     #[test]
     fn result_lengths_match_at_any_probe(
         dim in 2usize..8,
         vocab in 4usize..32,
         nc in 1usize..8,
-        np in 1usize..8,
+        slack in 0.0f32..1.0,
         k in 1usize..64,
         seed in 0u64..10_000,
         raw_history in collection::vec(0u32..4096, 0..10),
     ) {
         let mut model = build_model(dim, 4, vocab, 1, 1, 0b1000, seed);
-        model.set_retrieval(Retrieval::Clustered(cluster_cfg(nc, np, seed)));
+        model.set_retrieval(Retrieval::Clustered(cluster_cfg(nc, slack, seed)));
         let history = clamp_histories(&[raw_history], vocab).pop().unwrap();
         let refs: Vec<&[u32]> = vec![&history];
 
@@ -154,10 +148,10 @@ proptest! {
 }
 
 /// Numeric recall floor on a *structured* catalog (topic-clustered
-/// embeddings, like the benchmark's `million_item` preset): probing a
-/// fifth of the clusters must recover nearly all of the oracle top-10.
-/// Random-Gaussian catalogs get no such floor — their clusters carry
-/// no signal, which is what the monotonicity property above is for.
+/// embeddings, like the benchmark's `million_item` preset): the default
+/// slack must recover nearly all of the oracle top-10. Random-Gaussian
+/// catalogs get no such floor — their clusters carry no signal, which
+/// is what the certificate property above is for.
 #[test]
 fn structured_catalog_recall_floor() {
     use rand::rngs::StdRng;
@@ -179,7 +173,7 @@ fn structured_catalog_recall_floor() {
     }
     let id = model.params_mut().id_of("item_emb").expect("item table");
     model.params_mut().get_mut(id).data_mut().copy_from_slice(&table);
-    model.set_retrieval(Retrieval::Clustered(cluster_cfg(40, 8, 5)));
+    model.set_retrieval(Retrieval::Clustered(cluster_cfg(40, ClusteredConfig::default().slack, 5)));
 
     let histories: Vec<Vec<u32>> =
         (0..16).map(|_| (0..4).map(|_| rng.gen_range(1..=num_items as u32)).collect()).collect();
@@ -195,7 +189,7 @@ fn structured_catalog_recall_floor() {
         total += e.len();
     }
     let recall = hits as f64 / total.max(1) as f64;
-    assert!(recall >= 0.9, "recall@10 {recall} on a topic-structured catalog (8/40 probes)");
+    assert!(recall >= 0.9, "recall@10 {recall} on a topic-structured catalog (default slack)");
 }
 
 /// Both paths must reject an out-of-vocabulary id with the *same*
@@ -204,7 +198,7 @@ fn structured_catalog_recall_floor() {
 #[test]
 fn both_paths_reject_oov_identically() {
     let mut model = build_model(4, 4, 8, 1, 1, 0b1000, 7);
-    model.set_retrieval(Retrieval::Clustered(cluster_cfg(2, 2, 7)));
+    model.set_retrieval(Retrieval::Clustered(cluster_cfg(2, FULL_PROBE, 7)));
     let bad: &[&[u32]] = &[&[1, 2, 300]];
     let exact = model.recommend_batch_exact(bad, 3).expect_err("exact must reject id 300");
     let clustered =
@@ -217,7 +211,7 @@ fn both_paths_reject_oov_identically() {
 #[test]
 fn k_beyond_catalog_is_identical() {
     let mut model = build_model(6, 4, 33, 1, 1, 0b1000, 11);
-    model.set_retrieval(Retrieval::Clustered(cluster_cfg(4, 1, 11)));
+    model.set_retrieval(Retrieval::Clustered(cluster_cfg(4, 0.0, 11)));
     let history: Vec<u32> = (1..=10).collect();
     let refs: Vec<&[u32]> = vec![&history];
     let exact = model.recommend_batch_exact(&refs, 500).expect("exact oracle");
@@ -242,7 +236,7 @@ fn equal_scores_order_by_item_id_on_both_paths() {
     }
     let id = model.params_mut().id_of("item_emb").expect("item table");
     model.params_mut().get_mut(id).data_mut().copy_from_slice(&table);
-    model.set_retrieval(Retrieval::Clustered(cluster_cfg(3, 3, 13)));
+    model.set_retrieval(Retrieval::Clustered(cluster_cfg(3, 1.0, 13)));
 
     let history: Vec<u32> = vec![2, 5];
     let refs: Vec<&[u32]> = vec![&history];
@@ -258,7 +252,7 @@ fn equal_scores_order_by_item_id_on_both_paths() {
 /// checkpoint round-trip into a *differently seeded* model.
 #[test]
 fn index_rebuild_is_deterministic_across_checkpoint_reload() {
-    let cfg = cluster_cfg(5, 2, 17);
+    let cfg = cluster_cfg(5, ClusteredConfig::default().slack, 17);
     let mut a = build_model(6, 4, 40, 1, 1, 0b1000, 17);
     a.set_retrieval(Retrieval::Clustered(cfg.clone()));
     let assign_1 = a.retrieval_index().unwrap().assignments().to_vec();
@@ -297,7 +291,7 @@ fn retrieval_mode_routes_try_recommend_batch() {
     let refs: Vec<&[u32]> = histories.iter().map(Vec::as_slice).collect();
     let exact = model.recommend_batch_exact(&refs, 5).expect("exact oracle");
 
-    model.set_retrieval(Retrieval::Clustered(cluster_cfg(3, 3, 23)));
+    model.set_retrieval(Retrieval::Clustered(cluster_cfg(3, FULL_PROBE, 23)));
     assert!(model.retrieval_index().is_some(), "clustered mode builds the index");
     assert_eq!(model.try_recommend_batch(&refs, 5).expect("clustered path"), exact);
 

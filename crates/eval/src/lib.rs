@@ -14,14 +14,12 @@
 //! * [`report`] — multi-seed aggregation (the paper reports the average of
 //!   five runs) and paper-style table formatting.
 
-pub mod diversity;
 pub mod metrics;
 pub mod protocol;
 pub mod ranking;
 pub mod significance;
 pub mod report;
 
-pub use diversity::DiversityStats;
 pub use metrics::MetricSet;
 pub use protocol::{evaluate_held_out, evaluate_held_out_per_user, EvalConfig, Scorer};
 pub use significance::{paired_bootstrap, BootstrapResult};

@@ -26,8 +26,10 @@ pub fn top_n_excluding(scores: &[f32], n: usize, exclude: &HashSet<u32>) -> Vec<
 /// pure function of the *set* of pairs fed in: insertion order never
 /// affects the result (the comparator `(score desc, item asc)` is a total
 /// order over the finite pairs, and the heap keeps the n best under it).
-/// That is the property that makes clustered top-k with
-/// `nprobe = num_clusters` bit-identical, in order, to the exact path.
+/// That is the property that makes clustered top-k bit-identical, in
+/// order, to the exact path whenever the index's walk visits every
+/// cluster that could hold a top-k item: a full probe, slack 1, or any
+/// reply it certifies.
 pub fn top_n_excluding_pairs<I>(pairs: I, n: usize, exclude: &HashSet<u32>) -> Vec<u32>
 where
     I: IntoIterator<Item = (u32, f32)>,

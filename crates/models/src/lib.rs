@@ -29,16 +29,12 @@
 //! Neural baselines are trained with full-softmax cross-entropy (rather
 //! than the sampled losses some original papers used) for comparability
 //! with VSAN's Eq. 20 objective; this is noted per-model.
-//!
-//! [`itemknn`] adds Item-kNN as a workspace extension beyond the paper's
-//! baseline set (see its module docs).
 
 pub mod bpr;
 pub mod caser;
 pub mod common;
 pub mod fpmc;
 pub mod gru4rec;
-pub mod itemknn;
 pub mod pop;
 pub mod sasrec;
 pub mod svae;
@@ -55,7 +51,6 @@ pub use vsan_obs::{
 };
 pub use fpmc::Fpmc;
 pub use gru4rec::Gru4Rec;
-pub use itemknn::ItemKnn;
 pub use pop::Pop;
 pub use sasrec::SasRec;
 pub use svae::Svae;

@@ -40,7 +40,6 @@ pub mod embedding;
 pub mod gru;
 pub mod layernorm;
 pub mod linear;
-pub mod lr_schedule;
 pub mod optim;
 pub mod param;
 pub mod schedule;
@@ -52,7 +51,6 @@ pub use embedding::Embedding;
 pub use gru::GruCell;
 pub use layernorm::LayerNorm;
 pub use linear::Linear;
-pub use lr_schedule::LrSchedule;
 pub use optim::{Adam, Optimizer, Sgd};
 pub use param::{ParamId, ParamStore};
 pub use schedule::BetaSchedule;

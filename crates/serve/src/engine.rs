@@ -1327,6 +1327,9 @@ fn process_batch(inner: &Inner, slots: &mut [Option<Request>], ws: &mut vsan_cor
             {
                 Ok((recs, qs)) => {
                     inner.metrics.retrieval_clustered.inc();
+                    if qs.certified {
+                        inner.metrics.retrieval_certified.inc();
+                    }
                     inner.metrics.retrieval_probes.record(qs.probed_clusters as u64);
                     inner.metrics.retrieval_survivors.record(qs.survivors as u64);
                     // attr packs the probe stats: probed clusters in the

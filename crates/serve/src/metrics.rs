@@ -109,6 +109,9 @@ pub(crate) struct Metrics {
     pub retrieval_exact: Arc<Counter>,
     /// Requests scored through the clustered MIPS index.
     pub retrieval_clustered: Arc<Counter>,
+    /// Clustered replies the index certified exact (no skipped cluster's
+    /// slack-1 bound reached the k-th score).
+    pub retrieval_certified: Arc<Counter>,
     /// Clusters probed per clustered query (coarse-stage width).
     pub retrieval_probes: Arc<Histogram>,
     /// Candidates surviving into the exact re-rank per clustered query.
@@ -166,6 +169,7 @@ impl Metrics {
             session_bytes: registry.gauge("session.bytes"),
             retrieval_exact: registry.counter("serve.retrieval_exact"),
             retrieval_clustered: registry.counter("serve.retrieval_clustered"),
+            retrieval_certified: registry.counter("serve.retrieval_certified"),
             retrieval_probes: registry.histogram("serve.retrieval_probes"),
             retrieval_survivors: registry.histogram("serve.retrieval_survivors"),
             registry,
@@ -212,6 +216,7 @@ impl Metrics {
             session_refresh_skipped: self.session_refresh_skipped.get(),
             retrieval_exact: self.retrieval_exact.get(),
             retrieval_clustered: self.retrieval_clustered.get(),
+            retrieval_certified: self.retrieval_certified.get(),
         }
     }
 
@@ -304,6 +309,9 @@ pub struct MetricsSnapshot {
     pub retrieval_exact: u64,
     /// Requests scored through the clustered MIPS index.
     pub retrieval_clustered: u64,
+    /// Of those, replies certified exact (`retrieval_certified /
+    /// retrieval_clustered` is a recall signal that needs no oracle).
+    pub retrieval_certified: u64,
 }
 
 impl MetricsSnapshot {

@@ -26,10 +26,11 @@ fn trained_model() -> Vsan {
     Vsan::train(&ds, &train_users, &serve_cfg()).expect("smoke training")
 }
 
-/// A full-probe index config: every cluster visited, so the engine's
-/// clustered answers must equal the exact oracle's.
+/// A full-probe index config: with `slack = inf` no bound is below the
+/// k-th score, every cluster is visited, so the engine's clustered
+/// answers must equal the exact oracle's.
 fn full_probe() -> ClusteredConfig {
-    ClusteredConfig { num_clusters: 3, nprobe: 3, kmeans_iters: 2, train_sample: 4096, seed: 7 }
+    ClusteredConfig { num_clusters: 3, slack: f32::INFINITY, kmeans_iters: 2, train_sample: 4096, seed: 7 }
 }
 
 #[test]
@@ -111,6 +112,8 @@ fn retrieval_path_counters_account_for_every_batch_answer() {
     // Exactly one retrieval-path resolution per request: the index.
     assert_eq!(m.retrieval_clustered, histories.len() as u64);
     assert_eq!(m.retrieval_exact, 0);
+    // A full probe skips nothing, so every reply is certified exact.
+    assert_eq!(m.retrieval_certified, histories.len() as u64);
     // One probe/survivor observation per clustered answer; at full
     // probe every cluster is visited.
     assert_eq!(stats.retrieval_probes.count, histories.len() as u64);
@@ -130,6 +133,7 @@ fn retrieval_path_counters_account_for_every_batch_answer() {
     let stats = engine.shutdown_stats();
     assert_eq!(stats.snapshot.retrieval_exact, histories.len() as u64);
     assert_eq!(stats.snapshot.retrieval_clustered, 0);
+    assert_eq!(stats.snapshot.retrieval_certified, 0);
     assert_eq!(stats.retrieval_probes.count, 0);
     assert_eq!(stats.retrieval_survivors.count, 0);
 }

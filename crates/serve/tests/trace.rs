@@ -237,6 +237,7 @@ fn registry_round_trips_through_prometheus_exposition() {
     for name in [
         "serve_retrieval_exact",
         "serve_retrieval_clustered",
+        "serve_retrieval_certified",
         "serve_cache_hits",
         "serve_batches",
         "session_refreshes",

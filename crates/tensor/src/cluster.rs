@@ -117,6 +117,10 @@ pub fn cluster_rows(data: &[f32], n: usize, dim: usize, cfg: &KmeansConfig) -> C
         idx
     };
 
+    // A non-finite row is assigned like any other but never averaged
+    // in: one NaN or inf would poison its centroid for good.
+    let finite: Vec<bool> =
+        sample.iter().map(|&row| data[row * dim..(row + 1) * dim].iter().all(|v| v.is_finite())).collect();
     let mut sample_assign = vec![0u32; sample.len()];
     let mut sums = vec![0.0f32; k * dim];
     let mut counts = vec![0usize; k];
@@ -127,6 +131,9 @@ pub fn cluster_rows(data: &[f32], n: usize, dim: usize, cfg: &KmeansConfig) -> C
         sums.fill(0.0);
         counts.fill(0);
         for (si, &row) in sample.iter().enumerate() {
+            if !finite[si] {
+                continue;
+            }
             let c = sample_assign[si] as usize;
             counts[c] += 1;
             let dst = &mut sums[c * dim..(c + 1) * dim];
@@ -196,8 +203,10 @@ fn assign_sampled(
             let mut best_cost = half_norm[0] - row_scores[0];
             for (c, (&h, &s)) in half_norm.iter().zip(row_scores).enumerate().skip(1) {
                 let cost = h - s;
-                // Strict `<`: ties keep the lower centroid id.
-                if cost < best_cost {
+                // Strict `<`: ties keep the lower centroid id. A NaN cost
+                // loses to any number, so a centroid a non-finite seed
+                // row left NaN cannot claim every row.
+                if cost < best_cost || (best_cost.is_nan() && !cost.is_nan()) {
                     best = c;
                     best_cost = cost;
                 }
@@ -322,6 +331,36 @@ mod tests {
         let got = cluster_rows(&data, 1000, 5, &cfg);
         assert_eq!(got.assignments.len(), 1000);
         assert!(got.assignments.iter().all(|&c| (c as usize) < got.num_clusters));
+    }
+
+    /// One NaN row and one +inf row among the training rows. Where
+    /// neither seeds a centroid, neither reaches one: every centroid stays
+    /// finite. Where the NaN row seeds centroid 0, that centroid's NaN
+    /// costs lose the argmin (the first update replaces it; with no Lloyd
+    /// iteration the final assignment still sees it). Either way the
+    /// finite rows spread over more than one cluster instead of all
+    /// landing in cluster 0.
+    #[test]
+    fn non_finite_rows_do_not_collapse_the_clustering() {
+        let (n, dim, seed) = (400, 6, 2);
+        let first_seed_row = (splitmix64(&mut seed.clone()) % n as u64) as usize;
+        for nan_row in [17, first_seed_row] {
+            let mut data = rows(n, dim, 29);
+            data[nan_row * dim..(nan_row + 1) * dim].fill(f32::NAN);
+            data[230 * dim..231 * dim].fill(f32::INFINITY);
+            for (iters, train_sample) in [(0, 0), (4, 0), (4, 128)] {
+                let cfg = KmeansConfig { num_clusters: 8, iters, train_sample, seed };
+                let got = cluster_rows(&data, n, dim, &cfg);
+                let used: std::collections::HashSet<u32> = (0..n)
+                    .filter(|&row| row != nan_row && row != 230)
+                    .map(|row| got.assignments[row])
+                    .collect();
+                assert!(used.len() > 1, "NaN row {nan_row}, {cfg:?}: {used:?}");
+                if nan_row != first_seed_row {
+                    assert!(got.centroids.iter().all(|v| v.is_finite()), "{cfg:?}");
+                }
+            }
+        }
     }
 
     #[test]

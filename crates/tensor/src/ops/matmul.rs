@@ -317,11 +317,11 @@ pub fn transpose_into(src: &[f32], dst: &mut [f32], r: usize, c: usize) {
 
 simd_kernel! {
     /// Raw kernel: `c = a · bᵀ` over flat buffers, `(m, k) × (n, k) → (m, n)`,
-    /// straight off `b`'s rows — the tied prediction head, the clustered
-    /// index's centroid stage and the benchmark's kernel probe: few rows
-    /// of `a` against a `b` read once per call, where a transposed copy of
-    /// `b` would cost more than it saves. The index's re-rank stores its
-    /// clusters k-major at build time and runs [`matmul_into`] instead.
+    /// straight off `b`'s rows — the tied prediction head and the
+    /// benchmark's kernel probe: few rows of `a` against a `b` read once
+    /// per call, where a transposed copy of `b` would cost more than it
+    /// saves. The clustered index stores its centroids and clusters
+    /// k-major at build time and runs [`matmul_into`] instead.
     /// Overwrites `c` (no accumulation).
     ///
     /// Register-blocked over `j`: four `B` rows are dotted against one hot

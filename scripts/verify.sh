@@ -146,20 +146,33 @@ if ! echo "${out}" | grep -q "^test result: ok. 4 passed; 0 failed; 0 ignored"; 
   exit 1
 fi
 
-# The clustered index's re-rank, held by name to its two in-module
-# oracles: partial probes against the row-major reference algorithm
-# (every k-major panel score bit for bit, cluster sizes over every
-# cnt % 16 strip tail, tied and untied), and the history excluded by slot
-# over the edge histories and a table with a NaN and a +inf row. A
-# rename, a filter that matches nothing or an `ignored` attribute fails
-# the gate instead of quietly removing the check.
-echo "==> clustered re-rank oracles"
-run_whole "clustered re-rank oracles" cargo test -q --offline -p vsan-core --lib -- --exact \
+# The clustered index's walk, held by name to its oracles: the walk
+# against a reference written with the reference kernels, the old
+# comparator and the HashSet exclusion (ids, probe stats and every
+# k-major panel score bit for bit, slack {0, 0.35, 1} x forced prefix
+# {0, nc/3, nc}, tied and untied, cluster sizes over every cnt % 16
+# strip tail); the history excluded by slot over the edge histories and
+# a table with a NaN and a +inf row; the coarse stage's u64 sort keys
+# against the comparator they replaced (NaN, +-0.0, exact ties); and the
+# certificate proptest (slack 1 always certified and exact, a certified
+# reply exact at the default slack). A rename, a filter that matches
+# nothing or an `ignored` attribute fails the gate instead of quietly
+# removing the check.
+echo "==> clustered retrieval oracles"
+run_whole "clustered retrieval oracles" cargo test -q --offline -p vsan-core --lib -- --exact \
   retrieval::tests::partial_probes_match_the_row_major_reference_bit_for_bit \
-  retrieval::tests::exclusion_by_slot_matches_exact_over_edge_histories_and_non_finite_rows
-if ! echo "${out}" | grep -q "^test result: ok. 2 passed; 0 failed; 0 ignored"; then
+  retrieval::tests::exclusion_by_slot_matches_exact_over_edge_histories_and_non_finite_rows \
+  retrieval::tests::coarse_order_keys_match_the_comparator
+if ! echo "${out}" | grep -q "^test result: ok. 3 passed; 0 failed; 0 ignored"; then
   echo "${out}"
-  echo "the re-rank oracles did not run whole (expected 2 passed, 0 ignored)" >&2
+  echo "the retrieval oracles did not run whole (expected 3 passed, 0 ignored)" >&2
+  exit 1
+fi
+run_whole "retrieval certificate" cargo test -q --offline -p vsan-core --test retrieval -- --exact \
+  alpha_one_equals_exact_in_order
+if ! echo "${out}" | grep -q "^test result: ok. 1 passed; 0 failed; 0 ignored"; then
+  echo "${out}"
+  echo "the certificate proptest did not run whole (expected 1 passed, 0 ignored)" >&2
   exit 1
 fi
 
