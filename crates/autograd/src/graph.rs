@@ -334,15 +334,6 @@ impl Graph {
         scale: f32,
     ) -> Result<Var> {
         let (rows, d) = self.value(q).shape().as_2d()?;
-        for operand in [k, v] {
-            if self.value(operand).dims() != [rows, d] {
-                return Err(GradError::Tensor(TensorError::ShapeMismatch {
-                    lhs: vec![rows, d],
-                    rhs: self.value(operand).dims().to_vec(),
-                    op: "causal_attention",
-                }));
-            }
-        }
         if batch == 0 || !rows.is_multiple_of(batch) {
             return Err(GradError::Tensor(TensorError::ShapeMismatch {
                 lhs: vec![rows, d],
@@ -350,43 +341,99 @@ impl Graph {
                 op: "causal_attention_batch",
             }));
         }
-        let n = rows / batch;
+        self.causal_attention_windows(q, k, v, &vec![rows / batch; batch], scale)
+    }
+
+    /// Causal attention over stacked `n`-row windows that queries only
+    /// each window's last rows: `k` and `v` are flat `(keep.len()·n, d)`
+    /// operands, window `s` owns their rows `s·n..(s+1)·n`, and `q` holds
+    /// the last `keep[s] ≥ 1` rows of every window in window order
+    /// (`(Σ keep, d)`). Query `r` of window `s` is its row `i = n −
+    /// keep[s] + r` and attends to the window's keys `0..=i`; the output
+    /// has `q`'s shape. With every `keep[s] = n` this is
+    /// [`Graph::causal_attention_batch`].
+    ///
+    /// On [`KernelTier::Reference`] a window that keeps fewer than `n`
+    /// rows runs the composed chain with its first `n − keep[s]` query
+    /// rows zero constants and keeps the last `keep[s]` output rows; on
+    /// [`KernelTier::Fast`] one node runs the row-restricted training
+    /// kernels (`vsan-tensor`'s `causal_attention_train_rows_*`), which
+    /// equal that chain bit for bit.
+    pub fn causal_attention_windows(
+        &mut self,
+        q: Var,
+        k: Var,
+        v: Var,
+        keep: &[usize],
+        scale: f32,
+    ) -> Result<Var> {
+        let (rows, d) = self.value(k).shape().as_2d()?;
+        let kept: usize = keep.iter().sum();
+        let mismatch = |lhs: Vec<usize>, rhs: Vec<usize>, op| {
+            Err(GradError::Tensor(TensorError::ShapeMismatch { lhs, rhs, op }))
+        };
+        if self.value(v).dims() != [rows, d] {
+            return mismatch(vec![rows, d], self.value(v).dims().to_vec(), "causal_attention");
+        }
+        if self.value(q).dims() != [kept, d] {
+            return mismatch(vec![kept, d], self.value(q).dims().to_vec(), "causal_attention");
+        }
+        if keep.is_empty()
+            || !rows.is_multiple_of(keep.len())
+            || keep.iter().any(|&r| r == 0 || r > rows / keep.len())
+        {
+            return mismatch(vec![rows, d], keep.to_vec(), "causal_attention_windows");
+        }
+        let n = rows / keep.len();
         if self.tier == KernelTier::Reference {
-            if batch == 1 {
+            if keep == [n] {
                 return self.attention_chain(q, k, v, scale);
             }
-            let mut outs = Vec::with_capacity(batch);
-            for s in 0..batch {
-                let idx: Vec<usize> = (s * n..(s + 1) * n).collect();
+            let mut outs = Vec::with_capacity(keep.len());
+            let mut first = 0;
+            for (s, &r) in keep.iter().enumerate() {
+                let window: Vec<usize> = (s * n..(s + 1) * n).collect();
+                let queries: Vec<usize> = (first..first + r).collect();
+                first += r;
                 // Gathered k, q, v so that the reverse pass (descending
                 // ids) reaches an operand shared between them in the
                 // order v → q → k: the chain's own order, and the fused
                 // node's.
-                let ks = self.gather_rows(k, &idx)?;
-                let qs = self.gather_rows(q, &idx)?;
-                let vs = self.gather_rows(v, &idx)?;
-                outs.push(self.attention_chain(qs, ks, vs, scale)?);
+                let ks = self.gather_rows(k, &window)?;
+                let qs = self.gather_rows(q, &queries)?;
+                let vs = self.gather_rows(v, &window)?;
+                if r == n {
+                    outs.push(self.attention_chain(qs, ks, vs, scale)?);
+                } else {
+                    let zeros = self.constant(Tensor::zeros(&[n - r, d]));
+                    let qs = self.concat_rows(&[zeros, qs])?;
+                    let all = self.attention_chain(qs, ks, vs, scale)?;
+                    outs.push(self.gather_rows(all, &(n - r..n).collect::<Vec<_>>())?);
+                }
             }
             return self.concat_rows(&outs);
         }
         // Saved probs must start all-zero (masked upper triangle).
-        let mut probs = vec![0.0f32; batch * n * n];
-        let mut out = Tensor::zeros(&[rows, d]);
-        for s in 0..batch {
-            let sample = s * n * d..(s + 1) * n * d;
-            tops::causal_attention_train_forward(
-                &self.value(q).data()[sample.clone()],
-                &self.value(k).data()[sample.clone()],
-                &self.value(v).data()[sample.clone()],
+        let mut probs = vec![0.0f32; kept * n];
+        let mut out = Tensor::zeros(&[kept, d]);
+        let mut first = 0;
+        for (s, &r) in keep.iter().enumerate() {
+            let (window, queries) = (s * n * d..(s + 1) * n * d, first * d..(first + r) * d);
+            tops::causal_attention_train_rows_forward(
+                &self.value(q).data()[queries.clone()],
+                &self.value(k).data()[window.clone()],
+                &self.value(v).data()[window],
                 n,
                 d,
                 scale,
-                &mut probs[s * n * n..(s + 1) * n * n],
-                &mut out.data_mut()[sample],
+                &mut probs[first * n..(first + r) * n],
+                &mut out.data_mut()[queries],
             );
+            first += r;
         }
         let ng = self.needs(&[q.0, k.0, v.0]);
-        Ok(self.push(out, Op::CausalAttention { q: q.0, k: k.0, v: v.0, batch, scale, probs }, ng))
+        let keep = keep.to_vec();
+        Ok(self.push(out, Op::CausalAttention { q: q.0, k: k.0, v: v.0, keep, scale, probs }, ng))
     }
 
     /// One sample's composed attention: the four reference tape ops.
@@ -491,22 +538,6 @@ impl Graph {
         let ids: Vec<usize> = parts.iter().map(|p| p.0).collect();
         let ng = self.needs(&ids);
         Ok(self.push(out, Op::ConcatCols { parts: ids, cols }, ng))
-    }
-
-    /// Slice a contiguous column range `[lo, hi)` out of a rank-2 input.
-    ///
-    /// Composed from two transposes and a row gather (all with exact
-    /// backward rules), so gradients flow only into the selected columns.
-    /// Used by multi-head attention to split the model width into heads.
-    pub fn slice_cols(&mut self, x: Var, lo: usize, hi: usize) -> Result<Var> {
-        let (_, c) = self.value(x).shape().as_2d()?;
-        if lo >= hi || hi > c {
-            return Err(GradError::BadTargets("slice_cols range out of bounds"));
-        }
-        let t = self.transpose(x)?;
-        let idx: Vec<usize> = (lo..hi).collect();
-        let rows = self.gather_rows(t, &idx)?;
-        self.transpose(rows)
     }
 
     /// Inverted dropout with a caller-supplied mask whose entries are `0.0`
@@ -808,36 +839,38 @@ impl Graph {
                     self.accum(grads, *b, db)?;
                 }
             }
-            Op::CausalAttention { q, k, v, batch, scale, probs } => {
-                // One tiled pass per sample computes all three input
+            Op::CausalAttention { q, k, v, keep, scale, probs } => {
+                // One tiled pass per window computes all three input
                 // gradients in place, bit-identical to the composed
                 // chain's reverse rules (vsan-tensor's
-                // causal_attention_train_backward doc).
+                // causal_attention_train_rows_backward doc).
                 let qv = &self.nodes[*q].value;
                 let kv = &self.nodes[*k].value;
                 let vv = &self.nodes[*v].value;
-                let (rows, d) = qv.shape().as_2d()?;
-                let n = rows / batch;
-                let mut dq = Tensor::zeros(&[rows, d]);
+                let (rows, d) = kv.shape().as_2d()?;
+                let n = rows / keep.len();
+                let mut dq = Tensor::zeros(qv.dims());
                 let mut dk = Tensor::zeros(&[rows, d]);
                 let mut dv = Tensor::zeros(&[rows, d]);
                 let mut dscores = vec![0.0f32; n * n];
-                for s in 0..*batch {
-                    let sample = s * n * d..(s + 1) * n * d;
-                    tops::causal_attention_train_backward(
-                        &qv.data()[sample.clone()],
-                        &kv.data()[sample.clone()],
-                        &vv.data()[sample.clone()],
-                        &probs[s * n * n..(s + 1) * n * n],
-                        &g.data()[sample.clone()],
+                let mut first = 0;
+                for (s, &r) in keep.iter().enumerate() {
+                    let (window, queries) = (s * n * d..(s + 1) * n * d, first * d..(first + r) * d);
+                    tops::causal_attention_train_rows_backward(
+                        &qv.data()[queries.clone()],
+                        &kv.data()[window.clone()],
+                        &vv.data()[window.clone()],
+                        &probs[first * n..(first + r) * n],
+                        &g.data()[queries.clone()],
                         n,
                         d,
                         *scale,
-                        &mut dq.data_mut()[sample.clone()],
-                        &mut dk.data_mut()[sample.clone()],
-                        &mut dv.data_mut()[sample],
+                        &mut dq.data_mut()[queries],
+                        &mut dk.data_mut()[window.clone()],
+                        &mut dv.data_mut()[window],
                         &mut dscores,
                     );
+                    first += r;
                 }
                 // Leaf order v → q → k mirrors the composed chain (the
                 // `matmul(attn, v)` node backprops before the

@@ -47,13 +47,14 @@ pub enum Op {
     /// Causal-masked row softmax over a square score matrix (row `i`
     /// attends to columns `j ≤ i`).
     SoftmaxCausal(NodeId),
-    /// Fused causal attention `softmax_causal(q·kᵀ·scale)·v` over `batch`
-    /// stacked samples — the fast kernel tier's replacement for the
-    /// per-sample `MatMulABt` → `Affine` → `SoftmaxCausal` → `MatMul`
-    /// composition (bit-identical to it). Cached: each sample's `(n, n)`
-    /// softmax matrix, flattened row-major and stacked (the saved
-    /// activation the one-pass backward consumes).
-    CausalAttention { q: NodeId, k: NodeId, v: NodeId, batch: usize, scale: f32, probs: Vec<f32> },
+    /// Fused causal attention `softmax_causal(q·kᵀ·scale)·v` over stacked
+    /// `n`-row key/value windows, querying each window's last `keep[s]`
+    /// rows — the fast kernel tier's replacement for the per-window
+    /// `MatMulABt` → `Affine` → `SoftmaxCausal` → `MatMul` composition
+    /// (bit-identical to it). Cached: each window's `(keep[s], n)` softmax
+    /// rows, flattened row-major and stacked (the saved activation the
+    /// one-pass backward consumes).
+    CausalAttention { q: NodeId, k: NodeId, v: NodeId, keep: Vec<usize>, scale: f32, probs: Vec<f32> },
     /// Fused LayerNorm with learned affine parameters.
     LayerNorm { x: NodeId, gamma: NodeId, beta: NodeId, stats: LayerNormStats },
     /// Row gather from a rank-2 table: `out.row(i) = x.row(idx[i])`.
@@ -174,7 +175,7 @@ mod tests {
         );
         assert_eq!(Op::ConcatRows { parts: vec![5, 9], rows: vec![2, 2] }.inputs(), vec![5, 9]);
         assert_eq!(
-            Op::CausalAttention { q: 4, k: 6, v: 8, batch: 1, scale: 0.5, probs: vec![] }.inputs(),
+            Op::CausalAttention { q: 4, k: 6, v: 8, keep: vec![1], scale: 0.5, probs: vec![] }.inputs(),
             vec![4, 6, 8]
         );
     }

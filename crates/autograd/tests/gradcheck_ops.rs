@@ -382,6 +382,34 @@ fn grad_fused_causal_attention_on_both_tiers() {
 }
 
 #[test]
+fn grad_windowed_causal_attention_on_both_tiers() {
+    // Windows queried at their last rows only (a shard's shared padding:
+    // window 0 all rows, the others their real rows): both tiers'
+    // analytic passes agree with central finite differences, one-row
+    // queries included.
+    let (n, d) = (4, 3);
+    for keep in [vec![4, 1, 3], vec![4, 2, 2, 1], vec![1, 1]] {
+        let q = randt(63, &[keep.iter().sum(), d]);
+        let k = randt(64, &[keep.len() * n, d]);
+        let v = randt(65, &[keep.len() * n, d]);
+        for tier in [KernelTier::Reference, KernelTier::Fast] {
+            check_gradients_tiered(
+                &[q.clone(), k.clone(), v.clone()],
+                |g, vars| {
+                    let attn = g.causal_attention_windows(vars[0], vars[1], vars[2], &keep, 0.6).unwrap();
+                    let sq = g.mul(attn, attn).unwrap();
+                    g.sum_all(sq)
+                },
+                1e-2,
+                2e-2,
+                tier,
+            )
+            .unwrap_or_else(|e| panic!("keep {keep:?}, tier {}: {e}", tier.name()));
+        }
+    }
+}
+
+#[test]
 fn grad_full_vsan_loss_end_to_end_fast_tier() {
     // `grad_full_vsan_loss_end_to_end` rebuilt through the fused
     // `causal_attention` entry point, with the analytic pass on the *fast*

@@ -289,12 +289,12 @@ fn wave(salt: usize, dims: &[usize]) -> Tensor {
 /// Attention-output bits and each parameter's gradient bits for one
 /// recording of `build`, under the loss `Σ out ⊙ upstream` (so `upstream`
 /// *is* the gradient that reaches the output).
-fn record(
+fn record<A>(
     tier: KernelTier,
-    attend: Attend,
+    attend: A,
     params: &[Tensor],
     upstream: &Tensor,
-    build: impl Fn(&mut Graph, &[Var], Attend) -> Var,
+    build: impl Fn(&mut Graph, &[Var], A) -> Var,
 ) -> (Vec<u32>, Vec<Vec<u32>>) {
     let mut g = Graph::with_threads_and_tier(1, tier);
     let vars: Vec<Var> = params.iter().enumerate().map(|(i, t)| g.param(t.clone(), i)).collect();
@@ -311,18 +311,19 @@ fn record(
     (out_bits, grad_bits)
 }
 
-/// All three recordings of `build`: values bit-equal, and every parameter
+/// All `recordings` of `build`: values bit-equal, and every parameter
 /// gradient element the same under `same_grad(want_bits, got_bits)`.
-fn compare_recordings(
+fn compare_recordings<A: Copy>(
+    recordings: &[(&str, KernelTier, A)],
     what: &str,
     params: &[Tensor],
     upstream: &Tensor,
-    build: impl Fn(&mut Graph, &[Var], Attend) -> Var,
+    build: impl Fn(&mut Graph, &[Var], A) -> Var,
     same_grad: impl Fn(u32, u32) -> bool,
 ) {
-    let (name0, tier0, attend0) = RECORDINGS[0];
+    let (name0, tier0, attend0) = recordings[0];
     let want = record(tier0, attend0, params, upstream, &build);
-    for (name, tier, attend) in &RECORDINGS[1..] {
+    for (name, tier, attend) in &recordings[1..] {
         let got = record(*tier, *attend, params, upstream, &build);
         assert_eq!(want.0, got.0, "{what}: values differ between {name0} and {name}");
         for (i, (w, g)) in want.1.iter().zip(&got.1).enumerate() {
@@ -338,45 +339,29 @@ fn compare_recordings(
     }
 }
 
-/// All three recordings of `build`: values and every parameter gradient
-/// bit-equal.
+/// All three batch recordings of `build`: values and every parameter
+/// gradient bit-equal.
 fn assert_recordings_agree(
     what: &str,
     params: &[Tensor],
     upstream: &Tensor,
     build: impl Fn(&mut Graph, &[Var], Attend) -> Var,
 ) {
-    compare_recordings(what, params, upstream, build, |a, b| a == b);
+    compare_recordings(&RECORDINGS, what, params, upstream, build, |a, b| a == b);
 }
 
-/// `x → (x·Wq, x·Wk, x·Wv)` → attention per head on `slice_cols` of the
-/// flat projections → `·Wo`: the shape `nn::SelfAttentionBlock` records.
-/// Params: `[x, wq, wk, wv, wo]`.
-fn projected_block(
-    batch: usize,
-    heads: usize,
-) -> impl Fn(&mut Graph, &[Var], Attend) -> Var {
+/// `x → (x·Wq, x·Wk, x·Wv)` → attention → `·Wf`: the shape
+/// `nn::SelfAttentionBlock` records, with a downstream projection (the
+/// FFN's first linear) so the upstream gradient reaches the attention
+/// through a product. Params: `[x, wq, wk, wv, wf]`.
+fn projected_block(batch: usize) -> impl Fn(&mut Graph, &[Var], Attend) -> Var {
     move |g, p, attend| {
         let d = g.value(p[1]).dims()[1];
-        let head_dim = d / heads;
-        let scale = 1.0 / (head_dim as f32).sqrt();
+        let scale = 1.0 / (d as f32).sqrt();
         let q = g.matmul(p[0], p[1]).unwrap();
         let k = g.matmul(p[0], p[2]).unwrap();
         let v = g.matmul(p[0], p[3]).unwrap();
-        let mixed = if heads == 1 {
-            attend(g, q, k, v, batch, scale)
-        } else {
-            let outs: Vec<Var> = (0..heads)
-                .map(|h| {
-                    let (lo, hi) = (h * head_dim, (h + 1) * head_dim);
-                    let qh = g.slice_cols(q, lo, hi).unwrap();
-                    let kh = g.slice_cols(k, lo, hi).unwrap();
-                    let vh = g.slice_cols(v, lo, hi).unwrap();
-                    attend(g, qh, kh, vh, batch, scale)
-                })
-                .collect();
-            g.concat_cols(&outs).unwrap()
-        };
+        let mixed = attend(g, q, k, v, batch, scale);
         g.matmul(mixed, p[4]).unwrap()
     }
 }
@@ -405,7 +390,7 @@ fn batch_attention_recordings_agree_over_the_shape_matrix() {
                 };
                 assert_recordings_agree(&format!("{what}, shared q = k = v"), &x, &upstream, shared);
 
-                // The projected block, single-head and two heads.
+                // The projected block.
                 let block = [
                     wave(5, &[rows, d]),
                     wave(6, &[d, d]),
@@ -413,14 +398,12 @@ fn batch_attention_recordings_agree_over_the_shape_matrix() {
                     wave(8, &[d, d]),
                     wave(10, &[d, d]),
                 ];
-                for heads in [1, 2] {
-                    assert_recordings_agree(
-                        &format!("{what}, projected block, {heads} head(s)"),
-                        &block,
-                        &upstream,
-                        projected_block(batch, heads),
-                    );
-                }
+                assert_recordings_agree(
+                    &format!("{what}, projected block"),
+                    &block,
+                    &upstream,
+                    projected_block(batch),
+                );
             }
         }
     }
@@ -451,7 +434,7 @@ fn zero_rows_and_negative_zeros_upstream_leave_parameter_gradients_bit_equal() {
 
     let qkv = [wave(1, &[rows, d]), wave(2, &[rows, d]), wave(3, &[rows, d])];
     let leaf = |g: &mut Graph, p: &[Var], attend: Attend| attend(g, p[0], p[1], p[2], batch, scale);
-    compare_recordings("zero-row upstream, leaf q/k/v", &qkv, &upstream, leaf, |a, b| {
+    compare_recordings(&RECORDINGS, "zero-row upstream, leaf q/k/v", &qkv, &upstream, leaf, |a, b| {
         a == b || (f32::from_bits(a) == 0.0 && f32::from_bits(b) == 0.0)
     });
 
@@ -462,13 +445,156 @@ fn zero_rows_and_negative_zeros_upstream_leave_parameter_gradients_bit_equal() {
         wave(8, &[d, d]),
         wave(10, &[d, d]),
     ];
-    for heads in [1, 2] {
-        assert_recordings_agree(
-            &format!("zero-row upstream, projected block, {heads} head(s)"),
-            &block,
-            &upstream,
-            projected_block(batch, heads),
-        );
+    assert_recordings_agree("zero-row upstream, projected block", &block, &upstream, projected_block(batch));
+}
+
+// ---- causal_attention_windows ----------------------------------------------
+//
+// Windows that query only their last rows, the shape a training shard's
+// shared padding gives: window 0 queries all `n` rows, every other window
+// its last `n − pads` rows. Three recordings must agree to the bit: the
+// windows builder on the fast tier (one node over the row kernels), on
+// the reference tier (per-window chains with zeroed leading queries), and
+// the definition on the fast tier — the square batch node over the
+// windows with the unqueried rows' queries zeroed, then the queried rows.
+
+/// How a build turns `(Σ keep, d)` queries and `(keep.len()·n, d)`
+/// keys/values into the attention output.
+type Windowed = fn(&mut Graph, Var, Var, Var, &[usize], f32) -> Var;
+
+fn windows_node(g: &mut Graph, q: Var, k: Var, v: Var, keep: &[usize], scale: f32) -> Var {
+    g.causal_attention_windows(q, k, v, keep, scale).unwrap()
+}
+
+fn zero_padded_square_windows(g: &mut Graph, q: Var, k: Var, v: Var, keep: &[usize], scale: f32) -> Var {
+    let (rows, d) = (g.value(k).dims()[0], g.value(k).dims()[1]);
+    let n = rows / keep.len();
+    let (mut parts, mut kept, mut first) = (Vec::new(), Vec::new(), 0);
+    for (s, &r) in keep.iter().enumerate() {
+        if r < n {
+            parts.push(g.constant(Tensor::zeros(&[n - r, d])));
+        }
+        parts.push(g.gather_rows(q, &(first..first + r).collect::<Vec<_>>()).unwrap());
+        first += r;
+        kept.extend(s * n + n - r..(s + 1) * n);
+    }
+    let q_full = g.concat_rows(&parts).unwrap();
+    let all = g.causal_attention_batch(q_full, k, v, keep.len(), scale).unwrap();
+    g.gather_rows(all, &kept).unwrap()
+}
+
+const WINDOW_RECORDINGS: [(&str, KernelTier, Windowed); 3] = [
+    ("windows node, fast tier", KernelTier::Fast, windows_node),
+    ("windows builder, reference tier", KernelTier::Reference, windows_node),
+    ("zero-padded square windows, fast tier", KernelTier::Fast, zero_padded_square_windows),
+];
+
+/// A shard of windows with `pads[s]` leading padding rows each (window 0
+/// computes the shared padding): per-window queried rows, and the input
+/// row each window row reads.
+fn shard(n: usize, pads: &[usize]) -> (Vec<usize>, Vec<usize>) {
+    let (mut keep, mut rows) = (Vec::new(), Vec::new());
+    for (s, &p) in pads.iter().enumerate() {
+        let p = if s == 0 { 0 } else { p };
+        let at: usize = keep.iter().sum();
+        rows.extend((0..p).chain(at..at + n - p));
+        keep.push(n - p);
+    }
+    (keep, rows)
+}
+
+#[test]
+fn windowed_attention_recordings_agree_over_the_shape_matrix() {
+    for d in [8, 100] {
+        for (n, pads) in [
+            (1, vec![0]),
+            (4, vec![3, 3, 0, 1]),
+            (17, vec![16, 0, 9, 16, 1]),
+            (50, vec![49, 40, 0, 25, 49, 48]),
+        ] {
+            let (keep, rows) = shard(n, &pads);
+            let kept: usize = keep.iter().sum();
+            let what = format!("n = {n}, keep = {keep:?}, d = {d}");
+            let scale = 1.0 / (d as f32).sqrt();
+            let upstream = wave(9, &[kept, d]);
+
+            // q, k, v as leaves: the gradients are dq / dk / dv themselves.
+            let wide = rows.len();
+            let qkv = [wave(1, &[kept, d]), wave(2, &[wide, d]), wave(3, &[wide, d])];
+            let leaf = |g: &mut Graph, p: &[Var], attend: Windowed| attend(g, p[0], p[1], p[2], &keep, scale);
+            let leaf_what = format!("{what}, leaf q/k/v");
+            compare_recordings(&WINDOW_RECORDINGS, &leaf_what, &qkv, &upstream, leaf, |a, b| a == b);
+
+            // The block's shape: the queried rows are the input rows, the
+            // windows gather keys and values from their projections.
+            let block =
+                [wave(5, &[kept, d]), wave(6, &[d, d]), wave(7, &[d, d]), wave(8, &[d, d]), wave(10, &[d, d])];
+            let gathered = |g: &mut Graph, p: &[Var], attend: Windowed| {
+                let q = g.matmul(p[0], p[1]).unwrap();
+                let k = g.matmul(p[0], p[2]).unwrap();
+                let v = g.matmul(p[0], p[3]).unwrap();
+                let kw = g.gather_rows(k, &rows).unwrap();
+                let vw = g.gather_rows(v, &rows).unwrap();
+                let mixed = attend(g, q, kw, vw, &keep, scale);
+                g.matmul(mixed, p[4]).unwrap()
+            };
+            let what = format!("{what}, gathered block");
+            compare_recordings(&WINDOW_RECORDINGS, &what, &block, &upstream, gathered, |a, b| a == b);
+        }
+    }
+}
+
+#[test]
+fn full_windows_are_the_batch_node_bit_for_bit() {
+    // Every window queried at all n rows: the windows builder records the
+    // batch node's values and gradients exactly, on both tiers.
+    for tier in [KernelTier::Fast, KernelTier::Reference] {
+        for (batch, n, d) in [(1, 1, 8), (3, 5, 8), (8, 17, 100)] {
+            let rows = batch * n;
+            let qkv = [wave(1, &[rows, d]), wave(2, &[rows, d]), wave(3, &[rows, d])];
+            let upstream = wave(9, &[rows, d]);
+            let keep = vec![n; batch];
+            let scale = 1.0 / (d as f32).sqrt();
+            let windows = |g: &mut Graph, p: &[Var], _: ()| windows_node(g, p[0], p[1], p[2], &keep, scale);
+            let batched = |g: &mut Graph, p: &[Var], _: ()| batch_node(g, p[0], p[1], p[2], batch, scale);
+            assert_eq!(
+                record(tier, (), &qkv, &upstream, windows),
+                record(tier, (), &qkv, &upstream, batched),
+                "tier {}, batch = {batch}, n = {n}, d = {d}",
+                tier.name()
+            );
+        }
+    }
+}
+
+#[test]
+fn windows_builder_rejects_bad_shapes_with_a_shape_mismatch_on_both_tiers() {
+    use vsan_autograd::GradError;
+    use vsan_tensor::TensorError;
+    for tier in [KernelTier::Reference, KernelTier::Fast] {
+        let mut g = Graph::with_threads_and_tier(1, tier);
+        let kv = g.constant(Tensor::zeros(&[8, 4]));
+        let q3 = g.constant(Tensor::zeros(&[3, 4]));
+        let narrow = g.constant(Tensor::zeros(&[3, 2]));
+        let short = g.constant(Tensor::zeros(&[2, 4]));
+        let before = g.len();
+        for (what, result) in [
+            ("queries past the window", g.causal_attention_windows(q3, short, short, &[3], 0.5)),
+            ("a window that queries nothing", g.causal_attention_windows(q3, kv, kv, &[3, 0], 0.5)),
+            ("no windows", g.causal_attention_windows(q3, kv, kv, &[], 0.5)),
+            ("q rows differ from Σ keep", g.causal_attention_windows(q3, kv, kv, &[2, 2], 0.5)),
+            ("rows not a multiple of the windows", g.causal_attention_windows(q3, kv, kv, &[1, 1, 1], 0.5)),
+            ("narrow q", g.causal_attention_windows(narrow, kv, kv, &[1, 2], 0.5)),
+            ("short v", g.causal_attention_windows(q3, kv, q3, &[1, 2], 0.5)),
+        ] {
+            assert!(
+                matches!(result, Err(GradError::Tensor(TensorError::ShapeMismatch { .. }))),
+                "{what} on the {} tier: {result:?}",
+                tier.name()
+            );
+        }
+        assert_eq!(g.len(), before, "a rejected call must leave the tape as it was");
+        assert!(g.causal_attention_windows(q3, kv, kv, &[1, 2], 0.5).is_ok());
     }
 }
 

@@ -10,7 +10,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use vsan_autograd::Graph;
-use vsan_nn::{Dropout, GruCell, ParamStore, SelfAttentionBlock};
+use vsan_nn::{Dropout, GruCell, ParamStore, SelfAttentionBlock, Windows};
 use vsan_tensor::init;
 
 const DIM: usize = 48;
@@ -26,12 +26,12 @@ fn bench_forward_cost(c: &mut Criterion) {
 
     for &n in &[25usize, 50, 100, 200] {
         let x = init::randn(&mut rng, &[n, DIM], 0.0, 0.5);
-        group.bench_with_input(BenchmarkId::new("self_attention", n), &n, |bench, &n| {
+        group.bench_with_input(BenchmarkId::new("self_attention", n), &n, |bench, _| {
             bench.iter(|| {
                 let mut g = Graph::with_threads(1);
                 let mut r = StdRng::seed_from_u64(0);
                 let xv = g.constant(x.clone());
-                san.forward(&mut g, &store, xv, 1, n, &drop, &mut r, false).unwrap()
+                san.forward(&mut g, &store, xv, Windows::Stacked { batch: 1 }, &drop, &mut r, false).unwrap()
             });
         });
         group.bench_with_input(BenchmarkId::new("gru_unrolled", n), &n, |bench, &n| {
@@ -66,7 +66,7 @@ fn bench_attention_parallel_scaling(c: &mut Criterion) {
                 let mut g = Graph::with_threads(t);
                 let mut r = StdRng::seed_from_u64(0);
                 let xv = g.constant(x.clone());
-                san.forward(&mut g, &store, xv, batch, n, &drop, &mut r, false).unwrap()
+                san.forward(&mut g, &store, xv, Windows::Stacked { batch }, &drop, &mut r, false).unwrap()
             });
         });
     }

@@ -69,7 +69,6 @@ struct FfnPlan {
 
 impl BlockPlan {
     fn from_block(block: &SelfAttentionBlock) -> Self {
-        assert_eq!(block.heads(), 1, "the fast path covers the paper's single-head blocks");
         let ffn = block.ffn_parts().map(|(w1, w2, ln2)| FfnPlan {
             w1: w1.w,
             b1: w1.b.expect("FFN w1 is biased"),

@@ -8,7 +8,7 @@ use vsan_data::Dataset;
 use vsan_eval::Scorer;
 use vsan_models::common::{active_rows, position_indices, train_epochs};
 use vsan_models::Recommender;
-use vsan_nn::{Dropout, Embedding, Linear, ParamStore, SelfAttentionBlock};
+use vsan_nn::{Dropout, Embedding, Linear, ParamStore, SelfAttentionBlock, Windows};
 
 use std::sync::OnceLock;
 
@@ -65,104 +65,96 @@ impl Vsan {
             .map(|i| vsan_data::sequence::SeqExample { input: vec![i as u32], targets: vec![] })
             .collect();
 
-        let item_emb = model.item_emb.clone();
-        let pos_emb = model.pos_emb.clone();
-        let infer_blocks = model.infer_blocks.clone();
-        let mu_head = model.mu_head.clone();
-        let logvar_head = model.logvar_head.clone();
-        let gene_blocks = model.gene_blocks.clone();
-        let prediction = model.prediction.clone();
-        let vcfg = cfg.clone();
-        let dropout = Dropout::new(cfg.base.dropout);
-
+        // The store trains on its own while the model lends its layers.
+        let mut store = std::mem::replace(&mut model.store, ParamStore::new());
+        let net = &model;
         let losses = train_epochs(
             &cfg.base,
-            &mut model.store,
+            &mut store,
             &proxies,
             |g, store, batch, rng, step| {
-                let b = batch.len();
-                let mut inputs = Vec::with_capacity(b * n);
-                let mut targets: Vec<Vec<usize>> = Vec::with_capacity(b * n);
-                for proxy in batch {
-                    let ex = &examples[proxy.input[0] as usize];
-                    inputs.extend(ex.input.iter().map(|&i| i as usize));
-                    targets.extend(ex.targets.iter().cloned());
-                }
-                let kl_mask: Vec<bool> = targets.iter().map(|t| !t.is_empty()).collect();
-
-                // Embedding layer (Eq. 4) + dropout. The table var is
-                // reused by the tied prediction path when enabled.
-                let table = store.var(g, item_emb.table);
-                let items = g.gather_rows(table, &inputs)?;
-                let pos = pos_emb.lookup(g, store, &position_indices(b, n))?;
-                let mut h = g.add(items, pos)?;
-                h = dropout.forward(g, rng, h, true)?;
-
-                // Inference self-attention layer (Eqs. 5–11).
-                for block in &infer_blocks {
-                    h = block.forward(g, store, h, b, n, &dropout, rng, true)?;
-                }
-
-                // Variational heads + latent variable layer (Eqs. 12–13).
-                let (z, kl) = if vcfg.use_latent {
-                    let mu = mu_head.forward(g, store, h)?;
-                    let logvar = logvar_head.forward(g, store, h)?;
-                    let half = g.scale(logvar, 0.5);
-                    let sigma = g.exp(half);
-                    let eps =
-                        g.constant(init::randn(rng, &[b * n, vcfg.base.dim], 0.0, 1.0));
-                    let noise = g.mul(sigma, eps)?;
-                    let z = g.add(mu, noise)?;
-                    let kl = g.kl_std_normal(mu, logvar, &kl_mask)?;
-                    (z, Some(kl))
-                } else {
-                    // VSAN-z: the inference output feeds the generative
-                    // layer directly (Table V).
-                    (h, None)
-                };
-
-                // Generative self-attention layer (Eqs. 15–17).
-                let mut gz = z;
-                for block in &gene_blocks {
-                    gz = block.forward(g, store, gz, b, n, &dropout, rng, true)?;
-                }
-
-                // Prediction layer + loss (Eqs. 18–20), over the rows that
-                // have a target only: the loss sums over nothing else.
-                // Tied mode scores against the item embedding (extension
-                // flag, see config).
-                let (active, targets) = active_rows(targets, |t| !t.is_empty());
-                let gz = g.gather_rows(gz, &active)?;
-                let logits = if vcfg.tie_prediction {
-                    g.matmul_a_bt(gz, table)?
-                } else {
-                    prediction.forward(g, store, gz)?
-                };
-                let ce = g.ce_multi_hot(logits, &targets)?;
-                match kl {
-                    Some(kl) => {
-                        let beta = vcfg.beta.beta(step);
-                        let weighted = g.scale(kl, beta);
-                        let loss = g.add(ce, weighted)?;
-                        let stats = vsan_nn::ShardStats {
-                            ce: g.value(ce).data()[0],
-                            kl: g.value(kl).data()[0],
-                            beta,
-                        };
-                        Ok((loss, stats))
-                    }
-                    None => {
-                        let ce_val = g.value(ce).data()[0];
-                        Ok((ce, vsan_nn::ShardStats::ce_only(ce_val)))
-                    }
-                }
+                let batch: Vec<&SeqExampleK> =
+                    batch.iter().map(|proxy| &examples[proxy.input[0] as usize]).collect();
+                net.shard_loss(g, store, ShardRows::new(&batch, n), rng, step)
             },
-            |store| {
-                item_emb.zero_padding(store);
-            },
-        )?;
-        model.train_losses = losses;
+            |store| net.item_emb.zero_padding(store),
+        );
+        model.store = store;
+        model.train_losses = losses?;
         Ok(model)
+    }
+
+    /// One training shard's loss (CE + β·KL) and its parts, over `store`.
+    fn shard_loss<R: rand::Rng>(
+        &self,
+        g: &mut Graph,
+        store: &ParamStore,
+        shard: ShardRows,
+        rng: &mut R,
+        step: u64,
+    ) -> AgResult<(Var, vsan_nn::ShardStats)> {
+        let cfg = &self.cfg;
+        let dropout = Dropout::new(cfg.base.dropout);
+        let windows = shard.windows();
+        let kl_mask: Vec<bool> = shard.targets.iter().map(|t| !t.is_empty()).collect();
+
+        // Embedding layer (Eq. 4) + dropout. The table var is reused by
+        // the tied prediction path when enabled.
+        let table = store.var(g, self.item_emb.table);
+        let items = g.gather_rows(table, &shard.inputs)?;
+        let pos = self.pos_emb.lookup(g, store, &shard.positions)?;
+        let mut h = g.add(items, pos)?;
+        h = dropout.forward(g, rng, h, true)?;
+
+        // Inference self-attention layer (Eqs. 5–11).
+        for block in &self.infer_blocks {
+            h = block.forward(g, store, h, windows, &dropout, rng, true)?;
+        }
+
+        // Variational heads + latent variable layer (Eqs. 12–13).
+        let (z, kl) = if cfg.use_latent {
+            let mu = self.mu_head.forward(g, store, h)?;
+            let logvar = self.logvar_head.forward(g, store, h)?;
+            let half = g.scale(logvar, 0.5);
+            let sigma = g.exp(half);
+            let eps = g.constant(init::randn(rng, &[shard.inputs.len(), cfg.base.dim], 0.0, 1.0));
+            let noise = g.mul(sigma, eps)?;
+            let z = g.add(mu, noise)?;
+            let kl = g.kl_std_normal(mu, logvar, &kl_mask)?;
+            (z, Some(kl))
+        } else {
+            // VSAN-z: the inference output feeds the generative layer
+            // directly (Table V).
+            (h, None)
+        };
+
+        // Generative self-attention layer (Eqs. 15–17).
+        let mut gz = z;
+        for block in &self.gene_blocks {
+            gz = block.forward(g, store, gz, windows, &dropout, rng, true)?;
+        }
+
+        // Prediction layer + loss (Eqs. 18–20), over the rows that have a
+        // target only: the loss sums over nothing else. Tied mode scores
+        // against the item embedding (extension flag, see config).
+        let (active, targets) = active_rows(shard.targets, |t| !t.is_empty());
+        let gz = g.gather_rows(gz, &active)?;
+        let logits = if cfg.tie_prediction {
+            g.matmul_a_bt(gz, table)?
+        } else {
+            self.prediction.forward(g, store, gz)?
+        };
+        let ce = g.ce_multi_hot(logits, &targets)?;
+        let ce_val = g.value(ce).data()[0];
+        Ok(match kl {
+            Some(kl) => {
+                let beta = cfg.beta.beta(step);
+                let weighted = g.scale(kl, beta);
+                let stats = vsan_nn::ShardStats { ce: ce_val, kl: g.value(kl).data()[0], beta };
+                (g.add(ce, weighted)?, stats)
+            }
+            None => (ce, vsan_nn::ShardStats::ce_only(ce_val)),
+        })
     }
 
     /// Initialize an untrained model (exposed for checkpoint loading).
@@ -264,7 +256,7 @@ impl Vsan {
         let pos = self.pos_emb.lookup(&mut g, &self.store, &position_indices(1, n))?;
         let mut h = g.add(items, pos)?;
         for block in &self.infer_blocks {
-            h = block.forward(&mut g, &self.store, h, 1, n, &dropout, &mut rng, false)?;
+            h = block.forward(&mut g, &self.store, h, ONE_WINDOW, &dropout, &mut rng, false)?;
         }
         let mu = self.mu_head.forward(&mut g, &self.store, h)?;
         let logvar = self.logvar_head.forward(&mut g, &self.store, h)?;
@@ -546,7 +538,7 @@ impl Vsan {
         let mut z = g.constant(z_mat);
         for block in &self.gene_blocks {
             z = block
-                .forward(&mut g, &self.store, z, 1, n, &dropout, &mut rng, false)
+                .forward(&mut g, &self.store, z, ONE_WINDOW, &dropout, &mut rng, false)
                 .map_err(|e| e.to_string())?;
         }
         let last = g.gather_rows(z, &[n - 1]).map_err(|e| e.to_string())?;
@@ -587,8 +579,9 @@ impl Vsan {
         let items = g.gather_rows(table, &idx)?;
         let pos = self.pos_emb.lookup(&mut g, &self.store, &position_indices(b, n))?;
         let mut h = g.add(items, pos)?;
+        let windows = Windows::Stacked { batch: b };
         for block in &self.infer_blocks {
-            h = block.forward(&mut g, &self.store, h, b, n, &dropout, &mut rng, false)?;
+            h = block.forward(&mut g, &self.store, h, windows, &dropout, &mut rng, false)?;
         }
         let mut z = if self.cfg.use_latent {
             self.mu_head.forward(&mut g, &self.store, h)?
@@ -596,7 +589,7 @@ impl Vsan {
             h
         };
         for block in &self.gene_blocks {
-            z = block.forward(&mut g, &self.store, z, b, n, &dropout, &mut rng, false)?;
+            z = block.forward(&mut g, &self.store, z, windows, &dropout, &mut rng, false)?;
         }
         let last_rows: Vec<usize> = (0..b).map(|i| i * n + n - 1).collect();
         let last = g.gather_rows(z, &last_rows)?;
@@ -607,6 +600,84 @@ impl Vsan {
         };
         let flat = g.value(logits).data();
         Ok(flat.chunks(self.vocab).map(<[f32]>::to_vec).collect())
+    }
+}
+
+/// The single-history evaluation forwards' one window.
+const ONE_WINDOW: Windows<'static> = Windows::Stacked { batch: 1 };
+
+/// One training shard's rows (DESIGN.md §7). Left padding is the same
+/// rows in every window — item 0 at slots `0..pads` — and a padding row
+/// attends only to padding rows, so the shard computes its longest
+/// padding prefix once, as part of the window that has it (placed
+/// first), followed by every other example's real rows; each window
+/// reads its own padding prefix from the shared one. A shard without
+/// padding is the examples' windows as they are.
+struct ShardRows {
+    /// Item id per row.
+    inputs: Vec<usize>,
+    /// Slot (position row) per row.
+    positions: Vec<usize>,
+    /// Target set per row; padding rows have none.
+    targets: Vec<Vec<usize>>,
+    /// Windows, flat `(batch, n)`: the rows each example attends over.
+    window_rows: Vec<usize>,
+    /// Rows each window computes: the first all `n`, every other its real
+    /// rows.
+    keep: Vec<usize>,
+}
+
+impl ShardRows {
+    fn new(examples: &[&SeqExampleK], n: usize) -> Self {
+        let pads: Vec<usize> =
+            examples.iter().map(|ex| ex.input.iter().take_while(|&&i| i == 0).count()).collect();
+        // The (first) window with the most padding goes first and computes it.
+        let most = pads.iter().copied().max().unwrap_or(0);
+        let first = pads.iter().position(|&p| p == most).unwrap_or(0);
+        let order = std::iter::once(first).chain((0..examples.len()).filter(|&s| s != first));
+        let mut rows = ShardRows {
+            inputs: Vec::with_capacity(examples.len() * n),
+            positions: Vec::new(),
+            targets: Vec::new(),
+            window_rows: Vec::with_capacity(examples.len() * n),
+            keep: Vec::with_capacity(examples.len()),
+        };
+        for s in order {
+            let ex = examples[s];
+            // The first window computes its padding; the others read it.
+            let p = if rows.keep.is_empty() { 0 } else { pads[s] };
+            let at = rows.inputs.len();
+            rows.window_rows.extend((0..p).chain(at..at + n - p));
+            rows.keep.push(n - p);
+            rows.inputs.extend(ex.input[p..].iter().map(|&i| i as usize));
+            rows.positions.extend(p..n);
+            rows.targets.extend(ex.targets[p..].iter().cloned());
+        }
+        rows
+    }
+
+    /// Every window whole, padding included, stacked: the layout the
+    /// shared one must compute the same values as.
+    #[cfg(test)]
+    fn padded(examples: &[&SeqExampleK], n: usize) -> Self {
+        let b = examples.len();
+        ShardRows {
+            inputs: examples.iter().flat_map(|ex| ex.input.iter().map(|&i| i as usize)).collect(),
+            positions: (0..b).flat_map(|_| 0..n).collect(),
+            targets: examples.iter().flat_map(|ex| ex.targets.iter().cloned()).collect(),
+            window_rows: (0..b * n).collect(),
+            keep: vec![n; b],
+        }
+    }
+
+    /// The blocks' attention windows over these rows.
+    fn windows(&self) -> Windows<'_> {
+        if self.keep.iter().all(|&k| k == self.keep[0]) {
+            // No window reads another's rows: they are stacked as they are.
+            Windows::Stacked { batch: self.keep.len() }
+        } else {
+            Windows::Gathered { rows: &self.window_rows, keep: &self.keep }
+        }
     }
 }
 
@@ -816,6 +887,68 @@ mod tests {
             assert_eq!(rec, &model.recommend(h, 3));
         }
         assert!(model.recommend_batch(&[], 3).is_empty());
+    }
+
+    #[test]
+    fn a_shard_computes_shared_padding_once_and_the_same_loss() {
+        // Example 0 has the most padding, so it computes the shared prefix
+        // and the row order is the padded layout's minus the other
+        // windows' padding. With the forward deterministic (dropout 0,
+        // VSAN-z: no ε draw) every real row sees exactly what it sees in
+        // its own padded window: the loss is the same bits, and each
+        // gradient the same terms summed in another grouping.
+        use vsan_tensor::KernelTier;
+        let n = 9;
+        let seqs: [&[u32]; 4] = [&[1, 2], &[3, 4, 5, 6, 7, 1, 2, 3, 4, 5, 6], &[2, 5, 7, 1], &[6, 6, 3]];
+        let examples: Vec<SeqExampleK> = seqs.iter().map(|s| next_k_example(s, n, 2).unwrap()).collect();
+        let refs: Vec<&SeqExampleK> = examples.iter().collect();
+        let mut cfg = VsanConfig::smoke().vsan_z().with_next_k(2);
+        cfg.base.max_seq_len = n;
+        cfg.base.dropout = 0.0;
+        let model = Vsan::init(9, &cfg);
+        // Window 0: 8 padding rows + 1 real; then 9, 3 and 2 real rows.
+        assert_eq!(ShardRows::new(&refs, n).keep, [9, 9, 3, 2]);
+        assert_eq!(ShardRows::new(&refs, n).inputs.len(), 23);
+
+        for tier in [KernelTier::Reference, KernelTier::Fast] {
+            let run = |rows: ShardRows| {
+                let mut g = Graph::with_threads_and_tier(1, tier);
+                let mut rng = StdRng::seed_from_u64(3);
+                let (loss, _) = model.shard_loss(&mut g, model.params(), rows, &mut rng, 0).unwrap();
+                let value = g.value(loss).data()[0];
+                (value, g.backward(loss).unwrap())
+            };
+            let (shared, shared_grads) = run(ShardRows::new(&refs, n));
+            let (padded, padded_grads) = run(ShardRows::padded(&refs, n));
+            assert_eq!(shared.to_bits(), padded.to_bits(), "{}: loss", tier.name());
+            for (id, name, _) in model.params().iter() {
+                let (a, b) = (shared_grads.param_grad(id), padded_grads.param_grad(id));
+                assert_eq!(a.is_some(), b.is_some(), "{name}");
+                let (Some(a), Some(b)) = (a, b) else { continue };
+                for (x, y) in a.data().iter().zip(b.data()) {
+                    assert!((x - y).abs() <= 1e-6 + 1e-4 * y.abs(), "{}: {name}: {x} vs {y}", tier.name());
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn the_window_with_the_most_padding_computes_it() {
+        let n = 6;
+        let seqs: [&[u32]; 3] = [&[1, 2, 3, 4], &[5, 6], &[1, 2, 3, 4, 5, 6, 7]];
+        let examples: Vec<SeqExampleK> = seqs.iter().map(|s| next_k_example(s, n, 1).unwrap()).collect();
+        let refs: Vec<&SeqExampleK> = examples.iter().collect();
+        let rows = ShardRows::new(&refs, n);
+        // Example 1 (5 padding rows) first, then examples 0 and 2 in order.
+        assert_eq!(rows.keep, [6, 3, 6]);
+        assert_eq!(rows.inputs, [0, 0, 0, 0, 0, 5, 1, 2, 3, 1, 2, 3, 4, 5, 6]);
+        assert_eq!(rows.positions, [0, 1, 2, 3, 4, 5, 3, 4, 5, 0, 1, 2, 3, 4, 5]);
+        // Example 0's window reads the shared padding rows 0..3.
+        assert_eq!(&rows.window_rows[6..12], [0, 1, 2, 6, 7, 8]);
+        assert!(matches!(rows.windows(), Windows::Gathered { .. }));
+        // Without padding the windows are stacked as they are.
+        let full = ShardRows::new(&refs[2..], n);
+        assert!(matches!(full.windows(), Windows::Stacked { batch: 1 }));
     }
 
     #[test]

@@ -4,10 +4,11 @@
 //! / KL / β). Two runs are pinned: [`DENSE`] (histories of 9–11 in a
 //! window of 8: no padding, one step per epoch) and [`PADDED`] (histories
 //! of 2–9 left-padded to 40, next-2 targets, two steps per epoch). The
-//! padded fixture was written by the last commit whose head ran over
-//! every row and whose blocks recorded one attention node per sample, so
-//! it is what says end to end that compacting the head to the rows with a
-//! target and batching the attention node moved no trained bit.
+//! dense fixture has not moved since it was written: a shard without
+//! padding trains exactly as it always has. The padded fixture pins the
+//! shared-padding shard (DESIGN.md §7: each shard computes its longest
+//! padding prefix once and every window reads its part of it), which
+//! replaced per-example padding rows and was written when it did.
 //!
 //! `tests/golden_logits.rs` (workspace root) pins the eval forward; this
 //! fixture pins the *training* computation — forward, backward, tree
@@ -59,9 +60,10 @@ const DENSE: Case = Case {
     tune: |_| {},
 };
 
-/// 20 users of 2–9 events in a window of 40: 86 of the 800 rows have a
-/// target. A batch of 16 and one of 4 per epoch (shards of 8, 8 and 4),
-/// next-2 multi-hot targets.
+/// 20 users of 2–9 events in a window of 40: 86 of the 800 window rows
+/// have a target, and a shard computes its real rows plus one shared
+/// padding prefix. A batch of 16 and one of 4 per epoch (shards of 8, 8
+/// and 4), next-2 multi-hot targets.
 const PADDED: Case = Case {
     fixture: "golden_train_padded.txt",
     title: "# Golden VSAN training run, left-padded: 3 epochs of 2 steps from seeded init.\n",
@@ -220,6 +222,6 @@ fn three_training_steps_match_the_golden_fixture_on_every_tier_and_thread_count(
 }
 
 #[test]
-fn padded_training_matches_the_bits_the_all_rows_head_trained() {
+fn padded_training_matches_the_golden_fixture_on_every_tier_and_thread_count() {
     check(&PADDED);
 }

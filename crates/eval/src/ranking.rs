@@ -69,7 +69,11 @@ where
     if n == 0 {
         return Vec::new();
     }
-    let mut heap: BinaryHeap<Entry> = BinaryHeap::with_capacity(n + 1);
+    let pairs = pairs.into_iter();
+    // Reserve for what the candidates can fill: `n` may exceed the catalog
+    // by any amount, `usize::MAX` included.
+    let reserve = n.min(pairs.size_hint().0).saturating_add(1);
+    let mut heap: BinaryHeap<Entry> = BinaryHeap::with_capacity(reserve);
     for (item, score) in pairs {
         if item == 0 || exclude.contains(&item) || !score.is_finite() {
             continue;

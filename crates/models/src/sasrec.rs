@@ -14,7 +14,7 @@ use crate::traits::Recommender;
 use vsan_data::sequence::pad_left;
 use vsan_data::Dataset;
 use vsan_eval::Scorer;
-use vsan_nn::{Dropout, Embedding, ParamStore, SelfAttentionBlock};
+use vsan_nn::{Dropout, Embedding, ParamStore, SelfAttentionBlock, Windows};
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -89,8 +89,9 @@ impl SasRec {
                 let pos = pos_emb.lookup(g, store, &position_indices(batch_size, n))?;
                 let mut h = g.add(items, pos)?;
                 h = dropout.forward(g, rng, h, true)?;
+                let windows = Windows::Stacked { batch: batch_size };
                 for block in &blocks {
-                    h = block.forward(g, store, h, batch_size, n, &dropout, rng, true)?;
+                    h = block.forward(g, store, h, windows, &dropout, rng, true)?;
                 }
                 // Weight-tied logits over the rows that have a target:
                 // (active, d) × (vocab, d)ᵀ.
@@ -121,8 +122,9 @@ impl SasRec {
         let items = g.gather_rows(table, &idx)?;
         let pos = self.pos_emb.lookup(&mut g, &self.store, &position_indices(1, n))?;
         let mut h = g.add(items, pos)?;
+        let window = Windows::Stacked { batch: 1 };
         for block in &self.blocks {
-            h = block.forward(&mut g, &self.store, h, 1, n, &dropout, &mut rng, false)?;
+            h = block.forward(&mut g, &self.store, h, window, &dropout, &mut rng, false)?;
         }
         let last = g.gather_rows(h, &[n - 1])?;
         let logits = g.matmul_a_bt(last, table)?;

@@ -13,24 +13,41 @@ use crate::param::ParamStore;
 use rand::Rng;
 use vsan_autograd::{Graph, Result, Var};
 
-/// One self-attention block operating on `(batch·n, d)` flattened
-/// activations with per-sample causal attention.
-///
-/// The paper (like SASRec) uses single-head attention; [`Self::new_multi_head`]
-/// builds the Transformer-style multi-head extension (heads split the model
-/// width, attend independently, and are re-mixed by an output projection) —
-/// an extension evaluated in `vsan-bench`'s head-count ablation.
+/// Which input rows each sample's `n`-row causal attention window holds.
+/// The block's projections, dropout, LayerNorms and FFN run once per
+/// *input* row whatever the windows; only the attention reads windows.
+#[derive(Debug, Clone, Copy)]
+pub enum Windows<'a> {
+    /// Stacked windows: input rows `s·n..(s+1)·n` are window `s`.
+    Stacked {
+        /// Number of windows.
+        batch: usize,
+    },
+    /// Windows assembled from shared input rows: window `s` is input rows
+    /// `rows[s·n..(s+1)·n]` and is queried at its last `keep[s]` rows, and
+    /// the input rows are, in order, exactly those queried rows of every
+    /// window. A row that several windows read — their common left
+    /// padding, which attends only to itself — is then computed once, by
+    /// the one window that queries it.
+    Gathered {
+        /// Window rows, flat `(keep.len(), n)`.
+        rows: &'a [usize],
+        /// Queried rows per window.
+        keep: &'a [usize],
+    },
+}
+
+/// One single-head self-attention block (the paper's, like SASRec's)
+/// operating on flattened activations, with per-sample causal attention
+/// over [`Windows`].
 #[derive(Debug, Clone)]
 pub struct SelfAttentionBlock {
     wq: Linear,
     wk: Linear,
     wv: Linear,
-    /// Output projection, present only in multi-head mode.
-    wo: Option<Linear>,
     ln1: LayerNorm,
     ffn: Option<Ffn>,
     dim: usize,
-    heads: usize,
 }
 
 /// The point-wise feed-forward sublayer (Eq. 8/16) with its LayerNorm.
@@ -51,44 +68,21 @@ impl SelfAttentionBlock {
         dim: usize,
         use_ffn: bool,
     ) -> Self {
-        Self::new_multi_head(store, rng, prefix, dim, 1, use_ffn)
-    }
-
-    /// Register a multi-head block: `heads` must divide `dim`. With
-    /// `heads = 1` this is exactly the paper's block (no output
-    /// projection); with more heads a `W_O` projection re-mixes the
-    /// concatenated head outputs.
-    pub fn new_multi_head<R: Rng + ?Sized>(
-        store: &mut ParamStore,
-        rng: &mut R,
-        prefix: &str,
-        dim: usize,
-        heads: usize,
-        use_ffn: bool,
-    ) -> Self {
-        assert!(heads >= 1 && dim.is_multiple_of(heads), "heads ({heads}) must divide dim ({dim})");
         let wq = Linear::new(store, rng, &format!("{prefix}.wq"), dim, dim, false);
         let wk = Linear::new(store, rng, &format!("{prefix}.wk"), dim, dim, false);
         let wv = Linear::new(store, rng, &format!("{prefix}.wv"), dim, dim, false);
-        let wo = (heads > 1)
-            .then(|| Linear::new(store, rng, &format!("{prefix}.wo"), dim, dim, false));
         let ln1 = LayerNorm::new(store, &format!("{prefix}.ln1"), dim);
         let ffn = use_ffn.then(|| Ffn {
             w1: Linear::new(store, rng, &format!("{prefix}.ffn1"), dim, dim, true),
             w2: Linear::new(store, rng, &format!("{prefix}.ffn2"), dim, dim, true),
             ln2: LayerNorm::new(store, &format!("{prefix}.ln2"), dim),
         });
-        SelfAttentionBlock { wq, wk, wv, wo, ln1, ffn, dim, heads }
+        SelfAttentionBlock { wq, wk, wv, ln1, ffn, dim }
     }
 
     /// Model width.
     pub fn dim(&self) -> usize {
         self.dim
-    }
-
-    /// Number of attention heads.
-    pub fn heads(&self) -> usize {
-        self.heads
     }
 
     /// `true` when the point-wise feed-forward sublayer is present.
@@ -112,11 +106,6 @@ impl SelfAttentionBlock {
         &self.wv
     }
 
-    /// The output projection (`Some` only in multi-head mode).
-    pub fn wo(&self) -> Option<&Linear> {
-        self.wo.as_ref()
-    }
-
     /// The post-attention LayerNorm.
     pub fn ln1(&self) -> &LayerNorm {
         &self.ln1
@@ -127,50 +116,38 @@ impl SelfAttentionBlock {
         self.ffn.as_ref().map(|f| (&f.w1, &f.w2, &f.ln2))
     }
 
-    /// Forward a flattened batch `(batch·seq_len, dim)`; attention runs
-    /// causally within each sample's `seq_len` window and never across
-    /// samples.
+    /// Forward flattened `(rows, dim)` activations; attention runs
+    /// causally within each window of `windows` and never across windows.
     #[allow(clippy::too_many_arguments)]
     pub fn forward<R: Rng + ?Sized>(
         &self,
         g: &mut Graph,
         store: &ParamStore,
         x: Var,
-        batch: usize,
-        seq_len: usize,
+        windows: Windows<'_>,
         dropout: &Dropout,
         rng: &mut R,
         train: bool,
     ) -> Result<Var> {
-        debug_assert_eq!(g.value(x).dims(), &[batch * seq_len, self.dim]);
-        // Project once over the whole flattened batch.
-        let q_flat = self.wq.forward(g, store, x)?;
-        let k_flat = self.wk.forward(g, store, x)?;
-        let v_flat = self.wv.forward(g, store, x)?;
-        let head_dim = self.dim / self.heads;
-        let scale = 1.0 / (head_dim as f32).sqrt();
+        // Project once over every input row.
+        let q = self.wq.forward(g, store, x)?;
+        let k = self.wk.forward(g, store, x)?;
+        let v = self.wv.forward(g, store, x)?;
+        let scale = 1.0 / (self.dim as f32).sqrt();
 
         // Per-sample causal attention (Eq. 5 with the j > i links removed)
         // through the tier-dispatched batch builder: one fused node on a
         // fast-tier graph, the per-sample composed chains on a
         // reference-tier one — bit-identical values and gradients either
-        // way. Heads attend independently on their slice of the width.
-        let mut d = if self.heads == 1 {
-            g.causal_attention_batch(q_flat, k_flat, v_flat, batch, scale)?
-        } else {
-            let mut head_outs = Vec::with_capacity(self.heads);
-            for h in 0..self.heads {
-                let (lo, hi) = (h * head_dim, (h + 1) * head_dim);
-                let qh = g.slice_cols(q_flat, lo, hi)?;
-                let kh = g.slice_cols(k_flat, lo, hi)?;
-                let vh = g.slice_cols(v_flat, lo, hi)?;
-                head_outs.push(g.causal_attention_batch(qh, kh, vh, batch, scale)?);
+        // way.
+        let d = match windows {
+            Windows::Stacked { batch } => g.causal_attention_batch(q, k, v, batch, scale)?,
+            Windows::Gathered { rows, keep } => {
+                let kw = g.gather_rows(k, rows)?;
+                let vw = g.gather_rows(v, rows)?;
+                g.causal_attention_windows(q, kw, vw, keep, scale)?
             }
-            g.concat_cols(&head_outs)?
         };
-        if let Some(wo) = &self.wo {
-            d = wo.forward(g, store, d)?;
-        }
         let d = dropout.forward(g, rng, d, train)?;
 
         // Residual + LayerNorm (Eq. 7).
@@ -213,7 +190,8 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(2);
         let x = g.constant(init::randn(&mut rng, &[3 * 5, 8], 0.0, 1.0));
         let drop = Dropout::new(0.0);
-        let y = block.forward(&mut g, &store, x, 3, 5, &drop, &mut rng, true).unwrap();
+        let windows = Windows::Stacked { batch: 3 };
+        let y = block.forward(&mut g, &store, x, windows, &drop, &mut rng, true).unwrap();
         assert_eq!(g.value(y).dims(), &[15, 8]);
         assert!(g.value(y).all_finite());
     }
@@ -235,7 +213,8 @@ mod tests {
             let mut g = Graph::new();
             let mut rng = StdRng::seed_from_u64(4);
             let x = g.constant(input);
-            let y = block.forward(&mut g, &store, x, 1, 4, &drop, &mut rng, false).unwrap();
+            let windows = Windows::Stacked { batch: 1 };
+            let y = block.forward(&mut g, &store, x, windows, &drop, &mut rng, false).unwrap();
             g.value(y).clone()
         };
         let y0 = run(base);
@@ -267,9 +246,8 @@ mod tests {
                 data.extend_from_slice(p.data());
             }
             let x = g.constant(Tensor::from_vec(data, &[parts.len() * 3, 8]).unwrap());
-            let y = block
-                .forward(&mut g, &store, x, parts.len(), 3, &drop, &mut rng, false)
-                .unwrap();
+            let windows = Windows::Stacked { batch: parts.len() };
+            let y = block.forward(&mut g, &store, x, windows, &drop, &mut rng, false).unwrap();
             g.value(y).clone()
         };
         let with_b = run_batch(&[&a, &b]);
@@ -282,60 +260,37 @@ mod tests {
         }
     }
 
+    /// Two 4-row windows over 6 input rows: window 0 is rows `[0, 1, 2,
+    /// 3]` and queries all of them, window 1 shares rows 0 and 1 (a common
+    /// left prefix) and queries its own rows 4 and 5.
+    const SHARED_ROWS: [usize; 8] = [0, 1, 2, 3, 0, 1, 4, 5];
+    const SHARED_KEEP: [usize; 2] = [4, 2];
+    /// Where each input row sits in the stacked copies of the windows.
+    const SHARED_OUT: [usize; 6] = [0, 1, 2, 3, 6, 7];
+
     #[test]
-    fn multi_head_preserves_shape_and_causality() {
-        let mut store = ParamStore::new();
-        let mut rng = StdRng::seed_from_u64(21);
-        let block = SelfAttentionBlock::new_multi_head(&mut store, &mut rng, "mh", 8, 4, true);
-        assert_eq!(block.heads(), 4);
+    fn gathered_windows_match_stacked_copies_of_the_shared_rows() {
+        // A window built from shared rows computes exactly what the same
+        // rows copied into a stacked window compute, row for row; only the
+        // shared rows' gradients sum over the windows that read them.
+        let (store, block) = setup(true);
         let drop = Dropout::new(0.0);
-        let base = init::randn(&mut rng, &[4, 8], 0.0, 1.0);
-        let mut altered = base.clone();
-        for v in altered.row_mut(3) {
-            *v += 5.0;
-        }
-        let run = |input: Tensor| {
+        let mut rng = StdRng::seed_from_u64(51);
+        let shared = init::randn(&mut rng, &[6, 8], 0.0, 1.0);
+        let stacked = shared.gather_rows(&SHARED_ROWS).unwrap();
+        let run = |input: &Tensor, windows: Windows<'_>| {
             let mut g = Graph::new();
-            let mut rng = StdRng::seed_from_u64(22);
-            let x = g.constant(input);
-            let y = block.forward(&mut g, &store, x, 1, 4, &drop, &mut rng, false).unwrap();
+            let mut rng = StdRng::seed_from_u64(52);
+            let x = g.constant(input.clone());
+            let y = block.forward(&mut g, &store, x, windows, &drop, &mut rng, false).unwrap();
             g.value(y).clone()
         };
-        let y0 = run(base);
-        let y1 = run(altered);
-        assert_eq!(y0.dims(), &[4, 8]);
-        for pos in 0..3 {
-            for (a, b) in y0.row(pos).iter().zip(y1.row(pos)) {
-                assert!((a - b).abs() < 1e-5, "multi-head leaked future at {pos}");
-            }
+        let gathered = run(&shared, Windows::Gathered { rows: &SHARED_ROWS, keep: &SHARED_KEEP });
+        let copies = run(&stacked, Windows::Stacked { batch: 2 });
+        assert_eq!(gathered.dims(), &[6, 8]);
+        for (r, &w) in SHARED_OUT.iter().enumerate() {
+            assert_eq!(gathered.row(r), copies.row(w), "input row {r} vs window row {w}");
         }
-    }
-
-    #[test]
-    fn multi_head_gradients_reach_output_projection() {
-        let mut store = ParamStore::new();
-        let mut rng = StdRng::seed_from_u64(23);
-        let block = SelfAttentionBlock::new_multi_head(&mut store, &mut rng, "mh", 6, 2, false);
-        let mut g = Graph::new();
-        let x = g.constant(init::randn(&mut rng, &[3, 6], 0.0, 0.5));
-        let drop = Dropout::new(0.0);
-        let mut rng2 = StdRng::seed_from_u64(24);
-        let y = block.forward(&mut g, &store, x, 1, 3, &drop, &mut rng2, false).unwrap();
-        let sq = g.mul(y, y).unwrap();
-        let loss = g.sum_all(sq);
-        let grads = g.backward(loss).unwrap();
-        for (id, name, _) in store.iter() {
-            assert!(grads.param_grad(id).is_some(), "no gradient for {name}");
-        }
-        assert!(store.id_of("mh.wo.w").is_some(), "multi-head must register W_O");
-    }
-
-    #[test]
-    #[should_panic(expected = "must divide")]
-    fn multi_head_rejects_indivisible_widths() {
-        let mut store = ParamStore::new();
-        let mut rng = StdRng::seed_from_u64(25);
-        SelfAttentionBlock::new_multi_head(&mut store, &mut rng, "bad", 7, 2, false);
     }
 
     #[test]
@@ -348,62 +303,61 @@ mod tests {
 
     #[test]
     fn block_forward_and_grads_are_bit_equal_across_kernel_tiers() {
-        // The whole block (multi-head, with FFN) run on a reference-tier
-        // and a fast-tier graph: output values and every parameter
-        // gradient must match to the bit.
+        // The whole block (with FFN) run on a reference-tier and a
+        // fast-tier graph, over stacked and over gathered windows: output
+        // values and every parameter gradient must match to the bit.
         use vsan_tensor::KernelTier;
         let mut store = ParamStore::new();
         let mut rng = StdRng::seed_from_u64(31);
-        let block = SelfAttentionBlock::new_multi_head(&mut store, &mut rng, "t", 8, 2, true);
-        let x0 = init::randn(&mut rng, &[2 * 3, 8], 0.0, 0.5);
+        let block = SelfAttentionBlock::new(&mut store, &mut rng, "t", 8, true);
+        let stacked = init::randn(&mut rng, &[2 * 3, 8], 0.0, 0.5);
+        let shared = init::randn(&mut rng, &[6, 8], 0.0, 0.5);
+        let gathered = Windows::Gathered { rows: &SHARED_ROWS, keep: &SHARED_KEEP };
         let drop = Dropout::new(0.0);
 
-        let run = |tier: KernelTier| {
-            let mut g = Graph::with_threads_and_tier(1, tier);
-            let mut rng2 = StdRng::seed_from_u64(32);
-            let x = g.constant(x0.clone());
-            let y = block.forward(&mut g, &store, x, 2, 3, &drop, &mut rng2, false).unwrap();
-            let out = g.value(y).clone();
-            let sq = g.mul(y, y).unwrap();
-            let loss = g.sum_all(sq);
-            let grads = g.backward(loss).unwrap();
-            (out, grads)
-        };
-        let (out_ref, grads_ref) = run(KernelTier::Reference);
-        let (out_fast, grads_fast) = run(KernelTier::Fast);
-        for (a, b) in out_ref.data().iter().zip(out_fast.data()) {
-            assert_eq!(a.to_bits(), b.to_bits(), "forward diverged across tiers");
-        }
-        for (id, name, _) in store.iter() {
-            let gr = grads_ref.param_grad(id).unwrap();
-            let gf = grads_fast.param_grad(id).unwrap();
-            for (a, b) in gr.data().iter().zip(gf.data()) {
-                assert_eq!(a.to_bits(), b.to_bits(), "gradient diverged for {name}");
+        for (x0, windows) in [(&stacked, Windows::Stacked { batch: 2 }), (&shared, gathered)] {
+            let run = |tier: KernelTier| {
+                let mut g = Graph::with_threads_and_tier(1, tier);
+                let mut rng2 = StdRng::seed_from_u64(32);
+                let x = g.constant(x0.clone());
+                let y = block.forward(&mut g, &store, x, windows, &drop, &mut rng2, false).unwrap();
+                let out = g.value(y).clone();
+                let sq = g.mul(y, y).unwrap();
+                let loss = g.sum_all(sq);
+                let grads = g.backward(loss).unwrap();
+                (out, grads)
+            };
+            let (out_ref, grads_ref) = run(KernelTier::Reference);
+            let (out_fast, grads_fast) = run(KernelTier::Fast);
+            for (a, b) in out_ref.data().iter().zip(out_fast.data()) {
+                assert_eq!(a.to_bits(), b.to_bits(), "forward diverged across tiers: {windows:?}");
+            }
+            for (id, name, _) in store.iter() {
+                let gr = grads_ref.param_grad(id).unwrap();
+                let gf = grads_fast.param_grad(id).unwrap();
+                for (a, b) in gr.data().iter().zip(gf.data()) {
+                    assert_eq!(a.to_bits(), b.to_bits(), "gradient diverged for {name}: {windows:?}");
+                }
             }
         }
     }
 
     #[test]
     fn fast_tier_tape_does_not_grow_with_the_batch() {
-        // One attention node per block (per head), whatever the batch: no
-        // per-sample gathers, nodes or concat on the tier that trains.
+        // One attention node per block, whatever the batch: no per-sample
+        // gathers, nodes or concat on the tier that trains.
         use vsan_tensor::KernelTier;
-        for heads in [1, 2] {
-            let mut store = ParamStore::new();
-            let mut rng = StdRng::seed_from_u64(41);
-            let block =
-                SelfAttentionBlock::new_multi_head(&mut store, &mut rng, "t", 8, heads, true);
-            let drop = Dropout::new(0.0);
-            let tape_len = |batch: usize| {
-                let mut g = Graph::with_threads_and_tier(1, KernelTier::Fast);
-                let mut rng2 = StdRng::seed_from_u64(42);
-                let x = g.constant(init::randn(&mut rng2, &[batch * 3, 8], 0.0, 0.5));
-                block.forward(&mut g, &store, x, batch, 3, &drop, &mut rng2, false).unwrap();
-                g.len()
-            };
-            let one = tape_len(1);
-            assert_eq!(tape_len(8), one, "{heads} head(s)");
-        }
+        let (store, block) = setup(true);
+        let drop = Dropout::new(0.0);
+        let tape_len = |batch: usize| {
+            let mut g = Graph::with_threads_and_tier(1, KernelTier::Fast);
+            let mut rng2 = StdRng::seed_from_u64(42);
+            let x = g.constant(init::randn(&mut rng2, &[batch * 3, 8], 0.0, 0.5));
+            let windows = Windows::Stacked { batch };
+            block.forward(&mut g, &store, x, windows, &drop, &mut rng2, false).unwrap();
+            g.len()
+        };
+        assert_eq!(tape_len(8), tape_len(1));
     }
 
     #[test]
@@ -446,7 +400,8 @@ mod tests {
         let mut g = Graph::new();
         let mut rng2 = StdRng::seed_from_u64(8);
         let x = g.constant(x0);
-        let y = block.forward(&mut g, &store, x, 1, 3, &drop, &mut rng2, false).unwrap();
+        let windows = Windows::Stacked { batch: 1 };
+        let y = block.forward(&mut g, &store, x, windows, &drop, &mut rng2, false).unwrap();
         let sq = g.mul(y, y).unwrap();
         let loss = g.sum_all(sq);
         let grads = g.backward(loss).unwrap();

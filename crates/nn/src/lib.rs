@@ -44,7 +44,7 @@ pub mod optim;
 pub mod param;
 pub mod schedule;
 
-pub use attention::SelfAttentionBlock;
+pub use attention::{SelfAttentionBlock, Windows};
 pub use data_parallel::{DataParallel, ShardStats};
 pub use dropout::Dropout;
 pub use embedding::Embedding;

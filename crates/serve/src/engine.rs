@@ -44,9 +44,9 @@ use crate::queue::{AdmissionQueue, BackpressurePolicy, PopOutcome, PushOutcome};
 /// one of them: it is surfaced through the fault telemetry
 /// ([`FaultKind::ModelError`], the `serve.model_errors` counter) and
 /// the affected requests resolve through the degraded path — never as
-/// fabricated all-zero scores. These are lifecycle and overload
-/// outcomes, every one of them part of the resolution guarantee: a
-/// ticket either carries a [`Response`] or one of these.
+/// fabricated all-zero scores. These are invalid-request, lifecycle and
+/// overload outcomes, every one of them part of the resolution
+/// guarantee: a ticket either carries a [`Response`] or one of these.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ServeError {
     /// The engine is shutting down and no longer accepts requests.
@@ -61,6 +61,16 @@ pub enum ServeError {
     /// The engine is saturated (or its workers are down) and no
     /// degraded fallback could produce an answer.
     Overloaded,
+    /// The history's fold-in window holds an item id the model does not
+    /// know (`item >= vocab`) — the id every scoring path rejects. Raised
+    /// at admission, so the request never joins (and never spoils) a
+    /// batch.
+    InvalidItem {
+        /// The first out-of-vocabulary id in the window.
+        item: u32,
+        /// The model's vocabulary size.
+        vocab: usize,
+    },
 }
 
 impl std::fmt::Display for ServeError {
@@ -71,6 +81,9 @@ impl std::fmt::Display for ServeError {
             ServeError::ResponseTaken => write!(f, "response already taken"),
             ServeError::DeadlineExceeded => write!(f, "request deadline exceeded"),
             ServeError::Overloaded => write!(f, "engine overloaded and no fallback available"),
+            ServeError::InvalidItem { item, vocab } => {
+                write!(f, "item id {item} out of vocabulary ({vocab})")
+            }
         }
     }
 }
@@ -570,8 +583,16 @@ impl Engine {
         let trace = inner.mint_trace();
         inner.trace(trace, TraceStage::Admission, 0, history.len() as u64);
 
+        let window = inner.model.fold_in_window(history);
+        let vocab = inner.model.vocab();
+        if let Some(&item) = window.iter().find(|&&id| id as usize >= vocab) {
+            let elapsed = as_us(start.elapsed());
+            metrics.latency_us.record_traced(elapsed, inner.exemplar(&trace));
+            inner.span(trace, TraceStage::Rejected, elapsed, 0);
+            return Ticket::ready(Err(ServeError::InvalidItem { item, vocab }));
+        }
+
         if inner.cache_enabled {
-            let window = inner.model.fold_in_window(history);
             let hit = inner.lock_cache().get(window);
             if let Some(logits) = hit {
                 metrics.cache_hits.inc();

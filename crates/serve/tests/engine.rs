@@ -274,39 +274,36 @@ fn tickets_poll_exactly_once() {
 }
 
 #[test]
-fn model_error_degrades_explicitly_instead_of_serving_zeros() {
-    // An out-of-vocabulary item id makes the forward fail on both the
-    // fast path and the graph path. The engine must surface that as a
-    // counted fault plus a degraded (popularity) answer — never as
-    // fabricated all-zero logits ranked like real scores.
-    let sink = std::sync::Arc::new(vsan_obs::MemorySink::new());
+fn out_of_vocabulary_requests_are_rejected_at_admission() {
+    // An out-of-vocabulary item id in the fold-in window is the one input
+    // every scoring path rejects. The engine rejects it with a typed error
+    // before the request can join a batch — so it neither degrades nor
+    // fails its batch-mates — and never answers it with fabricated scores.
     let popularity: Vec<f32> = (0..9).map(|i| i as f32).collect();
     let engine = Engine::start(
         trained_model(),
         EngineConfig::default()
             .with_batch_deadline(Duration::from_millis(1))
             .with_workers(1)
-            .with_popularity(popularity)
-            .with_fault_sink(sink.clone()),
+            .with_popularity(popularity),
     );
+    let vocab = engine.model().vocab();
 
     let bad_history = [1u32, 2, 10_000]; // 10_000 is far out of vocab
-    let resp = engine.recommend(&bad_history, 3).expect("degraded fallback answers");
-    assert!(resp.is_degraded(), "a model error must be visible on the response");
-    assert_eq!(resp.items(), &[8, 7, 6], "popularity order, highest score first");
-
-    // A healthy request on the same worker afterwards is unaffected.
-    let good = engine.recommend(&[1, 2, 3], 4).unwrap();
+    let good = engine.submit(&[1, 2, 3], 4);
+    let bad = engine.submit(&bad_history, 3);
+    assert_eq!(bad.wait(), Err(ServeError::InvalidItem { item: 10_000, vocab }));
+    let good = good.wait().unwrap();
     assert!(!good.is_degraded());
     assert_eq!(good, engine.model().recommend(&[1, 2, 3], 4));
+    // The same id outside the window the model reads is no error.
+    let mut long = vec![10_000u32];
+    long.extend((0..engine.model().config().base.max_seq_len as u32).map(|t| t % 8 + 1));
+    assert!(engine.recommend(&long, 3).is_ok());
 
-    let m = engine.shutdown_stats().snapshot;
-    assert_eq!(m.model_errors, 1, "{m:?}");
-    assert_eq!(m.degraded_responses, 1, "{m:?}");
-    assert!(m.worker_panics == 0, "an Err forward is not a panic: {m:?}");
-    let faults: Vec<String> = sink.lines();
-    assert!(
-        faults.iter().any(|l| l.contains("\"kind\":\"model_error\"")),
-        "fault JSONL must record the model error: {faults:?}"
-    );
+    let stats = engine.shutdown_stats();
+    let m = stats.snapshot;
+    assert_eq!((m.model_errors, m.degraded_responses, m.worker_panics), (0, 0, 0), "{m:?}");
+    // The rejection resolved its ticket like any other reply.
+    assert_eq!(stats.latency_us.count, m.requests, "{m:?}");
 }

@@ -410,29 +410,56 @@ simd_kernel! {
         probs: &mut [f32],
         out: &mut [f32],
     ) {
-        debug_assert_eq!(q.len(), n * d);
+        causal_attention_train_rows_forward(q, k, v, n, d, scale, probs, out);
+    }
+}
+
+simd_kernel! {
+    /// [`causal_attention_train_forward`] for the last `keep = q.len() / d`
+    /// query rows of an `n`-row window: query row `r` is window row `i = n −
+    /// keep + r` and attends to keys `0..=i`. `probs` is `(keep, n)` and
+    /// `out` `(keep, d)`; `keep = n` is the square kernel.
+    ///
+    /// Bit-compatibility: each output row is the square kernel's row `i`
+    /// (every fold is per row, ascending), so this equals the composed
+    /// chain over the window with its first `n − keep` query rows zeroed,
+    /// restricted to the last `keep` rows.
+    #[allow(clippy::too_many_arguments)]
+    pub fn causal_attention_train_rows_forward(
+        q: &[f32],
+        k: &[f32],
+        v: &[f32],
+        n: usize,
+        d: usize,
+        scale: f32,
+        probs: &mut [f32],
+        out: &mut [f32],
+    ) {
+        let keep = q.len() / d.max(1);
+        debug_assert!(keep <= n);
+        debug_assert_eq!(q.len(), keep * d);
         debug_assert_eq!(k.len(), n * d);
         debug_assert_eq!(v.len(), n * d);
-        debug_assert_eq!(probs.len(), n * n);
-        debug_assert_eq!(out.len(), n * d);
-        // All n² scores in one tiled pass over a transposed key buffer
+        debug_assert_eq!(probs.len(), keep * n);
+        debug_assert_eq!(out.len(), keep * d);
+        // All keep·n scores in one tiled pass over a transposed key buffer
         // (header: same products, same ascending-k folds as the reference
-        // dots). The above-diagonal half is computed eagerly but every one
+        // dots). The above-diagonal part is computed eagerly but every one
         // of those entries is overwritten with the mask's exact 0.0 below
         // before anything reads it.
         let mut kt = vec![0.0f32; n * d];
         transpose_into(k, &mut kt, n, d);
         probs.fill(0.0);
-        tiled_nest::<false>(q, &kt, probs, n, d, n);
-        for i in 0..n {
-            let row = &mut probs[i * n..(i + 1) * n];
+        tiled_nest::<false>(q, &kt, probs, keep, d, n);
+        for (r, row) in probs.chunks_exact_mut(n.max(1)).enumerate() {
+            let i = n - keep + r;
             softmax_scaled_row(&mut row[..=i], scale);
             // Future positions carry exactly zero weight, matching the
             // softmax_rows_masked layout the backward pass relies on.
             row[i + 1..].fill(0.0);
         }
         out.fill(0.0);
-        tiled_nest::<false>(probs, v, out, n, n, d);
+        tiled_nest::<false>(probs, v, out, keep, n, d);
     }
 }
 
@@ -483,29 +510,62 @@ simd_kernel! {
         dv: &mut [f32],
         dscores: &mut [f32],
     ) {
-        debug_assert_eq!(q.len(), n * d);
+        causal_attention_train_rows_backward(q, k, v, probs, d_out, n, d, scale, dq, dk, dv, dscores);
+    }
+}
+
+simd_kernel! {
+    /// [`causal_attention_train_backward`] for the last `keep = q.len() /
+    /// d` query rows of an `n`-row window, given the `(keep, n)` softmax
+    /// rows [`causal_attention_train_rows_forward`] saved: `dq` and
+    /// `d_out` are `(keep, d)`, `dk` / `dv` `(n, d)`, `dscores` at least
+    /// `(keep, n)` scratch. `keep = n` is the square kernel.
+    ///
+    /// Bit-compatibility with the square kernel over the window with its
+    /// first `n − keep` query rows zeroed and their upstream gradient
+    /// zero: those rows' `dP`, `dS`, and every product they add to `dK` /
+    /// `dV` are exact zeros, which leave an ascending fold's accumulator
+    /// as it was; the folds over the kept rows are the same, in the same
+    /// order.
+    #[allow(clippy::too_many_arguments)]
+    pub fn causal_attention_train_rows_backward(
+        q: &[f32],
+        k: &[f32],
+        v: &[f32],
+        probs: &[f32],
+        d_out: &[f32],
+        n: usize,
+        d: usize,
+        scale: f32,
+        dq: &mut [f32],
+        dk: &mut [f32],
+        dv: &mut [f32],
+        dscores: &mut [f32],
+    ) {
+        let keep = q.len() / d.max(1);
+        debug_assert!(keep <= n);
+        debug_assert_eq!(q.len(), keep * d);
         debug_assert_eq!(k.len(), n * d);
         debug_assert_eq!(v.len(), n * d);
-        debug_assert_eq!(probs.len(), n * n);
-        debug_assert_eq!(d_out.len(), n * d);
-        debug_assert_eq!(dq.len(), n * d);
+        debug_assert_eq!(probs.len(), keep * n);
+        debug_assert_eq!(d_out.len(), keep * d);
+        debug_assert_eq!(dq.len(), keep * d);
         debug_assert_eq!(dk.len(), n * d);
         debug_assert_eq!(dv.len(), n * d);
-        debug_assert_eq!(dscores.len(), n * n);
+        let dscores = &mut dscores[..keep * n];
         // dV = probsᵀ · d_out.
         dv.fill(0.0);
-        tiled_nest::<true>(probs, d_out, dv, n, n, d);
-        // dP = d_out · vᵀ (full n×n, masked columns included — they meet an
-        // exact-zero y below, exactly as on the tape), via the tiled kernel
-        // over a transposed value buffer (header: same folds, same bits).
+        tiled_nest::<true>(probs, d_out, dv, n, keep, d);
+        // dP = d_out · vᵀ (all n columns, masked ones included — they meet
+        // an exact-zero y below, exactly as on the tape), via the tiled
+        // kernel over a transposed value buffer (header: same folds, same
+        // bits).
         let mut vt = vec![0.0f32; n * d];
         transpose_into(v, &mut vt, n, d);
         dscores.fill(0.0);
-        tiled_nest::<false>(d_out, &vt, dscores, n, d, n);
+        tiled_nest::<false>(d_out, &vt, dscores, keep, d, n);
         // Softmax backward + affine backward, in place: dscores becomes dS.
-        for i in 0..n {
-            let y_row = &probs[i * n..(i + 1) * n];
-            let ds_row = &mut dscores[i * n..(i + 1) * n];
+        for (y_row, ds_row) in probs.chunks_exact(n.max(1)).zip(dscores.chunks_exact_mut(n.max(1))) {
             let mut dot = 0.0f32;
             for (&yv, &dp) in y_row.iter().zip(ds_row.iter()) {
                 dot += yv * dp;
@@ -516,9 +576,9 @@ simd_kernel! {
         }
         // dQ = dS · k, dK = dSᵀ · q.
         dq.fill(0.0);
-        tiled_nest::<false>(dscores, k, dq, n, n, d);
+        tiled_nest::<false>(dscores, k, dq, keep, n, d);
         dk.fill(0.0);
-        tiled_nest::<true>(dscores, q, dk, n, n, d);
+        tiled_nest::<true>(dscores, q, dk, n, keep, d);
     }
 }
 
@@ -786,6 +846,59 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// The row kernels for the last `keep` query rows against the square
+    /// kernels over the window with its first `n − keep` query rows zeroed
+    /// and their upstream gradient zero (what the reference tape runs):
+    /// the kept rows' probs and outputs, `dq` for them, and `dk` / `dv`,
+    /// bit for bit.
+    #[test]
+    fn train_row_kernels_match_the_square_kernels_with_zeroed_queries() {
+        let mut rng = StdRng::seed_from_u64(523);
+        for (n, d) in [(1usize, 1), (4, 5), (5, 8), (17, 16), (50, 100)] {
+            for keep in [0, 1, n / 2, n - 1, n] {
+                let q = init::randn(&mut rng, &[keep, d], 0.0, 1.0);
+                let k = init::randn(&mut rng, &[n, d], 0.0, 1.0);
+                let v = init::randn(&mut rng, &[n, d], 0.0, 1.0);
+                let g_out = init::randn(&mut rng, &[keep, d], 0.0, 1.0);
+                let scale = 1.0 / (d as f32).sqrt();
+                let skip = (n - keep) * d;
+                let mut q_full = vec![0.0f32; skip];
+                q_full.extend_from_slice(q.data());
+                let mut g_full = vec![0.0f32; skip];
+                g_full.extend_from_slice(g_out.data());
+
+                let (k, v) = (k.data(), v.data());
+                let (mut sq_probs, mut sq_out) = (vec![0.0f32; n * n], vec![0.0f32; n * d]);
+                causal_attention_train_forward(&q_full, k, v, n, d, scale, &mut sq_probs, &mut sq_out);
+                let (mut probs, mut out) = (vec![f32::NAN; keep * n], vec![f32::NAN; keep * d]);
+                causal_attention_train_rows_forward(q.data(), k, v, n, d, scale, &mut probs, &mut out);
+                let what = format!("n={n}, keep={keep}, d={d}");
+                assert_eq!(bits(&probs), bits(&sq_probs[(n - keep) * n..]), "{what}: probs");
+                assert_eq!(bits(&out), bits(&sq_out[skip..]), "{what}: out");
+
+                let mut sq = [vec![0.0f32; n * d], vec![0.0f32; n * d], vec![0.0f32; n * d]];
+                let [sq_dq, sq_dk, sq_dv] = &mut sq;
+                let mut scratch = vec![0.0f32; n * n];
+                let (sq_p, g) = (&sq_probs, g_out.data());
+                causal_attention_train_backward(
+                    &q_full, k, v, sq_p, &g_full, n, d, scale, sq_dq, sq_dk, sq_dv, &mut scratch,
+                );
+                let mut dq = vec![f32::NAN; keep * d];
+                let (mut dk, mut dv) = (vec![f32::NAN; n * d], vec![f32::NAN; n * d]);
+                causal_attention_train_rows_backward(
+                    q.data(), k, v, &probs, g, n, d, scale, &mut dq, &mut dk, &mut dv, &mut scratch,
+                );
+                assert_eq!(bits(&dq), bits(&sq_dq[skip..]), "{what}: dq");
+                assert_eq!(bits(&dk), bits(sq_dk), "{what}: dk");
+                assert_eq!(bits(&dv), bits(sq_dv), "{what}: dv");
+            }
+        }
+    }
+
+    fn bits(data: &[f32]) -> Vec<u32> {
+        data.iter().map(|v| v.to_bits()).collect()
     }
 
     #[test]

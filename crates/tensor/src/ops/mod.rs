@@ -21,7 +21,8 @@ pub mod softmax;
 pub use attention::{
     attention_scratch_len, causal_attention_append_into, causal_attention_into,
     causal_attention_resume_into, causal_attention_rows_into, causal_attention_train_backward,
-    causal_attention_train_forward,
+    causal_attention_train_forward, causal_attention_train_rows_backward,
+    causal_attention_train_rows_forward,
 };
 pub use elementwise::{
     add, add_into, add_row_broadcast_into, add_scaled_into, affine_into, exp_into, hadamard,

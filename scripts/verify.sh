@@ -99,11 +99,14 @@ VSAN_THREADS_MATRIX=1,2,8 cargo test -q --offline -p vsan-core --test parallel_t
 # The differential suites, by name, one run per crate. Each holds a fast
 # path to its oracle in the same process, both called by name (DESIGN.md
 # §10–§12): the plan vs the graph forward (fast_path, golden_logits),
-# the fast tier vs the reference tier (tier_differential, gradcheck_ops,
-# golden_train), the append pass vs the graph oracle (session_incremental,
-# the session runtime and engine suites, whose capacity-0 arm is the one
-# full-recompute mode), and the clustered index vs exact retrieval
-# (retrieval). `cargo test --workspace` already ran them; naming them
+# every entry point on the edge histories (edge_histories: empty,
+# padding-only, out-of-vocabulary, k past the catalog), the fast tier vs
+# the reference tier (tier_differential, batch and windowed attention;
+# gradcheck_ops; golden_train), the append pass vs the graph oracle
+# (session_incremental, the session runtime and engine suites, whose
+# capacity-0 arm is the one full-recompute mode), and the clustered
+# index vs exact retrieval (retrieval). `cargo test --workspace` already
+# ran them; naming them
 # here makes a renamed or deleted target fail (cargo rejects an unknown
 # `--test`), an emptied one fail (0 passed), and an ignored test fail.
 echo "==> differential suites by name"
@@ -120,7 +123,7 @@ suites() {
   fi
 }
 suites vsan-core fast_path golden_train session_incremental retrieval
-suites vsan-repro golden_logits
+suites vsan-repro golden_logits edge_histories
 suites vsan-autograd tier_differential gradcheck_ops
 suites vsan-session runtime store_props
 suites vsan-serve session retrieval trace
@@ -129,20 +132,37 @@ suites vsan-serve session retrieval trace
 # VSAN_REQUIRE_AVX2=1 that must be the AVX2 twin): the tiled matmul nest —
 # its baseline build too, inlined into the test — and both tiers' tensor
 # products held to the naive ascending-k fold over the nest's edge matrix
-# (every n % 16, single-row tiles, both sides of the row chunk), and the
+# (every n % 16, single-row tiles, both sides of the row chunk), the
 # attention kernel — baseline build too, same way — held to the composed
-# ops over the (prefix, tail, keep, d) matrix. Named here so a rename, a
-# filter that matches nothing, or an `ignored` attribute fails the gate
-# instead of thinning it.
+# ops over the (prefix, tail, keep, d) matrix, and the row-restricted
+# training kernels held to the square ones with the unqueried rows
+# zeroed. Named here so a rename, a filter that matches nothing, or an
+# `ignored` attribute fails the gate instead of thinning it.
 echo "==> matmul + attention kernel matrices"
 run_whole "kernel matrices" cargo test -q --offline -p vsan-tensor --lib -- --exact \
   ops::matmul::tests::tiled_nest_is_bit_identical_to_naive_fold_over_the_edge_matrix \
   ops::matmul::tests::blocked_kernel_is_bit_identical_to_naive_fold \
   ops::attention::tests::row_kernel_matches_composed_ops_over_the_shape_matrix \
-  ops::attention::tests::non_finite_future_rows_never_reach_earlier_queries
-if ! echo "${out}" | grep -q "^test result: ok. 4 passed; 0 failed; 0 ignored"; then
+  ops::attention::tests::non_finite_future_rows_never_reach_earlier_queries \
+  ops::attention::tests::train_row_kernels_match_the_square_kernels_with_zeroed_queries
+if ! echo "${out}" | grep -q "^test result: ok. 5 passed; 0 failed; 0 ignored"; then
   echo "${out}"
-  echo "the kernel matrices did not run whole (expected 4 passed, 0 ignored)" >&2
+  echo "the kernel matrices did not run whole (expected 5 passed, 0 ignored)" >&2
+  exit 1
+fi
+
+# A training shard computes its longest padding prefix once (DESIGN.md
+# §7): held by name to the fully padded windows it replaces — the same
+# loss bits and the same gradients regrouped, on both tiers — and to the
+# layout it promises (the most padded window first, the others reading
+# their prefix from it, no sharing without padding).
+echo "==> shared-padding shard"
+run_whole "shared-padding shard" cargo test -q --offline -p vsan-core --lib -- --exact \
+  model::tests::a_shard_computes_shared_padding_once_and_the_same_loss \
+  model::tests::the_window_with_the_most_padding_computes_it
+if ! echo "${out}" | grep -q "^test result: ok. 2 passed; 0 failed; 0 ignored"; then
+  echo "${out}"
+  echo "the shared-padding shard checks did not run whole (expected 2 passed, 0 ignored)" >&2
   exit 1
 fi
 
