@@ -1159,11 +1159,6 @@ impl Gradients {
         self.params.remove(&key)
     }
 
-    /// Consume the set, yielding the raw key → gradient map.
-    pub fn into_params(self) -> HashMap<usize, Tensor> {
-        self.params
-    }
-
     /// Iterate over `(key, grad)` pairs.
     pub fn iter(&self) -> impl Iterator<Item = (&usize, &Tensor)> {
         self.params.iter()

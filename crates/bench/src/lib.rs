@@ -14,12 +14,13 @@
 //! | `fig4` | Fig. 4 — embedding-dimension sweep, VSAN vs SASRec |
 //! | `fig5` | Fig. 5 — dropout sweep |
 //! | `fig6` | Fig. 6 — fixed β sweep vs KL annealing |
+//! | `complexity` | §IV-F — SAN vs GRU forward cost, thread scaling |
 //!
 //! Every binary accepts `--scale smoke|repro|paper` (default `repro`),
 //! `--seeds N` (default 1 for grids, 3 for Table III), and `--dataset
-//! beauty|ml1m|both`. Criterion micro-benches for the §IV-F complexity
-//! claims live in `benches/`. Serving and retrieval performance is
-//! measured by the `benchmark/` harness at the repository root.
+//! beauty|ml1m|both`; `complexity` (the §IV-F table) reads only
+//! `--scale`. Serving and retrieval performance is measured by the
+//! `benchmark/` harness at the repository root.
 
 use std::time::Instant;
 
@@ -203,8 +204,6 @@ pub struct Bench {
     pub split: Split,
     /// Test users' fold-in/target views (80/20).
     pub test_views: Vec<HeldOutUser>,
-    /// Validation users' views.
-    pub val_views: Vec<HeldOutUser>,
 }
 
 impl Bench {
@@ -223,8 +222,7 @@ impl Bench {
         let held_out = scale.held_out(beauty_like);
         let split = Split::strong_generalization(&ds, held_out, 5, &mut rng);
         let test_views = Split::held_out_views(&ds, &split.test_users, 0.8);
-        let val_views = Split::held_out_views(&ds, &split.val_users, 0.8);
-        Bench { ds, split, test_views, val_views }
+        Bench { ds, split, test_views }
     }
 
     /// Display name of the dataset.
@@ -235,11 +233,6 @@ impl Bench {
     /// Evaluate a scorer on the test users at the paper's cutoffs.
     pub fn evaluate(&self, scorer: &dyn Scorer) -> MetricsReport {
         evaluate_held_out(scorer, &self.test_views, &EvalConfig::default())
-    }
-
-    /// Evaluate on the validation users (hyper-parameter grids).
-    pub fn evaluate_val(&self, scorer: &dyn Scorer) -> MetricsReport {
-        evaluate_held_out(scorer, &self.val_views, &EvalConfig::default())
     }
 
     /// Train a VSAN with a config derived from this bench's scale.

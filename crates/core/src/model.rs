@@ -34,7 +34,7 @@ pub struct Vsan {
     prediction: Linear,
     /// Pre-resolved graph-free eval schedule (see [`crate::infer`]).
     plan: InferencePlan,
-    /// How `recommend_batch` retrieves top-k (see [`crate::retrieval`]).
+    /// How `try_recommend_batch` retrieves top-k (see [`crate::retrieval`]).
     retrieval: Retrieval,
     /// The clustered index, built by [`Self::rebuild_retrieval_index`].
     index: Option<ItemIndex>,
@@ -272,33 +272,12 @@ impl Vsan {
     /// it changes nothing about the ordering while avoiding a full-vocab
     /// exp/normalize per request (verified against the softmax-and-sort
     /// reference in the tests below).
-    pub fn recommend(&self, history: &[u32], n: usize) -> Vec<u32> {
-        self.recommend_batch(&[history], n).pop().unwrap_or_default()
-    }
-
-    /// Batched [`Self::recommend`]: one evaluation forward for `b`
-    /// histories. Identical results to calling `recommend` per history
-    /// (same kernels over the same rows, batched along the row axis);
-    /// the batching amortizes graph construction and per-op dispatch and
-    /// is the compute path of the `vsan-serve` micro-batcher.
     ///
-    /// Dispatches per [`Self::set_retrieval`]: exact brute-force by
-    /// default, or the clustered index when one is built. Legacy
-    /// zero-fallback wrapper around
-    /// [`Self::try_recommend_batch`]: an internal error degrades to
-    /// ranking all-zero logits — serving code uses the `try_` variant.
-    pub fn recommend_batch(&self, histories: &[&[u32]], n: usize) -> Vec<Vec<u32>> {
-        use std::collections::HashSet;
-        self.try_recommend_batch(histories, n).unwrap_or_else(|_| {
-            let zeros = vec![0.0; self.vocab];
-            histories
-                .iter()
-                .map(|history| {
-                    let seen: HashSet<u32> = history.iter().copied().collect();
-                    vsan_eval::top_n_excluding(&zeros, n, &seen)
-                })
-                .collect()
-        })
+    /// [`Self::try_recommend_batch`] for one history: it honours
+    /// [`Self::set_retrieval`] and returns the same errors (an
+    /// out-of-vocabulary id in the window).
+    pub fn recommend(&self, history: &[u32], n: usize) -> Result<Vec<u32>, String> {
+        Ok(self.try_recommend_batch(&[history], n)?.pop().unwrap_or_default())
     }
 
     /// Exact retrieval whatever the configured mode: full logits, then
@@ -316,8 +295,10 @@ impl Vsan {
             .collect())
     }
 
-    /// Batched top-`n` recommendation, surfacing internal errors and
-    /// honouring the configured [`Retrieval`] mode: with a clustered index
+    /// Batched top-`n` recommendation: one evaluation forward for `b`
+    /// histories, identical to [`Self::recommend`] per history (same
+    /// kernels over the same rows, batched along the row axis). Surfaces
+    /// internal errors and honours the configured [`Retrieval`] mode: with a clustered index
     /// built, the final hidden rows go through a two-stage index query per
     /// history (never the full `(b, d) × (d, N)` projection); without one,
     /// [`Self::recommend_batch_exact`]. Both reject the same
@@ -343,7 +324,7 @@ impl Vsan {
             .collect())
     }
 
-    /// Configure how [`Self::recommend_batch`] retrieves top-k and
+    /// Configure how [`Self::try_recommend_batch`] retrieves top-k and
     /// (re)build the clustered index if the mode needs one. Callers that
     /// restore a checkpoint afterwards must call
     /// [`Self::rebuild_retrieval_index`] — the index is derived data over
@@ -818,14 +799,14 @@ mod tests {
         cfg.base = cfg.base.with_epochs(2);
         let model = Vsan::train(&ds, &users, &cfg).unwrap();
         let history = vec![1u32, 2, 3];
-        let recs = model.recommend(&history, 4);
+        let recs = model.recommend(&history, 4).unwrap();
         assert!(recs.len() <= 4);
         for r in &recs {
             assert!(!history.contains(r), "recommended an already-seen item");
             assert_ne!(*r, 0, "recommended the padding item");
         }
         // Asking for more than the catalogue returns everything unseen.
-        let all = model.recommend(&history, 100);
+        let all = model.recommend(&history, 100).unwrap();
         assert_eq!(all.len(), 6 - 3);
     }
 
@@ -842,7 +823,7 @@ mod tests {
         let model = Vsan::train(&ds, &users, &cfg).unwrap();
         for history in [vec![1u32, 2], vec![3, 4, 5], vec![7]] {
             for k in [1, 3, 6] {
-                let fast = model.recommend(&history, k);
+                let fast = model.recommend(&history, k).unwrap();
 
                 // Reference: softmax + full stable sort + exclusion.
                 let logits = model.score_items(&history);
@@ -882,11 +863,11 @@ mod tests {
             assert_eq!(row, &model.score_items(h), "scores must be bit-identical");
         }
 
-        let recs = model.recommend_batch(&refs, 3);
+        let recs = model.try_recommend_batch(&refs, 3).expect("batched recommend");
         for (h, rec) in histories.iter().zip(&recs) {
-            assert_eq!(rec, &model.recommend(h, 3));
+            assert_eq!(rec, &model.recommend(h, 3).unwrap());
         }
-        assert!(model.recommend_batch(&[], 3).is_empty());
+        assert!(model.try_recommend_batch(&[], 3).unwrap().is_empty());
     }
 
     #[test]

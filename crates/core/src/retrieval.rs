@@ -65,7 +65,7 @@ use std::collections::HashSet;
 use vsan_tensor::cluster::{cluster_rows, KmeansConfig};
 use vsan_tensor::ops::matmul::{matmul_into, transpose_into};
 
-/// How [`crate::Vsan::recommend_batch`] retrieves top-k items.
+/// How [`crate::Vsan::try_recommend_batch`] retrieves top-k items.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub enum Retrieval {
     /// Brute-force scoring of the full vocabulary — the oracle.
@@ -145,7 +145,6 @@ pub struct ItemIndex {
     offsets: Vec<usize>,
     /// Cluster per item, indexed by `item_id - 1`.
     assignments: Vec<u32>,
-    indexed: usize,
 }
 
 impl ItemIndex {
@@ -236,18 +235,12 @@ impl ItemIndex {
             ids,
             offsets,
             assignments: clustering.assignments,
-            indexed,
         }
     }
 
     /// Centroid count actually built.
     pub fn num_clusters(&self) -> usize {
         self.num_clusters
-    }
-
-    /// Items in the index (`vocab - 1`; padding is never indexed).
-    pub fn indexed_items(&self) -> usize {
-        self.indexed
     }
 
     /// Cluster assignment per item, indexed by `item_id - 1` — exposed so

@@ -153,8 +153,8 @@ fn recommendations_from_parallel_training_match_serial() {
     let parallel = Vsan::train(&ds, &users, &cfg.clone().with_threads(4)).unwrap();
     for history in [&[1u32, 2, 3][..], &[5, 6][..], &[7][..]] {
         assert_eq!(
-            serial.recommend(history, 5),
-            parallel.recommend(history, 5),
+            serial.recommend(history, 5).unwrap(),
+            parallel.recommend(history, 5).unwrap(),
             "rankings diverged for history {history:?}"
         );
     }

@@ -298,5 +298,5 @@ fn retrieval_mode_routes_try_recommend_batch() {
     model.set_retrieval(Retrieval::Exact);
     assert!(model.retrieval_index().is_none(), "exact mode drops the index");
     assert_eq!(model.try_recommend_batch(&refs, 5).expect("exact path"), exact);
-    assert_eq!(model.recommend_batch(&refs, 5), exact);
+    assert_eq!(model.recommend(refs[0], 5).expect("single history"), exact[0]);
 }

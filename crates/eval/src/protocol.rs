@@ -52,6 +52,7 @@ pub fn evaluate_held_out_per_user(
             continue;
         }
         let scores = scorer.score_items(&user.fold_in);
+        debug_assert_eq!(scores.len(), scorer.vocab(), "scorer returned wrong vocab size");
         let exclude: HashSet<u32> = if cfg.exclude_seen {
             user.fold_in.iter().copied().collect()
         } else {
@@ -65,33 +66,21 @@ pub fn evaluate_held_out_per_user(
 }
 
 /// Evaluate a scorer over a set of held-out users, averaging each metric
-/// across users (users with empty target sets are skipped).
+/// across users (users with empty target sets are skipped): the rows of
+/// [`evaluate_held_out_per_user`], summed in user order.
 pub fn evaluate_held_out(
     scorer: &dyn Scorer,
     users: &[HeldOutUser],
     cfg: &EvalConfig,
 ) -> MetricsReport {
-    let max_n = cfg.cutoffs.iter().copied().max().unwrap_or(10);
+    let rows = evaluate_held_out_per_user(scorer, users, cfg);
     let mut sums: Vec<MetricSet> = vec![MetricSet::default(); cfg.cutoffs.len()];
-    let mut counted = 0usize;
-    for user in users {
-        if user.targets.is_empty() {
-            continue;
+    for row in &rows {
+        for (sum, m) in sums.iter_mut().zip(row) {
+            sum.add_assign(m);
         }
-        let scores = scorer.score_items(&user.fold_in);
-        debug_assert_eq!(scores.len(), scorer.vocab(), "scorer returned wrong vocab size");
-        let exclude: HashSet<u32> = if cfg.exclude_seen {
-            user.fold_in.iter().copied().collect()
-        } else {
-            HashSet::new()
-        };
-        let ranked = top_n_excluding(&scores, max_n, &exclude);
-        let targets: HashSet<u32> = user.targets.iter().copied().collect();
-        for (slot, &n) in cfg.cutoffs.iter().enumerate() {
-            sums[slot].add_assign(&MetricSet::compute(&ranked, &targets, n));
-        }
-        counted += 1;
     }
+    let counted = rows.len();
     let inv = if counted > 0 { 1.0 / counted as f64 } else { 0.0 };
     let mut report = MetricsReport::new();
     for (slot, &n) in cfg.cutoffs.iter().enumerate() {
@@ -212,6 +201,71 @@ mod tests {
         let mean_recall_2: f64 =
             per_user.iter().map(|u| u[1].recall).sum::<f64>() / per_user.len() as f64;
         assert!((mean_recall_2 - report.get("Recall", 2).unwrap()).abs() < 1e-12);
+    }
+
+    /// Scores every item by a hash of `(fold-in, item)`: rankings differ
+    /// per user, so the metrics are fractional and their sum order shows.
+    struct Hashed {
+        vocab: usize,
+    }
+    impl Scorer for Hashed {
+        fn score_items(&self, fold_in: &[u32]) -> Vec<f32> {
+            let seed = fold_in
+                .iter()
+                .fold(0x9E37_79B9u32, |h, &i| h.rotate_left(5) ^ i.wrapping_mul(0x85EB_CA6B));
+            (0..self.vocab as u32)
+                .map(|i| (seed ^ i.wrapping_mul(0xC2B2_AE35)).rotate_left(i % 31) as f32)
+                .collect()
+        }
+        fn vocab(&self) -> usize {
+            self.vocab
+        }
+    }
+
+    #[test]
+    fn the_report_is_the_per_user_rows_summed_in_user_order_bit_for_bit() {
+        let users: Vec<HeldOutUser> = (0..57u32)
+            .map(|u| {
+                let fold_in: Vec<u32> = (0..u % 7 + 1).map(|j| (u * 3 + j * 5) % 40 + 1).collect();
+                let targets: Vec<u32> = (0..u % 5).map(|j| (u * 7 + j * 11) % 40 + 1).collect();
+                user(&fold_in, &targets)
+            })
+            .collect();
+        let scorer = Hashed { vocab: 41 };
+        for exclude_seen in [true, false] {
+            let cfg = EvalConfig { cutoffs: vec![3, 10, 20], exclude_seen };
+            // The reference: one standalone pass, accumulating as it goes.
+            let mut sums = vec![MetricSet::default(); cfg.cutoffs.len()];
+            let mut counted = 0usize;
+            for u in users.iter().filter(|u| !u.targets.is_empty()) {
+                let scores = scorer.score_items(&u.fold_in);
+                let exclude: HashSet<u32> =
+                    if exclude_seen { u.fold_in.iter().copied().collect() } else { HashSet::new() };
+                let ranked = top_n_excluding(&scores, 20, &exclude);
+                let targets: HashSet<u32> = u.targets.iter().copied().collect();
+                for (sum, &n) in sums.iter_mut().zip(&cfg.cutoffs) {
+                    sum.add_assign(&MetricSet::compute(&ranked, &targets, n));
+                }
+                counted += 1;
+            }
+            let report = evaluate_held_out(&scorer, &users, &cfg);
+            assert_eq!(report.users(), counted);
+            for (sum, &n) in sums.iter().zip(&cfg.cutoffs) {
+                let mut mean = *sum;
+                mean.scale(1.0 / counted as f64);
+                let want = [
+                    ("Precision", mean.precision),
+                    ("Recall", mean.recall),
+                    ("NDCG", mean.ndcg),
+                    ("HR", mean.hit_rate),
+                ];
+                for (name, value) in want {
+                    let got = report.get(name, n).unwrap();
+                    assert_eq!(got.to_bits(), value.to_bits(), "{name}@{n}");
+                }
+            }
+            assert!(report.get("NDCG", 20).unwrap() > 0.0, "the fixture must produce hits");
+        }
     }
 
     #[test]

@@ -51,7 +51,6 @@ pub struct Svae {
     logvar_head: Linear,
     decoder: Linear,
     cfg: NeuralConfig,
-    scfg: SvaeConfig,
     vocab: usize,
     /// Mean training loss per epoch (reconstruction + β·KL).
     pub train_losses: Vec<f32>,
@@ -94,7 +93,6 @@ impl Svae {
             logvar_head,
             decoder,
             cfg: cfg.clone(),
-            scfg: scfg.clone(),
             vocab: ds.vocab(),
             train_losses: Vec::new(),
         };
@@ -195,13 +193,6 @@ impl Svae {
         let mu = self.mu_head.forward(&mut g, &self.store, last)?;
         let logits = self.decoder.forward(&mut g, &self.store, mu)?;
         Ok(g.value(logits).data().to_vec())
-    }
-}
-
-impl Svae {
-    /// The SVAE-specific configuration this model was trained with.
-    pub fn svae_config(&self) -> &SvaeConfig {
-        &self.scfg
     }
 }
 

@@ -63,12 +63,6 @@ impl Embedding {
         g.gather_rows(table, idx)
     }
 
-    /// Look up through an existing on-graph table var (avoids re-cloning
-    /// the table when doing many lookups per batch).
-    pub fn lookup_with(&self, g: &mut Graph, table: Var, idx: &[usize]) -> Result<Var> {
-        g.gather_rows(table, idx)
-    }
-
     /// Re-zero the padding row after an optimizer step.
     pub fn zero_padding(&self, store: &mut ParamStore) {
         if self.padded {
@@ -76,11 +70,6 @@ impl Embedding {
                 *v = 0.0;
             }
         }
-    }
-
-    /// `true` if this table reserves index 0 for padding.
-    pub fn is_padded(&self) -> bool {
-        self.padded
     }
 }
 

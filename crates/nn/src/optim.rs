@@ -103,13 +103,6 @@ impl Adam {
         Adam { lr, beta1: 0.9, beta2: 0.999, eps: 1e-8, t: 0, m: HashMap::new(), v: HashMap::new() }
     }
 
-    /// Builder: override the β coefficients.
-    pub fn with_betas(mut self, beta1: f32, beta2: f32) -> Self {
-        self.beta1 = beta1;
-        self.beta2 = beta2;
-        self
-    }
-
     /// Number of steps taken so far.
     pub fn steps(&self) -> u64 {
         self.t

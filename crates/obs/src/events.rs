@@ -26,12 +26,8 @@ pub enum FaultKind {
     BatchDropped,
     /// A request's deadline expired (detail says at which stage).
     DeadlineMiss,
-    /// A request was refused at a full queue (`RejectNewest`).
-    Rejected,
     /// A queued request was evicted at a full queue (`ShedOldest`).
     Shed,
-    /// A request was diverted at the load-shedding watermark.
-    LoadShed,
     /// A request was answered by a degraded fallback.
     Degraded,
     /// The engine entered permanent degraded mode (all workers down).
@@ -43,7 +39,7 @@ pub enum FaultKind {
     /// The model forward itself returned an error (the batch was
     /// answered through the degraded path instead of fabricated zeros).
     ModelError,
-    /// An incremental session was evicted (LRU capacity or idle TTL);
+    /// An incremental session was evicted (LRU capacity);
     /// the next event for that user transparently cold-starts.
     SessionEvicted,
     /// A client history hint contradicted a cached session; the cached
@@ -60,9 +56,7 @@ impl FaultKind {
             FaultKind::BatchRequeued => "batch_requeued",
             FaultKind::BatchDropped => "batch_dropped",
             FaultKind::DeadlineMiss => "deadline_miss",
-            FaultKind::Rejected => "rejected",
             FaultKind::Shed => "shed",
-            FaultKind::LoadShed => "load_shed",
             FaultKind::Degraded => "degraded",
             FaultKind::DegradedMode => "degraded_mode",
             FaultKind::Overloaded => "overloaded",
@@ -124,9 +118,7 @@ mod tests {
             FaultKind::BatchRequeued,
             FaultKind::BatchDropped,
             FaultKind::DeadlineMiss,
-            FaultKind::Rejected,
             FaultKind::Shed,
-            FaultKind::LoadShed,
             FaultKind::Degraded,
             FaultKind::DegradedMode,
             FaultKind::Overloaded,

@@ -57,10 +57,9 @@ pub enum TraceStage {
     Complete = 6,
     /// Answered by a degraded fallback (approximate cache/popularity).
     Degraded = 7,
-    /// Evicted from a full queue under `ShedOldest` (or diverted at the
-    /// shed watermark).
+    /// Evicted from a full queue under `ShedOldest`.
     Shed = 8,
-    /// Refused at a full queue under `RejectNewest`.
+    /// Refused at admission: the window holds an out-of-vocabulary id.
     Rejected = 9,
     /// Deadline expired (admission, pickup, or completion — the `attr`
     /// carries the stage).

@@ -6,7 +6,6 @@ use std::time::Duration;
 use vsan_core::Retrieval;
 use vsan_obs::EventSink;
 
-use crate::degrade::DegradeConfig;
 use crate::queue::BackpressurePolicy;
 
 /// Configuration for [`crate::Engine`].
@@ -17,11 +16,11 @@ use crate::queue::BackpressurePolicy;
 /// bound). Under load batches fill before the deadline; a lone request
 /// waits at most one deadline.
 ///
-/// The fault-tolerance knobs (queue bound, backpressure policy, shed
-/// watermark, deadlines, respawn and retry budgets, degraded fallbacks)
-/// default to the pre-fault-tolerance behaviour as closely as a bounded
-/// system can: a large blocking queue, no deadlines, unlimited worker
-/// respawns, and one batch retry after a worker panic.
+/// The fault-tolerance knobs (queue bound, backpressure policy, respawn
+/// budget, popularity fallback) default to the pre-fault-tolerance
+/// behaviour as closely as a bounded system can: a large blocking queue
+/// and unlimited worker respawns. Deadlines are per request
+/// ([`crate::Engine::submit_with_deadline`]).
 #[derive(Clone)]
 pub struct EngineConfig {
     /// Dispatch a batch once it holds this many requests.
@@ -38,30 +37,20 @@ pub struct EngineConfig {
     pub queue_capacity: usize,
     /// What a full queue does to the next submit.
     pub backpressure: BackpressurePolicy,
-    /// Divert submits to the degraded path once queue depth reaches
-    /// this watermark (before the hard bound); `None` disables.
-    pub shed_watermark: Option<usize>,
-    /// Deadline applied to every [`crate::Engine::submit`]; `None`
-    /// means no deadline. [`crate::Engine::submit_with_deadline`]
-    /// overrides per request.
-    pub default_deadline: Option<Duration>,
     /// Total worker respawns after panics before the pool is allowed to
     /// die (and the engine degrades permanently).
     pub max_worker_respawns: u64,
-    /// How many times a request survives being requeued out of a
-    /// poisoned batch before failing `WorkerLost`.
-    pub max_batch_retries: u32,
-    /// Degraded-fallback configuration (approximate cache, popularity).
-    pub degrade: DegradeConfig,
+    /// Static per-item scores for the last degraded fallback, indexed
+    /// by item id (index 0 = padding, like every score row in the
+    /// workspace); `None` disables it. The approximate-cache fallback
+    /// before it is always on.
+    pub popularity: Option<Arc<Vec<f32>>>,
     /// Structured fault events (`"type":"serve_fault"`) are emitted
     /// here; `None` disables fault telemetry.
     pub fault_sink: Option<Arc<dyn EventSink>>,
     /// Live incremental sessions kept for [`crate::Engine::append_event`]
     /// (LRU-bounded); `0` makes every append a stateless full recompute.
     pub session_capacity: usize,
-    /// Idle time after which a session is evicted; `None` disables TTL
-    /// expiry (capacity pressure still evicts).
-    pub session_ttl: Option<Duration>,
     /// How batched recommendation retrieves top-k:
     /// [`Retrieval::Exact`] brute-force (default), or
     /// [`Retrieval::Clustered`] two-stage MIPS with exact re-rank. The
@@ -89,14 +78,10 @@ impl Default for EngineConfig {
             cache_capacity: 1024,
             queue_capacity: 4096,
             backpressure: BackpressurePolicy::Block,
-            shed_watermark: None,
-            default_deadline: None,
             max_worker_respawns: u64::MAX,
-            max_batch_retries: 1,
-            degrade: DegradeConfig::default(),
+            popularity: None,
             fault_sink: None,
             session_capacity: 1024,
-            session_ttl: None,
             retrieval: Retrieval::Exact,
             recorder_capacity: 1024,
             trace_seed: 0x5641_5341_4e00_0001, // "VASAN" tag — any fixed value works
@@ -141,40 +126,16 @@ impl EngineConfig {
         self
     }
 
-    /// Builder: set [`Self::shed_watermark`].
-    pub fn with_shed_watermark(mut self, depth: usize) -> Self {
-        self.shed_watermark = Some(depth);
-        self
-    }
-
-    /// Builder: set [`Self::default_deadline`].
-    pub fn with_default_deadline(mut self, d: Duration) -> Self {
-        self.default_deadline = Some(d);
-        self
-    }
-
     /// Builder: set [`Self::max_worker_respawns`].
     pub fn with_max_worker_respawns(mut self, n: u64) -> Self {
         self.max_worker_respawns = n;
         self
     }
 
-    /// Builder: set [`Self::max_batch_retries`].
-    pub fn with_max_batch_retries(mut self, n: u32) -> Self {
-        self.max_batch_retries = n;
-        self
-    }
-
-    /// Builder: set [`Self::degrade`].
-    pub fn with_degrade(mut self, degrade: DegradeConfig) -> Self {
-        self.degrade = degrade;
-        self
-    }
-
     /// Builder: enable the popularity fallback with per-item scores
     /// (indexed by item id, index 0 = padding).
     pub fn with_popularity(mut self, scores: Vec<f32>) -> Self {
-        self.degrade.popularity = Some(Arc::new(scores));
+        self.popularity = Some(Arc::new(scores));
         self
     }
 
@@ -188,12 +149,6 @@ impl EngineConfig {
     /// session cache — appends become stateless full recomputes).
     pub fn with_session_capacity(mut self, n: usize) -> Self {
         self.session_capacity = n;
-        self
-    }
-
-    /// Builder: set [`Self::session_ttl`].
-    pub fn with_session_ttl(mut self, ttl: Duration) -> Self {
-        self.session_ttl = Some(ttl);
         self
     }
 
@@ -226,14 +181,10 @@ impl std::fmt::Debug for EngineConfig {
             .field("cache_capacity", &self.cache_capacity)
             .field("queue_capacity", &self.queue_capacity)
             .field("backpressure", &self.backpressure)
-            .field("shed_watermark", &self.shed_watermark)
-            .field("default_deadline", &self.default_deadline)
             .field("max_worker_respawns", &self.max_worker_respawns)
-            .field("max_batch_retries", &self.max_batch_retries)
-            .field("degrade", &self.degrade)
+            .field("popularity", &self.popularity)
             .field("fault_sink", &self.fault_sink.as_ref().map(|_| "Arc<dyn EventSink>"))
             .field("session_capacity", &self.session_capacity)
-            .field("session_ttl", &self.session_ttl)
             .field("retrieval", &self.retrieval)
             .field("recorder_capacity", &self.recorder_capacity)
             .field("trace_seed", &self.trace_seed)
@@ -253,12 +204,10 @@ mod tests {
         assert!(cfg.batch_deadline > Duration::ZERO);
         assert!(cfg.queue_capacity >= 1);
         assert_eq!(cfg.backpressure, BackpressurePolicy::Block);
-        assert!(cfg.shed_watermark.is_none());
-        assert!(cfg.default_deadline.is_none());
-        assert_eq!(cfg.max_batch_retries, 1);
-        assert!(cfg.degrade.cache_fallback);
+        assert_eq!(cfg.max_worker_respawns, u64::MAX);
+        assert!(cfg.popularity.is_none());
+        assert!(cfg.fault_sink.is_none());
         assert!(cfg.session_capacity >= 1);
-        assert!(cfg.session_ttl.is_none());
         assert_eq!(cfg.retrieval, Retrieval::Exact);
         assert!(cfg.recorder_capacity >= 1);
     }
@@ -272,13 +221,9 @@ mod tests {
             .with_cache_capacity(0)
             .with_queue_capacity(0)
             .with_backpressure(BackpressurePolicy::ShedOldest)
-            .with_shed_watermark(8)
-            .with_default_deadline(Duration::from_millis(5))
             .with_max_worker_respawns(2)
-            .with_max_batch_retries(0)
             .with_popularity(vec![0.0, 3.0, 1.0])
             .with_session_capacity(0)
-            .with_session_ttl(Duration::from_secs(60))
             .with_retrieval(Retrieval::Clustered(vsan_core::ClusteredConfig::default()))
             .with_flight_recorder(0)
             .with_trace_seed(42);
@@ -288,13 +233,9 @@ mod tests {
         assert_eq!(cfg.cache_capacity, 0);
         assert_eq!(cfg.queue_capacity, 1);
         assert_eq!(cfg.backpressure, BackpressurePolicy::ShedOldest);
-        assert_eq!(cfg.shed_watermark, Some(8));
-        assert_eq!(cfg.default_deadline, Some(Duration::from_millis(5)));
         assert_eq!(cfg.max_worker_respawns, 2);
-        assert_eq!(cfg.max_batch_retries, 0);
-        assert!(cfg.degrade.popularity.is_some());
+        assert_eq!(cfg.popularity.as_deref(), Some(&vec![0.0, 3.0, 1.0]));
         assert_eq!(cfg.session_capacity, 0);
-        assert_eq!(cfg.session_ttl, Some(Duration::from_secs(60)));
         assert!(matches!(cfg.retrieval, Retrieval::Clustered(_)));
         assert_eq!(cfg.recorder_capacity, 0);
         assert_eq!(cfg.trace_seed, 42);

@@ -12,12 +12,12 @@
 //!   *before* they occupy compute), and at completion.
 //! * A panicking worker is caught at the batch boundary
 //!   ([`std::panic::catch_unwind`]): untouched requests are requeued
-//!   (bounded by a retry budget), the thread exits, and a supervisor
+//!   (once each, [`MAX_BATCH_RETRIES`]), the thread exits, and a supervisor
 //!   respawns a replacement. When the respawn budget is exhausted and
 //!   no worker remains, the engine flips into permanent degraded mode.
-//! * Degraded mode (overload watermark, full queue, or workers down)
-//!   answers from the approximate cache or the popularity fallback
-//!   (see [`crate::degrade`]), tagged in [`Response::source`].
+//! * Degraded mode (a shed request, a model error, or workers down)
+//!   answers from the approximate cache or the popularity fallback (see
+//!   [`crate::degrade`]), tagged in [`Response::source`].
 
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -31,14 +31,18 @@ use vsan_core::Vsan;
 use vsan_obs::{
     EventSink, FaultEvent, FaultKind, FlightRecorder, Registry, TraceContext, TraceSpan, TraceStage,
 };
-use vsan_session::{EvictReason, SessionConfig, SessionOutcome, SessionRuntime, SessionTrace};
+use vsan_session::{SessionConfig, SessionOutcome, SessionRuntime, SessionTrace};
 
 use crate::cache::SequenceCache;
 use crate::config::EngineConfig;
-use crate::degrade::{degraded_response, DegradeConfig};
+use crate::degrade::degraded_response;
 use crate::failpoint;
 use crate::metrics::{as_us, Metrics, ServeStats};
 use crate::queue::{AdmissionQueue, BackpressurePolicy, PopOutcome, PushOutcome};
+
+/// How many times a request survives being requeued out of a poisoned
+/// batch before failing [`ServeError::WorkerLost`].
+const MAX_BATCH_RETRIES: u32 = 1;
 
 /// Failure modes of the serving path. A model-forward error is *not*
 /// one of them: it is surfaced through the fault telemetry
@@ -266,10 +270,8 @@ struct Inner {
     metrics: Metrics,
     queue: AdmissionQueue<Request>,
     policy: BackpressurePolicy,
-    shed_watermark: Option<usize>,
-    default_deadline: Option<Duration>,
-    degrade: DegradeConfig,
-    max_batch_retries: u32,
+    /// Scores for the popularity fallback (`EngineConfig::popularity`).
+    popularity: Option<Arc<Vec<f32>>>,
     /// Set once all workers are down with no respawn budget left; every
     /// request from then on takes the degraded path.
     degraded_mode: AtomicBool,
@@ -373,7 +375,8 @@ impl Inner {
     /// Produce a degraded reply for `history` (counted + tagged), or
     /// [`ServeError::Overloaded`] when no fallback can answer.
     fn degraded(&self, history: &[u32], k: usize, cause: &str) -> Reply {
-        match degraded_response(&self.model, &self.cache, &self.degrade, history, k) {
+        let popularity = self.popularity.as_deref().map(Vec::as_slice);
+        match degraded_response(&self.model, &self.cache, popularity, history, k) {
             Some(resp) => {
                 match resp.source() {
                     ResponseSource::DegradedCache => self.metrics.degraded_cache.inc(),
@@ -483,8 +486,7 @@ impl Engine {
     pub fn start(mut model: Vsan, cfg: EngineConfig) -> Self {
         model.set_retrieval(cfg.retrieval.clone());
         let (max_batch, workers) = (cfg.max_batch.max(1), cfg.workers.max(1));
-        let session_cfg =
-            SessionConfig::new().with_capacity(cfg.session_capacity).with_ttl(cfg.session_ttl);
+        let session_cfg = SessionConfig::new().with_capacity(cfg.session_capacity);
         let session = SessionRuntime::new(&model, &session_cfg)
             .expect("session pad state (empty-history prepare cannot hit invalid items)");
         let inner = Arc::new(Inner {
@@ -494,10 +496,7 @@ impl Engine {
             metrics: Metrics::default(),
             queue: AdmissionQueue::new(cfg.queue_capacity),
             policy: cfg.backpressure,
-            shed_watermark: cfg.shed_watermark,
-            default_deadline: cfg.default_deadline,
-            degrade: cfg.degrade.clone(),
-            max_batch_retries: cfg.max_batch_retries,
+            popularity: cfg.popularity.clone(),
             degraded_mode: AtomicBool::new(false),
             fault_sink: cfg.fault_sink.clone(),
             origin: Instant::now(),
@@ -554,8 +553,8 @@ impl Engine {
         Engine { inner, batcher: Some(batcher), supervisor: Some(supervisor), ctrl_tx, batch_tx }
     }
 
-    /// Enqueue a request for the top `k` items after `history`, with
-    /// the engine's default deadline ([`EngineConfig::default_deadline`]).
+    /// Enqueue a request for the top `k` items after `history`, with no
+    /// deadline.
     ///
     /// Returns immediately unless the backpressure policy is
     /// [`BackpressurePolicy::Block`] and the queue is full. On a cache
@@ -563,7 +562,7 @@ impl Engine {
     /// already resolved; otherwise the request rides the next
     /// micro-batch.
     pub fn submit(&self, history: &[u32], k: usize) -> Ticket {
-        self.submit_with_deadline(history, k, self.inner.default_deadline)
+        self.submit_with_deadline(history, k, None)
     }
 
     /// [`Engine::submit`] with an explicit per-request deadline
@@ -616,18 +615,6 @@ impl Engine {
             return Ticket::ready(reply);
         }
 
-        if let Some(watermark) = inner.shed_watermark {
-            if inner.queue.len() >= watermark {
-                metrics.load_shed.inc();
-                inner.fault(FaultKind::LoadShed, "watermark");
-                let reply = inner.degraded(history, k, "watermark");
-                let elapsed = as_us(start.elapsed());
-                metrics.latency_us.record_traced(elapsed, inner.exemplar(&trace));
-                inner.span(trace, TraceStage::Shed, elapsed, watermark as u64);
-                return Ticket::ready(reply);
-            }
-        }
-
         let (reply_tx, reply_rx) = channel::unbounded();
         let due = deadline.map(|d| start + d);
         let req = Request {
@@ -651,14 +638,6 @@ impl Engine {
                 inner.fault(FaultKind::Shed, "shed_oldest");
                 inner.span(evicted.trace, TraceStage::Shed, 0, 0);
                 inner.finish_degraded(evicted, "shed_oldest");
-                Ticket(TicketState::Pending(reply_rx))
-            }
-            PushOutcome::Rejected { item } => {
-                metrics.rejected_newest.inc();
-                inner.fault(FaultKind::Rejected, "reject_newest");
-                inner.span(item.trace, TraceStage::Rejected, 0, 0);
-                let reply = inner.degraded(&item.history, item.k, "reject_newest");
-                inner.finish(item.enqueued, item.trace, &item.reply, reply);
                 Ticket(TicketState::Pending(reply_rx))
             }
             PushOutcome::Expired { item } => {
@@ -752,15 +731,8 @@ impl Engine {
         let sctx = trace.child(TraceStage::Session.code());
         inner.trace(sctx, TraceStage::Session, 0, user);
         let mut ws = inner.take_session_ws();
-        let result = inner.session.append_event_traced(
-            &inner.model,
-            user,
-            hint,
-            item,
-            &mut ws,
-            start,
-            inner.session_trace(sctx),
-        );
+        let trace_to = inner.session_trace(sctx);
+        let result = inner.session.append_event(&inner.model, user, hint, item, &mut ws, trace_to);
         inner.put_session_ws(ws);
         match result {
             Ok(r) => {
@@ -782,11 +754,7 @@ impl Engine {
                 }
                 for ev in &r.evictions {
                     metrics.session_evictions.inc();
-                    let reason = match ev.reason {
-                        EvictReason::Capacity => "capacity",
-                        EvictReason::Ttl => "ttl",
-                    };
-                    inner.fault(FaultKind::SessionEvicted, &format!("user-{} ({reason})", ev.user));
+                    inner.fault(FaultKind::SessionEvicted, &format!("user-{} (capacity)", ev.user));
                 }
                 let stats = inner.session.stats();
                 metrics.sessions_live.set(stats.sessions as i64);
@@ -1134,7 +1102,7 @@ fn refresh_session(inner: &Inner, user: u64, trace: TraceContext, ws: &mut vsan_
         inner.metrics.session_refresh_skipped.inc();
         return;
     }
-    match inner.session.refresh_traced(&inner.model, user, ws, inner.session_trace(trace)) {
+    match inner.session.refresh(&inner.model, user, ws, inner.session_trace(trace)) {
         Ok(true) => inner.metrics.session_refreshes.inc(),
         Ok(false) => inner.metrics.session_refresh_skipped.inc(),
         Err(err) => {
@@ -1161,7 +1129,7 @@ fn isolate_panic(id: usize, ctx: &WorkerCtx, slots: Vec<Option<Request>>) {
     let mut requeue: Vec<Request> = Vec::new();
     for mut req in slots.into_iter().flatten() {
         req.attempts += 1;
-        if req.attempts > inner.max_batch_retries {
+        if req.attempts > MAX_BATCH_RETRIES {
             inner.metrics.retry_exhausted.inc();
             inner.finish(req.enqueued, req.trace, &req.reply, Err(ServeError::WorkerLost));
         } else {

@@ -5,8 +5,7 @@
 //!
 //! * **Admission queue** — callers submit `(history, k)` requests into
 //!   a bounded FIFO with a configurable backpressure policy
-//!   ([`BackpressurePolicy`]): block, reject the newcomer, or shed the
-//!   oldest. An optional watermark sheds load before the hard bound.
+//!   ([`BackpressurePolicy`]): block, or shed the oldest.
 //! * **Micro-batcher** — a dedicated thread coalesces queued requests
 //!   into batches, flushing when [`EngineConfig::max_batch`] requests
 //!   have accumulated or [`EngineConfig::batch_deadline`] has elapsed
@@ -25,13 +24,14 @@
 //!   hits answer without touching the queue.
 //! * **Graceful degradation** — under saturation or with the pool down,
 //!   requests resolve through the approximate-cache or popularity
-//!   fallback, tagged in [`Response::source`]; see [`DegradeConfig`].
+//!   fallback ([`EngineConfig::with_popularity`]), tagged in
+//!   [`Response::source`].
 //! * **Incremental sessions** — [`Engine::append_event`] folds one new
 //!   interaction into a per-user prefix-keyed layer-state cache
 //!   (`vsan_session`), answering in one O(n·d²) append pass instead of
 //!   a full forward, bit-identical to it; the worker pool re-prepares
 //!   the state for the next event after the reply has gone out.
-//!   Eviction (LRU capacity / idle TTL) is transparent: the next event
+//!   Eviction (LRU capacity) is transparent: the next event
 //!   cold-starts through the same API, tagged in the `session.*`
 //!   metrics and fault events.
 //! * **Request-scoped tracing** — every request roots a deterministic
@@ -80,7 +80,6 @@ mod queue;
 
 pub use cache::SequenceCache;
 pub use config::EngineConfig;
-pub use degrade::DegradeConfig;
 pub use engine::{Engine, Response, ResponseSource, ServeError, Ticket};
 pub use metrics::{MetricsSnapshot, ServeStats};
 pub use queue::{AdmissionQueue, BackpressurePolicy, PopOutcome, PushOutcome};

@@ -49,12 +49,8 @@ pub(crate) struct Metrics {
     pub deadline_miss_pickup: Arc<Counter>,
     /// Requests whose deadline expired between pickup and reply.
     pub deadline_miss_completion: Arc<Counter>,
-    /// Requests refused at a full queue under `RejectNewest`.
-    pub rejected_newest: Arc<Counter>,
     /// Queued requests evicted at a full queue under `ShedOldest`.
     pub shed_oldest: Arc<Counter>,
-    /// Requests diverted at the load-shedding watermark.
-    pub load_shed: Arc<Counter>,
     /// Degraded responses answered from the approximate-cache fallback.
     pub degraded_cache: Arc<Counter>,
     /// Degraded responses answered from the popularity fallback.
@@ -93,7 +89,7 @@ pub(crate) struct Metrics {
     pub session_resumes: Arc<Counter>,
     /// Events whose hint contradicted the cached history (state rebuilt).
     pub session_resets: Arc<Counter>,
-    /// Sessions evicted by LRU capacity or idle TTL.
+    /// Sessions evicted by LRU capacity.
     pub session_evictions: Arc<Counter>,
     /// Session states prepared by the worker pool after the reply.
     pub session_refreshes: Arc<Counter>,
@@ -144,9 +140,7 @@ impl Metrics {
             deadline_miss_admission: registry.counter("serve.deadline_miss_admission"),
             deadline_miss_pickup: registry.counter("serve.deadline_miss_pickup"),
             deadline_miss_completion: registry.counter("serve.deadline_miss_completion"),
-            rejected_newest: registry.counter("serve.rejected_newest"),
             shed_oldest: registry.counter("serve.shed_oldest"),
-            load_shed: registry.counter("serve.load_shed"),
             degraded_cache: registry.counter("serve.degraded_cache"),
             degraded_popularity: registry.counter("serve.degraded_popularity"),
             overloaded_errors: registry.counter("serve.overloaded_errors"),
@@ -196,9 +190,9 @@ impl Metrics {
             deadline_misses: self.deadline_miss_admission.get()
                 + self.deadline_miss_pickup.get()
                 + self.deadline_miss_completion.get(),
-            rejected_newest: self.rejected_newest.get(),
+            rejected_newest: 0,
             shed_oldest: self.shed_oldest.get(),
-            load_shed: self.load_shed.get(),
+            load_shed: 0,
             degraded_responses: self.degraded_cache.get() + self.degraded_popularity.get(),
             overloaded_errors: self.overloaded_errors.get(),
             worker_panics: self.worker_panics.get(),
@@ -265,11 +259,15 @@ pub struct MetricsSnapshot {
     /// Requests rejected `DeadlineExceeded` (admission + pickup +
     /// completion misses).
     pub deadline_misses: u64,
-    /// Requests refused at a full queue under `RejectNewest`.
+    /// Always 0: no backpressure policy refuses a newcomer. Kept only
+    /// because the frozen benchmark surface (`benchmark/src/surface.rs`)
+    /// reads it.
     pub rejected_newest: u64,
     /// Queued requests evicted at a full queue under `ShedOldest`.
     pub shed_oldest: u64,
-    /// Requests diverted at the load-shedding watermark.
+    /// Always 0: nothing sheds load before the queue is full. Kept only
+    /// because the frozen benchmark surface (`benchmark/src/surface.rs`)
+    /// reads it.
     pub load_shed: u64,
     /// Responses answered by a fallback (approximate cache or
     /// popularity), tagged degraded.
@@ -298,7 +296,7 @@ pub struct MetricsSnapshot {
     pub session_resumes: u64,
     /// Session events whose hint contradicted the cached history.
     pub session_resets: u64,
-    /// Sessions evicted by LRU capacity or idle TTL.
+    /// Sessions evicted by LRU capacity.
     pub session_evictions: u64,
     /// Session states prepared by the worker pool after the reply.
     pub session_refreshes: u64,

@@ -5,9 +5,9 @@
 //! load into unbounded memory growth and unbounded latency, which is
 //! strictly worse than refusing work. This queue enforces a hard depth
 //! bound and lets the deployment choose what happens at the bound
-//! ([`BackpressurePolicy`]): block the submitter, reject the newcomer,
-//! or shed the oldest queued request (which has already burned the most
-//! latency budget and is the most likely to be abandoned).
+//! ([`BackpressurePolicy`]): block the submitter, or shed the oldest
+//! queued request (which has already burned the most latency budget and
+//! is the most likely to be abandoned).
 //!
 //! The queue is `Mutex<VecDeque>` + two condvars, the same substrate as
 //! the vendored crossbeam channel shim, but with capacity, eviction,
@@ -25,9 +25,6 @@ pub enum BackpressurePolicy {
     /// overload into upstream latency — lossless but contagious.
     #[default]
     Block,
-    /// Refuse the incoming request. Bounds latency for everything
-    /// already queued; newcomers take the degraded path.
-    RejectNewest,
     /// Evict the oldest queued request to admit the newcomer. Keeps the
     /// queue fresh under overload; evictees take the degraded path.
     ShedOldest,
@@ -43,12 +40,6 @@ pub enum PushOutcome<T> {
     Shed {
         /// The evicted oldest entry.
         evicted: T,
-    },
-    /// The queue was full and the item was refused
-    /// ([`BackpressurePolicy::RejectNewest`]).
-    Rejected {
-        /// The refused item, returned to the caller.
-        item: T,
     },
     /// A blocking push gave up because the item's deadline passed
     /// before space freed up ([`BackpressurePolicy::Block`] only).
@@ -144,7 +135,6 @@ impl<T> AdmissionQueue<T> {
             return PushOutcome::Queued;
         }
         match policy {
-            BackpressurePolicy::RejectNewest => PushOutcome::Rejected { item },
             BackpressurePolicy::ShedOldest => {
                 let evicted = st.items.pop_front().expect("full queue has a front");
                 st.items.push_back(item);
@@ -250,11 +240,12 @@ mod tests {
     fn fifo_order_and_depth_bound() {
         let q = AdmissionQueue::new(3);
         for i in 0..3 {
-            assert!(matches!(q.push(i, BackpressurePolicy::RejectNewest, None), PushOutcome::Queued));
+            assert!(matches!(q.push(i, BackpressurePolicy::Block, None), PushOutcome::Queued));
         }
+        // Full: a blocking push whose deadline has passed gives up at once.
         assert!(matches!(
-            q.push(99, BackpressurePolicy::RejectNewest, None),
-            PushOutcome::Rejected { item: 99 }
+            q.push(99, BackpressurePolicy::Block, Some(Instant::now())),
+            PushOutcome::Expired { item: 99 }
         ));
         assert_eq!(q.len(), 3);
         for want in 0..3 {

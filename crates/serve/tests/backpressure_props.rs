@@ -10,8 +10,11 @@
 //!    the eviction order is exactly submission order, and what remains
 //!    pops as the newest-capacity suffix, still FIFO.
 //! 3. **Conservation** — every submitted item is accounted for exactly
-//!    once: popped + still-queued + rejected + shed == submitted, and
+//!    once: popped + still-queued + expired + shed == submitted, and
 //!    each push reports exactly one outcome.
+//!
+//! Every scripted push carries an already-elapsed deadline, so a `Block`
+//! push on a full queue gives up at once (`Expired`) instead of waiting.
 
 use proptest::prelude::*;
 
@@ -27,12 +30,8 @@ enum Op {
 fn decode(op: u8) -> Op {
     match op % 5 {
         // Pushes outnumber pops 3:2 so full-queue behaviour is reached.
-        0 => Op::Push(BackpressurePolicy::RejectNewest),
+        0 | 2 => Op::Push(BackpressurePolicy::Block),
         1 => Op::Push(BackpressurePolicy::ShedOldest),
-        // `Block` on a full queue would deadlock a single-threaded
-        // script; reject/shed cover the full-queue outcomes and the
-        // blocking path has its own threaded tests in the queue module.
-        2 => Op::Push(BackpressurePolicy::RejectNewest),
         _ => Op::Pop,
     }
 }
@@ -48,7 +47,7 @@ proptest! {
         for &op in &ops {
             match decode(op) {
                 Op::Push(policy) => {
-                    q.push(next_id, policy, None);
+                    q.push(next_id, policy, Some(std::time::Instant::now()));
                     next_id += 1;
                 }
                 Op::Pop => {
@@ -99,13 +98,13 @@ proptest! {
     ) {
         let q = AdmissionQueue::new(capacity);
         let mut submitted = 0u64;
-        let (mut rejected, mut shed, mut popped) = (0usize, 0usize, 0usize);
+        let (mut expired, mut shed, mut popped) = (0usize, 0usize, 0usize);
         for &op in &ops {
             match decode(op) {
                 Op::Push(policy) => {
-                    match q.push(submitted, policy, None) {
+                    match q.push(submitted, policy, Some(std::time::Instant::now())) {
                         PushOutcome::Queued => {}
-                        PushOutcome::Rejected { .. } => rejected += 1,
+                        PushOutcome::Expired { .. } => expired += 1,
                         PushOutcome::Shed { .. } => shed += 1,
                         other => panic!("open unblocked queue: {other:?}"),
                     }
@@ -120,10 +119,10 @@ proptest! {
         }
         // A shed push still queues its newcomer, so the ledger closes:
         prop_assert_eq!(
-            popped + q.len() + rejected + shed,
+            popped + q.len() + expired + shed,
             submitted as usize,
-            "popped {} + queued {} + rejected {} + shed {} != submitted {}",
-            popped, q.len(), rejected, shed, submitted
+            "popped {} + queued {} + expired {} + shed {} != submitted {}",
+            popped, q.len(), expired, shed, submitted
         );
         // Drain after close: everything still queued must come out.
         q.close();
@@ -131,7 +130,7 @@ proptest! {
         while let PopOutcome::Item(_) = q.pop() {
             drained += 1;
         }
-        prop_assert_eq!(popped + drained + rejected + shed, submitted as usize);
+        prop_assert_eq!(popped + drained + expired + shed, submitted as usize);
     }
 
     #[test]

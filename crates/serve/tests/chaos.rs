@@ -146,7 +146,7 @@ fn no_ticket_lost_under_seeded_worker_panics() {
     failpoint::disarm_all();
     // The pool must have healed: a fresh request succeeds post-chaos.
     let healed = engine.recommend(&pool[0], 5).expect("respawned pool serves again");
-    assert_eq!(healed, engine.model().recommend(&pool[0], 5));
+    assert_eq!(healed, engine.model().recommend(&pool[0], 5).unwrap());
 
     let stats = engine.shutdown_stats();
     let m = stats.snapshot;
@@ -195,7 +195,7 @@ fn expired_requests_are_rejected_at_pickup_and_never_computed() {
     }
     for (ticket, history) in live.into_iter().zip(&pool[6..12]) {
         let resp = wait_within(ticket, Duration::from_secs(20)).expect("live request");
-        assert_eq!(resp, engine.model().recommend(history, 5));
+        assert_eq!(resp, engine.model().recommend(history, 5).unwrap());
     }
 
     let stats = engine.shutdown_stats();
@@ -228,7 +228,7 @@ fn dropped_batches_resolve_every_ticket_typed() {
     for (ticket, history) in tickets.into_iter().zip(&pool) {
         match wait_within(ticket, Duration::from_secs(20)) {
             Ok(resp) => {
-                assert_eq!(resp, engine.model().recommend(history, 4));
+                assert_eq!(resp, engine.model().recommend(history, 4).unwrap());
                 ok += 1;
             }
             Err(ServeError::WorkerLost) => lost += 1,
@@ -295,7 +295,7 @@ fn chaos_storm_completed_results_match_the_fault_free_run() {
     // Fault-free reference rankings, straight from the offline path the
     // engine is contractually bit-identical to.
     let expected: HashMap<&[u32], Vec<u32>> =
-        pool.iter().map(|h| (h.as_slice(), model.recommend(h, 5))).collect();
+        pool.iter().map(|h| (h.as_slice(), model.recommend(h, 5).unwrap())).collect();
 
     failpoint::arm(
         "panic_in_worker",
@@ -384,7 +384,7 @@ fn unarmed_failpoints_leave_the_engine_bit_identical() {
     for history in histories(6) {
         let miss = engine.recommend(&history, 5).expect("fault-free serve");
         let hit = engine.recommend(&history, 5).expect("fault-free cache hit");
-        let offline = engine.model().recommend(&history, 5);
+        let offline = engine.model().recommend(&history, 5).unwrap();
         assert_eq!(miss, offline);
         assert_eq!(hit, offline);
         assert_eq!(miss.source(), ResponseSource::Batch);
@@ -507,7 +507,7 @@ fn shutdown_drops_a_backlog_of_refreshes_without_running_them() {
     for user in 0..8u32 {
         let item = user % 8 + 1;
         let resp = engine.append_event(u64::from(user), None, item, 3).expect("append");
-        assert_eq!(resp.items(), &engine.model().recommend(&[item], 3)[..]);
+        assert_eq!(resp.items(), &engine.model().recommend(&[item], 3).unwrap()[..]);
     }
     let before = engine.stats().snapshot;
     assert_eq!(before.session_refreshes + before.session_refresh_skipped, 0, "the worker is asleep");
@@ -546,18 +546,19 @@ fn a_panic_inside_a_refresh_is_isolated_and_healed_like_a_batch_panic() {
     // The reply does not wait for the refresh, so the panic cannot touch
     // it; the worker dies at the end of the refresh and is respawned.
     let resp = engine.append_event(5, None, 3, 3).expect("append");
-    assert_eq!(resp.items(), &engine.model().recommend(&[3], 3)[..]);
+    assert_eq!(resp.items(), &engine.model().recommend(&[3], 3).unwrap()[..]);
     wait_until("the respawn", || engine.stats().snapshot.worker_respawns == 1);
 
     // The session is unharmed, and the new worker takes over its
     // refreshes and ordinary batches alike.
     let resp = engine.append_event(5, None, 5, 3).expect("append after the panic");
     assert_eq!(resp.source(), ResponseSource::Session);
-    assert_eq!(resp.items(), &engine.model().recommend(&[3, 5], 3)[..]);
+    assert_eq!(resp.items(), &engine.model().recommend(&[3, 5], 3).unwrap()[..]);
     wait_until("a refresh on the respawned worker", || {
         engine.stats().snapshot.session_refreshes == 2
     });
-    assert_eq!(engine.recommend(&[1, 2, 3], 3).expect("batch"), engine.model().recommend(&[1, 2, 3], 3));
+    let offline = engine.model().recommend(&[1, 2, 3], 3).unwrap();
+    assert_eq!(engine.recommend(&[1, 2, 3], 3).expect("batch"), offline);
 
     let m = engine.shutdown_stats().snapshot;
     assert_eq!((m.worker_panics, m.worker_respawns), (1, 1));

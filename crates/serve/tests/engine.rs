@@ -82,7 +82,7 @@ fn concurrent_submitters_each_get_their_own_answer() {
             let engine = &engine;
             scope.spawn(move || {
                 let history = vec![worker % 8 + 1, (worker + 3) % 8 + 1];
-                let expected = engine.model().recommend(&history, 5);
+                let expected = engine.model().recommend(&history, 5).unwrap();
                 for _ in 0..3 {
                     let got = engine.recommend(&history, 5).unwrap();
                     assert_eq!(
@@ -128,7 +128,7 @@ fn engine_matches_offline_recommend_on_miss_and_hit() {
     for history in [&[2u32, 4, 6][..], &long, &[]] {
         let miss = engine.recommend(history, 5).unwrap();
         let hit = engine.recommend(history, 5).unwrap();
-        let offline = engine.model().recommend(history, 5);
+        let offline = engine.model().recommend(history, 5).unwrap();
         assert_eq!(miss, offline, "cache miss must match Vsan::recommend");
         assert_eq!(hit, offline, "cache hit must match Vsan::recommend");
     }
@@ -173,7 +173,7 @@ fn invalidate_during_in_flight_tickets_is_safe_and_exact() {
             .with_workers(1),
     );
     let history = [2u32, 4, 6];
-    let expected = engine.model().recommend(&history, 4);
+    let expected = engine.model().recommend(&history, 4).unwrap();
 
     let waited = engine.submit(&history, 4);
     let mut polled = engine.submit(&history, 4);
@@ -234,8 +234,8 @@ fn engine_from_parallel_trained_model_matches_offline_recommend() {
     let long: Vec<u32> = (0..20).map(|t| t % 8 + 1).collect();
     for history in [&[1u32, 2, 3][..], &[7][..], &long, &[]] {
         let served = engine.recommend(history, 5).unwrap();
-        assert_eq!(served, engine.model().recommend(history, 5), "engine vs its own model");
-        assert_eq!(served, serial.recommend(history, 5), "parallel vs serial training");
+        assert_eq!(served, engine.model().recommend(history, 5).unwrap(), "engine vs its own model");
+        assert_eq!(served, serial.recommend(history, 5).unwrap(), "parallel vs serial training");
     }
     engine.shutdown_stats();
 }
@@ -295,7 +295,7 @@ fn out_of_vocabulary_requests_are_rejected_at_admission() {
     assert_eq!(bad.wait(), Err(ServeError::InvalidItem { item: 10_000, vocab }));
     let good = good.wait().unwrap();
     assert!(!good.is_degraded());
-    assert_eq!(good, engine.model().recommend(&[1, 2, 3], 4));
+    assert_eq!(good, engine.model().recommend(&[1, 2, 3], 4).unwrap());
     // The same id outside the window the model reads is no error.
     let mut long = vec![10_000u32];
     long.extend((0..engine.model().config().base.max_seq_len as u32).map(|t| t % 8 + 1));

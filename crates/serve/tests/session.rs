@@ -45,7 +45,7 @@ fn appends_match_offline_recommend_and_count_as_warm() {
         history.push(item);
         assert_eq!(resp.source(), ResponseSource::Session);
         assert!(!resp.is_degraded());
-        let offline = engine.model().recommend(&history, 5);
+        let offline = engine.model().recommend(&history, 5).unwrap();
         assert_eq!(resp.items(), &offline[..], "event {i} diverged from offline recommend");
         // Let the pool catch the state up before the next event.
         wait_for_refreshes(&engine, i as u64 + 1);
@@ -88,7 +88,7 @@ fn session_stream_replay_matches_offline_recommend() {
         let resp = engine.append_event(event.user, Some(&hint), event.item, 4).unwrap();
         histories[user].push(event.item);
         assert_eq!(resp.source(), ResponseSource::Session);
-        let offline = engine.model().recommend(&histories[user], 4);
+        let offline = engine.model().recommend(&histories[user], 4).unwrap();
         assert_eq!(resp.items(), &offline[..]);
     }
     let stats = engine.stats();
@@ -116,7 +116,7 @@ fn eviction_is_transparent_counted_and_reported() {
         let hint = histories[user as usize].clone();
         let resp = engine.append_event(user, Some(&hint), item, 3).unwrap();
         histories[user as usize].push(item);
-        let offline = engine.model().recommend(&histories[user as usize], 3);
+        let offline = engine.model().recommend(&histories[user as usize], 3).unwrap();
         assert_eq!(resp.items(), &offline[..], "post-eviction event {i} must still be exact");
     }
     let m = engine.stats().snapshot;
@@ -146,7 +146,7 @@ fn divergent_hint_resets_the_session() {
     // The client claims a history that contradicts the cached [3, 5]:
     // the hint wins, the reset is counted and reported.
     let resp = engine.append_event(9, Some(&[7, 7]), 2, 3).unwrap();
-    let offline = engine.model().recommend(&[7, 7, 2], 3);
+    let offline = engine.model().recommend(&[7, 7, 2], 3).unwrap();
     assert_eq!(resp.items(), &offline[..]);
     // A reset is decided by comparing the hint with the cached history,
     // so it does not matter whether the refresh for [3, 5] has run yet —
@@ -167,7 +167,7 @@ fn append_warms_the_sequence_cache() {
     // would cache, so a submit for the same history must hit.
     let resp = engine.recommend(&[2, 6], 4).unwrap();
     assert_eq!(resp.source(), ResponseSource::Cache);
-    assert_eq!(resp.items(), &engine.model().recommend(&[2, 6], 4)[..]);
+    assert_eq!(resp.items(), &engine.model().recommend(&[2, 6], 4).unwrap()[..]);
     let after = engine.stats().snapshot;
     assert_eq!(after.cache_hits, before.cache_hits + 1);
 }
@@ -191,7 +191,7 @@ fn model_errors_resolve_degraded_not_fabricated() {
     // exactly.
     let resp = engine.append_event(4, None, 5, 3).unwrap();
     assert_eq!(resp.source(), ResponseSource::Session);
-    assert_eq!(resp.items(), &engine.model().recommend(&[3, 5], 3)[..]);
+    assert_eq!(resp.items(), &engine.model().recommend(&[3, 5], 3).unwrap()[..]);
 }
 
 #[test]
@@ -220,7 +220,7 @@ fn a_failed_event_evicts_no_one_and_leaves_no_slot() {
 
     // User 1 is still resident, server-side history and all.
     let resp = engine.append_event(1, None, 5, 3).unwrap();
-    assert_eq!(resp.items(), &engine.model().recommend(&[3, 5], 3)[..]);
+    assert_eq!(resp.items(), &engine.model().recommend(&[3, 5], 3).unwrap()[..]);
     assert_eq!(
         engine.stats().snapshot.session_cold_starts,
         1,
@@ -236,7 +236,7 @@ fn stateless_capacity_zero_still_serves_exact_answers() {
         let hint = history.clone();
         let resp = engine.append_event(8, Some(&hint), item, 4).unwrap();
         history.push(item);
-        assert_eq!(resp.items(), &engine.model().recommend(&history, 4)[..]);
+        assert_eq!(resp.items(), &engine.model().recommend(&history, 4).unwrap()[..]);
     }
     let stats = engine.stats();
     let m = stats.snapshot;

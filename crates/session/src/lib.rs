@@ -9,7 +9,7 @@
 //! `O(n²·d)` pass that re-aligns the window for the next event runs off
 //! the reply path.
 //!
-//! * [`SessionStore`] — LRU/TTL-bounded map from user id to session
+//! * [`SessionStore`] — LRU-bounded map from user id to session
 //!   slot, with longest-cached-prefix lookup over lock-free history
 //!   snapshots. Eviction is *transparent*: it can cost a cold start,
 //!   never an error, and never corrupts an in-flight sibling.
@@ -28,4 +28,4 @@ pub mod runtime;
 pub mod store;
 
 pub use runtime::{AppendResult, SessionOutcome, SessionRuntime, SessionStats, SessionTrace};
-pub use store::{EvictReason, Eviction, PrefixHit, SessionConfig, SessionEntry, SessionStore};
+pub use store::{Eviction, PrefixHit, SessionConfig, SessionEntry, SessionStore};

@@ -98,10 +98,11 @@ impl SessionOutcome {
     }
 }
 
-/// Trace hookup for one traced append: where to record, the parent
-/// session span, and the engine's time origin. Purely observational —
-/// [`SessionRuntime::append_event_traced`] computes identical bits with
-/// or without it (the §8 telemetry rule).
+/// Trace hookup for one traced append or refresh: where to record, the
+/// parent session span, and the engine's time origin. Purely
+/// observational — [`SessionRuntime::append_event`] and
+/// [`SessionRuntime::refresh`] compute identical bits with or without it
+/// (the §8 telemetry rule).
 #[derive(Clone, Copy)]
 pub struct SessionTrace<'a> {
     /// The engine's flight recorder.
@@ -147,7 +148,7 @@ pub struct AppendResult {
     pub history: Vec<u32>,
     /// How the event was served.
     pub outcome: SessionOutcome,
-    /// Sessions evicted while serving this event (LRU/TTL).
+    /// Sessions evicted (by LRU capacity) while serving this event.
     pub evictions: Vec<Eviction>,
     /// `true` when the caller should schedule one
     /// [`SessionRuntime::refresh`] for this user: the state is now one
@@ -199,12 +200,6 @@ impl SessionRuntime {
         lock(&self.store).remove(user)
     }
 
-    /// TTL sweep + LRU trim (what a supervisor calls periodically so
-    /// idle sessions do not linger until the next event).
-    pub fn sweep(&self, now: Instant) -> Vec<Eviction> {
-        lock(&self.store).sweep(now)
-    }
-
     /// Fold one event into `user`'s session and return logits for the
     /// grown history. Returns after the append pass: the state is left
     /// stale and [`AppendResult::needs_refresh`] says whether the caller
@@ -217,6 +212,11 @@ impl SessionRuntime {
     /// transparently by full recompute; the only errors are genuine
     /// model errors (out-of-vocabulary ids), raised before the store is
     /// touched.
+    ///
+    /// With `trace`, resolve / prepare / apply / commit sub-spans hang
+    /// off `trace.ctx` in the engine's flight recorder. The hookup is
+    /// write-only — logits, history, outcome, and evictions are
+    /// bit-identical with `trace` present or `None`.
     pub fn append_event(
         &self,
         model: &Vsan,
@@ -224,25 +224,6 @@ impl SessionRuntime {
         hint: Option<&[u32]>,
         item: u32,
         ws: &mut Workspace,
-        now: Instant,
-    ) -> Result<AppendResult, String> {
-        self.append_event_traced(model, user, hint, item, ws, now, None)
-    }
-
-    /// [`Self::append_event`] with optional per-stage trace recording:
-    /// resolve / prepare / apply / commit sub-spans hang off
-    /// `trace.ctx` in the engine's flight recorder. The trace hookup is
-    /// write-only — logits, history, outcome, and evictions are
-    /// bit-identical with `trace` present or `None`.
-    #[allow(clippy::too_many_arguments)]
-    pub fn append_event_traced(
-        &self,
-        model: &Vsan,
-        user: u64,
-        hint: Option<&[u32]>,
-        item: u32,
-        ws: &mut Workspace,
-        now: Instant,
         trace: Option<SessionTrace<'_>>,
     ) -> Result<AppendResult, String> {
         let stage_start = Instant::now();
@@ -281,7 +262,7 @@ impl SessionRuntime {
         //    never taken while the store is locked.
         let (entry_arc, sibling, mut evictions) = {
             let mut store = lock(&self.store);
-            let (arc, evictions) = store.get_or_create(user, now);
+            let (arc, evictions) = store.get_or_create(user, stage_start);
             let need_sibling = match (hint, store.snapshot(user)) {
                 (Some(h), Some((snap, prepared))) => !(prepared && snap == h),
                 (Some(_), None) => true,
@@ -363,7 +344,8 @@ impl SessionRuntime {
         let bytes = entry.state.bytes() + history.len() * std::mem::size_of::<u32>();
         let needs_refresh = {
             let mut store = lock(&self.store);
-            evictions.extend(store.commit(user, &entry_arc, history.clone(), false, bytes, now));
+            let committed = store.commit(user, &entry_arc, history.clone(), false, bytes, stage_start);
+            evictions.extend(committed);
             store.request_refresh(user)
         };
         drop(entry);
@@ -380,18 +362,15 @@ impl SessionRuntime {
     /// fresh, or the incremental path is off (`capacity = 0`).
     ///
     /// A refresh only ever *reads* the store's bookkeeping: it does not
-    /// touch LRU order or TTL, creates no slot, and publishes nothing
+    /// touch LRU order, creates no slot, and publishes nothing
     /// for an entry the store no longer holds, so the sequence of
     /// evictions is the same with or without it. It runs under the entry
     /// lock; an event for the same user waits there and then appends.
-    pub fn refresh(&self, model: &Vsan, user: u64, ws: &mut Workspace) -> Result<bool, String> {
-        self.refresh_traced(model, user, ws, None)
-    }
-
-    /// [`Self::refresh`] with optional trace recording: the pass is a
-    /// `session_prepare` span under `trace.ctx` — the `session` span of
-    /// the event that asked for the refresh.
-    pub fn refresh_traced(
+    ///
+    /// With `trace`, the pass is a `session_prepare` span under
+    /// `trace.ctx` — the `session` span of the event that asked for the
+    /// refresh.
+    pub fn refresh(
         &self,
         model: &Vsan,
         user: u64,

@@ -15,34 +15,32 @@
 //! session asks for at most one ([`SessionStore::request_refresh`]), and
 //! the two halves of the refresh itself —
 //! [`SessionStore::take_for_refresh`] and
-//! [`SessionStore::publish_refreshed`] — touch neither LRU order nor
-//! TTL, create no slot, and never re-register an evicted entry.
+//! [`SessionStore::publish_refreshed`] — leave LRU order alone, create
+//! no slot, and never re-register an evicted entry.
 
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use vsan_core::SessionState;
 
-/// Knobs for the session store, mirrored by the serve-level
-/// `EngineConfig::session_*` builders.
+/// The session store's one knob, mirrored by the serve-level
+/// `EngineConfig::with_session_capacity` builder.
 #[derive(Debug, Clone, Copy)]
 pub struct SessionConfig {
     /// Maximum live sessions (LRU-evicted beyond this). `0` disables
     /// incremental sessions entirely: every event is a full recompute.
     pub capacity: usize,
-    /// Drop sessions idle longer than this (`None` = no TTL).
-    pub ttl: Option<Duration>,
 }
 
 impl Default for SessionConfig {
     fn default() -> Self {
-        SessionConfig { capacity: 1024, ttl: None }
+        SessionConfig { capacity: 1024 }
     }
 }
 
 impl SessionConfig {
-    /// The defaults: 1024 sessions, no TTL.
+    /// The default: 1024 sessions.
     pub fn new() -> Self {
         Self::default()
     }
@@ -50,12 +48,6 @@ impl SessionConfig {
     /// Set the session capacity (`0` disables sessions).
     pub fn with_capacity(mut self, capacity: usize) -> Self {
         self.capacity = capacity;
-        self
-    }
-
-    /// Set the idle TTL.
-    pub fn with_ttl(mut self, ttl: Option<Duration>) -> Self {
-        self.ttl = ttl;
         self
     }
 }
@@ -72,23 +64,13 @@ pub struct SessionEntry {
     pub state: SessionState,
 }
 
-/// Why a session left the store.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum EvictReason {
-    /// LRU capacity pressure.
-    Capacity,
-    /// Idle past the configured TTL.
-    Ttl,
-}
-
-/// One eviction, reported to the caller so the serve layer can emit
-/// `session.evictions` metrics and `session_evicted` fault events.
+/// One eviction by LRU capacity, reported to the caller so the serve
+/// layer can emit `session.evictions` metrics and `session_evicted`
+/// fault events.
 #[derive(Debug, Clone, Copy)]
 pub struct Eviction {
     /// The evicted session's user id.
     pub user: u64,
-    /// Why it was evicted.
-    pub reason: EvictReason,
 }
 
 /// A successful [`SessionStore::longest_prefix_of`] lookup.
@@ -111,7 +93,6 @@ struct Slot {
     prepared: bool,
     bytes: usize,
     tick: u64,
-    touched: Instant,
     /// A refresh for this session is queued and not yet taken. Lives and
     /// dies with the slot: if a queued refresh is ever lost, eviction
     /// clears the books.
@@ -119,25 +100,14 @@ struct Slot {
 }
 
 impl Slot {
-    fn new(entry: Arc<Mutex<SessionEntry>>, tick: u64, now: Instant) -> Self {
-        Slot {
-            entry,
-            history: Vec::new(),
-            prepared: false,
-            bytes: 0,
-            tick,
-            touched: now,
-            refresh_queued: false,
-        }
+    fn new(entry: Arc<Mutex<SessionEntry>>, tick: u64) -> Self {
+        Slot { entry, history: Vec::new(), prepared: false, bytes: 0, tick, refresh_queued: false }
     }
 }
 
-/// LRU/TTL-bounded map from user id to session slot. All time-dependent
-/// methods take `now` explicitly so TTL behaviour is testable with
-/// fabricated instants.
+/// LRU-bounded map from user id to session slot.
 pub struct SessionStore {
     capacity: usize,
-    ttl: Option<Duration>,
     map: HashMap<u64, Slot>,
     tick: u64,
 }
@@ -145,7 +115,7 @@ pub struct SessionStore {
 impl SessionStore {
     /// An empty store under `cfg`.
     pub fn new(cfg: &SessionConfig) -> Self {
-        SessionStore { capacity: cfg.capacity, ttl: cfg.ttl, map: HashMap::new(), tick: 0 }
+        SessionStore { capacity: cfg.capacity, map: HashMap::new(), tick: 0 }
     }
 
     /// Live sessions.
@@ -164,28 +134,22 @@ impl SessionStore {
         self.map.values().map(|s| s.bytes).sum()
     }
 
-    /// Fetch `user`'s entry handle, creating an empty slot on miss. An
-    /// existing slot idle past the TTL is dropped first (reported) and
-    /// recreated fresh. Touches the slot for LRU purposes and evicts as
-    /// needed; the just-touched slot is never the LRU victim.
-    pub fn get_or_create(&mut self, user: u64, now: Instant) -> (Arc<Mutex<SessionEntry>>, Vec<Eviction>) {
-        let mut evictions = Vec::new();
-        let expired = self.map.get(&user).is_some_and(|slot| self.expired(slot, now));
-        if expired {
-            self.map.remove(&user);
-            evictions.push(Eviction { user, reason: EvictReason::Ttl });
-        }
+    /// Fetch `user`'s entry handle, creating an empty slot on miss.
+    /// Touches the slot for LRU purposes and evicts as needed; the
+    /// just-touched slot is never the LRU victim.
+    ///
+    /// `_now` is unused: it is kept only because the frozen benchmark
+    /// surface (`benchmark/src/surface.rs`) passes it.
+    pub fn get_or_create(&mut self, user: u64, _now: Instant) -> (Arc<Mutex<SessionEntry>>, Vec<Eviction>) {
         self.tick += 1;
         let tick = self.tick;
         let slot = self
             .map
             .entry(user)
-            .or_insert_with(|| Slot::new(Arc::new(Mutex::new(SessionEntry::default())), tick, now));
+            .or_insert_with(|| Slot::new(Arc::new(Mutex::new(SessionEntry::default())), tick));
         slot.tick = tick;
-        slot.touched = now;
         let entry = Arc::clone(&slot.entry);
-        evictions.extend(self.enforce(now));
-        (entry, evictions)
+        (entry, self.enforce())
     }
 
     /// The history/prepared snapshot for `user`, if resident.
@@ -214,6 +178,9 @@ impl SessionStore {
     /// Publish a session's post-append snapshot (re-registering it if it
     /// was evicted mid-flight), then run the eviction pass. Returns any
     /// evictions performed.
+    ///
+    /// `_now` is unused: it is kept only because the frozen benchmark
+    /// surface (`benchmark/src/surface.rs`) passes it.
     pub fn commit(
         &mut self,
         user: u64,
@@ -221,17 +188,16 @@ impl SessionStore {
         history: Vec<u32>,
         prepared: bool,
         bytes: usize,
-        now: Instant,
+        _now: Instant,
     ) -> Vec<Eviction> {
         self.tick += 1;
         let tick = self.tick;
-        let slot = self.map.entry(user).or_insert_with(|| Slot::new(Arc::clone(entry), tick, now));
+        let slot = self.map.entry(user).or_insert_with(|| Slot::new(Arc::clone(entry), tick));
         slot.history = history;
         slot.prepared = prepared;
         slot.bytes = bytes;
         slot.tick = tick;
-        slot.touched = now;
-        self.enforce(now)
+        self.enforce()
     }
 
     /// Ask for one refresh of `user`'s state. `true` means the caller
@@ -255,7 +221,7 @@ impl SessionStore {
 
     /// First half of a refresh: clear the queued flag and hand out the
     /// resident entry, in one critical section. Reads the slot and
-    /// nothing else — no tick, no TTL touch, no eviction pass.
+    /// nothing else — no tick, no eviction pass.
     pub fn take_for_refresh(&mut self, user: u64) -> Option<Arc<Mutex<SessionEntry>>> {
         let slot = self.map.get_mut(&user)?;
         slot.refresh_queued = false;
@@ -288,29 +254,9 @@ impl SessionStore {
         self.map.remove(&user).is_some()
     }
 
-    /// TTL sweep + LRU trim to capacity, oldest-tick first.
-    pub fn sweep(&mut self, now: Instant) -> Vec<Eviction> {
-        self.enforce(now)
-    }
-
-    fn expired(&self, slot: &Slot, now: Instant) -> bool {
-        self.ttl.is_some_and(|ttl| now.saturating_duration_since(slot.touched) > ttl)
-    }
-
-    fn enforce(&mut self, now: Instant) -> Vec<Eviction> {
+    /// LRU trim to capacity, oldest tick first.
+    fn enforce(&mut self) -> Vec<Eviction> {
         let mut evictions = Vec::new();
-        if let Some(ttl) = self.ttl {
-            let dead: Vec<u64> = self
-                .map
-                .iter()
-                .filter(|(_, s)| now.saturating_duration_since(s.touched) > ttl)
-                .map(|(&u, _)| u)
-                .collect();
-            for user in dead {
-                self.map.remove(&user);
-                evictions.push(Eviction { user, reason: EvictReason::Ttl });
-            }
-        }
         while self.map.len() > self.capacity.max(1) {
             // LRU victim: the smallest access tick (ties impossible —
             // ticks are unique).
@@ -318,7 +264,7 @@ impl SessionStore {
             match victim {
                 Some(user) => {
                     self.map.remove(&user);
-                    evictions.push(Eviction { user, reason: EvictReason::Capacity });
+                    evictions.push(Eviction { user });
                 }
                 None => break,
             }

@@ -103,12 +103,6 @@ impl Tensor {
         Ok(self.data[self.shape.offset(index)?])
     }
 
-    /// Mutable element access by multi-dimensional index.
-    pub fn at_mut(&mut self, index: &[usize]) -> Result<&mut f32> {
-        let off = self.shape.offset(index)?;
-        Ok(&mut self.data[off])
-    }
-
     /// Convenience accessor for rank-2 tensors: `t.get2(r, c)`.
     ///
     /// Panics on out-of-bounds; use [`Tensor::at`] for checked access.
@@ -147,19 +141,6 @@ impl Tensor {
             });
         }
         Ok(Tensor { data: self.data.clone(), shape })
-    }
-
-    /// In-place reshape (no copy). Errors if element counts differ.
-    pub fn reshape_in_place(&mut self, dims: &[usize]) -> Result<()> {
-        let shape = Shape::new(dims);
-        if shape.numel() != self.data.len() {
-            return Err(TensorError::LengthMismatch {
-                expected: shape.numel(),
-                got: self.data.len(),
-            });
-        }
-        self.shape = shape;
-        Ok(())
     }
 
     /// Apply a scalar function elementwise, producing a new tensor.

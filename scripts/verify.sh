@@ -226,6 +226,12 @@ fi
 echo "==> obs_smoke (instrumented train + serve telemetry)"
 cargo run --release --offline -q -p vsan-bench --bin obs_smoke
 
+# The §IV-F complexity table (results/complexity.txt at --scale repro)
+# must still build and run: at smoke scale it takes a few seconds. It
+# writes no file, and its timings are discarded here.
+echo "==> complexity table runs (--scale smoke)"
+cargo run --release --offline -q -p vsan-bench --bin complexity -- --scale smoke >/dev/null
+
 echo "==> cargo clippy --offline -- -D warnings"
 cargo clippy --workspace --all-targets --offline -- -D warnings
 

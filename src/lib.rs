@@ -54,8 +54,8 @@ pub mod prelude {
         TrainObserver,
     };
     pub use vsan_serve::{
-        BackpressurePolicy, DegradeConfig, Engine, EngineConfig, MetricsSnapshot, Response,
-        ResponseSource, ServeError, ServeStats, Ticket,
+        BackpressurePolicy, Engine, EngineConfig, MetricsSnapshot, Response, ResponseSource,
+        ServeError, ServeStats, Ticket,
     };
     pub use vsan_session::{SessionConfig, SessionOutcome, SessionRuntime};
 }

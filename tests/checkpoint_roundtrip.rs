@@ -45,7 +45,7 @@ fn saved_and_reloaded_model_scores_bit_identically() {
 
     // The restored weights serve exactly the original model's rankings.
     let history = views[0].fold_in.clone();
-    let expected = model.recommend(&history, 10);
+    let expected = model.recommend(&history, 10).unwrap();
     let engine = Engine::start(restored, EngineConfig::default());
     assert_eq!(
         engine.recommend(&history, 10).expect("engine reply"),

@@ -96,6 +96,7 @@ fn an_out_of_vocabulary_id_in_the_window_is_the_same_error_on_every_path() {
         let h = history.as_slice();
         assert_eq!(model.try_score_items_batch(&[h]).unwrap_err(), message);
         assert_eq!(model.recommend_batch_exact(&[h], K).unwrap_err(), message);
+        assert_eq!(model.recommend(h, K).unwrap_err(), message);
         assert!(model.score_items_batch_graph(&[h]).is_err(), "graph oracle accepted {h:?}");
         // A session meets the id in its prefix or as the appended event.
         let (&last, prefix) = h.split_last().unwrap();

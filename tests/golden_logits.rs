@@ -176,12 +176,12 @@ fn eval_logits_match_the_golden_fixture_bit_for_bit() {
     let engine = Engine::start(model, EngineConfig::default());
     for (user, (history, _)) in golden.iter().enumerate() {
         let served = engine.recommend(history, 5).expect("fault-free serve");
-        assert_eq!(served, engine.model().recommend(history, 5));
+        assert_eq!(served, engine.model().recommend(history, 5).unwrap());
         if let Some((&last, prefix)) = history.split_last() {
             let streamed = engine
                 .append_event(user as u64, Some(prefix), last, 5)
                 .expect("fault-free append");
-            assert_eq!(streamed, engine.model().recommend(history, 5));
+            assert_eq!(streamed, engine.model().recommend(history, 5).unwrap());
         }
     }
     engine.shutdown_stats();
