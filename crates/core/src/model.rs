@@ -958,7 +958,7 @@ mod tests {
         // Score before the restore: the pad state derived from the
         // initial weights must not outlive them.
         assert_ne!(model.score_items(&[1, 2]), restored.score_items(&[1, 2]));
-        let count = restored.params_mut().load_values(blob).unwrap();
+        let count = restored.params_mut().load_values(&blob).unwrap();
         assert_eq!(count, restored.params().len());
         assert_eq!(model.score_items(&[1, 2]), restored.score_items(&[1, 2]));
     }

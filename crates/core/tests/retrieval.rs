@@ -266,7 +266,7 @@ fn index_rebuild_is_deterministic_across_checkpoint_reload() {
 
     let blob = a.params().save();
     let mut b = build_model(6, 4, 40, 1, 1, 0b1000, 99); // different init weights
-    b.params_mut().load_values(blob).expect("checkpoint reload");
+    b.params_mut().load_values(&blob).expect("checkpoint reload");
     b.set_retrieval(Retrieval::Clustered(cfg));
     assert_eq!(
         assign_1,

@@ -235,13 +235,13 @@ impl DataParallel {
             // assigns *which* shard a worker computes; no float ever
             // crosses a thread boundary except inside a finished slot.
             let cursor = AtomicUsize::new(0);
-            let produced: Vec<(usize, ObservedShardResult)> = crossbeam::thread::scope(|s| {
+            let produced: Vec<(usize, ObservedShardResult)> = std::thread::scope(|s| {
                 let handles: Vec<_> = (0..workers)
                     .map(|_| {
                         let cursor = &cursor;
                         let shards = &shards;
                         let run_shard = &run_shard;
-                        s.spawn(move |_| {
+                        s.spawn(move || {
                             let mut local = Vec::new();
                             loop {
                                 let shard_id = cursor.fetch_add(1, Ordering::Relaxed);
@@ -258,8 +258,7 @@ impl DataParallel {
                     .into_iter()
                     .flat_map(|h| h.join().expect("data-parallel worker panicked"))
                     .collect()
-            })
-            .expect("data-parallel thread scope failed");
+            });
             for (shard_id, res) in produced {
                 slots[shard_id] = Some(res);
             }

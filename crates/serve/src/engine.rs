@@ -22,11 +22,11 @@
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::mpsc::{self, Receiver, SendError, Sender, TryRecvError};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use crossbeam::channel::{self, Receiver, Sender, TryRecvError};
 use vsan_core::Vsan;
 use vsan_obs::{
     EventSink, FaultEvent, FaultKind, FlightRecorder, Registry, TraceContext, TraceSpan, TraceStage,
@@ -333,6 +333,25 @@ impl Inner {
         }
     }
 
+    /// The admission check `submit` and `append_event` share: the first
+    /// id among `read` (the ids the model would embed) that is out of
+    /// vocabulary rejects the request as [`ServeError::InvalidItem`],
+    /// with its latency and a `Rejected` span recorded, before a cache,
+    /// a session slot or a worker is touched.
+    fn admit(
+        &self,
+        mut read: impl Iterator<Item = u32>,
+        start: Instant,
+        trace: TraceContext,
+    ) -> Result<(), ServeError> {
+        let vocab = self.model.vocab();
+        let Some(item) = read.find(|&id| id as usize >= vocab) else { return Ok(()) };
+        let elapsed = as_us(start.elapsed());
+        self.metrics.latency_us.record_traced(elapsed, self.exemplar(&trace));
+        self.span(trace, TraceStage::Rejected, elapsed, 0);
+        Err(ServeError::InvalidItem { item, vocab })
+    }
+
     /// Record `stage` as a child span of `parent`.
     fn span(&self, parent: TraceContext, stage: TraceStage, dur_us: u64, attr: u64) {
         self.trace(parent.child(stage.code()), stage, dur_us, attr);
@@ -515,8 +534,8 @@ impl Engine {
             max_inflight: workers * 2,
         });
 
-        let (batch_tx, batch_rx) = channel::unbounded::<BatchMsg>();
-        let (ctrl_tx, ctrl_rx) = channel::unbounded::<Ctrl>();
+        let (batch_tx, batch_rx) = mpsc::channel::<BatchMsg>();
+        let (ctrl_tx, ctrl_rx) = mpsc::channel::<Ctrl>();
 
         let batcher = {
             let inner = Arc::clone(&inner);
@@ -530,7 +549,7 @@ impl Engine {
 
         let ctx = WorkerCtx {
             inner: Arc::clone(&inner),
-            batch_rx,
+            batch_rx: Arc::new(Mutex::new(batch_rx)),
             batch_tx: batch_tx.clone(),
             ctrl_tx: ctrl_tx.clone(),
             max_batch,
@@ -583,12 +602,8 @@ impl Engine {
         inner.trace(trace, TraceStage::Admission, 0, history.len() as u64);
 
         let window = inner.model.fold_in_window(history);
-        let vocab = inner.model.vocab();
-        if let Some(&item) = window.iter().find(|&&id| id as usize >= vocab) {
-            let elapsed = as_us(start.elapsed());
-            metrics.latency_us.record_traced(elapsed, inner.exemplar(&trace));
-            inner.span(trace, TraceStage::Rejected, elapsed, 0);
-            return Ticket::ready(Err(ServeError::InvalidItem { item, vocab }));
+        if let Err(err) = inner.admit(window.iter().copied(), start, trace) {
+            return Ticket::ready(Err(err));
         }
 
         if inner.cache_enabled {
@@ -615,7 +630,7 @@ impl Engine {
             return Ticket::ready(reply);
         }
 
-        let (reply_tx, reply_rx) = channel::unbounded();
+        let (reply_tx, reply_rx) = mpsc::channel();
         let due = deadline.map(|d| start + d);
         let req = Request {
             history: history.to_vec(),
@@ -695,10 +710,12 @@ impl Engine {
     /// cache are never errors — they cost a transparent recompute,
     /// tagged in the `session.*` metrics. A *contradictory* hint resets
     /// the session (the hint wins) and fires a `session_reset` fault.
-    /// In degraded mode, and on a genuine model error (e.g. an
-    /// out-of-vocabulary id, rejected before the session store is
-    /// touched), the event resolves through the degraded fallback path
-    /// like any other request.
+    /// An out-of-vocabulary id among those the model would read (`item`
+    /// and the hint's tail in its window) is rejected at admission with
+    /// [`ServeError::InvalidItem`], as [`Engine::submit`] rejects it; no
+    /// session slot is touched. In degraded mode, and on a genuine model
+    /// error, the event resolves through the degraded fallback path like
+    /// any other request.
     pub fn append_event(
         &self,
         user: u64,
@@ -713,8 +730,15 @@ impl Engine {
         let trace = inner.mint_trace();
         inner.trace(trace, TraceStage::Admission, 0, item as u64);
 
+        // The ids the model reads: `item` and the hint's tail that
+        // shares its window (a server-side history got in this way).
+        let hinted = hint.unwrap_or_default();
+        let tail = inner.model.config().base.max_seq_len.saturating_sub(1);
+        let read = hinted[hinted.len().saturating_sub(tail)..].iter().copied().chain([item]);
+        inner.admit(read, start, trace)?;
+
         let degraded_history = || {
-            let mut h = hint.unwrap_or_default().to_vec();
+            let mut h = hinted.to_vec();
             h.push(item);
             h
         };
@@ -1039,12 +1063,22 @@ fn batcher_loop(
 #[derive(Clone)]
 struct WorkerCtx {
     inner: Arc<Inner>,
-    batch_rx: Receiver<BatchMsg>,
+    /// The batch channel's one receiver, shared by the pool: a worker
+    /// holds the lock only for its `recv` (see [`next_batch_msg`]).
+    batch_rx: Arc<Mutex<Receiver<BatchMsg>>>,
     /// For requeueing the untouched remainder of a poisoned batch.
     batch_tx: Sender<BatchMsg>,
     ctrl_tx: Sender<Ctrl>,
     /// Sizes the per-worker inference workspace at spawn.
     max_batch: usize,
+}
+
+/// Take the next message off the shared batch channel. The lock is
+/// released as soon as `recv` returns, so the next idle worker queues
+/// on it while this one computes; a poisoned lock still guards a
+/// consistent receiver.
+fn next_batch_msg(batch_rx: &Mutex<Receiver<BatchMsg>>) -> Option<BatchMsg> {
+    batch_rx.lock().unwrap_or_else(PoisonError::into_inner).recv().ok()
 }
 
 fn spawn_worker(id: usize, ctx: WorkerCtx) -> JoinHandle<()> {
@@ -1067,10 +1101,9 @@ fn spawn_worker(id: usize, ctx: WorkerCtx) -> JoinHandle<()> {
 fn worker_loop(id: usize, ctx: &WorkerCtx) {
     let mut ws = ctx.inner.model.workspace(ctx.max_batch);
     loop {
-        match ctx.batch_rx.recv() {
-            Err(_) => return,
-            Ok(BatchMsg::Stop) => return,
-            Ok(BatchMsg::Work(batch)) => {
+        match next_batch_msg(&ctx.batch_rx) {
+            None | Some(BatchMsg::Stop) => return,
+            Some(BatchMsg::Work(batch)) => {
                 let mut slots: Vec<Option<Request>> = batch.into_iter().map(Some).collect();
                 let outcome =
                     catch_unwind(AssertUnwindSafe(|| process_batch(&ctx.inner, &mut slots, &mut ws)));
@@ -1080,7 +1113,7 @@ fn worker_loop(id: usize, ctx: &WorkerCtx) {
                     return;
                 }
             }
-            Ok(BatchMsg::Refresh { user, trace }) => {
+            Some(BatchMsg::Refresh { user, trace }) => {
                 let outcome =
                     catch_unwind(AssertUnwindSafe(|| refresh_session(&ctx.inner, user, trace, &mut ws)));
                 if outcome.is_err() {
@@ -1140,13 +1173,10 @@ fn isolate_panic(id: usize, ctx: &WorkerCtx, slots: Vec<Option<Request>>) {
     }
     if !requeue.is_empty() {
         inner.fault(FaultKind::BatchRequeued, &format!("{} requests", requeue.len()));
-        if let Err(send_err) = ctx.batch_tx.send(BatchMsg::Work(requeue)) {
+        if let Err(SendError(BatchMsg::Work(reqs))) = ctx.batch_tx.send(BatchMsg::Work(requeue)) {
             // Channel torn down mid-panic: fail the stragglers, typed.
-            let crossbeam::channel::SendError(msg) = send_err;
-            if let BatchMsg::Work(reqs) = msg {
-                for req in reqs {
-                    inner.finish(req.enqueued, req.trace, &req.reply, Err(ServeError::WorkerLost));
-                }
+            for req in reqs {
+                inner.finish(req.enqueued, req.trace, &req.reply, Err(ServeError::WorkerLost));
             }
         }
     }
@@ -1206,7 +1236,15 @@ fn supervisor_loop(
 }
 
 /// Resolve every request currently sitting in the batch channel.
-fn drain_batches(batch_rx: &Receiver<BatchMsg>, mut resolve: impl FnMut(Request)) {
+///
+/// Takes the receiver's lock, which a live worker holds while it blocks
+/// in `recv`. The supervisor calls this only when no worker can be
+/// there: at the degraded flip every worker has left `worker_loop` for
+/// good (`workers_alive` is down to 0 and nothing respawns), and at
+/// teardown every worker has been joined. So this never waits on a
+/// worker that waits on a message.
+fn drain_batches(batch_rx: &Mutex<Receiver<BatchMsg>>, mut resolve: impl FnMut(Request)) {
+    let batch_rx = batch_rx.lock().unwrap_or_else(PoisonError::into_inner);
     while let Ok(msg) = batch_rx.try_recv() {
         if let BatchMsg::Work(batch) = msg {
             for req in batch {

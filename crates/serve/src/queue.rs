@@ -9,9 +9,9 @@
 //! queued request (which has already burned the most latency budget and
 //! is the most likely to be abandoned).
 //!
-//! The queue is `Mutex<VecDeque>` + two condvars, the same substrate as
-//! the vendored crossbeam channel shim, but with capacity, eviction,
-//! and deadline-aware blocking — none of which a plain channel offers.
+//! The queue is `Mutex<VecDeque>` + two condvars, with capacity,
+//! eviction, and deadline-aware blocking — none of which a plain
+//! channel offers.
 
 use std::collections::VecDeque;
 use std::sync::{Condvar, Mutex, PoisonError};

@@ -77,7 +77,7 @@ fn restart_on_restored_checkpoint_rebuilds_identically() {
     // "Restart": a freshly initialized model (different weights until
     // the load), restored from the checkpoint blob, served again.
     let mut b = Vsan::init(9, &serve_cfg());
-    b.params_mut().load_values(blob).expect("checkpoint reload");
+    b.params_mut().load_values(&blob).expect("checkpoint reload");
     b.set_retrieval(Retrieval::Clustered(ccfg));
     assert_eq!(
         assignments,

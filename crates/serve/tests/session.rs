@@ -11,7 +11,7 @@ use std::time::{Duration, Instant};
 use vsan_core::{Vsan, VsanConfig};
 use vsan_data::synthetic::{generate_stream, SessionStreamConfig};
 use vsan_data::Dataset;
-use vsan_serve::{Engine, EngineConfig, ResponseSource};
+use vsan_serve::{Engine, EngineConfig, ResponseSource, ServeError};
 
 fn trained_model() -> Vsan {
     let num_items = 8;
@@ -173,20 +173,23 @@ fn append_warms_the_sequence_cache() {
 }
 
 #[test]
-fn model_errors_resolve_degraded_not_fabricated() {
+fn out_of_vocabulary_events_are_rejected_typed_not_degraded() {
     let engine = Engine::start(
         trained_model(),
-        // Popularity fallback so the degraded path has an answer even
-        // with nothing cached.
+        // A popularity fallback the rejection must not reach for.
         EngineConfig::default().with_popularity(vec![0.0, 5.0, 4.0, 3.0, 2.0, 1.0, 0.5, 0.2, 0.1]),
     );
+    let vocab = engine.model().vocab();
     engine.append_event(4, None, 3, 3).unwrap();
-    // Out-of-vocabulary item: surfaced via model_errors + degraded path.
-    let resp = engine.append_event(4, None, 4000, 3).unwrap();
-    assert!(resp.is_degraded(), "fabricated logits are forbidden; fallback required");
+    // The same typed error `submit` gives, for the item and for the
+    // hint's tail alike.
+    assert_eq!(engine.append_event(4, None, 4000, 3), Err(ServeError::InvalidItem { item: 4000, vocab }));
+    assert_eq!(
+        engine.append_event(4, Some(&[3, 4001]), 5, 3),
+        Err(ServeError::InvalidItem { item: 4001, vocab })
+    );
     let m = engine.stats().snapshot;
-    assert_eq!(m.model_errors, 1);
-    assert_eq!(m.degraded_responses, 1);
+    assert_eq!((m.model_errors, m.degraded_responses), (0, 0), "{m:?}");
     // The session itself is not poisoned: the next valid event serves
     // exactly.
     let resp = engine.append_event(4, None, 5, 3).unwrap();
@@ -208,11 +211,11 @@ fn a_failed_event_evicts_no_one_and_leaves_no_slot() {
     // Another user, an item the model cannot embed. Making room for user
     // 2 in the one-slot store would have evicted user 1 — for a request
     // that was never going to be served.
-    let resp = engine.append_event(2, None, 4000, 3).unwrap();
-    assert!(resp.is_degraded());
+    let vocab = engine.model().vocab();
+    assert_eq!(engine.append_event(2, None, 4000, 3), Err(ServeError::InvalidItem { item: 4000, vocab }));
     let stats = engine.stats();
     let m = stats.snapshot;
-    assert_eq!(m.model_errors, 1);
+    assert_eq!(m.model_errors, 0);
     assert_eq!(m.session_evictions, 0, "a request that cannot be served evicts no one");
     assert!(!sink.lines().iter().any(|l| l.contains("session_evicted")));
     assert_eq!(stats.sessions_live, 1);

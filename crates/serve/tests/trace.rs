@@ -31,7 +31,7 @@ fn trained_model() -> Vsan {
 /// A bit-identical twin of `model` via the checkpoint round-trip.
 fn twin(model: &Vsan) -> Vsan {
     let mut t = Vsan::init(9, &serve_cfg());
-    t.params_mut().load_values(model.params().save()).expect("checkpoint reload");
+    t.params_mut().load_values(&model.params().save()).expect("checkpoint reload");
     t
 }
 

@@ -4,7 +4,7 @@
 //!
 //! A dense, row-major, `f32` tensor substrate built from scratch for the
 //! VSAN (ICDE 2021) reproduction. No BLAS, no external numeric crates —
-//! just carefully written loops (with a crossbeam-based parallel matmul)
+//! just carefully written loops (with a scoped-thread parallel matmul)
 //! sized for training small-to-medium neural recommenders on CPU.
 //!
 //! The crate deliberately keeps the surface area small: the autograd layer
@@ -21,7 +21,7 @@
 //!   parallel), reductions, row softmax, and layer-norm statistics.
 //! * [`kernel`] — [`KernelTier`] (reference or tiled products) and the
 //!   one runtime AVX2 dispatch every hot kernel is stamped with.
-//! * [`serialize`] — compact binary encode/decode via [`bytes`].
+//! * [`serialize`] — compact binary encode/decode over byte slices.
 //! * [`cluster`] — deterministic seeded k-means for the clustered
 //!   retrieval index (DESIGN.md §12).
 //!

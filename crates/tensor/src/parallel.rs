@@ -1,4 +1,4 @@
-//! Data-parallel kernels built on `crossbeam::thread::scope`.
+//! Data-parallel kernels built on `std::thread::scope`.
 //!
 //! The prediction layer of every sequential model in this workspace ends in
 //! a `(rows, d) × (d, N_items)` matmul with `N_items` in the thousands —
@@ -6,8 +6,7 @@
 //! embarrassingly parallel; one row-chunking loop (`row_chunked`, generic
 //! over the serial kernel it hands each chunk to) serves both front-ends:
 //! [`matmul_into_parallel`] for the inference pass's workspace slices and
-//! [`crate::KernelTier::matmul`] for the tape, on either tier (measured in
-//! `vsan-bench`'s `matmul_parallel` bench).
+//! [`crate::KernelTier::matmul`] for the tape, on either tier.
 
 use crate::ops::matmul::{matmul_into, MR};
 
@@ -47,15 +46,15 @@ pub(crate) fn row_chunked(
     }
     let chunk_rows = m.div_ceil(threads).next_multiple_of(MR);
     let kernel = &kernel;
-    crossbeam::thread::scope(|s| {
+    // A panicking worker re-panics here when the scope joins it.
+    std::thread::scope(|s| {
         for (ci, c_chunk) in c.chunks_mut(chunk_rows * n).enumerate() {
             let row0 = ci * chunk_rows;
             let rows = c_chunk.len() / n;
             let a_chunk = &a[row0 * k..(row0 + rows) * k];
-            s.spawn(move |_| kernel(a_chunk, b, c_chunk, rows, k, n));
+            s.spawn(move || kernel(a_chunk, b, c_chunk, rows, k, n));
         }
-    })
-    .expect("worker thread panicked in a row-chunked matmul");
+    });
 }
 
 /// Parallel flat-buffer `c += a · b` (the inference fast path's front

@@ -105,8 +105,7 @@ proptest! {
 
     #[test]
     fn serialization_round_trips(a in small_matrix()) {
-        let mut enc = serialize::encode(&a);
-        let back = serialize::decode(&mut enc).unwrap();
+        let back = serialize::decode(&mut &serialize::encode(&a)[..]).unwrap();
         prop_assert_eq!(back, a);
     }
 

@@ -31,10 +31,7 @@ fn main() {
     // Reload into a freshly initialized model (as a serving process would).
     let bytes = std::fs::read(&path).expect("read checkpoint");
     let mut serving = Vsan::init(ds.vocab(), &cfg);
-    let restored = serving
-        .params_mut()
-        .load_values(bytes::Bytes::from(bytes))
-        .expect("restore checkpoint");
+    let restored = serving.params_mut().load_values(&bytes).expect("restore checkpoint");
     println!("restored {restored} parameter tensors");
 
     // Same inputs → same scores, bit for bit.

@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # Full offline verification gate: release build, workspace tests, the
 # serial/parallel training-equivalence matrix, and clippy and rustdoc
-# with warnings denied. Everything resolves against the vendored shims
-# in shims/, so --offline always works.
+# with warnings denied. Threads, channels and checkpoint bytes come from
+# std, and the two external crates std has no equivalent for (rand,
+# proptest) from the vendored shims in shims/, so --offline always works.
 #
 # PROPTEST_CASES is pinned so property-test coverage is identical across
 # CI runs (the proptest shim reads it, matching upstream's env override).
@@ -28,6 +29,16 @@ fi
 echo "==> no oracle-pin environment variables"
 if git grep -nE 'VSAN_DISABLE_(FAST_PATH|ANN)' -- crates tests src examples scripts; then
   echo "the oracle pins are gone; drop the mentions above" >&2
+  exit 1
+fi
+
+# std replaced the crossbeam and bytes shims (DESIGN.md §6: scoped
+# threads, mpsc channels, byte slices). A path into either crate, or a
+# manifest naming one, would bring a vendored fork back.
+echo "==> no crossbeam or bytes dependency"
+if git grep -nE '\b(crossbeam|bytes)::' -- crates src tests examples ||
+  git grep -nwE 'crossbeam|bytes' -- '*Cargo.toml'; then
+  echo "std covers these (DESIGN.md §6); drop the mentions above" >&2
   exit 1
 fi
 

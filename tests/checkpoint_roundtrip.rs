@@ -26,11 +26,11 @@ fn saved_and_reloaded_model_scores_bit_identically() {
     // freshly initialized model, as a serving process would.
     let path = std::env::temp_dir().join("vsan_roundtrip_test.bin");
     std::fs::write(&path, model.params().save()).expect("write checkpoint");
-    let blob = bytes::Bytes::from(std::fs::read(&path).expect("read checkpoint"));
+    let blob = std::fs::read(&path).expect("read checkpoint");
     std::fs::remove_file(&path).ok();
 
     let mut restored = Vsan::init(ds.vocab(), &cfg);
-    let tensors = restored.params_mut().load_values(blob).expect("restore checkpoint");
+    let tensors = restored.params_mut().load_values(&blob).expect("restore checkpoint");
     assert!(tensors > 0, "checkpoint must contain parameter tensors");
 
     let views = Split::held_out_views(&ds, &split.test_users, 0.8);

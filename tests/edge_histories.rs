@@ -86,12 +86,15 @@ fn an_out_of_vocabulary_id_in_the_window_is_the_same_error_on_every_path() {
     let engine = Engine::start(trained_model(), EngineConfig::default());
     let vocab = model.vocab() as u32;
     let n = model.config().base.max_seq_len;
-    for (history, bad) in [
+    for (user, (history, bad)) in [
         (vec![vocab], vocab),
         (vec![1, 2, vocab + 7], vocab + 7),
         (vec![vocab + 1, 3, 4], vocab + 1),
         (vec![u32::MAX], u32::MAX),
-    ] {
+    ]
+    .into_iter()
+    .enumerate()
+    {
         let message = format!("item id {bad} out of vocabulary ({vocab})");
         let h = history.as_slice();
         assert_eq!(model.try_score_items_batch(&[h]).unwrap_err(), message);
@@ -105,10 +108,9 @@ fn an_out_of_vocabulary_id_in_the_window_is_the_same_error_on_every_path() {
             .prepare_session_into(prefix, None, &mut state, &mut ws)
             .and_then(|()| model.append_session_logits(&state, last, &mut ws));
         assert_eq!(session.unwrap_err(), message);
-        assert_eq!(
-            engine.submit(h, K).wait(),
-            Err(ServeError::InvalidItem { item: bad, vocab: vocab as usize })
-        );
+        let invalid = Err(ServeError::InvalidItem { item: bad, vocab: vocab as usize });
+        assert_eq!(engine.submit(h, K).wait(), invalid);
+        assert_eq!(engine.append_event(user as u64, Some(prefix), last, K), invalid);
         assert_eq!(ServeError::InvalidItem { item: bad, vocab: vocab as usize }.to_string(), message);
     }
     // Only the window is read: an unknown id that slid out of it is no

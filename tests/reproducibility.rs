@@ -64,7 +64,7 @@ fn checkpoint_survives_disk_round_trip() {
     std::fs::remove_file(&path).ok();
 
     let mut restored = Vsan::init(ds.vocab(), &cfg);
-    restored.params_mut().load_values(bytes::Bytes::from(bytes)).unwrap();
+    restored.params_mut().load_values(&bytes).unwrap();
     let probe: Vec<u32> = ds.sequences[split.test_users[0]].clone();
     assert_eq!(model.score_items(&probe), restored.score_items(&probe));
 }
