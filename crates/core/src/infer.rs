@@ -35,9 +35,10 @@
 //! the all-padding state already covers — for a batch, the padding its
 //! longest history leaves.)
 //!
-//! The only other forward is the oracle: the autograd graph on the
-//! reference tier (`Vsan::score_items_batch_graph`), which tests call by
-//! name and no serving entry point routes to.
+//! The only other forward is the one that trains, on the autograd tape:
+//! `Vsan::score_items_batch_graph` runs it in evaluation mode (dropout
+//! off, `z = μ_λ`, the last rows read out) on the reference tier as the
+//! oracle, which tests call by name and no serving entry point routes to.
 
 use std::cell::RefCell;
 

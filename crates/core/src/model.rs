@@ -3,10 +3,11 @@
 use crate::config::VsanConfig;
 use crate::infer::{self, InferencePlan, Workspace};
 use crate::retrieval::{self, ItemIndex, Retrieval};
+use crate::uncertainty::PosteriorStats;
 use vsan_data::sequence::{next_k_example, pad_left, SeqExampleK};
 use vsan_data::Dataset;
 use vsan_eval::Scorer;
-use vsan_models::common::{active_rows, position_indices, train_epochs};
+use vsan_models::common::{active_rows, train_epochs};
 use vsan_models::Recommender;
 use vsan_nn::{Dropout, Embedding, Linear, ParamStore, SelfAttentionBlock, Windows};
 
@@ -15,7 +16,7 @@ use std::sync::OnceLock;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use vsan_autograd::{Graph, Result as AgResult, Var};
-use vsan_tensor::init;
+use vsan_tensor::{init, Tensor};
 
 /// The Variational Self-Attention Network (Fig. 2).
 pub struct Vsan {
@@ -60,23 +61,14 @@ impl Vsan {
             return Ok(model);
         }
 
-        // Proxy examples: train_epochs shuffles/batches indices for us.
-        let proxies: Vec<vsan_data::sequence::SeqExample> = (0..examples.len())
-            .map(|i| vsan_data::sequence::SeqExample { input: vec![i as u32], targets: vec![] })
-            .collect();
-
         // The store trains on its own while the model lends its layers.
         let mut store = std::mem::replace(&mut model.store, ParamStore::new());
         let net = &model;
         let losses = train_epochs(
             &cfg.base,
             &mut store,
-            &proxies,
-            |g, store, batch, rng, step| {
-                let batch: Vec<&SeqExampleK> =
-                    batch.iter().map(|proxy| &examples[proxy.input[0] as usize]).collect();
-                net.shard_loss(g, store, ShardRows::new(&batch, n), rng, step)
-            },
+            &examples,
+            |g, store, batch, rng, step| net.shard_loss(g, store, ShardRows::new(batch, n), rng, step),
             |store| net.item_emb.zero_padding(store),
         );
         model.store = store;
@@ -85,65 +77,30 @@ impl Vsan {
     }
 
     /// One training shard's loss (CE + β·KL) and its parts, over `store`.
-    fn shard_loss<R: rand::Rng>(
+    fn shard_loss(
         &self,
         g: &mut Graph,
         store: &ParamStore,
-        shard: ShardRows,
-        rng: &mut R,
+        mut shard: ShardRows,
+        rng: &mut StdRng,
         step: u64,
     ) -> AgResult<(Var, vsan_nn::ShardStats)> {
         let cfg = &self.cfg;
-        let dropout = Dropout::new(cfg.base.dropout);
-        let windows = shard.windows();
+        let pass = &mut Pass { g, store, rng, train: true };
         let kl_mask: Vec<bool> = shard.targets.iter().map(|t| !t.is_empty()).collect();
-
-        // Embedding layer (Eq. 4) + dropout. The table var is reused by
-        // the tied prediction path when enabled.
-        let table = store.var(g, self.item_emb.table);
-        let items = g.gather_rows(table, &shard.inputs)?;
-        let pos = self.pos_emb.lookup(g, store, &shard.positions)?;
-        let mut h = g.add(items, pos)?;
-        h = dropout.forward(g, rng, h, true)?;
-
-        // Inference self-attention layer (Eqs. 5–11).
-        for block in &self.infer_blocks {
-            h = block.forward(g, store, h, windows, &dropout, rng, true)?;
-        }
-
-        // Variational heads + latent variable layer (Eqs. 12–13).
-        let (z, kl) = if cfg.use_latent {
-            let mu = self.mu_head.forward(g, store, h)?;
-            let logvar = self.logvar_head.forward(g, store, h)?;
-            let half = g.scale(logvar, 0.5);
-            let sigma = g.exp(half);
-            let eps = g.constant(init::randn(rng, &[shard.inputs.len(), cfg.base.dim], 0.0, 1.0));
-            let noise = g.mul(sigma, eps)?;
-            let z = g.add(mu, noise)?;
-            let kl = g.kl_std_normal(mu, logvar, &kl_mask)?;
-            (z, Some(kl))
-        } else {
-            // VSAN-z: the inference output feeds the generative layer
-            // directly (Table V).
-            (h, None)
+        // The loss sums over the rows that have a target and no other.
+        let (active, targets) = active_rows(std::mem::take(&mut shard.targets), |t| !t.is_empty());
+        let (table, mu, logvar) = self.encode(pass, &shard)?;
+        let (z, kl) = match logvar {
+            Some(logvar) => {
+                let eps = init::randn(pass.rng, &[shard.inputs.len(), cfg.base.dim], 0.0, 1.0);
+                let z = reparameterize(pass.g, mu, logvar, eps)?;
+                (z, Some(pass.g.kl_std_normal(mu, logvar, &kl_mask)?))
+            }
+            None => (mu, None),
         };
-
-        // Generative self-attention layer (Eqs. 15–17).
-        let mut gz = z;
-        for block in &self.gene_blocks {
-            gz = block.forward(g, store, gz, windows, &dropout, rng, true)?;
-        }
-
-        // Prediction layer + loss (Eqs. 18–20), over the rows that have a
-        // target only: the loss sums over nothing else. Tied mode scores
-        // against the item embedding (extension flag, see config).
-        let (active, targets) = active_rows(shard.targets, |t| !t.is_empty());
-        let gz = g.gather_rows(gz, &active)?;
-        let logits = if cfg.tie_prediction {
-            g.matmul_a_bt(gz, table)?
-        } else {
-            self.prediction.forward(g, store, gz)?
-        };
+        let logits = self.decode(pass, &shard, table, z, &active)?;
+        let g = &mut *pass.g;
         let ce = g.ce_multi_hot(logits, &targets)?;
         let ce_val = g.value(ce).data()[0];
         Ok(match kl {
@@ -155,6 +112,73 @@ impl Vsan {
             }
             None => (ce, vsan_nn::ShardStats::ce_only(ce_val)),
         })
+    }
+
+    /// The inference network (Eqs. 4–12) over `rows`: the item table (the
+    /// tied prediction head reads it) and every row's posterior mean and
+    /// log-variance — for VSAN-z, which has no latent layer (Table V),
+    /// the h₁ output and no variance.
+    fn encode(&self, pass: &mut Pass, rows: &ShardRows) -> AgResult<(Var, Var, Option<Var>)> {
+        let (g, store, rng, train) = (&mut *pass.g, pass.store, &mut *pass.rng, pass.train);
+        let dropout = Dropout::new(self.cfg.base.dropout);
+        let table = store.var(g, self.item_emb.table);
+        let items = g.gather_rows(table, &rows.inputs)?;
+        let pos = self.pos_emb.lookup(g, store, &rows.positions)?;
+        let mut h = g.add(items, pos)?;
+        h = dropout.forward(g, rng, h, train)?;
+        for block in &self.infer_blocks {
+            h = block.forward(g, store, h, rows.windows(), &dropout, rng, train)?;
+        }
+        if !self.cfg.use_latent {
+            return Ok((table, h, None));
+        }
+        let mu = self.mu_head.forward(g, store, h)?;
+        let logvar = self.logvar_head.forward(g, store, h)?;
+        Ok((table, mu, Some(logvar)))
+    }
+
+    /// The generative network (Eqs. 15–19): the h₂ blocks over the latent
+    /// rows `z`, then the prediction head on the `readout` rows only. Tied
+    /// mode scores against the item embedding (extension flag, see config).
+    fn decode(
+        &self,
+        pass: &mut Pass,
+        rows: &ShardRows,
+        table: Var,
+        z: Var,
+        readout: &[usize],
+    ) -> AgResult<Var> {
+        let (g, store, rng, train) = (&mut *pass.g, pass.store, &mut *pass.rng, pass.train);
+        let dropout = Dropout::new(self.cfg.base.dropout);
+        let mut gz = z;
+        for block in &self.gene_blocks {
+            gz = block.forward(g, store, gz, rows.windows(), &dropout, rng, train)?;
+        }
+        let gz = g.gather_rows(gz, readout)?;
+        if self.cfg.tie_prediction {
+            g.matmul_a_bt(gz, table)
+        } else {
+            self.prediction.forward(g, store, gz)
+        }
+    }
+
+    /// The training forward in evaluation mode (§IV-E) over `fold_ins`'
+    /// padded windows: a fresh reference-tier tape, dropout off. `run`
+    /// chooses the latent and the readout rows. An out-of-vocabulary id
+    /// in a window is the plan's error.
+    fn eval_forward<T>(
+        &self,
+        fold_ins: &[&[u32]],
+        run: impl FnOnce(&mut Pass, &ShardRows) -> AgResult<T>,
+    ) -> Result<T, String> {
+        let rows = ShardRows::padded(fold_ins, self.cfg.base.max_seq_len);
+        if let Some(&bad) = rows.inputs.iter().find(|&&i| i >= self.vocab) {
+            return Err(format!("item id {bad} out of vocabulary ({})", self.vocab));
+        }
+        let mut g = Graph::with_threads(self.cfg.base.threads);
+        let mut rng = StdRng::seed_from_u64(0);
+        run(&mut Pass { g: &mut g, store: &self.store, rng: &mut rng, train: false }, &rows)
+            .map_err(|e| e.to_string())
     }
 
     /// Initialize an untrained model (exposed for checkpoint loading).
@@ -240,27 +264,6 @@ impl Vsan {
     pub fn params_mut(&mut self) -> &mut ParamStore {
         self.pad_state = OnceLock::new();
         &mut self.store
-    }
-
-    /// Evaluation forward pass to the inference posterior of every
-    /// position: returns `(graph, mu, logvar)` with dropout disabled.
-    pub(crate) fn forward_posterior(&self, fold_in: &[u32]) -> AgResult<(Graph, Var, Var)> {
-        let n = self.cfg.base.max_seq_len;
-        let input = pad_left(fold_in, n);
-        let mut g = Graph::with_threads(self.cfg.base.threads);
-        let mut rng = StdRng::seed_from_u64(0);
-        let dropout = Dropout::new(0.0);
-        let idx: Vec<usize> = input.iter().map(|&i| i as usize).collect();
-        let table = self.store.var(&mut g, self.item_emb.table);
-        let items = g.gather_rows(table, &idx)?;
-        let pos = self.pos_emb.lookup(&mut g, &self.store, &position_indices(1, n))?;
-        let mut h = g.add(items, pos)?;
-        for block in &self.infer_blocks {
-            h = block.forward(&mut g, &self.store, h, ONE_WINDOW, &dropout, &mut rng, false)?;
-        }
-        let mu = self.mu_head.forward(&mut g, &self.store, h)?;
-        let logvar = self.logvar_head.forward(&mut g, &self.store, h)?;
-        Ok((g, mu, logvar))
     }
 
     /// Convenience: top-`n` recommendations for a history, excluding the
@@ -478,12 +481,81 @@ impl Vsan {
         self.plan.append_session(&self.store, state, item, ws)
     }
 
-    /// The graph-path forward, kept as the differential-testing oracle:
-    /// builds the full autograd tape exactly as training eval did before
-    /// the fast path existed. Slow; tests call it by name and no serving
-    /// entry point routes to it.
+    /// The differential-testing oracle: the training forward in
+    /// evaluation mode (dropout off, `z = μ_λ`) over the left-padded
+    /// windows, read out at their last rows, on the reference tier. Slow;
+    /// tests call it by name and no serving entry point routes to it.
     pub fn score_items_batch_graph(&self, fold_ins: &[&[u32]]) -> Result<Vec<Vec<f32>>, String> {
-        self.forward_logits_batch(fold_ins).map_err(|e| e.to_string())
+        if fold_ins.is_empty() {
+            return Ok(Vec::new());
+        }
+        let n = self.cfg.base.max_seq_len;
+        let last: Vec<usize> = (1..=fold_ins.len()).map(|i| i * n - 1).collect();
+        self.eval_forward(fold_ins, |pass, rows| {
+            let (table, mu, _) = self.encode(pass, rows)?;
+            let logits = self.decode(pass, rows, table, mu, &last)?;
+            Ok(pass.g.value(logits).data().chunks(self.vocab).map(<[f32]>::to_vec).collect())
+        })
+    }
+
+    /// Posterior `(μ, σ)` of the last position for a fold-in history: the
+    /// training forward's encoder in evaluation mode. VSAN-z has no latent
+    /// layer; its last h₁ row is a point posterior (`σ = 0`).
+    pub fn posterior(&self, fold_in: &[u32]) -> Result<PosteriorStats, String> {
+        let last = self.cfg.base.max_seq_len - 1;
+        self.eval_forward(&[fold_in], |pass, rows| {
+            let (_, mu, logvar) = self.encode(pass, rows)?;
+            let mu = pass.g.value(mu).row(last).to_vec();
+            let sigma = match logvar {
+                Some(lv) => pass.g.value(lv).row(last).iter().map(|&lv| (0.5 * lv).exp()).collect(),
+                None => vec![0.0; mu.len()],
+            };
+            Ok(PosteriorStats { mu, sigma })
+        })
+    }
+
+    /// Monte-Carlo expected scores under the posterior (extension; §IV-E
+    /// evaluates at the posterior *mean*, this marginalizes instead):
+    /// draws `samples` latents `z ~ q(z|S)` at the last position (earlier
+    /// positions keep `z = μ`), decodes each through the generative layer,
+    /// and averages the item probabilities. With `samples = 0` it
+    /// degenerates to the paper's mean-field scoring.
+    ///
+    /// This is the operational payoff of modelling uncertainty (Fig. 1):
+    /// a user whose posterior spans two preference modes gets items from
+    /// *both* modes ranked highly, where the mean collapses to a midpoint.
+    pub fn score_items_sampled<R: rand::Rng + ?Sized>(
+        &self,
+        fold_in: &[u32],
+        samples: usize,
+        rng: &mut R,
+    ) -> Result<Vec<f32>, String> {
+        if samples == 0 {
+            return Ok(self.try_score_items_batch(&[fold_in])?.pop().unwrap_or_default());
+        }
+        let (n, d) = (self.cfg.base.max_seq_len, self.cfg.base.dim);
+        let mut acc = vec![0.0f32; self.vocab];
+        for _ in 0..samples {
+            // ε at the last row only: every earlier row's z is its μ.
+            let mut eps = Tensor::zeros(&[n, d]);
+            eps.row_mut(n - 1).iter_mut().for_each(|e| *e = init::sample_standard_normal(rng));
+            let probs = self.eval_forward(&[fold_in], |pass, rows| {
+                let (table, mu, logvar) = self.encode(pass, rows)?;
+                let z = match logvar {
+                    Some(logvar) => reparameterize(pass.g, mu, logvar, eps)?,
+                    None => mu,
+                };
+                let logits = self.decode(pass, rows, table, z, &[n - 1])?;
+                let probs = pass.g.softmax_rows(logits)?;
+                Ok(pass.g.value(probs).data().to_vec())
+            })?;
+            for (a, p) in acc.iter_mut().zip(&probs) {
+                *a += p;
+            }
+        }
+        let inv = 1.0 / samples as f32;
+        acc.iter_mut().for_each(|a| *a *= inv);
+        Ok(acc)
     }
 
     /// The fold-in window the model actually reads: the last
@@ -494,98 +566,27 @@ impl Vsan {
         let n = self.cfg.base.max_seq_len;
         &history[history.len().saturating_sub(n)..]
     }
-
-    /// Decode a caller-supplied latent for the *last* position (earlier
-    /// positions keep their posterior means) into item probabilities.
-    /// Powers the Monte-Carlo scoring extension in [`crate::uncertainty`].
-    pub(crate) fn decode_latent_probs(
-        &self,
-        fold_in: &[u32],
-        z_last: &[f32],
-    ) -> Result<Vec<f32>, String> {
-        let n = self.cfg.base.max_seq_len;
-        let d = self.cfg.base.dim;
-        if z_last.len() != d {
-            return Err(format!("latent width {} != model dim {d}", z_last.len()));
-        }
-        let (g_post, mu, _) = self.forward_posterior(fold_in).map_err(|e| e.to_string())?;
-        let mut z_mat = g_post.value(mu).clone();
-        z_mat.row_mut(n - 1).copy_from_slice(z_last);
-        drop(g_post);
-
-        let mut g = Graph::with_threads(self.cfg.base.threads);
-        let mut rng = StdRng::seed_from_u64(0);
-        let dropout = Dropout::new(0.0);
-        let mut z = g.constant(z_mat);
-        for block in &self.gene_blocks {
-            z = block
-                .forward(&mut g, &self.store, z, ONE_WINDOW, &dropout, &mut rng, false)
-                .map_err(|e| e.to_string())?;
-        }
-        let last = g.gather_rows(z, &[n - 1]).map_err(|e| e.to_string())?;
-        let logits = if self.cfg.tie_prediction {
-            let table = self.store.var(&mut g, self.item_emb.table);
-            g.matmul_a_bt(last, table).map_err(|e| e.to_string())?
-        } else {
-            self.prediction.forward(&mut g, &self.store, last).map_err(|e| e.to_string())?
-        };
-        let probs = g.softmax_rows(logits).map_err(|e| e.to_string())?;
-        Ok(g.value(probs).data().to_vec())
-    }
-
-    /// Batched evaluation forward: `b` left-padded fold-in windows run as
-    /// one `(b·n, d)` pass through both attention stacks, predicting only
-    /// the `b` last positions. Evaluation mode throughout: dropout off,
-    /// latent `z = μ_λ` (no sampling), exactly as the single-request path.
-    ///
-    /// Every kernel in the stack (matmul, layer norm, masked softmax)
-    /// operates row-wise with a fixed per-row accumulation order, so each
-    /// history's logits are bit-identical to its `b = 1` forward — the
-    /// invariant the serving engine's determinism guarantee rests on
-    /// (asserted by `batched_forward_matches_sequential`).
-    fn forward_logits_batch(&self, fold_ins: &[&[u32]]) -> AgResult<Vec<Vec<f32>>> {
-        let b = fold_ins.len();
-        if b == 0 {
-            return Ok(Vec::new());
-        }
-        let n = self.cfg.base.max_seq_len;
-        let mut g = Graph::with_threads(self.cfg.base.threads);
-        let mut rng = StdRng::seed_from_u64(0);
-        let dropout = Dropout::new(0.0);
-        let mut idx: Vec<usize> = Vec::with_capacity(b * n);
-        for fold_in in fold_ins {
-            idx.extend(pad_left(fold_in, n).iter().map(|&i| i as usize));
-        }
-        let table = self.store.var(&mut g, self.item_emb.table);
-        let items = g.gather_rows(table, &idx)?;
-        let pos = self.pos_emb.lookup(&mut g, &self.store, &position_indices(b, n))?;
-        let mut h = g.add(items, pos)?;
-        let windows = Windows::Stacked { batch: b };
-        for block in &self.infer_blocks {
-            h = block.forward(&mut g, &self.store, h, windows, &dropout, &mut rng, false)?;
-        }
-        let mut z = if self.cfg.use_latent {
-            self.mu_head.forward(&mut g, &self.store, h)?
-        } else {
-            h
-        };
-        for block in &self.gene_blocks {
-            z = block.forward(&mut g, &self.store, z, windows, &dropout, &mut rng, false)?;
-        }
-        let last_rows: Vec<usize> = (0..b).map(|i| i * n + n - 1).collect();
-        let last = g.gather_rows(z, &last_rows)?;
-        let logits = if self.cfg.tie_prediction {
-            g.matmul_a_bt(last, table)?
-        } else {
-            self.prediction.forward(&mut g, &self.store, last)?
-        };
-        let flat = g.value(logits).data();
-        Ok(flat.chunks(self.vocab).map(<[f32]>::to_vec).collect())
-    }
 }
 
-/// The single-history evaluation forwards' one window.
-const ONE_WINDOW: Windows<'static> = Windows::Stacked { batch: 1 };
+/// One forward's tape, parameters and RNG, and whether it trains: dropout
+/// is on in training only, and every other caller runs the same forward
+/// with it off.
+struct Pass<'a> {
+    g: &'a mut Graph,
+    store: &'a ParamStore,
+    rng: &'a mut StdRng,
+    train: bool,
+}
+
+/// The latent variable layer (Eq. 13): `z = μ + σ ⊙ ε` with
+/// `σ = exp(½ log σ²)`.
+fn reparameterize(g: &mut Graph, mu: Var, logvar: Var, eps: Tensor) -> AgResult<Var> {
+    let half = g.scale(logvar, 0.5);
+    let sigma = g.exp(half);
+    let eps = g.constant(eps);
+    let noise = g.mul(sigma, eps)?;
+    g.add(mu, noise)
+}
 
 /// One training shard's rows (DESIGN.md §7). Left padding is the same
 /// rows in every window — item 0 at slots `0..pads` — and a padding row
@@ -637,15 +638,15 @@ impl ShardRows {
         rows
     }
 
-    /// Every window whole, padding included, stacked: the layout the
+    /// Every history's left-padded window whole, stacked, its rows
+    /// without targets: the evaluation forward's layout, and the one the
     /// shared one must compute the same values as.
-    #[cfg(test)]
-    fn padded(examples: &[&SeqExampleK], n: usize) -> Self {
-        let b = examples.len();
+    fn padded(histories: &[&[u32]], n: usize) -> Self {
+        let b = histories.len();
         ShardRows {
-            inputs: examples.iter().flat_map(|ex| ex.input.iter().map(|&i| i as usize)).collect(),
+            inputs: histories.iter().flat_map(|h| pad_left(h, n)).map(|i| i as usize).collect(),
             positions: (0..b).flat_map(|_| 0..n).collect(),
-            targets: examples.iter().flat_map(|ex| ex.targets.iter().cloned()).collect(),
+            targets: vec![Vec::new(); b * n],
             window_rows: (0..b * n).collect(),
             keep: vec![n; b],
         }
@@ -900,7 +901,9 @@ mod tests {
                 (value, g.backward(loss).unwrap())
             };
             let (shared, shared_grads) = run(ShardRows::new(&refs, n));
-            let (padded, padded_grads) = run(ShardRows::padded(&refs, n));
+            let inputs: Vec<&[u32]> = examples.iter().map(|ex| &ex.input[..]).collect();
+            let targets = examples.iter().flat_map(|ex| ex.targets.clone()).collect();
+            let (padded, padded_grads) = run(ShardRows { targets, ..ShardRows::padded(&inputs, n) });
             assert_eq!(shared.to_bits(), padded.to_bits(), "{}: loss", tier.name());
             for (id, name, _) in model.params().iter() {
                 let (a, b) = (shared_grads.param_grad(id), padded_grads.param_grad(id));
@@ -910,6 +913,36 @@ mod tests {
                     assert!((x - y).abs() <= 1e-6 + 1e-4 * y.abs(), "{}: {name}: {x} vs {y}", tier.name());
                 }
             }
+        }
+    }
+
+    #[test]
+    fn the_training_loss_is_the_cross_entropy_of_the_oracle_logits() {
+        // The oracle is the training forward in evaluation mode: with
+        // dropout 0 and no ε draw (VSAN-z), a shard whose only target is
+        // its window's last row reports the CE of the oracle's logits.
+        use vsan_tensor::KernelTier;
+        let n = 6;
+        let history = [3u32, 1, 4, 1, 5];
+        let target = 7;
+        let mut targets = vec![Vec::new(); n];
+        targets[n - 1] = vec![target];
+        let example = SeqExampleK { input: pad_left(&history, n), targets };
+        let mut cfg = VsanConfig::smoke().vsan_z();
+        cfg.base.max_seq_len = n;
+        cfg.base.dropout = 0.0;
+        let model = Vsan::init(9, &cfg);
+        let logits = model.score_items_batch_graph(&[&history]).unwrap().pop().unwrap();
+        let max = logits.iter().copied().fold(f32::NEG_INFINITY, f32::max);
+        let sum: f64 = logits.iter().map(|&l| f64::from(l - max).exp()).sum();
+        let expected = f64::from(max) + sum.ln() - f64::from(logits[target]);
+        for tier in [KernelTier::Reference, KernelTier::Fast] {
+            let mut g = Graph::with_threads_and_tier(1, tier);
+            let mut rng = StdRng::seed_from_u64(3);
+            let shard = ShardRows::new(&[&example], n);
+            let (_, stats) = model.shard_loss(&mut g, model.params(), shard, &mut rng, 0).unwrap();
+            let ce = f64::from(stats.ce);
+            assert!((ce - expected).abs() <= 1e-6 * expected, "{}: {ce} vs {expected}", tier.name());
         }
     }
 

@@ -2,11 +2,14 @@
 //! capture.
 //!
 //! Fig. 1 of the paper argues that a *distributional* user representation
-//! separates multi-modal preferences a fixed point cannot. This module
-//! exposes the learned posterior `q(z | S^u) = N(μ, σ²)` of the final
-//! position so experiments (and the `uncertainty_probe` example) can test
-//! that story quantitatively — e.g. users with mixed-category histories
-//! should carry larger posterior variance than single-category users.
+//! separates multi-modal preferences a fixed point cannot.
+//! [`Vsan::posterior`] reads the learned posterior `q(z | S^u) = N(μ, σ²)`
+//! of the final position off the training forward's encoder, and
+//! [`Vsan::score_items_sampled`] decodes draws from it; this module holds
+//! the summary type and its aggregates, so experiments (and the
+//! `uncertainty_probe` example) can test that story quantitatively — e.g.
+//! users with mixed-category histories should carry larger posterior
+//! variance than single-category users.
 
 use crate::model::Vsan;
 
@@ -36,54 +39,6 @@ impl PosteriorStats {
 }
 
 impl Vsan {
-    /// Monte-Carlo expected scores under the posterior (extension; §IV-E
-    /// evaluates at the posterior *mean*, this marginalizes instead):
-    /// draws `samples` latents `z ~ q(z|S)`, decodes each through the
-    /// generative layer, and averages the item probabilities. With
-    /// `samples = 0` it degenerates to the paper's mean-field scoring.
-    ///
-    /// This is the operational payoff of modelling uncertainty (Fig. 1):
-    /// a user whose posterior spans two preference modes gets items from
-    /// *both* modes ranked highly, where the mean collapses to a midpoint.
-    pub fn score_items_sampled<R: rand::Rng + ?Sized>(
-        &self,
-        fold_in: &[u32],
-        samples: usize,
-        rng: &mut R,
-    ) -> Result<Vec<f32>, String> {
-        use vsan_eval::Scorer;
-        if samples == 0 {
-            return Ok(self.score_items(fold_in));
-        }
-        let stats = self.posterior(fold_in)?;
-        let d = stats.mu.len();
-        let mut acc = vec![0.0f32; self.vocab()];
-        for _ in 0..samples {
-            let z: Vec<f32> = (0..d)
-                .map(|j| {
-                    stats.mu[j] + stats.sigma[j] * vsan_tensor::init::sample_standard_normal(rng)
-                })
-                .collect();
-            let probs = self.decode_latent_probs(fold_in, &z)?;
-            for (a, p) in acc.iter_mut().zip(&probs) {
-                *a += p;
-            }
-        }
-        let inv = 1.0 / samples as f32;
-        acc.iter_mut().for_each(|a| *a *= inv);
-        Ok(acc)
-    }
-
-    /// Posterior `(μ, σ)` of the last position for a fold-in history.
-    pub fn posterior(&self, fold_in: &[u32]) -> Result<PosteriorStats, String> {
-        let n = self.config().base.max_seq_len;
-        let (g, mu, logvar) = self.forward_posterior(fold_in).map_err(|e| e.to_string())?;
-        let mu_row = g.value(mu).row(n - 1).to_vec();
-        let sigma_row: Vec<f32> =
-            g.value(logvar).row(n - 1).iter().map(|&lv| (0.5 * lv).exp()).collect();
-        Ok(PosteriorStats { mu: mu_row, sigma: sigma_row })
-    }
-
     /// Average posterior uncertainty (mean σ) over a set of histories.
     pub fn mean_uncertainty(&self, histories: &[Vec<u32>]) -> Result<f32, String> {
         if histories.is_empty() {
@@ -151,7 +106,7 @@ mod tests {
         assert_eq!(zero, m.score_items(&[1, 2, 3]));
         // More samples → ranking correlates with the mean decode: the top
         // mean item should be well ranked under sampling too (same data).
-        let mean_probs = m.decode_latent_probs(&[1, 2, 3], &m.posterior(&[1, 2, 3]).unwrap().mu).unwrap();
+        let mean_probs = m.score_items(&[1, 2, 3]);
         let argmax = |v: &[f32]| {
             v.iter().enumerate().skip(1).max_by(|a, b| a.1.partial_cmp(b.1).unwrap()).unwrap().0
         };

@@ -116,114 +116,82 @@ impl Caser {
             return Ok(model);
         }
 
-        let item_emb = model.item_emb.clone();
-        let h_banks = model.h_banks.clone();
-        let v_bank = model.v_bank;
-        let fc = model.fc.clone();
-        let out = model.out.clone();
-        let l_ = l;
+        // The store trains on its own while the model lends its layers.
+        let mut store = std::mem::replace(&mut model.store, ParamStore::new());
+        let net = &model;
         let losses = train_epochs(
             cfg,
-            &mut model.store,
+            &mut store,
             &examples,
             |g, store, batch, _rng, _step| {
-                let b = batch.len();
-                let mut inputs = Vec::with_capacity(b * l_);
-                let mut targets = Vec::with_capacity(b);
-                for ex in batch {
-                    inputs.extend(ex.input.iter().map(|&i| i as usize));
-                    targets.push(ex.targets[0]);
-                }
-                let table = store.var(g, item_emb.table);
-                let emb = g.gather_rows(table, &inputs)?; // (B·L, d)
-                let feats =
-                    caser_features(g, store, emb, b, l_, &h_banks, v_bank, &fc)?;
+                let inputs: Vec<usize> =
+                    batch.iter().flat_map(|ex| ex.input.iter().map(|&i| i as usize)).collect();
+                let targets: Vec<usize> = batch.iter().map(|ex| ex.targets[0]).collect();
                 // One feature row per example and every example has its
                 // target: there is no padded row for `active_rows` to drop.
-                let logits = out.forward(g, store, feats)?;
+                let logits = net.forward(g, store, &inputs)?;
                 let loss = g.ce_one_hot(logits, &targets)?;
                 let ce = g.value(loss).data()[0];
                 Ok((loss, vsan_nn::ShardStats::ce_only(ce)))
             },
-            |store| {
-                item_emb.zero_padding(store);
-            },
-        )?;
-        model.train_losses = losses;
+            |store| net.item_emb.zero_padding(store),
+        );
+        model.store = store;
+        model.train_losses = losses?;
         Ok(model)
     }
 
-    fn forward_logits(&self, fold_in: &[u32]) -> AgResult<Vec<f32>> {
+    /// The forward over `inputs`, stacked windows of `L` items: the conv
+    /// features, fused by the fully connected layer (ReLU), then one
+    /// logit row per window. Training and scoring both run it; scoring
+    /// over the one left-padded window.
+    fn forward(&self, g: &mut Graph, store: &ParamStore, inputs: &[usize]) -> AgResult<Var> {
         let l = self.ccfg.window;
-        let window = pad_left(fold_in, l);
-        let mut g = Graph::with_threads(self.cfg.threads);
-        let idx: Vec<usize> = window.iter().map(|&i| i as usize).collect();
-        let emb = self.item_emb.lookup(&mut g, &self.store, &idx)?;
-        let feats = caser_features(
-            &mut g,
-            &self.store,
-            emb,
-            1,
-            l,
-            &self.h_banks,
-            self.v_bank,
-            &self.fc,
-        )?;
-        let logits = self.out.forward(&mut g, &self.store, feats)?;
-        Ok(g.value(logits).data().to_vec())
-    }
-}
-
-/// Shared conv feature extractor: `(B·L, d)` embeddings → `(B, dim)`
-/// sequence features (ReLU-activated fully connected fusion).
-#[allow(clippy::too_many_arguments)]
-fn caser_features(
-    g: &mut Graph,
-    store: &ParamStore,
-    emb: Var,
-    b: usize,
-    l: usize,
-    h_banks: &[Linear],
-    v_bank: usize,
-    fc: &Linear,
-) -> AgResult<Var> {
-    let mut per_sample_feats: Vec<Var> = Vec::with_capacity(b);
-    let v_w = store.var(g, v_bank); // (F_v, L)
-    for s in 0..b {
-        let mut parts: Vec<Var> = Vec::new();
-        // Horizontal convolutions with max-over-time pooling.
-        for (h_idx, bank) in h_banks.iter().enumerate() {
-            let h = h_idx + 1;
-            let n_offsets = l - h + 1;
-            // im2col: rows are windows, built as column-concat of shifted gathers.
-            let mut cols: Vec<Var> = Vec::with_capacity(h);
-            for r in 0..h {
-                let idx: Vec<usize> = (0..n_offsets).map(|o| s * l + o + r).collect();
-                cols.push(g.gather_rows(emb, &idx)?);
+        let emb = self.item_emb.lookup(g, store, inputs)?; // (B·L, d)
+        let v_w = store.var(g, self.v_bank); // (F_v, L)
+        let mut per_sample_feats: Vec<Var> = Vec::with_capacity(inputs.len() / l);
+        for s in 0..inputs.len() / l {
+            let mut parts: Vec<Var> = Vec::new();
+            // Horizontal convolutions with max-over-time pooling.
+            for (h_idx, bank) in self.h_banks.iter().enumerate() {
+                let h = h_idx + 1;
+                let n_offsets = l - h + 1;
+                // im2col: rows are windows, built as column-concat of shifted gathers.
+                let mut cols: Vec<Var> = Vec::with_capacity(h);
+                for r in 0..h {
+                    let idx: Vec<usize> = (0..n_offsets).map(|o| s * l + o + r).collect();
+                    cols.push(g.gather_rows(emb, &idx)?);
+                }
+                let im2col = if cols.len() == 1 { cols[0] } else { g.concat_cols(&cols)? };
+                let conv = bank.forward(g, store, im2col)?; // (n_offsets, F)
+                let conv = g.relu(conv);
+                let pooled = g.max_axis0(conv)?; // (F,)
+                parts.push(g.reshape(pooled, &[1, bank.out_dim()])?);
             }
-            let im2col = if cols.len() == 1 { cols[0] } else { g.concat_cols(&cols)? };
-            let conv = bank.forward(g, store, im2col)?; // (n_offsets, F)
-            let conv = g.relu(conv);
-            let pooled = g.max_axis0(conv)?; // (F,)
-            parts.push(g.reshape(pooled, &[1, bank.out_dim()])?);
+            // Vertical convolution: W_v (F_v, L) × E_s (L, d) → (F_v, d).
+            let sample_idx: Vec<usize> = (0..l).map(|r| s * l + r).collect();
+            let e_s = g.gather_rows(emb, &sample_idx)?;
+            let v_out = g.matmul(v_w, e_s)?;
+            let d = g.value(e_s).dims()[1];
+            let f_v = g.value(v_w).dims()[0];
+            parts.push(g.reshape(v_out, &[1, f_v * d])?);
+            per_sample_feats.push(g.concat_cols(&parts)?);
         }
-        // Vertical convolution: W_v (F_v, L) × E_s (L, d) → (F_v, d).
-        let sample_idx: Vec<usize> = (0..l).map(|r| s * l + r).collect();
-        let e_s = g.gather_rows(emb, &sample_idx)?;
-        let v_out = g.matmul(v_w, e_s)?;
-        let d = g.value(e_s).dims()[1];
-        let f_v = g.value(v_w).dims()[0];
-        parts.push(g.reshape(v_out, &[1, f_v * d])?);
-        per_sample_feats.push(g.concat_cols(&parts)?);
+        let feats = g.concat_rows(&per_sample_feats)?; // (B, feat_dim)
+        let fused = self.fc.forward(g, store, feats)?;
+        let fused = g.relu(fused);
+        self.out.forward(g, store, fused)
     }
-    let feats = g.concat_rows(&per_sample_feats)?; // (B, feat_dim)
-    let fused = fc.forward(g, store, feats)?;
-    Ok(g.relu(fused))
 }
 
 impl Scorer for Caser {
     fn score_items(&self, fold_in: &[u32]) -> Vec<f32> {
-        self.forward_logits(fold_in).unwrap_or_else(|_| vec![0.0; self.vocab])
+        let inputs: Vec<usize> =
+            pad_left(fold_in, self.ccfg.window).into_iter().map(|i| i as usize).collect();
+        let mut g = Graph::with_threads(self.cfg.threads);
+        self.forward(&mut g, &self.store, &inputs)
+            .map(|logits| g.value(logits).data().to_vec())
+            .unwrap_or_else(|_| vec![0.0; self.vocab])
     }
     fn vocab(&self) -> usize {
         self.vocab

@@ -141,7 +141,9 @@ impl NeuralConfig {
     }
 }
 
-/// Run the shared Adam training loop over next-item examples.
+/// Run the shared Adam training loop over a model's training examples
+/// (next-item [`SeqExample`]s or next-`k` ones, whatever `build_loss`
+/// reads).
 ///
 /// `build_loss` constructs the scalar *mean* loss for one shard of a
 /// mini-batch on a fresh graph (receiving the epoch-global step for
@@ -169,18 +171,19 @@ impl NeuralConfig {
 /// gradient global norms, shard count, and wall-clock), and a final
 /// run-end callback. All observed quantities are read-only copies; the
 /// update path is identical whether or not an observer is attached.
-pub fn train_epochs<F, P>(
+pub fn train_epochs<E, F, P>(
     cfg: &NeuralConfig,
     store: &mut vsan_nn::ParamStore,
-    examples: &[SeqExample],
+    examples: &[E],
     build_loss: F,
     mut post_step: P,
 ) -> Result<Vec<f32>, String>
 where
+    E: Sync,
     F: Fn(
             &mut vsan_autograd::Graph,
             &vsan_nn::ParamStore,
-            &[&SeqExample],
+            &[&E],
             &mut rand::rngs::StdRng,
             u64,
         ) -> vsan_autograd::Result<(vsan_autograd::Var, vsan_nn::ShardStats)>
@@ -225,7 +228,7 @@ where
         let mut epoch_shards = 0usize;
         let mut batch_count = 0usize;
         for batch in batches {
-            let refs: Vec<&SeqExample> = batch.iter().map(|&i| &examples[i]).collect();
+            let refs: Vec<&E> = batch.iter().map(|&i| &examples[i]).collect();
             let (loss_val, stats, mut grads) = {
                 let shared: &vsan_nn::ParamStore = store;
                 executor

@@ -18,7 +18,7 @@ use vsan_nn::{Dropout, Embedding, ParamStore, SelfAttentionBlock, Windows};
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use vsan_autograd::{Graph, Result as AgResult};
+use vsan_autograd::{Graph, Result as AgResult, Var};
 
 /// Trained SASRec model.
 pub struct SasRec {
@@ -72,69 +72,67 @@ impl SasRec {
             return Ok(model);
         }
 
-        let n = cfg.max_seq_len;
-        let dropout = Dropout::new(cfg.dropout);
-        let item_emb = model.item_emb.clone();
-        let pos_emb = model.pos_emb.clone();
-        let blocks = model.blocks.clone();
+        // The store trains on its own while the model lends its layers.
+        let mut store = std::mem::replace(&mut model.store, ParamStore::new());
+        let net = &model;
         let losses = train_epochs(
             cfg,
-            &mut model.store,
+            &mut store,
             &examples,
             |g, store, batch, rng, _step| {
                 let (inputs, targets) = flatten_batch(batch);
-                let batch_size = batch.len();
-                let table = store.var(g, item_emb.table);
-                let items = g.gather_rows(table, &inputs)?;
-                let pos = pos_emb.lookup(g, store, &position_indices(batch_size, n))?;
-                let mut h = g.add(items, pos)?;
-                h = dropout.forward(g, rng, h, true)?;
-                let windows = Windows::Stacked { batch: batch_size };
-                for block in &blocks {
-                    h = block.forward(g, store, h, windows, &dropout, rng, true)?;
-                }
-                // Weight-tied logits over the rows that have a target:
-                // (active, d) × (vocab, d)ᵀ.
                 let (active, targets) = active_rows(targets, |&t| t != usize::MAX);
-                let h = g.gather_rows(h, &active)?;
-                let logits = g.matmul_a_bt(h, table)?;
+                let logits = net.forward(g, store, &inputs, &active, rng, true)?;
                 let loss = g.ce_one_hot(logits, &targets)?;
                 let ce = g.value(loss).data()[0];
                 Ok((loss, vsan_nn::ShardStats::ce_only(ce)))
             },
-            |store| {
-                item_emb.zero_padding(store);
-            },
-        )?;
-        model.train_losses = losses;
+            |store| net.item_emb.zero_padding(store),
+        );
+        model.store = store;
+        model.train_losses = losses?;
         Ok(model)
     }
 
-    /// Forward a single fold-in sequence to last-position logits.
-    fn forward_logits(&self, fold_in: &[u32]) -> AgResult<Vec<f32>> {
+    /// The forward over `inputs`, stacked windows of `max_seq_len` rows:
+    /// embedding + dropout, the blocks, then weight-tied logits
+    /// `(readout, d) × (vocab, d)ᵀ` on the `readout` rows only. Training
+    /// reads out the rows that have a target; scoring runs it with
+    /// dropout off over the one left-padded window, read out at its last
+    /// row.
+    fn forward(
+        &self,
+        g: &mut Graph,
+        store: &ParamStore,
+        inputs: &[usize],
+        readout: &[usize],
+        rng: &mut StdRng,
+        train: bool,
+    ) -> AgResult<Var> {
         let n = self.cfg.max_seq_len;
-        let input = pad_left(fold_in, n);
-        let mut g = Graph::with_threads(self.cfg.threads);
-        let mut rng = StdRng::seed_from_u64(0); // dropout disabled in eval
-        let dropout = Dropout::new(0.0);
-        let idx: Vec<usize> = input.iter().map(|&i| i as usize).collect();
-        let table = self.store.var(&mut g, self.item_emb.table);
-        let items = g.gather_rows(table, &idx)?;
-        let pos = self.pos_emb.lookup(&mut g, &self.store, &position_indices(1, n))?;
+        let batch = inputs.len() / n;
+        let dropout = Dropout::new(self.cfg.dropout);
+        let table = store.var(g, self.item_emb.table);
+        let items = g.gather_rows(table, inputs)?;
+        let pos = self.pos_emb.lookup(g, store, &position_indices(batch, n))?;
         let mut h = g.add(items, pos)?;
-        let window = Windows::Stacked { batch: 1 };
+        h = dropout.forward(g, rng, h, train)?;
         for block in &self.blocks {
-            h = block.forward(&mut g, &self.store, h, window, &dropout, &mut rng, false)?;
+            h = block.forward(g, store, h, Windows::Stacked { batch }, &dropout, rng, train)?;
         }
-        let last = g.gather_rows(h, &[n - 1])?;
-        let logits = g.matmul_a_bt(last, table)?;
-        Ok(g.value(logits).data().to_vec())
+        let h = g.gather_rows(h, readout)?;
+        g.matmul_a_bt(h, table)
     }
 }
 
 impl Scorer for SasRec {
     fn score_items(&self, fold_in: &[u32]) -> Vec<f32> {
-        self.forward_logits(fold_in)
+        let n = self.cfg.max_seq_len;
+        let inputs: Vec<usize> = pad_left(fold_in, n).into_iter().map(|i| i as usize).collect();
+        let mut g = Graph::with_threads(self.cfg.threads);
+        let mut rng = StdRng::seed_from_u64(0); // dropout is off: never drawn
+        self.forward(&mut g, &self.store, &inputs, &[n - 1], &mut rng, false)
+            .map(|logits| g.value(logits).data().to_vec())
             .unwrap_or_else(|_| vec![0.0; self.vocab])
     }
     fn vocab(&self) -> usize {

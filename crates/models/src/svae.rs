@@ -79,7 +79,7 @@ impl Svae {
         }
         let decoder = Linear::new(&mut store, &mut rng, "dec", scfg.latent_dim, ds.vocab(), true);
 
-        // Next-k examples; reuse SeqExample layout via next_k targets.
+        // Next-k examples: a multi-hot target set per row.
         let n = cfg.max_seq_len;
         let examples_k: Vec<_> = train_users
             .iter()
@@ -100,10 +100,6 @@ impl Svae {
             return Ok(model);
         }
 
-        // train_epochs wants SeqExample; carry indices into examples_k.
-        let proxies: Vec<vsan_data::sequence::SeqExample> = (0..examples_k.len())
-            .map(|i| vsan_data::sequence::SeqExample { input: vec![i as u32], targets: vec![] })
-            .collect();
 
         let item_emb = model.item_emb.clone();
         let gru = model.gru.clone();
@@ -115,12 +111,11 @@ impl Svae {
         let losses = train_epochs(
             cfg,
             &mut model.store,
-            &proxies,
+            &examples_k,
             |g, store, batch, rng, step| {
                 let b = batch.len();
                 let mut inputs = Vec::with_capacity(b * n);
-                for proxy in batch {
-                    let ex = &examples_k[proxy.input[0] as usize];
+                for ex in batch {
                     inputs.extend(ex.input.iter().map(|&i| i as usize));
                 }
                 let table = store.var(g, item_emb.table);
@@ -143,8 +138,7 @@ impl Svae {
                 // Position-major multi-hot targets + KL row mask.
                 let mut targets: Vec<Vec<usize>> = vec![Vec::new(); n * b];
                 let mut mask = vec![false; n * b];
-                for (s, proxy) in batch.iter().enumerate() {
-                    let ex = &examples_k[proxy.input[0] as usize];
+                for (s, ex) in batch.iter().enumerate() {
                     for t in 0..n {
                         let tv = &ex.targets[t];
                         if !tv.is_empty() {

@@ -107,8 +107,8 @@ impl ParamStore {
     }
 
     /// Restore a store from a checkpoint blob produced by [`Self::save`].
-    /// A truncated or hostile blob (a repeated name included) is an
-    /// `Err`, never a panic.
+    /// A truncated or hostile blob (a repeated name, or bytes after the
+    /// last parameter, included) is an `Err`, never a panic.
     pub fn load(blob: &[u8]) -> Result<Self, String> {
         let (n, mut blob) = blob.split_first_chunk().ok_or("checkpoint too short")?;
         let n = u64::from_le_bytes(*n) as usize;
@@ -127,6 +127,9 @@ impl ParamStore {
                 return Err(format!("duplicate parameter name {name:?}"));
             }
             store.add(name, t);
+        }
+        if !blob.is_empty() {
+            return Err(format!("{} bytes after the last parameter", blob.len()));
         }
         Ok(store)
     }
@@ -265,5 +268,9 @@ mod tests {
             twice.extend_from_slice(&blob[8..]);
         }
         assert!(ParamStore::load(&twice).unwrap_err().contains("duplicate parameter name"));
+        // A whole checkpoint followed by anything else is not a checkpoint.
+        let mut tail = blob.clone();
+        tail.extend_from_slice(&[0xAB; 32]);
+        assert_eq!(ParamStore::load(&tail).unwrap_err(), "32 bytes after the last parameter");
     }
 }

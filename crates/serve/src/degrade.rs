@@ -6,10 +6,10 @@
 //!
 //! 1. **Approximate cache** — probe the LRU for the exact fold-in
 //!    window and up to four progressively shorter suffixes of it (always
-//!    on). A hit means "the
-//!    ranking for this user as of a few interactions ago": slightly
-//!    stale, bit-reproducible, and far better than an error. Probes
-//!    are bounded hash lookups; no forward pass runs.
+//!    on). Each suffix drops the *oldest* items, so a hit is the ranking
+//!    for the same recent items with less past behind them: approximate,
+//!    bit-reproducible, and far better than an error. Probes are bounded
+//!    hash lookups; no forward pass runs.
 //! 2. **Popularity scorer** — a static per-item score table supplied at
 //!    engine start ([`crate::EngineConfig::with_popularity`], typically
 //!    training-set interaction counts). The
@@ -83,8 +83,9 @@ mod tests {
         logits[9] = 1.0;
         let popularity: Vec<f32> = (0..vocab).map(|i| i as f32).collect();
 
-        // A hit on the window shortened by up to CACHE_PROBES items
-        // answers from the cache…
+        // A hit on the window with up to CACHE_PROBES of its oldest items
+        // dropped (the same recent items, less past) answers from the
+        // cache…
         for cut in 0..=CACHE_PROBES {
             let mut lru = SequenceCache::new(4);
             lru.insert(window[cut..].to_vec(), Arc::new(logits.clone()));
@@ -94,7 +95,7 @@ mod tests {
             assert_eq!(resp.source(), ResponseSource::DegradedCache, "cut {cut}");
             assert_eq!(resp.items(), &[9]);
         }
-        // …one shortened by one more is out of reach: popularity answers.
+        // …one more dropped is out of reach: popularity answers.
         let mut lru = SequenceCache::new(4);
         lru.insert(window[CACHE_PROBES + 1..].to_vec(), Arc::new(logits));
         let cache = Mutex::new(lru);

@@ -166,14 +166,16 @@ fi
 # §7): held by name to the fully padded windows it replaces — the same
 # loss bits and the same gradients regrouped, on both tiers — and to the
 # layout it promises (the most padded window first, the others reading
-# their prefix from it, no sharing without padding).
+# their prefix from it, no sharing without padding) — and the training
+# loss to the graph oracle, which is the same forward in evaluation mode.
 echo "==> shared-padding shard"
 run_whole "shared-padding shard" cargo test -q --offline -p vsan-core --lib -- --exact \
   model::tests::a_shard_computes_shared_padding_once_and_the_same_loss \
-  model::tests::the_window_with_the_most_padding_computes_it
-if ! echo "${out}" | grep -q "^test result: ok. 2 passed; 0 failed; 0 ignored"; then
+  model::tests::the_window_with_the_most_padding_computes_it \
+  model::tests::the_training_loss_is_the_cross_entropy_of_the_oracle_logits
+if ! echo "${out}" | grep -q "^test result: ok. 3 passed; 0 failed; 0 ignored"; then
   echo "${out}"
-  echo "the shared-padding shard checks did not run whole (expected 2 passed, 0 ignored)" >&2
+  echo "the shared-padding shard checks did not run whole (expected 3 passed, 0 ignored)" >&2
   exit 1
 fi
 

@@ -7,8 +7,11 @@
 //! (`try_score_items_batch`, `recommend_batch_exact`), the graph oracle
 //! (`score_items_batch_graph`), a session (`prepare_session_into` +
 //! `append_session_logits`) and the engine (`Engine::submit`), and none
-//! may panic.
+//! may panic. The posterior and the Monte-Carlo scores run the oracle's
+//! forward too, so they meet the same windows and the same errors.
 
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 use std::collections::HashSet;
 use vsan_repro::prelude::*;
 
@@ -36,6 +39,8 @@ fn logits_on_every_path(model: &Vsan, history: &[u32]) -> Vec<f32> {
     let plan = model.try_score_items_batch(&[history]).expect("plan").pop().unwrap();
     let graph = model.score_items_batch_graph(&[history]).expect("graph oracle").pop().unwrap();
     assert_eq!(bits(&plan), bits(&graph), "plan vs graph oracle for {history:?}");
+    let mean = model.score_items_sampled(history, 0, &mut StdRng::seed_from_u64(7)).expect("no draws");
+    assert_eq!(bits(&plan), bits(&mean), "plan vs zero-sample scores for {history:?}");
     let mut ws = Workspace::new();
     let mut state = SessionState::new();
     match history.split_last() {
@@ -48,6 +53,13 @@ fn logits_on_every_path(model: &Vsan, history: &[u32]) -> Vec<f32> {
         None => model.prepare_session_into(&[], None, &mut state, &mut ws).expect("prepare"),
     }
     plan
+}
+
+/// The posterior's `(μ, σ)` and two Monte-Carlo draws, as bits.
+fn posterior_and_draws(model: &Vsan, history: &[u32]) -> Vec<u32> {
+    let stats = model.posterior(history).expect("posterior");
+    let draws = model.score_items_sampled(history, 2, &mut StdRng::seed_from_u64(7)).expect("draws");
+    [bits(&stats.mu), bits(&stats.sigma), bits(&draws)].concat()
 }
 
 /// Top-`k` of `history` from the plan's exact path and from the engine,
@@ -69,8 +81,10 @@ fn empty_and_padding_only_histories_are_the_all_padding_window() {
     // history of padding ids alone, is the all-padding window.
     let empty = logits_on_every_path(&model, &[]);
     assert!(empty.iter().all(|v| v.is_finite()));
+    let empty_posterior = posterior_and_draws(&model, &[]);
     for zeros in [vec![0u32], vec![0; 3], vec![0; n], vec![0; n + 4]] {
         assert_eq!(bits(&logits_on_every_path(&model, &zeros)), bits(&empty), "{} zeros", zeros.len());
+        assert_eq!(posterior_and_draws(&model, &zeros), empty_posterior, "{} zeros", zeros.len());
     }
 
     let reply = replies_on_every_path(&model, &engine, &[], K);
@@ -101,6 +115,11 @@ fn an_out_of_vocabulary_id_in_the_window_is_the_same_error_on_every_path() {
         assert_eq!(model.recommend_batch_exact(&[h], K).unwrap_err(), message);
         assert_eq!(model.recommend(h, K).unwrap_err(), message);
         assert!(model.score_items_batch_graph(&[h]).is_err(), "graph oracle accepted {h:?}");
+        assert_eq!(model.posterior(h).unwrap_err(), message);
+        for samples in [0, 2] {
+            let sampled = model.score_items_sampled(h, samples, &mut StdRng::seed_from_u64(7));
+            assert_eq!(sampled.unwrap_err(), message, "{samples} samples");
+        }
         // A session meets the id in its prefix or as the appended event.
         let (&last, prefix) = h.split_last().unwrap();
         let (mut ws, mut state) = (Workspace::new(), SessionState::new());
